@@ -657,7 +657,7 @@ let run_sched n rounds loss shards selftest =
     let names = List.init n (Printf.sprintf "device-%02d") in
     let member_clock m = Ra_net.Simtime.now (Session.time (Fleet.member_session m)) in
     (* everything observable about a fleet: verdict ledger, member
-       clocks and the raw wire transcripts — the event engine must
+       clocks and the raw wire transcripts — every shard count must
        reproduce all of it byte-for-byte *)
     let fleet_state f =
       ( Fleet.summary f,
@@ -667,34 +667,27 @@ let run_sched n rounds loss shards selftest =
           (fun m -> Ra_net.Channel.transcript (Session.channel (Fleet.member_session m)))
           (Fleet.members f) )
     in
-    let sweep_with engine =
+    let sweep_with k =
       let f = Fleet.create ~ram_size:4096 ~names () in
       Fleet.advance f ~seconds:1.0;
-      let verdicts = Fleet.sweep ~engine f in
+      let verdicts = Fleet.sweep ~engine:(`Shards k) f in
       (verdicts, fleet_state f)
     in
-    let sweep_seq = sweep_with `Seq in
-    let sweep_ev = sweep_with `Events in
-    let sweep_sh = sweep_with (`Shards shards) in
-    let chaos_with engine =
+    let chaos_with k =
       let f = Fleet.create ~ram_size:4096 ~names () in
       Fleet.enable_tracing f;
       let grid =
-        Fleet.chaos_sweep ~seed:42L ~engine ~rounds_per_member:rounds
+        Fleet.chaos_sweep ~seed:42L ~engine:(`Shards k) ~rounds_per_member:rounds
           ~losses:[ 0.0; loss ]
           ~policies:[ ("default", Retry.default) ]
           f
       in
       (grid, fleet_state f, Fleet.recent_rounds f)
     in
-    let chaos_seq = chaos_with `Seq in
-    let chaos_ev = chaos_with `Events in
-    let chaos_sh = chaos_with (`Shards shards) in
-    let grid, _, _ = chaos_ev in
-    Printf.printf
-      "engines: sequential oracle vs event queue vs %d shard%s, %d members x %d \
-       rounds\n\n"
-      shards
+    let sweep_one = sweep_with 1 and sweep_sh = sweep_with shards in
+    let chaos_one = chaos_with 1 and chaos_sh = chaos_with shards in
+    let grid, _, _ = chaos_sh in
+    Printf.printf "fleet engine: 1 vs %d shard%s, %d members x %d rounds\n\n" shards
       (if shards = 1 then "" else "s")
       n rounds;
     Printf.printf "%-8s %12s %14s %10s %10s\n" "loss" "converged" "mean attempts"
@@ -706,46 +699,22 @@ let run_sched n rounds loss shards selftest =
           (Fleet.convergence_pct c) c.Fleet.c_mean_attempts c.Fleet.c_p50_s
           c.Fleet.c_p99_s)
       grid;
-    Printf.printf "\nsweep identical across engines: %b (events), %b (shards)\n"
-      (sweep_seq = sweep_ev) (sweep_seq = sweep_sh);
-    Printf.printf "traced chaos identical across engines: %b (events), %b (shards)\n"
-      (chaos_seq = chaos_ev) (chaos_seq = chaos_sh);
+    Printf.printf "\nsweep identical across shard counts: %b\n" (sweep_one = sweep_sh);
+    Printf.printf "traced chaos identical across shard counts: %b\n" (chaos_one = chaos_sh);
     if not selftest then 0
     else begin
       let failures = ref [] in
       let check name ok = if not ok then failures := name :: !failures in
-      check "sweep: verdicts, ledgers, clocks and transcripts identical"
-        (sweep_seq = sweep_ev);
-      (let g1, s1, _ = chaos_seq
-       and g2, s2, _ = chaos_ev in
-       check "chaos: grid, ledgers, clocks and transcripts identical"
-         (g1 = g2 && s1 = s2));
-      (let _, _, r1 = chaos_seq
-       and _, _, r2 = chaos_ev in
-       check "flight recorders identical across engines" (r1 = r2));
-      check "event engine deterministic across runs" (chaos_with `Events = chaos_ev);
-      (* the sharded engine must agree with the oracle on everything —
-         including flight recorders — at several shard counts, not just
-         the one requested on the command line *)
-      check
-        (Printf.sprintf "sharded sweep identical to oracle at %d shards" shards)
-        (sweep_seq = sweep_sh);
-      check
-        (Printf.sprintf "sharded chaos identical to oracle at %d shards" shards)
-        (chaos_seq = chaos_sh);
+      check "engine deterministic across runs" (chaos_with 1 = chaos_one);
+      (* verdicts, ledgers, clocks, transcripts and flight recorders at
+         several shard counts, not just the one requested on the command
+         line; the sequential oracle comparison is the test suite's job *)
       List.iter
         (fun k ->
-          check
-            (Printf.sprintf "sharded chaos identical to oracle at %d shards" k)
-            (chaos_with (`Shards k) = chaos_seq))
-        (List.filter (fun k -> k <> shards) [ 1; 2; 3; 7 ]);
-      (* pooled parallel sweep: same verdicts and ledgers as the oracle *)
-      (let f_seq = Fleet.create ~ram_size:4096 ~names () in
-       let f_par = Fleet.create ~ram_size:4096 ~names () in
-       let a = Fleet.sweep f_seq in
-       let b = Fleet.sweep_par ~domains:4 f_par in
-       check "pooled sweep_par identical to sweep"
-         (a = b && Fleet.summary f_seq = Fleet.summary f_par));
+          let label what = Printf.sprintf "%s at %d shards identical to 1 shard" what k in
+          check (label "sweep") (sweep_with k = sweep_one);
+          check (label "traced chaos") (chaos_with k = chaos_one))
+        (List.sort_uniq compare [ 2; 3; 7; shards ]);
       (* streaming sweep: fingerprint independent of the shard count *)
       (let fp k =
          (Fleet.stream_sweep ~ram_size:4096 ~shards:k ~members:n ())
@@ -839,16 +808,15 @@ let sched_cmd =
   in
   let selftest =
     Arg.(value & flag & info [ "selftest" ]
-           ~doc:"Verify engine equivalence (verdicts, ledgers, transcripts, flight \
-                 recorders) across the sequential, event and sharded engines at \
-                 several shard counts, the pooled parallel sweep, streaming \
-                 fingerprint shard-invariance, scheduler determinism, deferred \
-                 delivery and the ra_sched_* metric families; non-zero exit on \
-                 failure.")
+           ~doc:"Verify that sweeps and traced chaos sweeps (verdicts, ledgers, \
+                 transcripts, flight recorders) are identical at 2, 3, 7 and the \
+                 requested shard count to 1 shard, streaming fingerprint \
+                 shard-invariance, scheduler determinism, deferred delivery and \
+                 the ra_sched_* metric families; non-zero exit on failure.")
   in
   Cmd.v
     (Cmd.info "sched"
-       ~doc:"Run fleet sweeps on the deterministic event queue and compare engines")
+       ~doc:"Run fleet sweeps on the sharded event engine and compare shard counts")
     Term.(const run_sched $ n $ rounds $ loss $ shards $ selftest)
 
 (* ---- serve ---- *)
@@ -1166,7 +1134,7 @@ let run_prof n rounds loss shards period out folded_out selftest =
             Profiler.Track.create (Printf.sprintf "queue-depth/shard-%d" i))
       in
       let (_ : (string * Verdict.t option) list) =
-        Fleet.sweep_shards ~tracks ~shards fleet
+        Fleet.sweep ~engine:(`Shards shards) ~tracks fleet
       in
       (fleet, Profiler.Track.merge ~name:"ra_sched_queue_depth" (Array.to_list tracks))
     in
@@ -1547,17 +1515,17 @@ let run_replay n rounds loss seed diagnosis_out capsules_out perfetto_out selfte
              | Ok j -> Forensics.capsule_of_json j = Some c
              | Error _ -> false)
            caps);
-      (* --- the capsule stream is engine- and shard-invariant --- *)
+      (* --- the capsule stream is shard-count invariant --- *)
       let stream engine =
         let f = make_fleet ~capture:true () in
         let (_ : Fleet.chaos_cell list) = sweep ~engine f in
         Forensics.capsules_jsonl (Fleet.capsules f)
       in
       let base = Forensics.capsules_jsonl caps in
-      check "capsule stream identical across engines and shard counts"
+      check "capsule stream identical across shard counts"
         (List.for_all
-           (fun e -> String.equal (stream e) base)
-           [ `Seq; `Events; `Shards 1; `Shards 2; `Shards 4 ]);
+           (fun k -> String.equal (stream (`Shards k)) base)
+           [ 2; 3; 4 ]);
       (* --- every capsule replays byte-identically --- *)
       check "every capsule replays byte-identically"
         (List.for_all
@@ -1637,7 +1605,7 @@ let replay_cmd =
   in
   let selftest =
     Arg.(value & flag & info [ "selftest" ]
-           ~doc:"Verify capsule JSON round-trips, engine/shard-invariant capsule \
+           ~doc:"Verify capsule JSON round-trips, shard-count-invariant capsule \
                  streams, byte-identical replay of every capsule, ranked triage, \
                  bucket exemplars, and capture wire-neutrality; non-zero exit on \
                  failure.")
@@ -1730,17 +1698,14 @@ let run_session n rounds records loss seed selftest =
         (r1.Session.r_verdict = r2.Session.r_verdict
         && r1.Session.r_attempts = r2.Session.r_attempts);
       check "session verdict trusted" (r1.Session.r_verdict = Verdict.Trusted);
-      (* --- all three engines produce byte-identical fleets --- *)
+      (* --- every shard count produces a byte-identical fleet --- *)
       let fingerprint ?engine ?observe () =
         let f, cs = sweep ?engine ?observe () in
         (Fleet.fingerprint f, cs)
       in
       let fp_seq, cells_seq = fingerprint () in
-      let fp_ev, cells_ev = fingerprint ~engine:`Events () in
       let fp_sh, cells_sh = fingerprint ~engine:(`Shards 2) () in
-      check "engines byte-identical (events)"
-        (String.equal fp_seq fp_ev && cells_seq = cells_ev);
-      check "engines byte-identical (shards)"
+      check "shard counts byte-identical"
         (String.equal fp_seq fp_sh && cells_seq = cells_sh);
       (* --- tracing/profiling/forensics never touch the wire --- *)
       let fp_obs, _ = fingerprint ~observe:true () in
@@ -1894,8 +1859,8 @@ let session_cmd =
   in
   let selftest =
     Arg.(value & flag & info [ "selftest" ]
-           ~doc:"Verify deterministic session transcripts, engine-identical \
-                 fleets, observability wire-neutrality, >= 99% convergence \
+           ~doc:"Verify deterministic session transcripts, fleets identical \
+                 across shard counts, observability wire-neutrality, >= 99% convergence \
                  under loss, and that MITM substitution, cross-session \
                  splices, replays and tampered records all reject; non-zero \
                  exit on failure.")

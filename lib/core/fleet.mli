@@ -43,7 +43,8 @@ val sweep_one : t -> string -> Verdict.t option
 (** Attest one device now and update its ledger. *)
 
 val sweep :
-  ?engine:[ `Seq | `Events | `Shards of int ] ->
+  ?engine:[ `Shards of int ] ->
+  ?tracks:Ra_obs.Profiler.Track.t array ->
   t ->
   (string * Verdict.t option) list
 (** Attest every device, staggered by {!stagger_seconds} of simulated
@@ -54,45 +55,19 @@ val sweep :
     per member), so the sweep is O(n) and member clocks carry no
     accumulated rounding drift at 10k+ members.
 
-    [`Seq] (the default) folds over the members in order — the reference
-    oracle. [`Events] runs the identical per-member operations as events
-    on a {!Sched} timeline; verdicts, transcripts, ledgers and member
-    clocks are bit-identical to [`Seq], plus [ra_sched_*] metrics.
-    [`Shards k] partitions the members into [k] contiguous ranges
-    ({!Shard.partition}), runs one event timeline per shard on the
-    persistent domain pool, and merges deterministically: results are
-    read back in member order and each shard's buffered metrics arena is
-    flushed in shard order — verdicts, ledgers, clocks, transcripts and
-    metric totals are identical to [`Seq] at {e every} shard count.
-    @raise Invalid_argument on [`Shards k] with [k < 1]. *)
-
-val sweep_shards :
-  ?pool:Pool.t ->
-  ?tracks:Ra_obs.Profiler.Track.t array ->
-  shards:int ->
-  t ->
-  (string * Verdict.t option) list
-(** The [`Shards] engine directly, with two extra knobs: [pool]
-    substitutes a private domain pool, and [tracks] (one track per
-    shard) lets each shard's scheduler record its [(sim_time, depth)]
-    queue-depth series — merge them with {!Ra_obs.Profiler.Track.merge}
-    into a deterministic [ra_sched_queue_depth] Perfetto counter track.
-    @raise Invalid_argument when [tracks] has a different length than
-    [shards]. *)
-
-val sweep_par :
-  ?domains:int ->
-  ?spawn:[ `Pool | `Fresh ] ->
-  t ->
-  (string * Verdict.t option) list
-(** Same verdicts, health ledger and per-member simulated clocks as
-    {!sweep} (members are independent prover worlds), computed on up to
-    [domains] OCaml domains (default 4, clamped to the member count).
-    Results are returned in member order regardless of completion order.
-    [`Pool] (the default) borrows helper domains from the persistent
-    {!Pool.shared} pool; [`Fresh] spawns and joins throwaway domains on
-    every call — the pre-pool behaviour, kept so
-    [bench/main.exe hotpath] can measure what the pool buys. *)
+    The fleet engine: [`Shards k] (default [`Shards 1]) partitions the
+    members into [k] contiguous ranges ({!Shard.partition}) and runs each
+    range as events on its own {!Sched} timeline, on the persistent
+    domain pool, with its own buffered metrics arena. The merge is
+    deterministic — results are read back in member order and the arenas
+    flush in shard order — so verdicts, ledgers, clocks, transcripts and
+    metric totals are identical at {e every} shard count. With [tracks]
+    (one track per shard) each shard's scheduler records its
+    [(sim_time, depth)] queue-depth series — merge them with
+    {!Ra_obs.Profiler.Track.merge} into a deterministic
+    [ra_sched_queue_depth] Perfetto counter track.
+    @raise Invalid_argument on [`Shards k] with [k < 1], or when
+    [tracks] has a different length than [k]. *)
 
 val stagger_seconds : float
 (** 1 s between consecutive devices in a sweep. *)
@@ -144,9 +119,8 @@ val classify_verdict : Verdict.t -> health
 
 val chaos_sweep :
   ?seed:int64 ->
-  ?domains:int ->
   ?rounds_per_member:int ->
-  ?engine:[ `Seq | `Events | `Shards of int ] ->
+  ?engine:[ `Shards of int ] ->
   ?workload:workload ->
   losses:float list ->
   policies:(string * Retry.policy) list ->
@@ -163,22 +137,15 @@ val chaos_sweep :
     Seeding is positional: each cell draws one root from [seed], and
     member [i]'s impairment seed is
     [Impairment.derive_seed ~root ~index:i] — a pure function of the
-    pair, so the wire schedule member [i] experiences is identical
-    across [domains] settings, shard counts and engines.
+    pair, so the wire schedule member [i] experiences is identical at
+    every shard count.
 
-    With [engine:`Seq] (the default), members run on up to [domains]
-    OCaml domains (default 4, helpers borrowed from {!Pool.shared});
-    results are deterministic in [seed] regardless. With
-    [engine:`Events], every retry timeout and backoff wait becomes an
-    event on one shared {!Sched} timeline ([domains] is ignored — the
-    engine is single-threaded and deterministic by construction); each
-    member executes the identical operation sequence as the sequential
-    engine, so the grid, ledgers, transcripts and member clocks are
-    bit-identical between engines. With [engine:`Shards k], each of [k]
-    contiguous member ranges drives its own timeline on the pool with
-    its own buffered metrics arena; the deterministic merge (member
-    order for results, shard order for arena flushes) makes every
-    output identical to the other engines at every shard count.
+    Runs on the fleet engine (see {!sweep}): every retry timeout and
+    backoff wait of a member's round becomes an event on its shard's
+    timeline, and each member executes the identical operation sequence
+    whatever else shares that timeline, so the grid, ledgers,
+    transcripts, member clocks and metric totals are identical at every
+    [`Shards k] (default [`Shards 1]).
     @raise Invalid_argument on an empty grid, an invalid policy, or
     [`Shards k] with [k < 1]. *)
 
@@ -197,9 +164,9 @@ val convergence_pct : chaos_cell -> float
     converged round, the latency-SLO exemplar. Capture is out-of-band:
     it only reads member-local state, so verdicts, transcripts, ledgers
     and clocks are byte-identical with capture on or off, and the
-    capsule stream itself is identical at every [domains]/[shards]/
-    engine setting (candidates are member-local; the coordinator merges
-    them in member-index order after each cell). *)
+    capsule stream itself is identical at every shard count (candidates
+    are member-local; the coordinator merges them in member-index order
+    after each cell). *)
 
 val enable_forensics : ?capacity:int -> t -> Ra_obs.Forensics.t
 (** Attach a capsule ring ([capacity] capsules, default 256) if none is
@@ -235,7 +202,9 @@ val replay_capsule : t -> Ra_obs.Forensics.capsule -> (replay, string) result
     grid and member position; the member's full pre-capture history
     (prior cells, earlier rounds of the captured cell) is fast-forwarded
     first so every PRNG draw lines up, then the captured round runs and
-    is compared byte-for-byte. [Error] explains why a capsule cannot be
+    is compared byte-for-byte. The fast-forward runs the sweep's own
+    member round driver, so replay cannot drift from capture. [Error]
+    explains why a capsule cannot be
     replayed against this fleet (deadline-miss kind, config mismatch,
     pre-sweep member history, out-of-range indices, or an impairment
     seed that does not re-derive — a tampered capsule). *)
@@ -251,8 +220,8 @@ val annotate_exemplars : t -> int
     A materialised member world costs ~88 KB (dominated by the device's
     flash image), so a million-member {!t} would need ~88 GB. The
     streaming sweep keeps {e one} live session per shard at a time:
-    create member [i]'s world, run exactly the staggered operation
-    sequence {!sweep} runs, fold the outcome into per-shard tallies and
+    create member [i]'s world, run it through exactly the staggered
+    slot {!sweep} runs, on the same engine, fold the outcome into per-shard tallies and
     an order-independent fingerprint, drop the world. Peak memory is
     O(shards), independent of the fleet size. *)
 
@@ -275,13 +244,14 @@ val stream_sweep :
   ?spec:Architecture.spec ->
   ?ram_size:int ->
   ?shards:int ->
-  ?pool:Pool.t ->
   ?name_of:(int -> string) ->
   members:int ->
   unit ->
   stream_report
 (** Sweep a fleet of [members] freshly-created devices without ever
-    materialising it, on [shards] pool-backed shards (default 1).
+    materialising it, on [shards] engine shards (default 1); each
+    member's slot is an event that schedules the next, so a shard's
+    queue holds one member at a time.
     [name_of] (default [dev-%07d]) names member [i] — it must be pure.
     The report is a pure function of [(spec, ram_size, members)]:
     tallies merge by sums and fingerprints by XOR, both

@@ -189,23 +189,7 @@ module M = struct
   let rec_replayed = record "replayed"
   let rec_stale = record "stale"
 
-  let round v = Counter.get ~labels:[ ("verdict", v) ] "ra_secure_rounds_total"
-
-  let round_handles =
-    List.map
-      (fun v -> (v, round v))
-      [
-        "trusted";
-        "untrusted_state";
-        "invalid_response";
-        "bad_auth";
-        "not_fresh";
-        "fault";
-        "timed_out";
-      ]
-
-  let count_round verdict =
-    Counter.inc (List.assoc (Verdict.label verdict) round_handles)
+  let count_round = Session.Machine.verdict_counter "ra_secure_rounds_total"
 end
 
 type stats = {
@@ -397,11 +381,7 @@ let listen ?(window_bits = 128) session =
                    shape safe *)
                 responder_send r (seal peer inner_close_ack);
                 r.r_closed <- true;
-                r.r_peer <- None;
-                (match r.r_handle with
-                | Some h -> Channel.Endpoint.detach h
-                | None -> ());
-                r.r_handle <- None;
+                teardown_responder r;
                 Trace.record trace "secure: session closed by initiator"
               | Close_ack -> Trace.record trace "secure: unexpected close-ack ignored"
               | Msg _ -> Trace.record trace "secure: unexpected inner message ignored")))
@@ -553,11 +533,7 @@ let connect ?(window_bits = 128) session =
                   Trace.recordf trace "secure: verdict %a" Verdict.pp verdict)
               | Close_ack ->
                 i.i_close_acked <- true;
-                i.i_state <- Closed;
-                (match i.i_handle with
-                | Some h -> Channel.Endpoint.detach h
-                | None -> ());
-                i.i_handle <- None;
+                teardown_initiator i;
                 Trace.record trace "secure: close acknowledged"
               | Close | Msg _ ->
                 Trace.record trace "secure: unexpected inner message ignored"))
@@ -592,174 +568,75 @@ let close_begin i =
 
 (* ---- the session round machine ---------------------------------------- *)
 
-(* Fixed jitter seed, one stream per machine — like [Session]'s retry
-   PRNG, per-member divergence comes from impairment seeds. *)
+(* Fixed jitter seed, one stream per round — unlike [Session]'s
+   per-session retry PRNG; per-member divergence comes from impairment
+   seeds. *)
 let jitter_seed = 0x5EC5E551L
 
+(* Handshake phase, one phase per streamed record, then a best-effort
+   close — each phase is [Session.Machine.phase], so retry, reply
+   windows, waits and tracing are the one-shot round's own machinery. *)
 let round_begin ?(policy = Retry.default) ?(records = 4) ?(window_bits = 128) t =
-  Retry.validate policy;
   if records < 0 then invalid_arg "Secure_session.round_begin: records < 0";
-  Session.set_in_flight t true;
-  let time = Session.time t in
-  let trace = Session.trace t in
-  let started = Simtime.now time in
-  let tracer = Trace.tracer trace in
-  let prng = C.Prng.create jitter_seed in
-  let total_sends = ref 0 in
+  let m =
+    Session.Machine.start ~policy ~prng:(C.Prng.create jitter_seed)
+      ~root:"secure.session" ~count:M.count_round t
+  in
   let responder = listen ~window_bits t in
   let initiator = connect ~window_bits t in
-  let cspan ?(labels = []) name =
-    Option.map (fun tr -> Ra_obs.Trace.span tr ~cat:"secure" ~labels name) tracer
+  (* r_attempts counts transmissions across all phases *)
+  let sends = ref 0 in
+  let flight send () =
+    incr sends;
+    send ()
   in
-  let cfinish ?labels sp =
-    match (tracer, sp) with
-    | Some tr, Some sp -> Ra_obs.Trace.finish_span tr ?labels sp
-    | _ -> ()
-  in
-  Option.iter (fun tr -> ignore (Ra_obs.Trace.begin_round tr)) tracer;
-  let root_sp = Ra_obs.Span.enter (Trace.spans trace) "secure.session" in
-  let round_done verdict =
+  let finish verdict =
     teardown_initiator initiator;
     teardown_responder responder;
-    Session.set_in_flight t false;
-    M.count_round verdict;
-    (match tracer with
-    | Some tr ->
-      Trace.causal_instant trace ~cat:"verdict"
-        ~labels:[ ("verdict", Verdict.label verdict) ]
-        "verdict";
-      Ra_obs.Trace.end_round tr ~verdict:(Verdict.label verdict)
-        ~attempts:!total_sends
-    | None -> ());
-    let r =
-      {
-        Session.r_verdict = verdict;
-        r_attempts = !total_sends;
-        r_elapsed_s = Simtime.now time -. started;
-      }
-    in
-    Ra_obs.Span.exit (Trace.spans trace) root_sp;
-    Session.Round_done r
+    Session.Machine.finish m ~attempts:!sends verdict
   in
-  (* Pump both directions until the phase condition holds or the wire
-     goes quiet — same loop (and the same pathological-impairment step
-     cap) as the plain retry engine. *)
-  let pump done_ =
-    let channel = Session.channel t in
-    let rec go steps =
-      if not (done_ ()) then begin
-        let fwd = Channel.forward_next channel ~dst:Channel.Prover_side in
-        let back = Channel.forward_next channel ~dst:Channel.Verifier_side in
-        if (not (done_ ())) && (fwd || back) then
-          if steps < 100_000 then go (steps + 1)
-          else Trace.record trace "secure: pump step cap hit, backing off"
-      end
-    in
-    go 0
-  in
-  (* One retried phase of the machine. [send] must put a {e fresh} flight
-     on the wire (new challenge / new record sequence — never a
-     byte-identical retransmission); the caller performs the first send
-     itself before calling, so attempt [n]'s window opens right after
-     transmission [n]. *)
-  let phase ~name ~send ~done_ ~fail ~next =
-    let rec attempt n =
-      let attempt_sp =
-        cspan
-          ~labels:[ ("attempt", string_of_int n); ("phase", name) ]
-          "secure.attempt"
-      in
-      let window = Retry.timeout_s policy ~attempt:n ~u:(C.Prng.float prng 1.0) in
-      let deadline = Simtime.deadline time ~after:window in
-      pump done_;
-      if done_ () then begin
-        cfinish ~labels:[ ("outcome", "done") ] attempt_sp;
-        next ()
-      end
-      else begin
-        let rest = Simtime.remaining time deadline in
-        if rest > 0.0 then
-          Session.Round_wait
-            {
-              wait_s = rest;
-              resume =
-                (fun () ->
-                  Session.advance_time t ~seconds:rest;
-                  if done_ () then begin
-                    cfinish ~labels:[ ("outcome", "done") ] attempt_sp;
-                    next ()
-                  end
-                  else attempt_over n attempt_sp);
-            }
-        else attempt_over n attempt_sp
-      end
-    and attempt_over n attempt_sp =
-      cfinish ~labels:[ ("outcome", "timeout") ] attempt_sp;
-      if n < policy.Retry.max_attempts then begin
-        Trace.recordf trace "secure: %s attempt %d timed out, retransmitting" name n;
-        incr total_sends;
-        send ();
-        attempt (n + 1)
-      end
-      else begin
-        Trace.recordf trace "secure: %s gave up after %d attempts" name n;
-        fail n
-      end
-    in
-    attempt 1
-  in
-  let start_phase ~name ~send ~done_ ~fail ~next =
-    incr total_sends;
-    send ();
-    phase ~name ~send ~done_ ~fail ~next
-  in
-  let timed_out _n =
-    round_done
-      (Verdict.Timed_out
-         { attempts = !total_sends; waited_s = Simtime.now time -. started })
+  let timed_out _ =
+    finish
+      (Verdict.Timed_out { attempts = !sends; waited_s = Session.Machine.elapsed m })
   in
   (* close is best-effort: one flight, pump, done — a lost close frame
      must not wedge a session whose verdict is already decided, and
-     [round_done] force-detaches both endpoints regardless *)
-  let close_phase verdict =
+     [finish] force-detaches both endpoints regardless *)
+  let close verdict =
     if close_begin initiator then begin
-      incr total_sends;
-      pump (fun () -> initiator.i_close_acked)
+      incr sends;
+      Session.Machine.pump m (fun () -> initiator.i_close_acked)
     end;
-    round_done verdict
+    finish verdict
   in
   let rec stream r =
-    if r > records then close_phase Verdict.Trusted
+    if r > records then close Verdict.Trusted
     else begin
       let before = initiator.i_verdict_count in
-      start_phase
-        ~name:(Printf.sprintf "record %d/%d" r records)
-        ~send:(fun () -> ignore (request_round initiator))
+      Session.Machine.phase m
+        ~phase:(Printf.sprintf "record %d/%d" r records)
+        ~send:(flight (fun () -> ignore (request_round initiator)))
         ~done_:(fun () -> initiator.i_verdict_count > before)
-        ~fail:timed_out
-        ~next:(fun () ->
+        ~give_up:timed_out
+        ~next:(fun _ ->
           match initiator.i_verdicts with
           | (_, Verdict.Trusted) :: _ -> stream (r + 1)
           | (_, v) :: _ ->
             (* a non-trusted in-session verdict decides the whole round:
                the session's device state is what it is *)
-            close_phase v
+            close v
           | [] -> stream (r + 1))
     end
   in
-  start_phase ~name:"handshake"
-    ~send:(fun () -> handshake_send initiator)
-    ~done_:(fun () ->
-      match initiator.i_state with Connecting _ -> false | _ -> true)
-    ~fail:timed_out
-    ~next:(fun () ->
+  Session.Machine.phase m ~phase:"handshake"
+    ~send:(flight (fun () -> handshake_send initiator))
+    ~done_:(fun () -> match initiator.i_state with Connecting _ -> false | _ -> true)
+    ~give_up:timed_out
+    ~next:(fun n ->
       match initiator.i_state with
-      | Refused v -> round_done v
+      | Refused v -> finish v
       | Established _ -> stream 1
-      | Connecting _ | Closed ->
-        round_done
-          (Verdict.Timed_out
-             { attempts = !total_sends; waited_s = Simtime.now time -. started }))
+      | Connecting _ | Closed -> timed_out n)
 
 let run_r ?policy ?records ?window_bits t =
   Session.drive_round (round_begin ?policy ?records ?window_bits t)

@@ -19,9 +19,9 @@
     legitimate frames survive the channel's duplication and reordering).
     Neither mechanism ever consults the other's clock.
 
-    Everything here runs over the session's existing Dolev-Yao channel
-    and retry engine; the machine shape mirrors {!Session.round_begin},
-    so all three fleet engines drive it to byte-identical transcripts. *)
+    Everything here runs over the session's existing Dolev-Yao channel,
+    and every retried phase runs on {!Session.Machine} — the one-shot
+    round's own retry machine. *)
 
 (** RFC 6479-style sliding anti-replay window: a block-based bitmap over
     the last [bits] sequence numbers below the highest accepted one.
@@ -131,13 +131,11 @@ val teardown_responder : responder -> unit
 
 (** {2 The session round machine}
 
-    One "round" = one full session lifecycle: handshake (with per-phase
-    retry under the session's {!Retry} policy), [records] streaming
-    attestation rounds (each a fresh sealed request, retransmitted on
-    its own reply windows), then a best-effort close. Yields
-    {!Session.Round_wait} whenever simulated time must pass, exactly
-    like {!Session.round_begin}, so the sequential and event-scheduled
-    fleet engines execute the identical operation sequence. *)
+    One "round" = one full session lifecycle: a handshake phase, then
+    one phase per streamed attestation record (each a fresh sealed
+    request), each a {!Session.Machine.phase} retried under the
+    {!Retry} policy, then a best-effort close. Its reply-window jitter
+    comes from a fixed per-round PRNG, not the session's. *)
 
 val round_begin :
   ?policy:Retry.policy ->

@@ -76,15 +76,69 @@ type step =
           idles and drains battery — and continues the machine; the
           caller only decides {e when} to call it. *)
 
+(** {2 The retry round machine}
+
+    Every retried exchange over the session's wire — the one-shot round
+    below and each phase of {!Secure_session.round_begin} — runs on this
+    one machine. *)
+module Machine : sig
+  type session := t
+  type t
+  (** One open round. *)
+
+  val start :
+    policy:Retry.policy ->
+    prng:Ra_crypto.Prng.t ->
+    root:string ->
+    count:(Verdict.t -> unit) ->
+    session ->
+    t
+  (** Open a round: validate [policy], mark the round in flight (idle
+      cycles until {!finish} are the profiler's [wait] phase), begin a
+      causal-trace round and enter the [root] span. [prng] draws the
+      reply-window jitter; [count] sees the final verdict.
+      @raise Invalid_argument on an invalid policy. *)
+
+  val phase :
+    t ->
+    phase:string ->
+    send:(unit -> unit) ->
+    done_:(unit -> bool) ->
+    give_up:(int -> step) ->
+    next:(int -> step) ->
+    step
+  (** One retried exchange. Attempt [n] calls [send], which must put a
+      {e fresh} flight on the wire (never a byte-identical
+      retransmission), pumps the wire until [done_ ()] or quiet, then
+      yields [Round_wait] for the rest of the jittered reply window and
+      retransmits with a grown window. Continues with [next n] once
+      [done_ ()] holds, or [give_up n] when the policy's attempts run out.
+      Attempts and waits become [retry.attempt] / [retry.backoff] causal
+      spans labelled with [phase]. *)
+
+  val pump : t -> (unit -> bool) -> unit
+  (** Forward both directions until the predicate holds or the wire goes
+      quiet (step-capped): one best-effort flight, no reply window. *)
+
+  val elapsed : t -> float
+  (** Simulated seconds since {!start}. *)
+
+  val finish : t -> attempts:int -> Verdict.t -> step
+  (** Close the round: clear the in-flight mark, count the verdict, seal
+      the causal-trace round, exit the root span, yield [Round_done]. *)
+
+  val verdict_counter : string -> Verdict.t -> unit
+  (** [verdict_counter name] precreates the [name{verdict}] counter
+      family and returns its per-round increment — a [count] for
+      {!start}. *)
+end
+
 val round_begin : ?policy:Retry.policy -> t -> step
-(** Start one attestation round under the retry engine as a resumable
-    machine. Runs synchronously until the round either completes
-    ([Round_done]) or needs simulated time to pass ([Round_wait]).
-    Driving every wait immediately is exactly {!attest_round_r}; an
-    event scheduler instead enqueues each [resume] at [now + wait_s],
-    interleaving thousands of sessions on one timeline. Both drivers
-    execute the identical operation sequence per session, so verdicts,
-    transcripts and metrics are bit-identical between them. *)
+(** Start one attestation round: a single {!Machine.phase} whose flight
+    is {!send_request}. Driving every wait immediately is exactly
+    {!attest_round_r}; the fleet's event engine instead enqueues each
+    [resume] at [now + wait_s], interleaving thousands of sessions on one
+    timeline, with the identical operation sequence per session. *)
 
 val drive_round : step -> round
 (** Resume every wait immediately until the round completes — the
@@ -166,10 +220,3 @@ val profiling : t -> Ra_obs.Profiler.t option
 val advance_time : t -> seconds:float -> unit
 (** Let wall-clock time pass for everyone: the network clock and the
     prover's sleeping device. *)
-
-val set_in_flight : t -> bool -> unit
-(** Mark a retry round as in flight for the profiler's wait-phase
-    attribution (idle cycles inside a round count as [wait]; idle outside
-    does not). {!round_begin} manages this itself; external round
-    machines over the same session — {!Secure_session.round_begin} —
-    bracket their work with it. *)

@@ -153,18 +153,24 @@ let test_replayed_retransmission_rejected () =
 
 (* ---- chaos sweep ------------------------------------------------------ *)
 
-let run_grid ~domains () =
+let run_grid ~shards () =
   let fleet =
     Fleet.create ~ram_size:1024 ~names:[ "a"; "b"; "c" ] ()
   in
-  Fleet.chaos_sweep ~seed:99L ~domains ~rounds_per_member:3
+  Fleet.chaos_sweep ~seed:99L ~engine:(`Shards shards) ~rounds_per_member:3
     ~losses:[ 0.0; 0.2 ]
     ~policies:[ ("default", Retry.default) ]
     fleet
 
-let test_chaos_sweep_deterministic_across_domains () =
-  Alcotest.(check bool) "1 domain = 4 domains" true
-    (run_grid ~domains:1 () = run_grid ~domains:4 ())
+let test_chaos_sweep_deterministic_across_shards () =
+  let one = run_grid ~shards:1 () in
+  List.iter
+    (fun shards ->
+      Alcotest.(check bool)
+        (Printf.sprintf "1 shard = %d shards" shards)
+        true
+        (one = run_grid ~shards ()))
+    [ 2; 4 ]
 
 let test_chaos_sweep_grid () =
   let fleet = Fleet.create ~ram_size:1024 ~names:[ "a"; "b"; "c"; "d" ] () in
@@ -234,8 +240,8 @@ let tests =
     QCheck_alcotest.to_alcotest prop_counter_monotone_under_retries;
     Alcotest.test_case "replayed retransmission rejected" `Quick
       test_replayed_retransmission_rejected;
-    Alcotest.test_case "chaos sweep deterministic across domains" `Slow
-      test_chaos_sweep_deterministic_across_domains;
+    Alcotest.test_case "chaos sweep deterministic across shard counts" `Slow
+      test_chaos_sweep_deterministic_across_shards;
     Alcotest.test_case "chaos sweep grid" `Slow test_chaos_sweep_grid;
     Alcotest.test_case "classify verdict" `Quick test_classify_verdict;
     Alcotest.test_case "chaos sweep validation" `Quick

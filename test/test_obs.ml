@@ -1,5 +1,5 @@
 (* Ra_obs: metrics registry semantics, span tracing over Simtime, JSONL
-   round-trips and the sweep/sweep_par metric-equality contract. *)
+   round-trips and the shard-count invariance of merged sweep metrics. *)
 
 open Ra_obs
 module Simtime = Ra_net.Simtime
@@ -337,11 +337,12 @@ let qcheck_percentile_oracle =
         in
         got = expected)
 
-(* --- fleet: sweep and sweep_par must produce identical metrics --- *)
+(* --- fleet: the merged registry totals are shard-count invariant --- *)
 
 let comparable snapshot =
-  (* drop histogram float sums (accumulation order differs across domains)
-     and keep everything integer-valued: counters, gauges, bucket counts *)
+  (* drop histogram float sums (accumulation order differs across shard
+     arenas) and keep everything integer-valued: counters, gauges, bucket
+     counts *)
   List.map
     (fun (name, labels, sample) ->
       match sample with
@@ -351,23 +352,21 @@ let comparable snapshot =
       | Registry.Gauge_sample v -> (name, labels, `Gauge v))
     snapshot
 
-let run_sweeps ~par () =
+let run_sweeps ~shards () =
   Registry.reset Registry.default;
   let fleet = Ra_core.Fleet.create ~ram_size:2048 ~names:[ "a"; "b"; "c" ] () in
   for _ = 1 to 2 do
     Ra_core.Fleet.advance fleet ~seconds:5.0;
-    ignore
-      (if par then Ra_core.Fleet.sweep_par ~domains:3 fleet
-       else Ra_core.Fleet.sweep fleet)
+    ignore (Ra_core.Fleet.sweep ~engine:(`Shards shards) fleet)
   done;
   ignore (Ra_core.Fleet.health_snapshot fleet);
   let snap = comparable (Registry.snapshot Registry.default) in
   Registry.reset Registry.default;
   snap
 
-let test_sweep_par_metric_equality () =
-  let seq = run_sweeps ~par:false () in
-  let par = run_sweeps ~par:true () in
+let test_registry_totals_shard_invariant () =
+  let seq = run_sweeps ~shards:1 () in
+  let par = run_sweeps ~shards:3 () in
   Alcotest.(check int) "same series set" (List.length seq) (List.length par);
   List.iter2
     (fun (n1, l1, s1) (n2, l2, s2) ->
@@ -395,6 +394,6 @@ let tests =
     Alcotest.test_case "prometheus exposition" `Quick test_prometheus_exposition;
     Alcotest.test_case "hostile names escaped" `Quick test_hostile_names_escaped;
     QCheck_alcotest.to_alcotest qcheck_percentile_oracle;
-    Alcotest.test_case "sweep_par metric equality" `Quick
-      test_sweep_par_metric_equality;
+    Alcotest.test_case "registry totals equal at shards 1 and 3" `Quick
+      test_registry_totals_shard_invariant;
   ]
