@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain dune underneath.
 
-.PHONY: all build test bench bench-smoke chaos-smoke trace-smoke sched-smoke shard-smoke prof-smoke server-smoke forensics-smoke session-smoke examples docs clean loc
+.PHONY: all build test bench bench-smoke chaos-smoke trace-smoke sched-smoke prof-smoke server-smoke forensics-smoke session-smoke examples docs clean loc
 
 all: build
 
@@ -28,16 +28,11 @@ trace-smoke:
 	dune exec bin/ra_cli.exe -- trace --selftest
 	BENCH_SMOKE=1 dune exec bench/main.exe -- trace
 
-# event-queue scheduler sanity: CLI selftest (engine equivalence, deferred
-# delivery, determinism), then the 10k-device sweep gate (BENCH_sched.json)
+# fleet-engine sanity: CLI selftest at 4 shards (sweeps and traced chaos
+# sweeps at 2/3/4/7 shards identical to 1 shard, stream-fingerprint
+# invariance, deferred delivery, determinism), then the reduced sched
+# bench (10k-device engine gate, stream, scaling grid -> BENCH_sched.json)
 sched-smoke:
-	dune exec bin/ra_cli.exe -- sched --selftest
-	BENCH_SMOKE=1 dune exec bench/main.exe -- sched
-
-# sharded-engine sanity: CLI selftest at 4 shards (sharded sweep/chaos vs
-# the sequential oracle, pooled sweep_par, stream-fingerprint invariance),
-# then the reduced sched bench (scaling grid + stream + gate bookkeeping)
-shard-smoke:
 	dune exec bin/ra_cli.exe -- sched --selftest --shards 4
 	BENCH_SMOKE=1 dune exec bench/main.exe -- sched
 
@@ -58,7 +53,7 @@ server-smoke:
 	BENCH_SMOKE=1 dune exec bench/main.exe -- server
 
 # failure-forensics sanity: CLI selftest (capsule JSON round-trips,
-# engine/shard-invariant capsule streams, byte-identical replay, ranked
+# shard-count-invariant capsule streams, byte-identical replay, ranked
 # triage, bucket exemplars, capture wire-neutrality), then the reduced
 # forensics bench (BENCH_forensics.json: capture-overhead gate + replay
 # identity at 10k devices in the full run); leaves the diagnosis report
@@ -67,11 +62,11 @@ forensics-smoke:
 	dune exec bin/ra_cli.exe -- replay --selftest --diagnosis diagnosis.jsonl --perfetto replay.perfetto.json
 	BENCH_SMOKE=1 dune exec bench/main.exe -- forensics
 
-# secure-session sanity: CLI selftest (deterministic transcripts, engine
+# secure-session sanity: CLI selftest (deterministic transcripts, shard-count
 # identity, observability wire-neutrality, loss convergence, and the
 # MITM/splice/replay/tamper adversary suite), then the reduced session
 # bench (BENCH_session.json: record throughput, handshake amortization,
-# engine-identical convergence under 20% loss)
+# convergence under 20% loss)
 session-smoke:
 	dune exec bin/ra_cli.exe -- session --selftest
 	BENCH_SMOKE=1 dune exec bench/main.exe -- session

@@ -100,8 +100,8 @@ let shutdown t =
   Mutex.unlock t.mutex
 
 (* Helper domains beyond this point stop buying anything on any machine
-   this code meets; it also keeps a runaway [~domains] argument from
-   exhausting the runtime's 128-domain budget. *)
+   this code meets; it also keeps a runaway shard count from exhausting
+   the runtime's 128-domain budget. *)
 let max_helpers = 63
 
 let run t ~helpers job =

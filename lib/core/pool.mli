@@ -22,8 +22,8 @@ val shared : unit -> t
     joined automatically at process exit. *)
 
 val max_helpers : int
-(** Upper bound on helpers per batch (63): keeps a runaway [~domains]
-    argument inside the runtime's 128-domain budget. *)
+(** Upper bound on helpers per batch (63): keeps a runaway shard count
+    inside the runtime's 128-domain budget. *)
 
 val run : t -> helpers:int -> (unit -> unit) -> unit
 (** [run t ~helpers job] executes [job ()] on the calling domain and on

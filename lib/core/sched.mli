@@ -8,8 +8,9 @@
     to it and runs it; events scheduled into the past are clamped to
     [now] (the timeline is monotone by construction).
 
-    The intended shape (used by [Fleet ~engine:`Events]): each session
-    keeps its private {!Ra_net.Simtime.t} and runs its round machine
+    The intended shape (the fleet engine runs one scheduler per shard —
+    see {!Fleet.sweep}): each session keeps its private
+    {!Ra_net.Simtime.t} and runs its round machine
     ({!Session.round_begin}) inside events; every [Round_wait] becomes a
     new event at [member_now + wait_s]. Member clocks run {e ahead} of
     the shared timeline by the un-scheduled work their events performed

@@ -3,8 +3,9 @@
    The registry's instruments are safe to hit from any domain, but every
    observation is an atomic RMW on shared cache lines — on a hot loop
    running on several domains at once (one event per member per round,
-   thousands of members per shard) that contention is the cost that made
-   `sweep_par` slower than sequential. An arena buffers a domain's
+   thousands of members per shard) that contention is one of the costs
+   that made spawn-per-sweep parallelism slower than one domain. An arena
+   buffers a domain's
    observations in plain mutable fields with no synchronization at all;
    [flush] folds the accumulated values into the shared registry in one
    bulk operation per instrument.

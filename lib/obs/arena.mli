@@ -5,8 +5,8 @@
     observation is an atomic RMW on a shared cache line. On a sharded
     hot loop (one event per member per round, thousands of members per
     shard on several domains) that cross-domain traffic is measurable —
-    it is one of the two costs that made the pre-pool [sweep_par] slower
-    than sequential. An arena gives each shard plain mutable
+    it is one of the two costs that made spawn-per-sweep parallelism
+    slower than one domain. An arena gives each shard plain mutable
     accumulators; after the shards quiesce, the coordinator calls
     {!flush} on each arena {e in shard order}, so the merged registry
     state is deterministic and independent of which domain ran which

@@ -2,8 +2,8 @@
     histograms keyed by [(name, labels)].
 
     Registration ([get]) takes a mutex; the returned handle updates with
-    plain atomics, so hot paths on separate domains (e.g.
-    [Fleet.sweep_par] workers) can record without races or locks. Handles
+    plain atomics, so hot paths on separate domains (e.g. fleet shards)
+    can record without races or locks. Handles
     survive {!reset}, which zeroes values in place — instrument sites can
     therefore create their handles once at module initialisation. *)
 
