@@ -8,8 +8,8 @@
 
    The "hotpath" section races the seed repository's boxed-Int32 kernels
    against the current unboxed ones, times a fleet sweep, and writes
-   BENCH_hotpath.json (set BENCH_SMOKE=1 for a quick
-   CI-sized run).
+   BENCH_hotpath.json (set BENCH_SMOKE=1 for a quick CI-sized run,
+   written to BENCH_hotpath.smoke.json instead).
 
    Sections print the paper's published value next to the value this
    repository computes/measures, so EXPERIMENTS.md can be regenerated by
@@ -32,6 +32,20 @@ let section title =
 (* ---- Bechamel helper: ns/run for a list of named thunks ---- *)
 
 let smoke = Sys.getenv_opt "BENCH_SMOKE" <> None
+
+(* Every section that records machine-readable results writes them
+   through here: to BENCH_<name>.json, or under BENCH_SMOKE to the
+   gitignored BENCH_<name>.smoke.json, so smoke runs never overwrite the
+   committed results. [body] prints the fields, each ending in ",\n";
+   the "smoke" key closes the object. *)
+let write_bench name body =
+  let path = Printf.sprintf "BENCH_%s%s.json" name (if smoke then ".smoke" else "") in
+  let oc = open_out path in
+  output_string oc "{\n";
+  body oc;
+  Printf.fprintf oc "  \"smoke\": %b\n}\n" smoke;
+  close_out oc;
+  Printf.printf "\nwrote %s\n" path
 
 let measure_ns ?(quota = if smoke then 0.05 else 0.25) tests =
   let open Bechamel in
@@ -839,8 +853,8 @@ let bench_hotpath () =
     members ram_kib sweeps seq_s cores
     (if cores = 1 then "" else "s");
   (* machine-readable trajectory for future PRs *)
-  let oc = open_out "BENCH_hotpath.json" in
-  Printf.fprintf oc "{\n  \"kernels_ns_per_op\": {\n";
+  write_bench "hotpath" (fun oc ->
+  Printf.fprintf oc "  \"kernels_ns_per_op\": {\n";
   let n = List.length kernels in
   List.iteri
     (fun i (name, v) ->
@@ -851,10 +865,7 @@ let bench_hotpath () =
   Printf.fprintf oc
     "  \"fleet_sweep\": {\n    \"members\": %d,\n    \"ram_kib\": %d,\n    \
      \"sweeps\": %d,\n    \"cores\": %d,\n    \"sequential_s\": %.4f\n  },\n"
-    members ram_kib sweeps cores seq_s;
-  Printf.fprintf oc "  \"smoke\": %b\n}\n" smoke;
-  close_out oc;
-  Printf.printf "\nwrote BENCH_hotpath.json\n"
+    members ram_kib sweeps cores seq_s)
 
 (* ---- observability overhead: Ra_obs cost on the PR-1 hot path ---- *)
 
@@ -957,8 +968,8 @@ let bench_obs_overhead () =
     "(labeled get is mutex-guarded -- %.0f ns -- which is why hot paths\n\
      precreate their handles at module init)\n"
     (ns "counter-get-labeled");
-  let oc = open_out "BENCH_obs.json" in
-  Printf.fprintf oc "{\n  \"ops_ns_per_op\": {\n";
+  write_bench "obs" (fun oc ->
+  Printf.fprintf oc "  \"ops_ns_per_op\": {\n";
   let n = List.length results in
   List.iteri
     (fun i (name, v) ->
@@ -968,10 +979,7 @@ let bench_obs_overhead () =
   Printf.fprintf oc "  \"hotpath_overhead_pct\": %.2f,\n" inc_pct;
   Printf.fprintf oc "  \"counted_minus_plain_pct\": %.2f,\n" diff_pct;
   Printf.fprintf oc "  \"budget_pct\": %.1f,\n" budget_pct;
-  Printf.fprintf oc "  \"pass\": %b,\n" pass;
-  Printf.fprintf oc "  \"smoke\": %b\n}\n" smoke;
-  close_out oc;
-  Printf.printf "\nwrote BENCH_obs.json\n"
+  Printf.fprintf oc "  \"pass\": %b,\n" pass)
 
 (* ---- chaos: convergence under an impaired wire ---- *)
 
@@ -1025,9 +1033,9 @@ let bench_chaos () =
      closes the gap, at %.2f transmissions per round)\n"
     (Ra_core.Fleet.convergence_pct (cell 0.2 "no-retry"))
     target.Ra_core.Fleet.c_mean_attempts;
-  let oc = open_out "BENCH_chaos.json" in
+  write_bench "chaos" (fun oc ->
   Printf.fprintf oc
-    "{\n  \"members\": %d,\n  \"rounds_per_member\": %d,\n  \"wall_s\": %.3f,\n\
+    "  \"members\": %d,\n  \"rounds_per_member\": %d,\n  \"wall_s\": %.3f,\n\
     \  \"cells\": [\n"
     members rounds wall;
   let n = List.length grid in
@@ -1044,10 +1052,7 @@ let bench_chaos () =
         c.Ra_core.Fleet.c_p99_s
         (if i < n - 1 then "," else ""))
     grid;
-  Printf.fprintf oc "  ],\n  \"target_convergence_pct\": 99.0,\n  \"pass\": %b,\n" pass;
-  Printf.fprintf oc "  \"smoke\": %b\n}\n" smoke;
-  close_out oc;
-  Printf.printf "\nwrote BENCH_chaos.json\n"
+  Printf.fprintf oc "  ],\n  \"target_convergence_pct\": 99.0,\n  \"pass\": %b,\n" pass)
 
 (* ---- causal tracing: flight-recorder cost on the attestation path ---- *)
 
@@ -1153,8 +1158,8 @@ let bench_trace () =
     "(per-event record cost with a live tracer: %.1f ns, amortized seal\n\
      included -- events are per protocol step, not per MAC block)\n"
     (Float.max 0.0 (ns "causal-instant-on" -. ns "nop"));
-  let oc = open_out "BENCH_trace.json" in
-  Printf.fprintf oc "{\n  \"ops_ns_per_op\": {\n";
+  write_bench "trace" (fun oc ->
+  Printf.fprintf oc "  \"ops_ns_per_op\": {\n";
   let n = List.length results in
   List.iteri
     (fun i (name, v) ->
@@ -1168,10 +1173,7 @@ let bench_trace () =
   Printf.fprintf oc "  \"disabled_hook_ns\": %.1f,\n" hook_off_ns;
   Printf.fprintf oc "  \"disabled_overhead_pct\": %.4f,\n" disabled_pct;
   Printf.fprintf oc "  \"disabled_budget_pct\": %.1f,\n" disabled_budget;
-  Printf.fprintf oc "  \"pass\": %b,\n" pass;
-  Printf.fprintf oc "  \"smoke\": %b\n}\n" smoke;
-  close_out oc;
-  Printf.printf "\nwrote BENCH_trace.json\n"
+  Printf.fprintf oc "  \"pass\": %b,\n" pass)
 
 (* ---- deterministic event-queue scheduler: 10k-device sweep gate ---- *)
 
@@ -1314,9 +1316,9 @@ let bench_sched () =
   let pass = one_event_per_member && stream_invariant && gate_pass in
   Printf.printf "\nacceptance: engine gate, stream invariance, speedup gate -> %s\n"
     (if pass then "PASS" else "FAIL");
-  let oc = open_out "BENCH_sched.json" in
+  write_bench "sched" (fun oc ->
   Printf.fprintf oc
-    "{\n  \"members\": %d,\n  \"shards1_s\": %.4f,\n  \"shards4_s\": %.4f,\n\
+    "  \"members\": %d,\n  \"shards1_s\": %.4f,\n  \"shards4_s\": %.4f,\n\
     \  \"events_fired\": %d,\n"
     members one_s shards_s events_fired;
   Printf.fprintf oc "  \"scaling\": [\n";
@@ -1351,9 +1353,7 @@ let bench_sched () =
      \"reason\": \"%s\",\n    \"measured_speedup\": %.2f,\n    \"pass\": %b\n  \
      },\n"
     gate_members cores gate_applicable gate_reason gate_speedup gate_pass;
-  Printf.fprintf oc "  \"pass\": %b,\n  \"smoke\": %b\n}\n" pass smoke;
-  close_out oc;
-  Printf.printf "\nwrote BENCH_sched.json\n"
+  Printf.fprintf oc "  \"pass\": %b,\n" pass)
 
 (* ---- cycle-exact profiler: sampling overhead + neutrality gates ---- *)
 
@@ -1490,8 +1490,8 @@ let bench_prof () =
   Printf.printf "wire-neutral: transcripts byte-identical with profiling %s\n"
     (if neutral then "on/off -> PASS" else "on/off DIFFER -> FAIL");
   let pass = digests_equal && overhead_pass && symbolized_pass && neutral in
-  let oc = open_out "BENCH_prof.json" in
-  Printf.fprintf oc "{\n  \"ops_ns_per_op\": {\n";
+  write_bench "prof" (fun oc ->
+  Printf.fprintf oc "  \"ops_ns_per_op\": {\n";
   let n = List.length results in
   List.iteri
     (fun i (name, v) ->
@@ -1506,10 +1506,7 @@ let bench_prof () =
   Printf.fprintf oc "  \"symbolized_budget_pct\": %.1f,\n" symbolized_budget;
   Printf.fprintf oc "  \"attributed_cycles\": %Ld,\n" total_cycles;
   Printf.fprintf oc "  \"wire_neutral\": %b,\n" neutral;
-  Printf.fprintf oc "  \"pass\": %b,\n" pass;
-  Printf.fprintf oc "  \"smoke\": %b\n}\n" smoke;
-  close_out oc;
-  Printf.printf "\nwrote BENCH_prof.json\n"
+  Printf.fprintf oc "  \"pass\": %b,\n" pass)
 
 let bench_server () =
   section "Verifier-as-a-service: batched verification and DoS-aware admission";
@@ -1671,8 +1668,7 @@ let bench_server () =
   Printf.printf "sustained %.0f verified reports/s wall-clock (%d devices, %d shards)\n"
     sustained_rps devices shards;
   let pass = speedup_pass && goodput_pass && attribution_pass && p99_pass in
-  let oc = open_out "BENCH_server.json" in
-  Printf.fprintf oc "{\n";
+  write_bench "server" (fun oc ->
   Printf.fprintf oc "  \"batch_size\": %d,\n" batch_size;
   Printf.fprintf oc "  \"single_ns_per_report\": %.1f,\n" single_ns;
   Printf.fprintf oc "  \"batched_ns_per_report\": %.1f,\n" batched_ns;
@@ -1698,10 +1694,7 @@ let bench_server () =
   Printf.fprintf oc "  \"flood_goodput_pass\": %b,\n" goodput_pass;
   Printf.fprintf oc "  \"flood_attribution_pass\": %b,\n" attribution_pass;
   Printf.fprintf oc "  \"p99_pass\": %b,\n" p99_pass;
-  Printf.fprintf oc "  \"pass\": %b,\n" pass;
-  Printf.fprintf oc "  \"smoke\": %b\n}\n" smoke;
-  close_out oc;
-  Printf.printf "\nwrote BENCH_server.json\n"
+  Printf.fprintf oc "  \"pass\": %b,\n" pass)
 
 (* ---- forensics: capture overhead and byte-identical replay ---- *)
 
@@ -1866,8 +1859,7 @@ let bench_forensics () =
     (List.length caps) n_failures replay_wall
     (if replay_pass then "PASS" else "FAIL");
   let pass = overhead_pass && stream_pass && replay_pass in
-  let oc = open_out "BENCH_forensics.json" in
-  Printf.fprintf oc "{\n";
+  write_bench "forensics" (fun oc ->
   Printf.fprintf oc "  \"members\": %d,\n" members;
   Printf.fprintf oc "  \"loss\": %.2f,\n" loss;
   Printf.fprintf oc "  \"pairs\": %d,\n" pairs;
@@ -1883,10 +1875,7 @@ let bench_forensics () =
   Printf.fprintf oc "  \"stream_invariant_pass\": %b,\n" stream_pass;
   Printf.fprintf oc "  \"replay_wall_s\": %.4f,\n" replay_wall;
   Printf.fprintf oc "  \"replay_pass\": %b,\n" replay_pass;
-  Printf.fprintf oc "  \"pass\": %b,\n" pass;
-  Printf.fprintf oc "  \"smoke\": %b\n}\n" smoke;
-  close_out oc;
-  Printf.printf "\nwrote BENCH_forensics.json\n"
+  Printf.fprintf oc "  \"pass\": %b,\n" pass)
 
 let bench_session () =
   section "Secure sessions: record layer, handshake amortization, loss convergence";
@@ -2022,8 +2011,7 @@ let bench_session () =
     members rounds session_records (100.0 *. loss) convergence_pct sweep_wall
     (if convergence_pass then "PASS" else "FAIL");
   let pass = amortization_pass && convergence_pass in
-  let oc = open_out "BENCH_session.json" in
-  Printf.fprintf oc "{\n";
+  write_bench "session" (fun oc ->
   Printf.fprintf oc "  \"record_body_bytes\": %d,\n" (String.length body);
   Printf.fprintf oc "  \"seal_ns\": %.1f,\n" seal_ns;
   Printf.fprintf oc "  \"open_ns\": %.1f,\n" open_ns;
@@ -2044,10 +2032,7 @@ let bench_session () =
   Printf.fprintf oc "  \"loss\": %.2f,\n" loss;
   Printf.fprintf oc "  \"convergence_pct\": %.1f,\n" convergence_pct;
   Printf.fprintf oc "  \"convergence_pass\": %b,\n" convergence_pass;
-  Printf.fprintf oc "  \"pass\": %b,\n" pass;
-  Printf.fprintf oc "  \"smoke\": %b\n}\n" smoke;
-  close_out oc;
-  Printf.printf "\nwrote BENCH_session.json\n"
+  Printf.fprintf oc "  \"pass\": %b,\n" pass)
 
 let sections =
   [

@@ -465,18 +465,18 @@ module Load = struct
       let rank = int_of_float (Float.ceil (p *. float_of_int n)) in
       sorted.(max 0 (min (n - 1) (rank - 1)))
 
-  let run ?(engine = `Seq) ?pool ?(record_outcomes = false) ?forensics cfg traffic =
+  let run ?(engine = `Shards 1) ?(record_outcomes = false) ?forensics cfg traffic =
     (match create ~sched:(Sched.create ()) cfg with
     | Ok _ -> ()
     | Error msg -> invalid_arg ("Server.Load.run: " ^ msg));
     if traffic.tr_devices < 0 || traffic.tr_flood_sources < 0 then
       invalid_arg "Server.Load.run: negative source count";
-    let shards = match engine with `Seq -> 1 | `Shards k -> k in
+    let (`Shards shards) = engine in
     let members = traffic.tr_devices + traffic.tr_flood_sources in
     let parts = Shard.partition ~members ~shards in
     let servers = Array.make shards None in
     let capture = Option.is_some forensics in
-    Shard.run ?pool ~shards (fun s ->
+    Shard.run ~shards (fun s ->
         servers.(s) <- Some (run_shard cfg traffic ~record_outcomes ~capture parts.(s)));
     let servers =
       Array.map

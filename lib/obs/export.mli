@@ -1,6 +1,5 @@
 (** Sinks: Prometheus text exposition and JSONL export for metrics and
-    spans, plus a line-oriented parser used by round-trip tests and the
-    [ra_cli stats --selftest] gate. *)
+    spans, plus a line-oriented parser used by the round-trip tests. *)
 
 val render_prometheus : Registry.t -> string
 (** Prometheus text exposition format, version 0.0.4: one [# TYPE] line

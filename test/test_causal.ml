@@ -27,6 +27,7 @@ let test_timeout_round_traced () =
   let s = Session.create ~ram_size:4096 () in
   Session.advance_time s ~seconds:1.0;
   let tr = Session.enable_tracing s in
+  let prof = Session.enable_profiling s in
   Session.set_impairment s
     (Some
        (Impairment.create ~to_prover:(Impairment.lossy 1.0)
@@ -35,6 +36,8 @@ let test_timeout_round_traced () =
   (match r.Session.r_verdict with
   | Verdict.Timed_out _ -> ()
   | v -> Alcotest.failf "expected Timed_out, got %s" (Verdict.label v));
+  Alcotest.(check bool) "backoff attributed to the wait phase" true
+    (List.mem_assoc "wait" (Ra_obs.Profiler.Phases.totals prof.Ra_obs.Profiler.phases));
   match Trace.rounds tr with
   | [ rd ] ->
     Alcotest.(check bool) "well-formed tree" true (well_formed rd);
@@ -78,14 +81,15 @@ let test_benign_round_traced () =
          rd.Trace.rd_events)
   | rds -> Alcotest.failf "expected one sealed round, got %d" (List.length rds)
 
-(* Tracing must be invisible on the wire: the same lossy schedule with
-   and without a tracer attached produces identical rounds, verdicts and
-   prover clocks. *)
+(* Tracing and profiling must be invisible on the wire: the same lossy
+   schedule with and without them attached produces identical rounds,
+   verdicts, prover clocks and wire bytes. *)
 let test_wire_neutrality () =
-  let run ~traced =
+  let run ?(profiled = false) ~traced () =
     let s = Session.create ~ram_size:4096 () in
     Session.advance_time s ~seconds:1.0;
     if traced then ignore (Session.enable_tracing s);
+    if profiled then ignore (Session.enable_profiling s);
     Session.set_impairment s
       (Some
          (Impairment.create ~to_prover:(Impairment.lossy 0.3)
@@ -96,11 +100,17 @@ let test_wire_neutrality () =
           (Verdict.label r.Session.r_verdict, r.Session.r_attempts,
            r.Session.r_elapsed_s))
     in
-    (rounds, Session.prover_wall_ms s, List.length (Session.verdicts s))
+    let wire =
+      List.map
+        (fun e -> e.Ra_net.Channel.payload)
+        (Ra_net.Channel.transcript (Session.channel s))
+    in
+    (rounds, Session.prover_wall_ms s, List.length (Session.verdicts s), wire)
   in
-  let plain = run ~traced:false in
-  let traced = run ~traced:true in
-  Alcotest.(check bool) "identical transcripts" true (plain = traced)
+  let plain = run ~traced:false () in
+  Alcotest.(check bool) "identical transcripts" true (plain = run ~traced:true ());
+  Alcotest.(check bool) "profiling leaves the wire alone" true
+    (plain = run ~profiled:true ~traced:false ())
 
 let test_recorder_bound_across_rounds () =
   let s = Session.create ~ram_size:4096 () in
@@ -136,6 +146,29 @@ let test_fleet_slo_watchdog () =
   let rounds = Fleet.recent_rounds fleet in
   Alcotest.(check int) "every round recorded" 4 (List.length rounds);
   Alcotest.(check bool) "all well-formed" true (List.for_all well_formed rounds);
+  (* Perfetto puts each round on its own track: tid = args.trace_id *)
+  (match Ra_obs.Json.of_string (Ra_obs.Export.perfetto_string rounds) with
+  | Error e -> Alcotest.failf "perfetto export unparseable: %s" e
+  | Ok j ->
+    let module Json = Ra_obs.Json in
+    let evs =
+      match Json.member "traceEvents" j with Some (Json.Arr evs) -> evs | _ -> []
+    in
+    Alcotest.(check bool) "perfetto events present" true (evs <> []);
+    Alcotest.(check bool) "perfetto events carry tid = args.trace_id" true
+      (List.for_all
+         (fun ev ->
+           Json.member "ph" ev = Some (Json.Str "M")
+           ||
+           match Json.member "tid" ev with
+           | Some (Json.Num _) as tid ->
+             tid = Option.bind (Json.member "args" ev) (Json.member "trace_id")
+           | _ -> false)
+         evs));
+  Alcotest.(check bool) "rounds JSONL round-trips" true
+    (match Ra_obs.Export.parse_jsonl (Ra_obs.Export.rounds_jsonl rounds) with
+    | Ok js -> List.map Trace.round_of_json js = List.map Option.some rounds
+    | Error _ -> false);
   let devices = List.sort_uniq compare (List.map (fun r -> r.Trace.rd_device) rounds) in
   Alcotest.(check (list string)) "member names as devices" [ "slo-a"; "slo-b" ]
     devices;

@@ -213,17 +213,29 @@ let test_replay_guards () =
     (F.deadline_miss ~device:(Some "d") ~tag:1 ~arrived:0.0 ~done_:3.0
        ~verdict:(Ra_obs.Json.Str "timed_out"))
 
-(* capture must be wire-neutral: same fingerprint with and without *)
+(* capture, tracing and profiling must be wire-neutral: same fingerprint
+   and grid with and without them, for both workloads *)
 let test_capture_wire_neutral () =
-  let run forensics =
+  let run ~workload observed =
     let names = List.init 5 (fun i -> Printf.sprintf "dev-%d" i) in
     let fleet = Fleet.create ~ram_size:1024 ~names () in
-    if forensics then ignore (Fleet.enable_forensics fleet);
-    sweep fleet;
-    Fleet.fingerprint fleet
+    if observed then begin
+      ignore (Fleet.enable_forensics fleet);
+      Fleet.enable_tracing fleet;
+      Fleet.enable_profiling fleet
+    end;
+    let grid =
+      Fleet.chaos_sweep ~seed:31L ~rounds_per_member:4 ~workload ~losses ~policies fleet
+    in
+    (Fleet.fingerprint fleet, grid)
   in
-  Alcotest.(check string) "fingerprint unchanged by capture" (run false)
-    (run true)
+  List.iter
+    (fun workload ->
+      Alcotest.(check bool)
+        (Fleet.workload_label workload ^ ": fingerprint and grid unchanged by capture")
+        true
+        (run ~workload false = run ~workload true))
+    [ `Attest; `Session 2 ]
 
 (* ---- triage ----------------------------------------------------------- *)
 

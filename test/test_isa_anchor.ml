@@ -108,9 +108,16 @@ let test_interpreted_cost_visible () =
   let device, anchor, verifier = make () in
   let req = Verifier.make_request verifier in
   let before = Cpu.work_cycles (Device.cpu device) in
+  (* PC-sample the round: attestation still succeeds under sampling *)
+  let pc = Ra_obs.Profiler.Pc.create () in
+  let sampler = Ra_isa.Sampler.create ~memory:(Device.memory device) pc in
+  Ra_isa.Sha1_asm.set_sampler (Isa_anchor.sha anchor) (Some sampler);
   (match Isa_anchor.handle_request anchor req with
   | Ok _ -> ()
   | Error e -> Alcotest.failf "rejected: %a" Code_attest.pp_reject e);
+  Ra_isa.Sampler.flush sampler;
+  Alcotest.(check int64) "sampler attributes every mac cycle"
+    (Isa_anchor.last_mac_cycles anchor) (Ra_obs.Profiler.Pc.cycles pc);
   let spent = Int64.sub (Cpu.work_cycles (Device.cpu device)) before in
   (* ~2 KB + body over interpreted SHA-1 at ~8.2k cycles/block: the
      measurement dominates and is 100% real executed work *)

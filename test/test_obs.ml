@@ -375,6 +375,87 @@ let test_registry_totals_shard_invariant () =
       Alcotest.(check bool) (n1 ^ " sample equal") true (s1 = s2))
     seq par
 
+(* --- fleet: every metric family the fleet paths feed moves --- *)
+
+let fleet_families =
+  [
+    (* sweeps and the service path *)
+    "ra_attest_requests_total"; "ra_auth_verifications_total{";
+    "ra_channel_sent_total{"; "ra_channel_delivered_total{";
+    "ra_fleet_sweep_latency_ms_bucket{"; "ra_fleet_members{";
+    "ra_service_invocations_total"; "ra_service_rejections_total{";
+    "ra_verifier_verdicts_total{"; "ra_span_ms_bucket{"; "ra_device_cycles{";
+    (* the chaos cell *)
+    "ra_channel_impairments_total{"; "ra_chaos_rounds_total{";
+    "ra_chaos_round_time_ms_bucket{"; "ra_session_rounds_total{";
+    (* tracing and the SLO watchdog *)
+    "ra_trace_rounds_total"; "ra_trace_events_total"; "ra_slo_evaluations_total{";
+    "ra_slo_breaches_total{"; "ra_slo_margin{";
+    (* the event engine *)
+    "ra_sched_events_total{"; "ra_sched_queue_depth"; "ra_sched_lag_seconds_bucket{";
+  ]
+
+let test_fleet_metric_families () =
+  let open Ra_core in
+  Registry.reset Registry.default;
+  let fleet = Fleet.create ~ram_size:2048 ~names:[ "a"; "b"; "c" ] () in
+  for _ = 1 to 2 do
+    Fleet.advance fleet ~seconds:10.0;
+    ignore (Fleet.sweep fleet)
+  done;
+  Alcotest.(check int) "one trusted verdict per member sweep" 6
+    (Registry.Counter.value
+       (Registry.Counter.get ~labels:[ ("verdict", "trusted") ] "ra_verifier_verdicts_total"));
+  (* service path on one member: a ping, then a forged and a stale request *)
+  let first = Fleet.member_session (List.hd (Fleet.members fleet)) in
+  Alcotest.(check bool) "ping acknowledged" true (Session.service_round first Service.Ping);
+  let scheme = Verifier.scheme (Session.verifier first) in
+  List.iter
+    (fun (sym_key, counter) ->
+      ignore
+        (Service.handle_r (Session.service first)
+           (Service.make_request ~sym_key ~scheme ~freshness:(Message.F_counter counter)
+              Service.Ping)))
+    [ (String.make 20 'x', 99L); (Session.sym_key first, 0L) ];
+  ignore (Fleet.health_snapshot fleet);
+  (* one traced chaos cell, judged by the SLO watchdog at the default
+     and at an impossible latency objective *)
+  Fleet.enable_tracing fleet;
+  ignore
+    (Fleet.chaos_sweep ~rounds_per_member:3 ~losses:[ 0.2 ]
+       ~policies:[ ("default", Retry.default) ]
+       fleet);
+  ignore (Fleet.slo_watch fleet);
+  ignore (Fleet.slo_watch ~policy:{ Fleet.default_slo_policy with slo_max_p99_s = 0.0 } fleet);
+  List.iter
+    (fun m ->
+      Alcotest.(check int) (Fleet.member_name m ^ " spans balanced") 0
+        (Span.open_count (Ra_net.Trace.spans (Session.trace (Fleet.member_session m)))))
+    (Fleet.members fleet);
+  let lines = String.split_on_char '\n' (Export.render_prometheus Registry.default) in
+  List.iter
+    (fun family ->
+      (* a series of the family with a non-zero sample: the run fed it
+         (the queue-depth gauge drains back to zero, so it need only be
+         exposed) *)
+      Alcotest.(check bool) (family ^ " exposed and fed") true
+        (List.exists
+           (fun line ->
+             String.starts_with ~prefix:family line
+             &&
+             match String.split_on_char ' ' line with
+             | _ :: v :: _ ->
+               family = "ra_sched_queue_depth" || float_of_string_opt v <> Some 0.0
+             | _ -> false)
+           lines))
+    fleet_families;
+  List.iter
+    (fun reason ->
+      let line = Printf.sprintf "ra_service_rejections_total{reason=\"%s\"} 1" reason in
+      Alcotest.(check bool) line true (List.mem line lines))
+    [ "bad_auth"; "not_fresh" ];
+  Registry.reset Registry.default
+
 let tests =
   [
     Alcotest.test_case "counter semantics" `Quick test_counter_semantics;
@@ -396,4 +477,5 @@ let tests =
     QCheck_alcotest.to_alcotest qcheck_percentile_oracle;
     Alcotest.test_case "registry totals equal at shards 1 and 3" `Quick
       test_registry_totals_shard_invariant;
+    Alcotest.test_case "fleet metric families fed" `Quick test_fleet_metric_families;
   ]

@@ -222,16 +222,26 @@ let test_phase_ring_wraparound () =
 
 let test_fleet_profile_shard_invariant () =
   let names = List.init 5 (Printf.sprintf "dev-%d") in
-  let fleet = Fleet.create ~ram_size:2048 ~names () in
-  Fleet.enable_tracing fleet;
-  Fleet.enable_profiling fleet;
-  Fleet.advance fleet ~seconds:1.0;
-  ignore (Fleet.sweep fleet);
-  let export k =
+  let profiled () =
+    let fleet = Fleet.create ~ram_size:2048 ~names () in
+    Fleet.enable_tracing fleet;
+    Fleet.enable_profiling fleet;
+    Fleet.advance fleet ~seconds:1.0;
+    let depth = Profiler.Track.create "depth" in
+    ignore (Fleet.sweep ~tracks:[| depth |] fleet);
+    (fleet, depth)
+  in
+  let fleet, depth = profiled () in
+  let export ?(fleet = fleet) k =
     let p = Fleet.profile ~shards:k fleet in
     (Profiler.folded p, Ra_obs.Export.profile_jsonl p)
   in
   let base = export 1 in
+  Alcotest.(check bool) "deterministic across runs" true
+    (export ~fleet:(fst (profiled ())) 1 = base);
+  let at = List.map fst (Profiler.Track.points depth) in
+  Alcotest.(check bool) "queue-depth track recorded, chronological" true
+    (at <> [] && List.sort compare at = at);
   List.iter
     (fun k ->
       Alcotest.(check bool)
@@ -276,7 +286,17 @@ let test_perfetto_counter_track () =
   let track = Profiler.Track.create "ra_sched_queue_depth" in
   Profiler.Track.push track ~at:0.0 1.0;
   Profiler.Track.push track ~at:0.5 2.0;
-  let j = Ra_obs.Export.perfetto ~counters:[ track ] [] in
+  let phase =
+    {
+      Profiler.ps_at = 0.25;
+      ps_trace_id = Some 1;
+      ps_device = "dev";
+      ps_phase = "mac";
+      ps_cycles = 10L;
+      ps_nj = 5.0;
+    }
+  in
+  let j = Ra_obs.Export.perfetto ~counters:[ track ] ~phases:[ phase ] [] in
   let evs =
     match Ra_obs.Json.member "traceEvents" j with
     | Some (Ra_obs.Json.Arr evs) -> evs
@@ -301,6 +321,10 @@ let test_perfetto_counter_track () =
          Option.bind (Ra_obs.Json.member "args" ev) (Ra_obs.Json.member "value"))
        counters
     = [ Some (Ra_obs.Json.Num 1.0); Some (Ra_obs.Json.Num 2.0) ]);
+  Alcotest.(check bool) "phase sample exported as a phase instant" true
+    (List.exists
+       (fun ev -> Ra_obs.Json.member "name" ev = Some (Ra_obs.Json.Str "phase.mac"))
+       evs);
   Alcotest.(check bool) "counters process is named" true
     (List.exists
        (fun ev ->

@@ -64,6 +64,9 @@ let rejections stats reason =
   | Some n -> n
   | None -> 0
 
+let rejections_of report reason =
+  Option.value (List.assoc_opt reason report.Server.Load.rp_breakdown) ~default:0
+
 (* ---- token bucket ----------------------------------------------------- *)
 
 let test_bucket_refill () =
@@ -299,7 +302,23 @@ let test_flood_then_drain () =
     }
   in
   let base, _ = Server.Load.run cfg quiet_traffic in
+  (* the run publishes its totals into the default registry under the
+     shared reason labels *)
+  let published ~label value name =
+    Ra_obs.Registry.Counter.value (Ra_obs.Registry.Counter.get ~labels:[ (label, value) ] name)
+  in
+  let rate_limited () =
+    published ~label:"reason" (Verdict.Reason.label Verdict.Reason.Rate_limited)
+      "ra_server_rejections_total"
+  in
+  let trusted () = published ~label:"verdict" "trusted" "ra_server_verdicts_total" in
+  let limited0 = rate_limited () and trusted0 = trusted () in
   let attacked, outcomes = Server.Load.run ~record_outcomes:true cfg flood in
+  Alcotest.(check int) "rate-limited drops published"
+    (rejections_of attacked Verdict.Reason.Rate_limited)
+    (rate_limited () - limited0);
+  Alcotest.(check int) "trusted verdicts published" attacked.Server.Load.rp_trusted
+    (trusted () - trusted0);
   let trusted_base = base.Server.Load.rp_trusted in
   let trusted_flood = attacked.Server.Load.rp_trusted in
   Alcotest.(check bool)
@@ -307,10 +326,7 @@ let test_flood_then_drain () =
     true
     (float_of_int trusted_flood >= 0.9 *. float_of_int trusted_base);
   (* the flood is turned away by admission, not by verification timeouts *)
-  Alcotest.(check int) "no timeouts" 0
-    (match List.assoc_opt Verdict.Reason.Timed_out attacked.Server.Load.rp_breakdown with
-    | Some n -> n
-    | None -> 0);
+  Alcotest.(check int) "no timeouts" 0 (rejections_of attacked Verdict.Reason.Timed_out);
   let admission_drops =
     List.fold_left
       (fun acc (r, n) ->
@@ -376,7 +392,7 @@ let qcheck_shard_determinism =
         }
       in
       let cfg = load_config () in
-      let _, seq = Server.Load.run ~engine:`Seq ~record_outcomes:true cfg traffic in
+      let _, seq = Server.Load.run ~engine:(`Shards 1) ~record_outcomes:true cfg traffic in
       let _, sh =
         Server.Load.run ~engine:(`Shards shards) ~record_outcomes:true cfg traffic
       in
@@ -384,7 +400,7 @@ let qcheck_shard_determinism =
 
 let test_shard_merge_totals () =
   let cfg = load_config () in
-  let a, _ = Server.Load.run ~engine:`Seq cfg quiet_traffic in
+  let a, _ = Server.Load.run ~engine:(`Shards 1) cfg quiet_traffic in
   let b, _ = Server.Load.run ~engine:(`Shards 4) cfg quiet_traffic in
   Alcotest.(check int) "requests merge" a.Server.Load.rp_requests
     b.Server.Load.rp_requests;
