@@ -14,12 +14,13 @@ bench:
 	dune exec bench/main.exe
 
 # quick end-to-end check of everything the test suite cannot time: the
-# nine reduced bench sections in one run (results go to the gitignored
-# BENCH_<section>.smoke.json, never the committed BENCH_*.json), then the
-# profile and replay drivers, which leave their flame graph, Perfetto
-# traces and diagnosis report behind for artifact upload
+# paper tables plus the nine reduced bench sections in one run (results
+# go to the gitignored BENCH_<section>.smoke.json, never the committed
+# BENCH_*.json), then the profile and replay drivers, which leave their
+# flame graph, Perfetto traces and diagnosis report behind for artifact
+# upload
 smoke:
-	BENCH_SMOKE=1 dune exec bench/main.exe -- hotpath obs-overhead chaos trace sched prof server forensics session
+	BENCH_SMOKE=1 dune exec bench/main.exe -- table1 table2 table3 overhead clocks lattice hotpath obs-overhead chaos trace sched prof server forensics session
 	dune exec bin/ra_cli.exe -- profile --folded profile.folded --out profile.perfetto.json
 	dune exec bin/ra_cli.exe -- replay --diagnosis diagnosis.jsonl --perfetto replay.perfetto.json
 

@@ -3,17 +3,20 @@
 
      table1 memory-mac table2 roaming lattice campaign window table3
      mpu-scaling overhead clocks auth-cost dos-energy nonce-memory swatt
-     realtime figure1 bechamel hotpath isa sha1-asm obs-overhead chaos
-     trace sched prof server forensics
-
-   The "hotpath" section races the seed repository's boxed-Int32 kernels
-   against the current unboxed ones, times a fleet sweep, and writes
-   BENCH_hotpath.json (set BENCH_SMOKE=1 for a quick CI-sized run,
-   written to BENCH_hotpath.smoke.json instead).
+     realtime figure1 host-crypto hotpath isa sha1-asm obs-overhead chaos
+     trace sched prof server forensics session
 
    Sections print the paper's published value next to the value this
    repository computes/measures, so EXPERIMENTS.md can be regenerated by
-   reading the output. *)
+   reading the output. Nine sections also write BENCH_<name>.json (set
+   BENCH_SMOKE=1 for a quick CI-sized run, written to
+   BENCH_<name>.smoke.json instead): hotpath, obs-overhead (as "obs"),
+   chaos, trace, sched, prof, server, forensics and session.
+
+   Benches measure; the test suite asserts behaviour. Every host time is
+   N repeats on the monotonic clock, reported as median and quartiles;
+   simulated numbers (cycles, convergence, capsule counts) are
+   deterministic and reported as plain values. *)
 
 module Timing = Ra_mcu.Timing
 module Clock = Ra_mcu.Clock
@@ -29,47 +32,158 @@ let section title =
   Printf.printf "%s\n" title;
   Printf.printf "================================================================\n"
 
-(* ---- Bechamel helper: ns/run for a list of named thunks ---- *)
+(* ---- measurement: one clock, two estimators, one writer ---- *)
+
+module J = Ra_obs.Json
 
 let smoke = Sys.getenv_opt "BENCH_SMOKE" <> None
 
+(* Repeats per estimate, and the shortest timed window: an operation
+   faster than the window is timed in batches of back-to-back calls. *)
+let repeats = if smoke then 5 else 21
+let min_window_ns = if smoke then 1e6 else 1e7
+
+type stats = { n : int; q1 : float; median : float; q3 : float }
+
+let time_ns f =
+  let t0 = Monotonic_clock.now () in
+  f ();
+  Int64.to_float (Int64.sub (Monotonic_clock.now ()) t0)
+
+(* quantiles interpolated at q * (n + 1), as bench/e2e reports them *)
+let stats_of xs =
+  let a = Array.of_list xs in
+  Array.sort Float.compare a;
+  let n = Array.length a in
+  let q p =
+    let pos = (p *. float_of_int (n + 1)) -. 1.0 in
+    let pos = Float.max 0.0 (Float.min (float_of_int (n - 1)) pos) in
+    let lo = int_of_float pos in
+    let hi = min (n - 1) (lo + 1) in
+    a.(lo) +. ((pos -. float_of_int lo) *. (a.(hi) -. a.(lo)))
+  in
+  { n; q1 = q 0.25; median = q 0.5; q3 = q 0.75 }
+
+let scale k s = { s with q1 = s.q1 *. k; median = s.median *. k; q3 = s.q3 *. k }
+
+(* Every timed operation is staged: [run ()] prepares one repeat outside
+   the timed window (a fresh fleet, say) and returns the thunk to time;
+   [fun () () -> op] is the unprepared case. [window run batch] is the
+   per-call ns of one repeat. *)
+let window run batch =
+  let f = run () in
+  time_ns (fun () ->
+      for _ = 1 to batch do
+        f ()
+      done)
+  /. float_of_int batch
+
+(* calls per timed window: doubled until one window is long enough; the
+   calibration windows double as warm-up *)
+let calibrate run =
+  let rec go batch =
+    if batch >= 1 lsl 20 || window run batch *. float_of_int batch >= min_window_ns then
+      batch
+    else go (2 * batch)
+  in
+  go 1
+
+(* [sample run]: per-call ns over [repeats] timed windows. An operation
+   that fills a window in one call runs unbatched, and its calibration
+   call counts as the first repeat (so a [~repeats:1] run of a long sweep
+   runs it once). *)
+let sample ?(repeats = repeats) run =
+  let first = window run 1 in
+  if first >= min_window_ns then
+    stats_of (first :: List.init (repeats - 1) (fun _ -> window run 1))
+  else
+    let batch = calibrate run in
+    stats_of (List.init repeats (fun _ -> window run batch))
+
+type pair = { a : stats; b : stats; ratio : stats }
+
+(* [paired run_a run_b]: A and B timed in adjacent windows (same thermal
+   and frequency state), the order alternating pair by pair to cancel
+   first-order drift; [ratio] summarises the per-pair B/A ratios. *)
+let paired ?(repeats = repeats) run_a run_b =
+  let batch = calibrate run_a in
+  ignore (window run_b batch);
+  let pairs =
+    List.init repeats (fun i ->
+        if i land 1 = 0 then
+          let a = window run_a batch in
+          (a, window run_b batch)
+        else
+          let b = window run_b batch in
+          (window run_a batch, b))
+  in
+  {
+    a = stats_of (List.map fst pairs);
+    b = stats_of (List.map snd pairs);
+    ratio = stats_of (List.map (fun (a, b) -> b /. a) pairs);
+  }
+
+let num x = J.Num x
+let int n = J.Num (float_of_int n)
+
+let stats_json s =
+  J.Obj [ ("median", num s.median); ("q1", num s.q1); ("q3", num s.q3); ("n", int s.n) ]
+
+let stats_obj rows = J.Obj (List.map (fun (k, s) -> (k, stats_json s)) rows)
+
+let print_ns rows =
+  Printf.printf "%-22s %14s %14s %14s %4s\n" "operation" "median ns" "q1" "q3" "n";
+  List.iter
+    (fun (name, s) ->
+      Printf.printf "%-22s %14.1f %14.1f %14.1f %4d\n" name s.median s.q1 s.q3 s.n)
+    rows
+
+(* One budget row. Budgets on host times do not apply to smoke runs,
+   whose windows are too short to resolve a few percent; a row that does
+   not apply prints why and records [pass] as null. *)
+let gate ?(applicable = not smoke) ?(why = "smoke run: windows too short to time")
+    name value bound =
+  let budget, met, rel =
+    match bound with
+    | `Max b -> (b, value <= b, "<=")
+    | `Min b -> (b, value >= b, ">=")
+  in
+  Printf.printf "gate %s: %.3f (budget %s %.3f) -> %s\n" name value rel budget
+    (if not applicable then "not applicable: " ^ why else if met then "PASS" else "FAIL");
+  J.Obj
+    [
+      ("name", J.Str name);
+      ("value", num value);
+      ("budget", num budget);
+      ("applicable", J.Bool applicable);
+      ("pass", if applicable then J.Bool met else J.Null);
+    ]
+
+let host =
+  J.Obj
+    [
+      ("cores", int (Domain.recommended_domain_count ()));
+      ("ocaml", J.Str Sys.ocaml_version);
+      ("os", J.Str Sys.os_type);
+      ("word_size", int Sys.word_size);
+    ]
+
 (* Every section that records machine-readable results writes them
-   through here: to BENCH_<name>.json, or under BENCH_SMOKE to the
-   gitignored BENCH_<name>.smoke.json, so smoke runs never overwrite the
-   committed results. [body] prints the fields, each ending in ",\n";
-   the "smoke" key closes the object. *)
-let write_bench name body =
+   through here, in one schema: to BENCH_<name>.json, or under
+   BENCH_SMOKE to the gitignored BENCH_<name>.smoke.json, so smoke runs
+   never overwrite the committed results. *)
+let write_bench ?(gates = []) name fields =
   let path = Printf.sprintf "BENCH_%s%s.json" name (if smoke then ".smoke" else "") in
+  let doc =
+    J.Obj
+      ((("bench", J.Str name) :: ("smoke", J.Bool smoke) :: ("host", host) :: fields)
+      @ [ ("gates", J.Arr gates) ])
+  in
   let oc = open_out path in
-  output_string oc "{\n";
-  body oc;
-  Printf.fprintf oc "  \"smoke\": %b\n}\n" smoke;
+  output_string oc (J.to_string doc);
+  output_char oc '\n';
   close_out oc;
   Printf.printf "\nwrote %s\n" path
-
-let measure_ns ?(quota = if smoke then 0.05 else 0.25) tests =
-  let open Bechamel in
-  let ols = Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |] in
-  let instance = Toolkit.Instance.monotonic_clock in
-  let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second quota) ~kde:None () in
-  let grouped =
-    Test.make_grouped ~name:"bench"
-      (List.map (fun (name, f) -> Test.make ~name (Staged.stage f)) tests)
-  in
-  let raw = Benchmark.all cfg [ instance ] grouped in
-  let analyzed = Analyze.all ols instance raw in
-  Hashtbl.fold
-    (fun name ols acc ->
-      match Analyze.OLS.estimates ols with
-      | Some (ns :: _) ->
-        let short =
-          match String.index_opt name '/' with
-          | Some i -> String.sub name (i + 1) (String.length name - i - 1)
-          | None -> name
-        in
-        (short, ns) :: acc
-      | Some [] | None -> acc)
-    analyzed []
 
 (* ---- Table 1 ---- *)
 
@@ -91,8 +205,8 @@ let bench_table1 () =
     "\n(model = Table 1 constants, exposed by Ra_mcu.Timing and charged to\n\
     \ the simulated device on every protocol action)\n"
 
-let bench_bechamel () =
-  section "Host measurements (Bechamel): the same primitives, real code";
+let bench_host_crypto () =
+  section "Host measurements: the same primitives, real code";
   let key16 = String.make 16 'k' in
   let aes = C.Aes.expand key16 in
   let speck = C.Speck.expand key16 in
@@ -101,33 +215,29 @@ let bench_bechamel () =
   let block8 = String.make 8 'm' in
   let kp = C.Ecdsa.generate_keypair C.Ec.secp160r1 ~seed:"bench" in
   let signature = C.Ecdsa.sign C.Ec.secp160r1 ~secret:kp.C.Ecdsa.secret "msg" in
-  let results =
-    measure_ns
-      [
-        ("hmac-sha1-64B", fun () -> ignore (C.Hmac.mac C.Hmac.sha1 ~key:key16 block64));
-        ("aes128-keyexp", fun () -> ignore (C.Aes.expand key16));
-        ("aes128-enc-16B", fun () -> ignore (C.Aes.encrypt_block aes block16));
-        ("aes128-dec-16B", fun () -> ignore (C.Aes.decrypt_block aes block16));
-        ("speck64-keyexp", fun () -> ignore (C.Speck.expand key16));
-        ("speck64-enc-8B", fun () -> ignore (C.Speck.encrypt_block speck block8));
-        ("speck64-dec-8B", fun () -> ignore (C.Speck.decrypt_block speck block8));
-        ( "ecdsa-sign",
-          fun () -> ignore (C.Ecdsa.sign C.Ec.secp160r1 ~secret:kp.C.Ecdsa.secret "msg")
-        );
-        ( "ecdsa-verify",
-          fun () ->
-            ignore
-              (C.Ecdsa.verify C.Ec.secp160r1 ~public:kp.C.Ecdsa.public ~msg:"msg"
-                 signature) );
-      ]
-  in
-  Printf.printf "%-18s %14s\n" "primitive" "host (us/op)";
-  List.iter
-    (fun (name, ns) -> Printf.printf "%-18s %14.3f\n" name (ns /. 1_000.0))
-    (List.sort compare results);
+  print_ns
+    (List.map
+       (fun (name, run) -> (name, sample run))
+       [
+         ("hmac-sha1-64B", fun () () -> ignore (C.Hmac.mac C.Hmac.sha1 ~key:key16 block64));
+         ("aes128-keyexp", fun () () -> ignore (C.Aes.expand key16));
+         ("aes128-enc-16B", fun () () -> ignore (C.Aes.encrypt_block aes block16));
+         ("aes128-dec-16B", fun () () -> ignore (C.Aes.decrypt_block aes block16));
+         ("speck64-keyexp", fun () () -> ignore (C.Speck.expand key16));
+         ("speck64-enc-8B", fun () () -> ignore (C.Speck.encrypt_block speck block8));
+         ("speck64-dec-8B", fun () () -> ignore (C.Speck.decrypt_block speck block8));
+         ( "ecdsa-sign",
+           fun () () -> ignore (C.Ecdsa.sign C.Ec.secp160r1 ~secret:kp.C.Ecdsa.secret "msg")
+         );
+         ( "ecdsa-verify",
+           fun () () ->
+             ignore
+               (C.Ecdsa.verify C.Ec.secp160r1 ~public:kp.C.Ecdsa.public ~msg:"msg"
+                  signature) );
+       ]);
   Printf.printf
     "\n(the host is orders of magnitude faster than a 24 MHz MCU; the paper's\n\
-    \ *ordering* -- Speck < AES <= HMAC << ECDSA -- must and does hold)\n"
+    \ *ordering* -- Speck < AES ~ HMAC << ECDSA -- must and does hold)\n"
 
 (* ---- §3.1 memory MAC ---- *)
 
@@ -244,7 +354,7 @@ let bench_mpu_scaling () =
 (* ---- interpreted-core throughput ---- *)
 
 let bench_isa () =
-  section "Interpreted MCU core: host execution throughput (Bechamel)";
+  section "Interpreted MCU core: host execution throughput";
   let memory =
     Ra_mcu.Memory.create
       [
@@ -269,24 +379,14 @@ let bench_isa () =
     | Error e -> Format.kasprintf failwith "asm: %a" Ra_isa.Asm.pp_error e
   in
   Ra_isa.Asm.load memory program;
-  let results =
-    measure_ns
-      [
-        ( "isa-600-insns",
-          fun () ->
-            let cpu =
-              Cpu.create memory (Ra_mcu.Ea_mpu.create ~capacity:0) ~clock_hz:24_000_000
-            in
-            let core = Ra_isa.Core.create cpu ~pc:0 ~sp:0x2000 in
-            ignore (Ra_isa.Core.run core) );
-      ]
+  let s =
+    sample (fun () () ->
+        let cpu = Cpu.create memory (Ra_mcu.Ea_mpu.create ~capacity:0) ~clock_hz:24_000_000 in
+        let core = Ra_isa.Core.create cpu ~pc:0 ~sp:0x2000 in
+        ignore (Ra_isa.Core.run core))
   in
-  List.iter
-    (fun (name, ns) ->
-      Printf.printf "%-16s %10.1f us/run  (~%.1f M interpreted insns/s)\n" name
-        (ns /. 1000.0)
-        (604.0 /. ns *. 1000.0))
-    results
+  print_ns [ ("isa-600-insns", s) ];
+  Printf.printf "(~%.1f M interpreted insns/s at the median)\n" (604.0 /. s.median *. 1000.0)
 
 (* ---- §6.3 clock arithmetic ---- *)
 
@@ -782,14 +882,8 @@ module Legacy_sha1 = struct
     digest (opad ^ digest (ipad ^ msg))
 end
 
-let wall_seconds f =
-  let t0 = Unix.gettimeofday () in
-  f ();
-  Unix.gettimeofday () -. t0
-
 let bench_hotpath () =
   section "Hot path: seed kernels vs unboxed kernels, fleet sweep";
-  if smoke then Printf.printf "(BENCH_SMOKE set: reduced quotas and fleet size)\n";
   let key = String.make 20 'k' in
   let block64 = String.make 64 'm' in
   let big = String.make 4096 'm' in
@@ -798,74 +892,49 @@ let bench_hotpath () =
   assert (Legacy_sha1.hmac ~key block64 = C.Hmac.mac C.Hmac.sha1 ~key block64);
   let kc = C.Hmac.key C.Hmac.sha1 ~key in
   let kernels =
-    measure_ns
+    List.map
+      (fun (name, run) -> (name, sample run))
       [
-        ("sha1-4KiB-seed", fun () -> ignore (Legacy_sha1.digest big));
-        ("sha1-4KiB", fun () -> ignore (C.Sha1.digest big));
-        ("sha256-4KiB", fun () -> ignore (C.Sha256.digest big));
-        ("hmac-sha1-64B-seed", fun () -> ignore (Legacy_sha1.hmac ~key block64));
-        ("hmac-sha1-64B", fun () -> ignore (C.Hmac.mac C.Hmac.sha1 ~key block64));
-        ("hmac-sha1-64B-keyed", fun () -> ignore (C.Hmac.mac_with kc block64));
+        ("sha1-4KiB-seed", fun () () -> ignore (Legacy_sha1.digest big));
+        ("sha1-4KiB", fun () () -> ignore (C.Sha1.digest big));
+        ("sha256-4KiB", fun () () -> ignore (C.Sha256.digest big));
+        ("hmac-sha1-64B-seed", fun () () -> ignore (Legacy_sha1.hmac ~key block64));
+        ("hmac-sha1-64B", fun () () -> ignore (C.Hmac.mac C.Hmac.sha1 ~key block64));
+        ("hmac-sha1-64B-keyed", fun () () -> ignore (C.Hmac.mac_with kc block64));
       ]
   in
-  let ns name =
-    match List.assoc_opt name kernels with
-    | Some ns -> ns
-    | None -> failwith ("hotpath: no measurement for " ^ name)
-  in
-  Printf.printf "%-22s %14s %14s\n" "kernel" "ns/op" "vs seed";
-  let seed_of = function
-    | "sha1-4KiB" -> Some "sha1-4KiB-seed"
-    | "hmac-sha1-64B" | "hmac-sha1-64B-keyed" -> Some "hmac-sha1-64B-seed"
-    | _ -> None
-  in
-  List.iter
-    (fun (name, v) ->
-      match seed_of name with
-      | Some seed_name ->
-        Printf.printf "%-22s %14.1f %13.2fx\n" name v (ns seed_name /. v)
-      | None -> Printf.printf "%-22s %14.1f %14s\n" name v "-")
-    (List.sort compare kernels);
+  print_ns kernels;
+  let ns name = (List.assoc name kernels).median in
   let hmac_speedup = ns "hmac-sha1-64B-seed" /. ns "hmac-sha1-64B-keyed" in
   Printf.printf
-    "\nHMAC-SHA1/64B: keyed midstate kernel is %.2fx the seed kernel's throughput\n"
+    "\nSHA-1/4KiB: %.2fx the seed kernel's throughput; HMAC-SHA1/64B keyed\n\
+     midstate kernel: %.2fx (medians)\n"
+    (ns "sha1-4KiB-seed" /. ns "sha1-4KiB")
     hmac_speedup;
   (* fleet sweep: enough hashing work per member that the engine's
      per-member bookkeeping is noise; shard scaling lives in the sched
      section *)
   let members = if smoke then 8 else 16 in
   let ram_kib = if smoke then 256 else 512 in
-  let sweeps = if smoke then 2 else 4 in
   let names = List.init members (Printf.sprintf "dev-%02d") in
   let fleet = Ra_core.Fleet.create ~ram_size:(ram_kib * 1024) ~names () in
   Ra_core.Fleet.advance fleet ~seconds:1.0;
   ignore (Ra_core.Fleet.sweep fleet); (* warm-up: first sweep pays session setup *)
-  let seq_s =
-    wall_seconds (fun () ->
-        for _ = 1 to sweeps do
-          ignore (Ra_core.Fleet.sweep fleet)
-        done)
-  in
-  let cores = Domain.recommended_domain_count () in
-  Printf.printf
-    "\nfleet sweep: %d members, %d KiB RAM each, %d sweeps at 1 shard: %.4f s (%d \
-     core%s available)\n"
-    members ram_kib sweeps seq_s cores
-    (if cores = 1 then "" else "s");
-  (* machine-readable trajectory for future PRs *)
-  write_bench "hotpath" (fun oc ->
-  Printf.fprintf oc "  \"kernels_ns_per_op\": {\n";
-  let n = List.length kernels in
-  List.iteri
-    (fun i (name, v) ->
-      Printf.fprintf oc "    \"%s\": %.1f%s\n" name v (if i < n - 1 then "," else ""))
-    (List.sort compare kernels);
-  Printf.fprintf oc "  },\n";
-  Printf.fprintf oc "  \"hmac_sha1_64B_speedup_vs_seed\": %.2f,\n" hmac_speedup;
-  Printf.fprintf oc
-    "  \"fleet_sweep\": {\n    \"members\": %d,\n    \"ram_kib\": %d,\n    \
-     \"sweeps\": %d,\n    \"cores\": %d,\n    \"sequential_s\": %.4f\n  },\n"
-    members ram_kib sweeps cores seq_s)
+  let sweep = sample (fun () () -> ignore (Ra_core.Fleet.sweep fleet)) in
+  Printf.printf "\nfleet sweep: %d members, %d KiB RAM each, 1 shard: %.4f s (median of %d)\n"
+    members ram_kib (sweep.median /. 1e9) sweep.n;
+  write_bench "hotpath"
+    [
+      ("kernels_ns", stats_obj kernels);
+      ("hmac_sha1_64B_speedup_vs_seed", num hmac_speedup);
+      ( "fleet_sweep",
+        J.Obj
+          [
+            ("members", int members);
+            ("ram_kib", int ram_kib);
+            ("sweep_s", stats_json (scale 1e-9 sweep));
+          ] );
+    ]
 
 (* ---- observability overhead: Ra_obs cost on the PR-1 hot path ---- *)
 
@@ -883,109 +952,43 @@ let bench_obs_overhead () =
   in
   let histogram = Ra_obs.Registry.Histogram.get ~registry "bench_ms" in
   let spans = Ra_obs.Span.create ~registry ~clock:(fun () -> 0.0) () in
-  let results =
-    measure_ns
-      [
-        ("hmac-64B-plain", fun () -> ignore (C.Hmac.mac_with kc block64));
-        ( "hmac-64B-counted",
-          fun () ->
-            ignore (C.Hmac.mac_with kc block64);
-            Ra_obs.Registry.Counter.inc counter );
-        ("counter-inc", fun () -> Ra_obs.Registry.Counter.inc counter);
-        ("counter-get-labeled", fun () -> ignore (labeled ()));
-        ("histogram-observe", fun () -> Ra_obs.Registry.Histogram.observe histogram 1.5);
-        ( "span-enter-exit",
-          fun () -> Ra_obs.Span.with_span spans "bench.span" (fun () -> ()) );
-      ]
+  (* the per-verification instrumentation is one precreated-counter
+     increment: HMAC with and without it, in adjacent windows *)
+  let hmac =
+    paired
+      (fun () () -> ignore (C.Hmac.mac_with kc block64))
+      (fun () () ->
+        ignore (C.Hmac.mac_with kc block64);
+        Ra_obs.Registry.Counter.inc counter)
   in
-  let ns name =
-    match List.assoc_opt name results with
-    | Some v -> v
-    | None -> failwith ("obs-overhead: no measurement for " ^ name)
+  let ops =
+    ("hmac-64B-plain", hmac.a) :: ("hmac-64B-counted", hmac.b)
+    :: List.map
+         (fun (name, run) -> (name, sample run))
+         [
+           ("counter-inc", fun () () -> Ra_obs.Registry.Counter.inc counter);
+           ("counter-get-labeled", fun () () -> ignore (labeled ()));
+           ("histogram-observe", fun () () -> Ra_obs.Registry.Histogram.observe histogram 1.5);
+           ( "span-enter-exit",
+             fun () () -> Ra_obs.Span.with_span spans "bench.span" (fun () -> ()) );
+         ]
   in
-  Printf.printf "%-22s %14s\n" "operation" "ns/op";
-  List.iter
-    (fun (name, v) -> Printf.printf "%-22s %14.1f\n" name v)
-    (List.sort compare results);
-  let plain = ns "hmac-64B-plain" in
-  (* the per-verification instrumentation added in this PR is exactly one
-     precreated-counter increment: gate on its direct cost *)
-  let inc_pct = ns "counter-inc" /. plain *. 100.0 in
-  (* the counted-vs-plain difference is drift-dominated when measured as
-     two long windows: CPU frequency wander between them dwarfs a
-     sub-1% effect. Measure the two sides in adjacent small chunks (same
-     thermal state), alternate which side goes first (cancels
-     first-order drift within a pair), and take the median of the
-     per-pair ratios (robust to GC pauses hitting a chunk). *)
-  let batches = if smoke then 24 else 48 in
-  let iters = if smoke then 400 else 2000 in
-  let chunk_plain () =
-    let t0 = Unix.gettimeofday () in
-    for _ = 1 to iters do
-      ignore (C.Hmac.mac_with kc block64)
-    done;
-    Unix.gettimeofday () -. t0
-  in
-  let chunk_counted () =
-    let t0 = Unix.gettimeofday () in
-    for _ = 1 to iters do
-      ignore (C.Hmac.mac_with kc block64);
-      Ra_obs.Registry.Counter.inc counter
-    done;
-    Unix.gettimeofday () -. t0
-  in
-  ignore (chunk_plain ());
-  ignore (chunk_counted ());
-  let ratios = Array.make batches 0.0 in
-  for i = 0 to batches - 1 do
-    let p, c =
-      if i land 1 = 0 then
-        let p = chunk_plain () in
-        (p, chunk_counted ())
-      else
-        let c = chunk_counted () in
-        (chunk_plain (), c)
-    in
-    ratios.(i) <- c /. p
-  done;
-  Array.sort compare ratios;
-  let median_ratio =
-    (ratios.((batches / 2) - 1) +. ratios.(batches / 2)) /. 2.0
-  in
-  let diff_pct = (median_ratio -. 1.0) *. 100.0 in
-  let budget_pct = 5.0 in
-  let pass = inc_pct < budget_pct in
+  print_ns ops;
   Printf.printf
-    "\nper-op instrumentation (one atomic counter inc): %.2f%% of the\n\
-     HMAC-SHA1/64B keyed hot path (budget %.0f%%) -> %s\n"
-    inc_pct budget_pct
-    (if pass then "PASS" else "FAIL");
-  Printf.printf
-    "measured counted-minus-plain difference: %.2f%% (median of %d \
-     alternating-order chunk-pair ratios)\n"
-    diff_pct batches;
+    "\ncounted/plain ratio: median %.4f, IQR [%.4f, %.4f] over %d alternating pairs\n"
+    hmac.ratio.median hmac.ratio.q1 hmac.ratio.q3 hmac.ratio.n;
   Printf.printf
     "(labeled get is mutex-guarded -- %.0f ns -- which is why hot paths\n\
      precreate their handles at module init)\n"
-    (ns "counter-get-labeled");
-  write_bench "obs" (fun oc ->
-  Printf.fprintf oc "  \"ops_ns_per_op\": {\n";
-  let n = List.length results in
-  List.iteri
-    (fun i (name, v) ->
-      Printf.fprintf oc "    \"%s\": %.1f%s\n" name v (if i < n - 1 then "," else ""))
-    (List.sort compare results);
-  Printf.fprintf oc "  },\n";
-  Printf.fprintf oc "  \"hotpath_overhead_pct\": %.2f,\n" inc_pct;
-  Printf.fprintf oc "  \"counted_minus_plain_pct\": %.2f,\n" diff_pct;
-  Printf.fprintf oc "  \"budget_pct\": %.1f,\n" budget_pct;
-  Printf.fprintf oc "  \"pass\": %b,\n" pass)
+    (List.assoc "counter-get-labeled" ops).median;
+  let overhead = gate "max_counted_overhead_pct" ((hmac.ratio.median -. 1.0) *. 100.0) (`Max 5.0) in
+  write_bench "obs" ~gates:[ overhead ]
+    [ ("ops_ns", stats_obj ops); ("counted_over_plain", stats_json hmac.ratio) ]
 
 (* ---- chaos: convergence under an impaired wire ---- *)
 
 let bench_chaos () =
   section "Chaos: retry/backoff convergence over a lossy channel";
-  if smoke then Printf.printf "(BENCH_SMOKE set: reduced fleet and round count)\n";
   let members = if smoke then 4 else 8 in
   let rounds = if smoke then 5 else 20 in
   let losses = [ 0.0; 0.05; 0.2; 0.4 ] in
@@ -997,14 +1000,16 @@ let bench_chaos () =
     ]
   in
   let names = List.init members (Printf.sprintf "chaos-%02d") in
-  let fleet = Ra_core.Fleet.create ~ram_size:4096 ~names () in
-  let wall = wall_seconds (fun () ->
-      ignore
-        (Ra_core.Fleet.chaos_sweep ~rounds_per_member:rounds ~losses ~policies fleet))
+  let fleet () = Ra_core.Fleet.create ~ram_size:4096 ~names () in
+  let chaos f = Ra_core.Fleet.chaos_sweep ~rounds_per_member:rounds ~losses ~policies f in
+  let grid = chaos (fleet ()) in
+  let wall =
+    sample ~repeats:7 (fun () ->
+        let f = fleet () in
+        fun () -> ignore (chaos f))
   in
-  let grid = Ra_core.Fleet.last_chaos fleet in
-  Printf.printf "%d members x %d rounds per cell, %d cells, %.2f s wall\n\n" members
-    rounds (List.length grid) wall;
+  Printf.printf "%d members x %d rounds per cell, %d cells, %.3f s wall (median of %d)\n\n"
+    members rounds (List.length grid) (wall.median /. 1e9) wall.n;
   Printf.printf "%-8s %-10s %12s %14s %10s %10s %10s\n" "loss" "policy" "converged"
     "mean attempts" "p50 (s)" "p90 (s)" "p99 (s)";
   List.iter
@@ -1022,46 +1027,38 @@ let bench_chaos () =
       grid
   in
   let target = cell 0.2 "default" in
-  let pass = Ra_core.Fleet.convergence_pct target >= 99.0 in
   Printf.printf
-    "\nacceptance: 20%% loss under default backoff converges %.1f%% (target >= 99%%) \
-     -> %s\n"
+    "\n20%% loss: default backoff converges %.1f%%, no-retry %.1f%% -- the retry\n\
+     engine closes the gap at %.2f transmissions per round\n"
     (Ra_core.Fleet.convergence_pct target)
-    (if pass then "PASS" else "FAIL");
-  Printf.printf
-    "(no-retry at the same loss converges %.1f%% -- the retry engine is what\n\
-     closes the gap, at %.2f transmissions per round)\n"
     (Ra_core.Fleet.convergence_pct (cell 0.2 "no-retry"))
     target.Ra_core.Fleet.c_mean_attempts;
-  write_bench "chaos" (fun oc ->
-  Printf.fprintf oc
-    "  \"members\": %d,\n  \"rounds_per_member\": %d,\n  \"wall_s\": %.3f,\n\
-    \  \"cells\": [\n"
-    members rounds wall;
-  let n = List.length grid in
-  List.iteri
-    (fun i c ->
-      Printf.fprintf oc
-        "    { \"loss\": %.2f, \"policy\": \"%s\", \"rounds\": %d, \"converged\": %d, \
-         \"convergence_pct\": %.2f, \"mean_attempts\": %.3f, \"p50_s\": %.4f, \
-         \"p90_s\": %.4f, \"p99_s\": %.4f }%s\n"
-        c.Ra_core.Fleet.c_loss c.Ra_core.Fleet.c_policy c.Ra_core.Fleet.c_rounds
-        c.Ra_core.Fleet.c_converged
-        (Ra_core.Fleet.convergence_pct c)
-        c.Ra_core.Fleet.c_mean_attempts c.Ra_core.Fleet.c_p50_s c.Ra_core.Fleet.c_p90_s
-        c.Ra_core.Fleet.c_p99_s
-        (if i < n - 1 then "," else ""))
-    grid;
-  Printf.fprintf oc "  ],\n  \"target_convergence_pct\": 99.0,\n  \"pass\": %b,\n" pass)
+  let cell_json c =
+    J.Obj
+      [
+        ("loss", num c.Ra_core.Fleet.c_loss);
+        ("policy", J.Str c.Ra_core.Fleet.c_policy);
+        ("rounds", int c.Ra_core.Fleet.c_rounds);
+        ("converged", int c.Ra_core.Fleet.c_converged);
+        ("convergence_pct", num (Ra_core.Fleet.convergence_pct c));
+        ("mean_attempts", num c.Ra_core.Fleet.c_mean_attempts);
+        ("p50_s", num c.Ra_core.Fleet.c_p50_s);
+        ("p90_s", num c.Ra_core.Fleet.c_p90_s);
+        ("p99_s", num c.Ra_core.Fleet.c_p99_s);
+      ]
+  in
+  write_bench "chaos"
+    [
+      ("members", int members);
+      ("rounds_per_member", int rounds);
+      ("grid_s", stats_json (scale 1e-9 wall));
+      ("cells", J.Arr (List.map cell_json grid));
+    ]
 
 (* ---- causal tracing: flight-recorder cost on the attestation path ---- *)
 
 let bench_trace () =
   section "Causal tracing: flight-recorder overhead on the attestation hot path";
-  if smoke then Printf.printf "(BENCH_SMOKE set: reduced quotas)\n";
-  let key = String.make 20 'k' in
-  let block64 = String.make 64 'm' in
-  let kc = C.Hmac.key C.Hmac.sha1 ~key in
   (* 64 KiB of attested RAM keeps the round HMAC-dominated, which is the
      regime the gate talks about: the memory MAC is the hot path, the
      tracer adds a handful of events per *round*, never per block *)
@@ -1076,8 +1073,9 @@ let bench_trace () =
   ignore (Ra_core.Session.enable_tracing ~capacity:8 ~device:"bench" traced_session);
   (* micro fixtures: the per-call-site cost of the causal hooks, with and
      without a tracer attached. The enabled fixture recycles its round
-     every 1024 instants so memory stays bounded under bechamel's
-     iteration count (the amortized seal cost is part of the number). *)
+     every 1024 instants so memory stays bounded however many calls a
+     timed window batches (the amortized seal cost is part of the
+     number). *)
   let off_trace = Ra_net.Trace.create (Ra_net.Simtime.create ()) in
   let on_trace = Ra_net.Trace.create (Ra_net.Simtime.create ()) in
   let micro_tracer =
@@ -1088,15 +1086,20 @@ let bench_trace () =
   Ra_net.Trace.set_tracer on_trace (Some micro_tracer);
   ignore (Ra_obs.Trace.begin_round micro_tracer);
   let micro_ticks = ref 0 in
-  let results =
-    measure_ns
+  let round =
+    paired
+      (fun () () -> ignore (Ra_core.Session.attest_round_r plain_session))
+      (fun () () -> ignore (Ra_core.Session.attest_round_r traced_session))
+  in
+  let ops =
+    List.map
+      (fun (name, run) -> (name, sample run))
       [
-        ("nop", fun () -> ());
-        ("hmac-64B-plain", fun () -> ignore (C.Hmac.mac_with kc block64));
+        ("nop", fun () () -> ());
         ( "causal-instant-off",
-          fun () -> Ra_net.Trace.causal_instant off_trace ~cat:"bench" "bench.tick" );
+          fun () () -> Ra_net.Trace.causal_instant off_trace ~cat:"bench" "bench.tick" );
         ( "causal-instant-on",
-          fun () ->
+          fun () () ->
             Ra_net.Trace.causal_instant on_trace ~cat:"bench" "bench.tick";
             incr micro_ticks;
             if !micro_ticks >= 1024 then begin
@@ -1104,30 +1107,16 @@ let bench_trace () =
               Ra_obs.Trace.end_round micro_tracer ~verdict:"bench" ~attempts:1;
               ignore (Ra_obs.Trace.begin_round micro_tracer)
             end );
-        ( "round-plain",
-          fun () -> ignore (Ra_core.Session.attest_round_r plain_session) );
-        ( "round-traced",
-          fun () -> ignore (Ra_core.Session.attest_round_r traced_session) );
       ]
+    @ [ ("round-plain", round.a); ("round-traced", round.b) ]
   in
-  let ns name =
-    match List.assoc_opt name results with
-    | Some v -> v
-    | None -> failwith ("trace: no measurement for " ^ name)
-  in
-  Printf.printf "%-22s %14s\n" "operation" "ns/op";
-  List.iter
-    (fun (name, v) -> Printf.printf "%-22s %14.1f\n" name v)
-    (List.sort compare results);
-  let round_plain = ns "round-plain" in
-  let round_traced = ns "round-traced" in
-  let enabled_pct = (round_traced -. round_plain) /. round_plain *. 100.0 in
-  let enabled_budget = 5.0 in
-  let enabled_pass = enabled_pct <= enabled_budget in
+  print_ns ops;
+  let ns name = (List.assoc name ops).median in
   (* disabled mode: every causal hook is one option match. Charge the
      measured no-tracer hook cost once per event a traced round records
      (an overestimate: span mirrors count as events but fire no hook when
-     tracing is off) against the plain round. *)
+     tracing is off) against the plain round; with no hook-free build to
+     pair against, this gate alone is analytic. *)
   let hooks_per_round =
     match
       Option.map Ra_obs.Trace.rounds (Ra_core.Session.tracing traced_session)
@@ -1138,228 +1127,154 @@ let bench_trace () =
     | Some [] | None -> failwith "trace: no sealed round in the recorder"
   in
   let hook_off_ns = Float.max 0.0 (ns "causal-instant-off" -. ns "nop") in
-  let disabled_pct =
-    hook_off_ns *. float_of_int hooks_per_round /. round_plain *. 100.0
-  in
-  let disabled_budget = 0.5 in
-  let disabled_pass = disabled_pct <= disabled_budget in
-  let pass = enabled_pass && disabled_pass in
   Printf.printf
-    "\ntracing enabled: attestation round %.2f%% slower than untraced\n\
-     (budget %.1f%%) -> %s\n"
-    enabled_pct enabled_budget
-    (if enabled_pass then "PASS" else "FAIL");
-  Printf.printf
-    "tracing disabled: %d no-tracer hooks x %.1f ns = %.4f%% of the round\n\
-     (budget %.1f%%) -> %s\n"
-    hooks_per_round hook_off_ns disabled_pct disabled_budget
-    (if disabled_pass then "PASS" else "FAIL");
-  Printf.printf
-    "(per-event record cost with a live tracer: %.1f ns, amortized seal\n\
-     included -- events are per protocol step, not per MAC block)\n"
+    "\ntraced/plain round ratio: median %.4f, IQR [%.4f, %.4f] over %d alternating pairs\n\
+     disabled: %d no-tracer hooks x %.1f ns per round; live tracer: %.1f ns per event\n\
+     (amortized seal included -- events are per protocol step, not per MAC block)\n"
+    round.ratio.median round.ratio.q1 round.ratio.q3 round.ratio.n hooks_per_round
+    hook_off_ns
     (Float.max 0.0 (ns "causal-instant-on" -. ns "nop"));
-  write_bench "trace" (fun oc ->
-  Printf.fprintf oc "  \"ops_ns_per_op\": {\n";
-  let n = List.length results in
-  List.iteri
-    (fun i (name, v) ->
-      Printf.fprintf oc "    \"%s\": %.1f%s\n" name v (if i < n - 1 then "," else ""))
-    (List.sort compare results);
-  Printf.fprintf oc "  },\n";
-  Printf.fprintf oc "  \"ram_kib\": %d,\n" (ram_size / 1024);
-  Printf.fprintf oc "  \"enabled_overhead_pct\": %.2f,\n" enabled_pct;
-  Printf.fprintf oc "  \"enabled_budget_pct\": %.1f,\n" enabled_budget;
-  Printf.fprintf oc "  \"hooks_per_round\": %d,\n" hooks_per_round;
-  Printf.fprintf oc "  \"disabled_hook_ns\": %.1f,\n" hook_off_ns;
-  Printf.fprintf oc "  \"disabled_overhead_pct\": %.4f,\n" disabled_pct;
-  Printf.fprintf oc "  \"disabled_budget_pct\": %.1f,\n" disabled_budget;
-  Printf.fprintf oc "  \"pass\": %b,\n" pass)
+  let enabled = gate "max_enabled_overhead_pct" ((round.ratio.median -. 1.0) *. 100.0) (`Max 5.0) in
+  let disabled =
+    gate "max_disabled_overhead_pct"
+      (hook_off_ns *. float_of_int hooks_per_round /. ns "round-plain" *. 100.0)
+      (`Max 0.5)
+  in
+  write_bench "trace" ~gates:[ enabled; disabled ]
+    [
+      ("ops_ns", stats_obj ops);
+      ("traced_over_plain", stats_json round.ratio);
+      ("ram_kib", int (ram_size / 1024));
+      ("hooks_per_round", int hooks_per_round);
+    ]
 
-(* ---- deterministic event-queue scheduler: 10k-device sweep gate ---- *)
+(* ---- the sharded event engine at fleet scale ---- *)
 
 let bench_sched () =
   section "Scheduler: the sharded event engine at fleet scale";
-  if smoke then
-    Printf.printf "(BENCH_SMOKE set: reduced quotas; the 10k-device gate always runs)\n";
-  (* the gate: a 10k-member sweep must complete through the engine with
-     one scheduler event per member slot. Tiny attested RAM keeps the
-     cost in the machinery under test (staggering, the heap, round
-     scheduling), not in hashing. Equivalence across shard counts and
-     against the sequential oracle is the test suite's job. *)
-  let members = 10_000 in
-  let names = List.init members (Printf.sprintf "dev-%05d") in
-  let make () =
-    let f = Ra_core.Fleet.create ~ram_size:1024 ~names () in
-    Ra_core.Fleet.advance f ~seconds:1.0;
-    f
-  in
-  let fired_counter =
-    Ra_obs.Registry.Counter.get ~labels:[ ("kind", "fired") ] "ra_sched_events_total"
-  in
-  let timed_sweep shards =
-    let f = make () in
-    let before = Ra_obs.Registry.Counter.value fired_counter in
-    let s =
-      wall_seconds (fun () -> ignore (Ra_core.Fleet.sweep ~engine:(`Shards shards) f))
-    in
-    (s, Ra_obs.Registry.Counter.value fired_counter - before)
-  in
-  let one_s, events_fired = timed_sweep 1 in
-  let shards_s, _ = timed_sweep 4 in
-  Printf.printf "%d members, 1 KiB attested RAM each\n\n" members;
-  Printf.printf "%-22s %12s %14s\n" "engine" "seconds" "members/s";
-  List.iter
-    (fun (label, s) ->
-      Printf.printf "%-22s %12.3f %14.0f\n" label s (float_of_int members /. s))
-    [ ("1 shard", one_s); ("4 shards", shards_s) ];
-  let one_event_per_member = events_fired = members in
-  Printf.printf "\nevents fired at 1 shard: %d (one per member slot: %b)\n" events_fired
-    one_event_per_member;
-  (* streaming sweep: the million-device shape. One live session per
-     shard at any moment, so peak heap stays bounded however large the
-     fleet; the XOR fingerprint is the determinism witness. Runs before
-     the scaling grid so the recorded heap high-water mark reflects the
-     stream, not a 100k materialised fleet. *)
+  let module Fleet = Ra_core.Fleet in
+  (* 1. the million-device stream, first in the section so the heap
+     high-water mark it records is its own. One live session per shard
+     at any moment keeps the heap bounded however large the fleet; the
+     XOR fingerprint is the determinism witness. *)
   let stream_members = if smoke then 2_000 else 1_000_000 in
   let stream_shards = 4 in
-  let stream_report = ref None in
-  let stream_s =
-    wall_seconds (fun () ->
-        stream_report :=
-          Some
-            (Ra_core.Fleet.stream_sweep ~ram_size:1024 ~shards:stream_shards
-               ~members:stream_members ()))
+  let fingerprint = ref "" in
+  let stream =
+    scale 1e-9
+      (sample ~repeats:1 (fun () () ->
+           fingerprint :=
+             (Fleet.stream_sweep ~ram_size:1024 ~shards:stream_shards
+                ~members:stream_members ())
+               .Fleet.st_fingerprint))
   in
-  let stream_report = Option.get !stream_report in
-  let top_heap_mb =
-    float_of_int (Gc.stat ()).Gc.top_heap_words *. 8.0 /. 1e6
-  in
-  (* shard-count invariance at a size where re-running is cheap *)
-  let inv_members = if smoke then 500 else 20_000 in
-  let inv_fp k =
-    (Ra_core.Fleet.stream_sweep ~ram_size:1024 ~shards:k ~members:inv_members ())
-      .Ra_core.Fleet.st_fingerprint
-  in
-  let inv_base = inv_fp 1 in
-  let stream_invariant = List.for_all (fun k -> inv_fp k = inv_base) [ 2; 4 ] in
+  let top_heap_mb = float_of_int (Gc.quick_stat ()).Gc.top_heap_words *. 8.0 /. 1e6 in
   Printf.printf
-    "\nstreaming sweep: %d members on %d shards in %.1f s (%.0f members/s)\n\
-     heap high-water %.0f MB; fingerprint %s\n\
-     fingerprint invariant across 1/2/4 shards at %d members: %b\n"
-    stream_members stream_shards stream_s
-    (float_of_int stream_members /. stream_s)
-    top_heap_mb stream_report.Ra_core.Fleet.st_fingerprint inv_members
-    stream_invariant;
-  (* scaling curve: members x shard count, all on the persistent pool,
-     speedup against one shard at the same size *)
-  let scaling_sizes = if smoke then [ 1_000 ] else [ 10_000; 100_000 ] in
-  let shard_grid = [ 1; 2; 4 ] in
+    "streaming sweep: %d members on %d shards in %.1f s (%.0f members/s)\n\
+     heap high-water %.0f MB; fingerprint %s\n"
+    stream_members stream_shards stream.median
+    (float_of_int stream_members /. stream.median)
+    top_heap_mb !fingerprint;
+  (* 2. a materialised fleet: the fleet-sweep end-to-end path. Tiny
+     attested RAM keeps the cost in the machinery under test (staggering,
+     the heap, round scheduling), not in hashing. *)
+  let members = if smoke then 2_000 else 10_000 in
+  let one, four =
+    (* scoped, so the fleet is garbage before the scaling grid runs *)
+    let fleet =
+      Fleet.create ~ram_size:1024 ~names:(List.init members (Printf.sprintf "dev-%05d")) ()
+    in
+    Fleet.advance fleet ~seconds:1.0;
+    ignore (Fleet.sweep fleet); (* warm-up: first sweep pays session setup *)
+    let sweep k =
+      scale 1e-9
+        (sample ~repeats:5 (fun () () -> ignore (Fleet.sweep ~engine:(`Shards k) fleet)))
+    in
+    let one = sweep 1 in
+    (one, sweep 4)
+  in
+  Printf.printf "\nmaterialised sweep: %d members, 1 KiB attested RAM each\n" members;
+  Printf.printf "%-22s %12s %14s\n" "engine" "median s" "members/s";
+  List.iter
+    (fun (label, s) ->
+      Printf.printf "%-22s %12.3f %14.0f\n" label s.median (float_of_int members /. s.median))
+    [ ("1 shard", one); ("4 shards", four) ];
+  (* 3. scaling: members x shard count on the streaming engine, which
+     holds memory bounded at every size; speedup against one shard *)
+  let sizes = if smoke then [ 1_000 ] else [ 10_000; 100_000 ] in
   let scaling =
-    List.map
+    List.concat_map
       (fun m ->
-        let names = List.init m (Printf.sprintf "dev-%06d") in
-        let f = Ra_core.Fleet.create ~ram_size:1024 ~names () in
-        Ra_core.Fleet.advance f ~seconds:1.0;
-        ignore (Ra_core.Fleet.sweep f);
-        (* warm *)
-        let times =
-          List.map
-            (fun k ->
-              ( k,
-                wall_seconds (fun () ->
-                    ignore (Ra_core.Fleet.sweep ~engine:(`Shards k) f)) ))
-            shard_grid
-        in
-        let base_s = List.assoc 1 times in
-        let points = List.map (fun (k, s) -> (k, s, base_s /. s)) times in
-        (m, base_s, points))
-      scaling_sizes
+        List.map
+          (fun k ->
+            ( m,
+              k,
+              scale 1e-9
+                (sample ~repeats:3 (fun () () ->
+                     ignore (Fleet.stream_sweep ~ram_size:1024 ~shards:k ~members:m ()))) ))
+          [ 1; 2; 4 ])
+      sizes
+  in
+  let speedup m k =
+    let at j = List.find (fun (m', j', _) -> m' = m && j' = j) scaling in
+    let _, _, s1 = at 1 and _, _, sk = at k in
+    s1.median /. sk.median
   in
   let cores = Domain.recommended_domain_count () in
-  Printf.printf
-    "\nscaling curve (baseline: one shard, %d core%s available):\n"
-    cores
+  Printf.printf "\nscaling curve (baseline: one shard, %d core%s available):\n" cores
     (if cores = 1 then "" else "s");
-  if cores = 1 then
-    Printf.printf "(single-core host: shards can only show dispatch overhead)\n";
-  Printf.printf "%10s %10s %12s %10s\n" "members" "shards" "seconds" "speedup";
+  Printf.printf "%10s %10s %12s %10s\n" "members" "shards" "median s" "speedup";
   List.iter
-    (fun (m, _, points) ->
-      List.iter
-        (fun (k, s, sp) -> Printf.printf "%10d %10d %12.3f %9.2fx\n" m k s sp)
-        points)
+    (fun (m, k, s) -> Printf.printf "%10d %10d %12.3f %9.2fx\n" m k s.median (speedup m k))
     scaling;
   (* the 2x-at-4-shards gate: meaningful only where 4 domains can
-     actually run in parallel, i.e. on >= 4 cores and at full quotas
-     (CI runners qualify; this repo's single-core dev hosts do not) *)
-  let gate_members, gate_speedup =
-    let m, _, points = List.nth scaling (List.length scaling - 1) in
-    let _, _, sp = List.find (fun (k, _, _) -> k = 4) points in
-    (m, sp)
+     actually run in parallel, i.e. on >= 4 cores and at full size *)
+  let gate_members = List.fold_left max 0 sizes in
+  let speedup_gate =
+    gate
+      ~applicable:((not smoke) && cores >= 4)
+      ~why:
+        (if smoke then "smoke run: grid too small to measure scaling"
+         else Printf.sprintf "host has %d core(s); the gate needs >= 4" cores)
+      "min_speedup_4_shards" (speedup gate_members 4) (`Min 2.0)
   in
-  let gate_applicable = (not smoke) && cores >= 4 && gate_members >= 100_000 in
-  let gate_reason =
-    if smoke then "smoke run: quotas too small to measure scaling"
-    else if cores < 4 then
-      Printf.sprintf "host has %d core(s); the gate needs >= 4" cores
-    else if gate_members < 100_000 then "scaling grid tops out below 100k members"
-    else ">= 4 cores and a >= 100k-member grid point"
-  in
-  let gate_pass = (not gate_applicable) || gate_speedup >= 2.0 in
-  Printf.printf
-    "\nspeedup gate (>= 2.0x at 4 shards, %d members): %s (%s; measured %.2fx)\n"
-    gate_members
-    (if not gate_applicable then "not applicable"
-     else if gate_pass then "PASS"
-     else "FAIL")
-    gate_reason gate_speedup;
-  let pass = one_event_per_member && stream_invariant && gate_pass in
-  Printf.printf "\nacceptance: engine gate, stream invariance, speedup gate -> %s\n"
-    (if pass then "PASS" else "FAIL");
-  write_bench "sched" (fun oc ->
-  Printf.fprintf oc
-    "  \"members\": %d,\n  \"shards1_s\": %.4f,\n  \"shards4_s\": %.4f,\n\
-    \  \"events_fired\": %d,\n"
-    members one_s shards_s events_fired;
-  Printf.fprintf oc "  \"scaling\": [\n";
-  let n_sc = List.length scaling in
-  List.iteri
-    (fun i (m, base_s, points) ->
-      Printf.fprintf oc "    { \"members\": %d, \"shards1_s\": %.4f, \"shards\": [\n"
-        m base_s;
-      let n_p = List.length points in
-      List.iteri
-        (fun j (k, s, sp) ->
-          Printf.fprintf oc
-            "      { \"shards\": %d, \"seconds\": %.4f, \"speedup\": %.2f }%s\n" k
-            s sp
-            (if j < n_p - 1 then "," else ""))
-        points;
-      Printf.fprintf oc "    ] }%s\n" (if i < n_sc - 1 then "," else ""))
-    scaling;
-  Printf.fprintf oc "  ],\n";
-  Printf.fprintf oc
-    "  \"stream\": {\n    \"members\": %d,\n    \"shards\": %d,\n    \
-     \"seconds\": %.1f,\n    \"members_per_s\": %.0f,\n    \
-     \"top_heap_mb\": %.0f,\n    \"fingerprint\": \"%s\",\n    \
-     \"invariant_members\": %d,\n    \"shard_invariant\": %b\n  },\n"
-    stream_members stream_shards stream_s
-    (float_of_int stream_members /. stream_s)
-    top_heap_mb stream_report.Ra_core.Fleet.st_fingerprint inv_members
-    stream_invariant;
-  Printf.fprintf oc
-    "  \"speedup_gate\": {\n    \"threshold\": 2.0,\n    \"members\": %d,\n    \
-     \"shards\": 4,\n    \"cores\": %d,\n    \"applicable\": %b,\n    \
-     \"reason\": \"%s\",\n    \"measured_speedup\": %.2f,\n    \"pass\": %b\n  \
-     },\n"
-    gate_members cores gate_applicable gate_reason gate_speedup gate_pass;
-  Printf.fprintf oc "  \"pass\": %b,\n" pass)
+  write_bench "sched" ~gates:[ speedup_gate ]
+    [
+      ( "stream",
+        J.Obj
+          [
+            ("members", int stream_members);
+            ("shards", int stream_shards);
+            ("seconds", stats_json stream);
+            ("members_per_s", num (float_of_int stream_members /. stream.median));
+            ("top_heap_mb", num top_heap_mb);
+            ("fingerprint", J.Str !fingerprint);
+          ] );
+      ( "sweep",
+        J.Obj
+          [
+            ("members", int members);
+            ("shards1_s", stats_json one);
+            ("shards4_s", stats_json four);
+          ] );
+      ( "scaling",
+        J.Arr
+          (List.map
+             (fun (m, k, s) ->
+               J.Obj
+                 [
+                   ("members", int m);
+                   ("shards", int k);
+                   ("seconds", stats_json s);
+                   ("speedup", num (speedup m k));
+                 ])
+             scaling) );
+    ]
 
-(* ---- cycle-exact profiler: sampling overhead + neutrality gates ---- *)
+(* ---- cycle-exact profiler: sampling overhead ---- *)
 
 let bench_prof () =
-  section "Profiler: PC-sampling overhead, symbolization and wire-neutrality";
-  if smoke then Printf.printf "(BENCH_SMOKE set: reduced quotas)\n";
+  section "Profiler: PC-sampling overhead on the interpreted SHA-1";
   let make_sha () =
     let memory =
       Ra_mcu.Memory.create
@@ -1384,133 +1299,30 @@ let bench_prof () =
   let sampler = Ra_isa.Sampler.create ~memory:samp_memory pc in
   Ra_isa.Sha1_asm.set_sampler samp_sha (Some sampler);
   let msg = String.make 64 'm' in
-  (* correctness before timing: the sampled digest is the plain digest *)
-  let digests_equal =
-    String.equal
-      (Ra_isa.Sha1_asm.digest plain_sha plain_cpu msg)
-      (Ra_isa.Sha1_asm.digest samp_sha samp_cpu msg)
-  in
-  (* A sequential A-then-B measurement is biased by CPU frequency drift
-     between the two windows, which can dwarf a 5% budget. Measure the
-     two sides in adjacent small chunks (same thermal state), alternate
-     which side goes first (cancels first-order drift within a pair),
-     and take the median of the per-pair ratios (robust to GC pauses and
-     scheduler preemption hitting a chunk). *)
-  let batches = if smoke then 24 else 48 in
-  let iters = if smoke then 8 else 12 in
-  let chunk_plain () =
-    let t0 = Unix.gettimeofday () in
-    for _ = 1 to iters do
-      ignore (Ra_isa.Sha1_asm.digest plain_sha plain_cpu msg)
-    done;
-    Unix.gettimeofday () -. t0
-  in
-  let chunk_sampled () =
-    let t0 = Unix.gettimeofday () in
-    for _ = 1 to iters do
-      ignore (Ra_isa.Sha1_asm.digest samp_sha samp_cpu msg)
-    done;
-    Unix.gettimeofday () -. t0
-  in
-  (* warm-up both sides before measuring *)
-  ignore (chunk_plain ());
-  ignore (chunk_sampled ());
-  let ratios = Array.make batches 0.0 in
-  let best_plain = ref infinity in
-  for i = 0 to batches - 1 do
-    let p, s =
-      if i land 1 = 0 then
-        let p = chunk_plain () in
-        (p, chunk_sampled ())
-      else
-        let s = chunk_sampled () in
-        (chunk_plain (), s)
-    in
-    best_plain := Float.min !best_plain p;
-    ratios.(i) <- s /. p
-  done;
-  Array.sort compare ratios;
-  let median_ratio =
-    (ratios.((batches / 2) - 1) +. ratios.(batches / 2)) /. 2.0
+  let digest = paired
+      (fun () () -> ignore (Ra_isa.Sha1_asm.digest plain_sha plain_cpu msg))
+      (fun () () -> ignore (Ra_isa.Sha1_asm.digest samp_sha samp_cpu msg))
   in
   Ra_isa.Sampler.flush sampler;
-  let plain_ns = !best_plain /. float_of_int iters *. 1e9 in
-  let sampled_ns = plain_ns *. median_ratio in
-  let results =
-    [ ("sha1-64B-plain", plain_ns); ("sha1-64B-sampled", sampled_ns) ]
-  in
-  Printf.printf "%-22s %14s\n" "operation" "ns/op (median-ratio estimate)";
-  List.iter (fun (name, v) -> Printf.printf "%-22s %14.1f\n" name v) results;
-  let overhead_pct = (median_ratio -. 1.0) *. 100.0 in
-  let overhead_budget = 5.0 in
-  let overhead_pass = overhead_pct <= overhead_budget in
+  let ops = [ ("sha1-64B-plain", digest.a); ("sha1-64B-sampled", digest.b) ] in
+  print_ns ops;
   Printf.printf
-    "\nsampling at the default period (%d cycles): interpreted digest %.2f%% \
-     slower\n(budget %.1f%%) -> %s\n"
-    Ra_isa.Sampler.default_period overhead_pct overhead_budget
-    (if overhead_pass then "PASS" else "FAIL");
-  (* symbolization: the flame graph must attribute >= 90% of the
-     interpreted cycles to named frames, not raw 0x addresses *)
-  let total_cycles = Ra_obs.Profiler.Pc.cycles pc in
-  let symbolized_pct =
-    if Int64.equal total_cycles 0L then 0.0
-    else
-      100.0
-      *. Int64.to_float
-           (Ra_obs.Profiler.Pc.cycles_matching pc ~f:(fun leaf ->
-                not (String.length leaf >= 2 && String.sub leaf 0 2 = "0x")))
-      /. Int64.to_float total_cycles
+    "\nsampled/plain ratio at the default period (%d cycles): median %.4f, IQR \
+     [%.4f, %.4f] over %d alternating pairs\n"
+    Ra_isa.Sampler.default_period digest.ratio.median digest.ratio.q1 digest.ratio.q3
+    digest.ratio.n;
+  let overhead =
+    gate "max_sampling_overhead_pct" ((digest.ratio.median -. 1.0) *. 100.0) (`Max 5.0)
   in
-  let symbolized_budget = 90.0 in
-  let symbolized_pass = symbolized_pct >= symbolized_budget in
-  Printf.printf
-    "symbolized: %.1f%% of %Ld attributed cycles (budget >= %.0f%%) -> %s\n"
-    symbolized_pct total_cycles symbolized_budget
-    (if symbolized_pass then "PASS" else "FAIL");
-  (* neutrality: profiling is out-of-band observation — a lossy retry
-     round must leave byte-identical wire transcripts either way *)
-  let transcript_of profiled =
-    let s = Ra_core.Session.create ~ram_size:4096 () in
-    if profiled then ignore (Ra_core.Session.enable_profiling s);
-    Ra_core.Session.advance_time s ~seconds:1.0;
-    Ra_core.Session.set_impairment s
-      (Some
-         (Ra_net.Impairment.create
-            ~to_prover:(Ra_net.Impairment.lossy 0.3)
-            ~to_verifier:(Ra_net.Impairment.lossy 0.3)
-            ~seed:42L ()));
-    let r = Ra_core.Session.attest_round_r s in
-    ( r.Ra_core.Session.r_verdict,
-      r.Ra_core.Session.r_attempts,
-      List.map
-        (fun e -> e.Ra_net.Channel.payload)
-        (Ra_net.Channel.transcript (Ra_core.Session.channel s)) )
-  in
-  let neutral = transcript_of true = transcript_of false in
-  Printf.printf "wire-neutral: transcripts byte-identical with profiling %s\n"
-    (if neutral then "on/off -> PASS" else "on/off DIFFER -> FAIL");
-  let pass = digests_equal && overhead_pass && symbolized_pass && neutral in
-  write_bench "prof" (fun oc ->
-  Printf.fprintf oc "  \"ops_ns_per_op\": {\n";
-  let n = List.length results in
-  List.iteri
-    (fun i (name, v) ->
-      Printf.fprintf oc "    \"%s\": %.1f%s\n" name v (if i < n - 1 then "," else ""))
-    (List.sort compare results);
-  Printf.fprintf oc "  },\n";
-  Printf.fprintf oc "  \"period_cycles\": %d,\n" Ra_isa.Sampler.default_period;
-  Printf.fprintf oc "  \"digests_equal\": %b,\n" digests_equal;
-  Printf.fprintf oc "  \"sampling_overhead_pct\": %.2f,\n" overhead_pct;
-  Printf.fprintf oc "  \"sampling_budget_pct\": %.1f,\n" overhead_budget;
-  Printf.fprintf oc "  \"symbolized_pct\": %.1f,\n" symbolized_pct;
-  Printf.fprintf oc "  \"symbolized_budget_pct\": %.1f,\n" symbolized_budget;
-  Printf.fprintf oc "  \"attributed_cycles\": %Ld,\n" total_cycles;
-  Printf.fprintf oc "  \"wire_neutral\": %b,\n" neutral;
-  Printf.fprintf oc "  \"pass\": %b,\n" pass)
+  write_bench "prof" ~gates:[ overhead ]
+    [
+      ("ops_ns", stats_obj ops);
+      ("sampled_over_plain", stats_json digest.ratio);
+      ("period_cycles", int Ra_isa.Sampler.default_period);
+    ]
 
 let bench_server () =
   section "Verifier-as-a-service: batched verification and DoS-aware admission";
-  if smoke then Printf.printf "(BENCH_SMOKE set: reduced fleet)\n";
   let module Server = Ra_core.Server in
   let module Verifier = Ra_core.Verifier in
   let module Verdict = Ra_core.Verdict in
@@ -1545,53 +1357,23 @@ let bench_server () =
         in
         { resp0 with report })
   in
-  let reps = if smoke then 20 else 60 in
-  let chunk_single () =
-    let t0 = Unix.gettimeofday () in
-    for _ = 1 to reps do
-      Array.iter
-        (fun r ->
-          ignore (Server.Batch.verify_one ~sym_key ~reference_image:image r))
-        resps
-    done;
-    Unix.gettimeofday () -. t0
+  (* A = one batched call, B = the same 64 reports one by one, so the
+     B/A ratio is the batch speedup *)
+  let batch =
+    paired
+      (fun () () -> ignore (Server.Batch.verify verifier resps))
+      (fun () () ->
+        Array.iter
+          (fun r -> ignore (Server.Batch.verify_one ~sym_key ~reference_image:image r))
+          resps)
   in
-  let chunk_batched () =
-    let t0 = Unix.gettimeofday () in
-    for _ = 1 to reps do
-      ignore (Server.Batch.verify verifier resps)
-    done;
-    Unix.gettimeofday () -. t0
-  in
-  ignore (chunk_single ());
-  ignore (chunk_batched ());
-  let pairs = if smoke then 15 else 31 in
-  let ratios = Array.make pairs 0.0 in
-  let best_batched = ref infinity in
-  for i = 0 to pairs - 1 do
-    let s, b =
-      if i land 1 = 0 then
-        let s = chunk_single () in
-        (s, chunk_batched ())
-      else
-        let b = chunk_batched () in
-        (chunk_single (), b)
-    in
-    if b < !best_batched then best_batched := b;
-    ratios.(i) <- s /. b
-  done;
-  Array.sort compare ratios;
-  let speedup = ratios.(pairs / 2) in
-  let per_report ns_total = ns_total /. float_of_int (reps * batch_size) in
-  let batched_ns = per_report (!best_batched *. 1e9) in
-  let single_ns = batched_ns *. speedup in
-  let speedup_target = 1.5 in
-  let speedup_pass = speedup >= speedup_target in
-  Printf.printf "batch=%d  single %.0f ns/report, batched %.0f ns/report\n"
-    batch_size single_ns batched_ns;
-  Printf.printf "batched speedup %.2fx (target >= %.1fx) -> %s\n" speedup
-    speedup_target
-    (if speedup_pass then "PASS" else "FAIL");
+  let per_report = scale (1.0 /. float_of_int batch_size) in
+  let ops = [ ("batched", per_report batch.a); ("single", per_report batch.b) ] in
+  Printf.printf "batch of %d reports, ns per report:\n" batch_size;
+  print_ns ops;
+  Printf.printf "batched speedup: median %.2fx, IQR [%.2f, %.2f] over %d alternating pairs\n"
+    batch.ratio.median batch.ratio.q1 batch.ratio.q3 batch.ratio.n;
+  let speedup_gate = gate "min_batch_speedup" batch.ratio.median (`Min 1.5) in
   (* -- 2. open-loop fleet: no-flood baseline vs 10x Adv_ext flood ------ *)
   let devices = if smoke then 2_000 else 100_000 in
   let shards = if smoke then 4 else 8 in
@@ -1622,89 +1404,55 @@ let bench_server () =
       tr_flood_rate = flood_aggregate /. float_of_int flood_sources;
     }
   in
-  let t0 = Unix.gettimeofday () in
-  let base, _ = Server.Load.run ~engine:(`Shards shards) cfg traffic in
-  let base_wall = Unix.gettimeofday () -. t0 in
-  let t0 = Unix.gettimeofday () in
-  let flood, _ = Server.Load.run ~engine:(`Shards shards) cfg flood_traffic in
-  let flood_wall = Unix.gettimeofday () -. t0 in
+  (* the reports are simulated and deterministic; only wall time varies *)
+  let load traffic =
+    let report = ref None in
+    let wall =
+      sample ~repeats:3 (fun () () ->
+          report := Some (fst (Server.Load.run ~engine:(`Shards shards) cfg traffic)))
+    in
+    (Option.get !report, scale 1e-9 wall)
+  in
+  let base, base_wall = load traffic in
+  let flood, flood_wall = load flood_traffic in
   print_string (Server.Load.render base);
   print_string (Server.Load.render flood);
-  let drops reason report =
-    match List.assoc_opt reason report.Server.Load.rp_breakdown with
-    | Some n -> n
-    | None -> 0
+  let drops reason =
+    Option.value ~default:0 (List.assoc_opt reason flood.Server.Load.rp_breakdown)
   in
-  let goodput_ratio =
-    if base.Server.Load.rp_trusted = 0 then 0.0
-    else
-      float_of_int flood.Server.Load.rp_trusted
-      /. float_of_int base.Server.Load.rp_trusted
-  in
-  let admission_drops =
-    drops Verdict.Reason.Rate_limited flood + drops Verdict.Reason.Queue_full flood
-  in
-  let timeout_drops = drops Verdict.Reason.Timed_out flood in
-  let goodput_pass = goodput_ratio >= 0.9 in
-  let attribution_pass = admission_drops > 0 && timeout_drops = 0 in
-  (* a quiet batch waits up to the 50 ms linger before draining, so the
-     no-flood p99 is linger-bound; the gate checks it stays there *)
-  let p99_limit_ms = 100.0 in
-  let p99_pass =
-    List.for_all
-      (fun c -> c.Ra_obs.Slo.ck_ok)
-      (Server.Load.slo_watch ~max_p99_ms:p99_limit_ms base)
-  in
+  let sustained_rps = float_of_int base.Server.Load.rp_trusted /. base_wall.median in
   Printf.printf
-    "flood goodput %.1f%% of baseline (gate >= 90%%) -> %s; drops: admission %d, timeout %d -> %s\n"
-    (100.0 *. goodput_ratio)
-    (if goodput_pass then "PASS" else "FAIL")
-    admission_drops timeout_drops
-    (if attribution_pass then "PASS" else "FAIL");
-  Printf.printf "no-flood p99 %.2f ms (gate <= %.0f ms) -> %s\n"
-    base.Server.Load.rp_p99_ms p99_limit_ms
-    (if p99_pass then "PASS" else "FAIL");
-  let sustained_rps = float_of_int base.Server.Load.rp_trusted /. base_wall in
-  Printf.printf "sustained %.0f verified reports/s wall-clock (%d devices, %d shards)\n"
-    sustained_rps devices shards;
-  let pass = speedup_pass && goodput_pass && attribution_pass && p99_pass in
-  write_bench "server" (fun oc ->
-  Printf.fprintf oc "  \"batch_size\": %d,\n" batch_size;
-  Printf.fprintf oc "  \"single_ns_per_report\": %.1f,\n" single_ns;
-  Printf.fprintf oc "  \"batched_ns_per_report\": %.1f,\n" batched_ns;
-  Printf.fprintf oc "  \"batch_speedup\": %.3f,\n" speedup;
-  Printf.fprintf oc "  \"batch_speedup_target\": %.1f,\n" speedup_target;
-  Printf.fprintf oc "  \"devices\": %d,\n" devices;
-  Printf.fprintf oc "  \"shards\": %d,\n" shards;
-  Printf.fprintf oc "  \"requests_base\": %d,\n" base.Server.Load.rp_requests;
-  Printf.fprintf oc "  \"trusted_base\": %d,\n" base.Server.Load.rp_trusted;
-  Printf.fprintf oc "  \"goodput_base_rps\": %.1f,\n" base.Server.Load.rp_goodput_rps;
-  Printf.fprintf oc "  \"p50_ms\": %.3f,\n" base.Server.Load.rp_p50_ms;
-  Printf.fprintf oc "  \"p99_ms\": %.3f,\n" base.Server.Load.rp_p99_ms;
-  Printf.fprintf oc "  \"p99_limit_ms\": %.1f,\n" p99_limit_ms;
-  Printf.fprintf oc "  \"requests_flood\": %d,\n" flood.Server.Load.rp_requests;
-  Printf.fprintf oc "  \"trusted_flood\": %d,\n" flood.Server.Load.rp_trusted;
-  Printf.fprintf oc "  \"goodput_flood_ratio\": %.4f,\n" goodput_ratio;
-  Printf.fprintf oc "  \"flood_admission_drops\": %d,\n" admission_drops;
-  Printf.fprintf oc "  \"flood_timeout_drops\": %d,\n" timeout_drops;
-  Printf.fprintf oc "  \"sustained_wall_rps\": %.0f,\n" sustained_rps;
-  Printf.fprintf oc "  \"base_wall_s\": %.2f,\n" base_wall;
-  Printf.fprintf oc "  \"flood_wall_s\": %.2f,\n" flood_wall;
-  Printf.fprintf oc "  \"batch_speedup_pass\": %b,\n" speedup_pass;
-  Printf.fprintf oc "  \"flood_goodput_pass\": %b,\n" goodput_pass;
-  Printf.fprintf oc "  \"flood_attribution_pass\": %b,\n" attribution_pass;
-  Printf.fprintf oc "  \"p99_pass\": %b,\n" p99_pass;
-  Printf.fprintf oc "  \"pass\": %b,\n" pass)
+    "wall: no-flood %.2f s, flood %.2f s (medians of %d); sustained %.0f verified \
+     reports/s (%d devices, %d shards)\n"
+    base_wall.median flood_wall.median base_wall.n sustained_rps devices shards;
+  write_bench "server" ~gates:[ speedup_gate ]
+    [
+      ("batch_size", int batch_size);
+      ("ns_per_report", stats_obj ops);
+      ("batch_speedup", stats_json batch.ratio);
+      ("devices", int devices);
+      ("shards", int shards);
+      ("requests_base", int base.Server.Load.rp_requests);
+      ("trusted_base", int base.Server.Load.rp_trusted);
+      ("goodput_base_rps", num base.Server.Load.rp_goodput_rps);
+      ("p50_ms", num base.Server.Load.rp_p50_ms);
+      ("p99_ms", num base.Server.Load.rp_p99_ms);
+      ("requests_flood", int flood.Server.Load.rp_requests);
+      ("trusted_flood", int flood.Server.Load.rp_trusted);
+      ( "flood_admission_drops",
+        int (drops Verdict.Reason.Rate_limited + drops Verdict.Reason.Queue_full) );
+      ("flood_timeout_drops", int (drops Verdict.Reason.Timed_out));
+      ("sustained_wall_rps", num sustained_rps);
+      ("base_wall_s", stats_json base_wall);
+      ("flood_wall_s", stats_json flood_wall);
+    ]
 
-(* ---- forensics: capture overhead and byte-identical replay ---- *)
+(* ---- forensics: capture overhead and replay cost ---- *)
 
 let bench_forensics () =
-  section "Forensics: capture overhead and byte-identical replay";
-  if smoke then Printf.printf "(BENCH_SMOKE set: reduced fleet)\n";
+  section "Forensics: capture overhead and replay cost";
   let module Fleet = Ra_core.Fleet in
-  let module Forensics = Ra_obs.Forensics in
   let members = if smoke then 200 else 10_000 in
-  let pairs = if smoke then 3 else 5 in
   let loss = 0.2 in
   let names = List.init members (Printf.sprintf "dev-%05d") in
   let make_fleet ~capture () =
@@ -1712,17 +1460,17 @@ let bench_forensics () =
     if capture then ignore (Fleet.enable_forensics f);
     f
   in
-  (* -- 1. capture overhead on the sweep wall-clock --------------------- *)
   (* capture is out-of-band bookkeeping, so its cost must vanish next to
-     the attestation rounds. The gate is analytic, in the style of the
-     tracing bench's disabled-mode gate: measure the per-round capture
-     quantum and the per-capsule digest cost at ns resolution, charge
-     them against the measured sweep floor. Both charges are upper
-     bounds — every round pays the hook even though discarded
-     candidates skip the digest, and the digest charge assumes a 2 KiB
-     wire window where chaos rounds produce a few hundred bytes. The
-     micro-ops run FIRST, before any 10k-member fleet has bloated the
-     major heap (minor collections against a huge live heap would
+     the attestation rounds. A 1% effect on a second-scale sweep is
+     inside the paired ratio's spread on a shared host, so the ratio is
+     recorded and the gate is analytic, like the tracing bench's
+     disabled-mode gate: the sampled per-round capture quantum and
+     per-capsule digest cost, charged against the median sweep. Both
+     charges are upper bounds — every round pays the hook even though
+     discarded candidates skip the digest, and the digest charge assumes
+     a 2 KiB wire window where chaos rounds produce a few hundred bytes.
+     The micro-ops run FIRST, before any 10k-member fleet has bloated
+     the major heap (minor collections against a huge live heap would
      inflate a ~15 ns allocating thunk by orders of magnitude). *)
   let probe_session = Ra_core.Session.create ~ram_size:1024 () in
   let probe_channel = Ra_core.Session.channel probe_session in
@@ -1731,12 +1479,13 @@ let bench_forensics () =
   in
   Ra_obs.Recorder.push probe_recorder 1;
   let sink = ref (0, 0.0, None, 0) in
-  let window = String.make 2048 'w' in
-  let micro =
-    measure_ns
+  let wire = String.make 2048 'w' in
+  let ops =
+    List.map
+      (fun (name, run) -> (name, sample run))
       [
         ( "capture-hook",
-          fun () ->
+          fun () () ->
             (* what the per-round hook does: read the transcript
                position, look up the latest trace round, build a
                candidate record *)
@@ -1746,144 +1495,69 @@ let bench_forensics () =
                 float_of_int tl,
                 Ra_obs.Recorder.latest probe_recorder,
                 Ra_net.Channel.transcript_length probe_channel ) );
-        ("capsule-digest", fun () -> ignore (Ra_crypto.Sha1.digest window));
+        ("capsule-digest", fun () () -> ignore (Ra_crypto.Sha1.digest wire));
       ]
   in
   ignore !sink;
-  let micro_ns name =
-    match List.assoc_opt name micro with
-    | Some v -> v
-    | None -> failwith ("forensics: no measurement for " ^ name)
+  let ns name = (List.assoc name ops).median in
+  (* a FRESH fleet per repeat (creation outside the timed window, heap
+     compacted before it) keeps every repeat's workload and GC state
+     identical: a long-lived fleet would accumulate transcripts across
+     sweeps and drift nonlinearly *)
+  let sweep f =
+    ignore
+      (Fleet.chaos_sweep ~seed:2016L ~rounds_per_member:1 ~losses:[ loss ]
+         ~policies:[ ("default", Ra_core.Retry.default) ]
+         f)
   in
-  let policies = [ ("default", Ra_core.Retry.default) ] in
-  (* a FRESH fleet per chunk (creation excluded from the timed window,
-     heap compacted before it) keeps every chunk's workload and GC
-     state identical: a long-lived fleet would accumulate transcripts
-     across sweeps and drift nonlinearly. A ~1% effect on a multi-
-     second chunk is below this-machine noise for mean/median
-     estimators, so the estimate is min-of-chunks per side:
-     interference and GC pauses only ever ADD time, so each side's
-     minimum converges on its quiet-machine cost. *)
-  let sweep ~capture () =
+  let fresh ~capture () =
     let f = make_fleet ~capture () in
     Gc.full_major ();
-    let t0 = Unix.gettimeofday () in
-    let (_ : Fleet.chaos_cell list) =
-      Fleet.chaos_sweep ~seed:2016L ~rounds_per_member:1 ~losses:[ loss ]
-        ~policies f
-    in
-    Unix.gettimeofday () -. t0
+    fun () -> sweep f
   in
-  let sweep_off () = sweep ~capture:false () in
-  let sweep_on () = sweep ~capture:true () in
-  ignore (sweep_off ());
-  ignore (sweep_on ());
-  let best_off = ref infinity and best_on = ref infinity in
-  for i = 0 to pairs - 1 do
-    let off, on =
-      if i land 1 = 0 then
-        let off = sweep_off () in
-        (off, sweep_on ())
-      else
-        let on = sweep_on () in
-        (sweep_off (), on)
-    in
-    best_off := Float.min !best_off off;
-    best_on := Float.min !best_on on
-  done;
-  let ab_diff_pct = (!best_on /. !best_off -. 1.0) *. 100.0 in
-  (* the A/B diff is reported but noise-prone: a <= 1% effect on a
-     second-scale chunk is below wall-clock resolution on a shared
-     host. The gated figure charges the micro-measured capture work
-     (hook per round, digest per capsule) against the sweep floor. *)
-  let rounds_total = members in
-  let f_counted = make_fleet ~capture:true () in
-  let (_ : Fleet.chaos_cell list) =
-    Fleet.chaos_sweep ~seed:2016L ~rounds_per_member:1 ~losses:[ loss ]
-      ~policies f_counted
-  in
-  let n_capsules = List.length (Fleet.capsules f_counted) in
+  let ab = paired ~repeats:5 (fresh ~capture:false) (fresh ~capture:true) in
+  let sweep_s = scale 1e-9 ab.a in
+  let f = make_fleet ~capture:true () in
+  sweep f;
+  let caps = Fleet.capsules f in
   let capture_work_ns =
-    (float_of_int rounds_total *. micro_ns "capture-hook")
-    +. (float_of_int n_capsules *. micro_ns "capsule-digest")
+    (float_of_int members *. ns "capture-hook")
+    +. (float_of_int (List.length caps) *. ns "capsule-digest")
   in
-  let overhead_pct = capture_work_ns /. (!best_off *. 1e9) *. 100.0 in
-  let budget_pct = 1.0 in
-  let overhead_pass = overhead_pct <= budget_pct in
+  print_ns ops;
   Printf.printf
-    "%d members, %.0f%% loss: sweep %.3f s; capture work %.0f ns/round hook \
-     x %d rounds + %.0f ns/digest x %d capsules = %.2f ms\n"
-    members (100.0 *. loss) !best_off (micro_ns "capture-hook") rounds_total
-    (micro_ns "capsule-digest") n_capsules (capture_work_ns /. 1e6);
-  Printf.printf
-    "capture overhead %.3f%% of sweep wall-clock (budget <= %.0f%%) -> %s; \
-     A/B min-of-%d-chunks diff %.2f%% (noise-prone, reported only)\n"
-    overhead_pct budget_pct
-    (if overhead_pass then "PASS" else "FAIL")
-    pairs ab_diff_pct;
-  (* -- 2. stream identity across shard counts + replay of every capsule - *)
-  let stream_of k =
-    let f = make_fleet ~capture:true () in
-    let (_ : Fleet.chaos_cell list) =
-      Fleet.chaos_sweep ~seed:7L ~engine:(`Shards k) ~rounds_per_member:1
-        ~losses:[ loss ]
-        ~policies:
-          [ ("no-retry", Ra_core.Retry.no_retry); ("default", Ra_core.Retry.default) ]
-        f
-    in
-    (f, Forensics.capsules_jsonl (Fleet.capsules f))
+    "\n%d members, %.0f%% loss: sweep %.3f s (median of %d); capture work %.0f \
+     ns/round hook x %d rounds + %.0f ns/digest x %d capsules = %.2f ms\n\
+     captured/plain sweep ratio: median %.4f, IQR [%.4f, %.4f]\n"
+    members (100.0 *. loss) sweep_s.median sweep_s.n (ns "capture-hook") members
+    (ns "capsule-digest") (List.length caps) (capture_work_ns /. 1e6) ab.ratio.median
+    ab.ratio.q1 ab.ratio.q3;
+  let overhead =
+    gate "max_capture_overhead_pct" (capture_work_ns /. ab.a.median *. 100.0) (`Max 1.0)
   in
-  let f1, s1 = stream_of 1 in
-  let _, s2 = stream_of 2 in
-  let _, s4 = stream_of 4 in
-  let stream_pass = String.equal s1 s2 && String.equal s1 s4 in
-  let caps = Fleet.capsules f1 in
-  let n_failures =
-    List.length (List.filter (fun c -> c.Forensics.cap_kind = Forensics.Failure) caps)
+  (* replay cost: re-execute every capsule of the last captured sweep *)
+  let replay =
+    scale 1e-9
+      (sample ~repeats:3 (fun () () ->
+           List.iter (fun c -> ignore (Fleet.replay_capsule f c)) caps))
   in
-  let t0 = Unix.gettimeofday () in
-  let replay_pass =
-    caps <> []
-    && List.for_all
-         (fun c ->
-           match Fleet.replay_capsule f1 c with
-           | Ok rp -> rp.Fleet.rp_match
-           | Error _ -> false)
-         caps
-  in
-  let replay_wall = Unix.gettimeofday () -. t0 in
-  Printf.printf
-    "capsule stream at shards 1/2/4: %s; %d capsules (%d failures) captured, \
-     all replayed byte-identically in %.3f s -> %s\n"
-    (if stream_pass then "byte-identical" else "DIVERGED")
-    (List.length caps) n_failures replay_wall
-    (if replay_pass then "PASS" else "FAIL");
-  let pass = overhead_pass && stream_pass && replay_pass in
-  write_bench "forensics" (fun oc ->
-  Printf.fprintf oc "  \"members\": %d,\n" members;
-  Printf.fprintf oc "  \"loss\": %.2f,\n" loss;
-  Printf.fprintf oc "  \"pairs\": %d,\n" pairs;
-  Printf.fprintf oc "  \"sweep_s\": %.4f,\n" !best_off;
-  Printf.fprintf oc "  \"capture_hook_ns\": %.1f,\n" (micro_ns "capture-hook");
-  Printf.fprintf oc "  \"capsule_digest_ns\": %.1f,\n" (micro_ns "capsule-digest");
-  Printf.fprintf oc "  \"capture_overhead_pct\": %.3f,\n" overhead_pct;
-  Printf.fprintf oc "  \"capture_ab_diff_pct\": %.2f,\n" ab_diff_pct;
-  Printf.fprintf oc "  \"budget_pct\": %.1f,\n" budget_pct;
-  Printf.fprintf oc "  \"capture_overhead_pass\": %b,\n" overhead_pass;
-  Printf.fprintf oc "  \"capsules\": %d,\n" (List.length caps);
-  Printf.fprintf oc "  \"failure_capsules\": %d,\n" n_failures;
-  Printf.fprintf oc "  \"stream_invariant_pass\": %b,\n" stream_pass;
-  Printf.fprintf oc "  \"replay_wall_s\": %.4f,\n" replay_wall;
-  Printf.fprintf oc "  \"replay_pass\": %b,\n" replay_pass;
-  Printf.fprintf oc "  \"pass\": %b,\n" pass)
+  Printf.printf "replayed %d capsules in %.3f s (median of %d)\n" (List.length caps)
+    replay.median replay.n;
+  write_bench "forensics" ~gates:[ overhead ]
+    [
+      ("members", int members);
+      ("loss", num loss);
+      ("ops_ns", stats_obj ops);
+      ("sweep_s", stats_json sweep_s);
+      ("captured_over_plain", stats_json ab.ratio);
+      ("capsules", int (List.length caps));
+      ("replay_s", stats_json replay);
+    ]
 
 let bench_session () =
-  section "Secure sessions: record layer, handshake amortization, loss convergence";
-  if smoke then Printf.printf "(BENCH_SMOKE set: reduced fleet and record counts)\n";
+  section "Secure sessions: record layer and handshake amortization";
   let module SS = Ra_core.Secure_session in
   let module Session = Ra_core.Session in
-  let module Fleet = Ra_core.Fleet in
-  let module Channel = Ra_net.Channel in
   (* -- 1. record-layer symmetric cost (the amortized steady state) ------ *)
   (* what one streamed record costs in host crypto: CTR + CMAC to seal,
      CMAC verify + CTR to open, over a record the size the session
@@ -1895,30 +1569,26 @@ let bench_session () =
   let nonce = String.make 8 '\x01' in
   let ct = Ra_crypto.Block_mode.ctr_crypt cipher ~nonce body in
   let tag = Ra_crypto.Cmac.mac cmac ct in
-  let micro =
-    measure_ns
+  let ops =
+    List.map
+      (fun (name, run) -> (name, sample run))
       [
         ( "seal",
-          fun () ->
+          fun () () ->
             let ct = Ra_crypto.Block_mode.ctr_crypt cipher ~nonce body in
             ignore (Ra_crypto.Cmac.mac cmac ct) );
         ( "open",
-          fun () ->
+          fun () () ->
             ignore (Ra_crypto.Cmac.verify cmac ~msg:ct ~tag);
             ignore (Ra_crypto.Block_mode.ctr_crypt cipher ~nonce ct) );
       ]
   in
-  let micro_ns name =
-    match List.assoc_opt name micro with
-    | Some v -> v
-    | None -> failwith ("session: no measurement for " ^ name)
+  print_ns ops;
+  let records_per_s =
+    1e9 /. ((List.assoc "seal" ops).median +. (List.assoc "open" ops).median)
   in
-  let seal_ns = micro_ns "seal" and open_ns = micro_ns "open" in
-  let records_per_s = 1e9 /. (seal_ns +. open_ns) in
-  Printf.printf
-    "record layer (64 B body): seal %.0f ns, open %.0f ns -> %.0f records/s \
-     per core\n"
-    seal_ns open_ns records_per_s;
+  Printf.printf "record layer (64 B body): %.0f records/s per core at the medians\n"
+    records_per_s;
   (* -- 2. handshake cost in anchor cycles, and what streaming saves ----- *)
   let ram = if smoke then 4096 else 65536 in
   let records = if smoke then 8 else 32 in
@@ -1942,7 +1612,6 @@ let bench_session () =
   SS.handshake_send initiator;
   pump s;
   let handshake_cycles = Int64.sub (cycles_of s) c0 in
-  let established = SS.established initiator in
   (* the handshake's anchor work, phase by phase, from the profiler —
      snapshotted before any record streams *)
   let phase_cycles =
@@ -1962,77 +1631,31 @@ let bench_session () =
   let record_cycles =
     Int64.div (Int64.sub (cycles_of s) c1) (Int64.of_int records)
   in
-  let streamed = SS.verdict_count initiator = records in
   (* one-shot comparison: a fresh world paying auth + freshness + MAC
      every round *)
   let s1 = Session.create ~ram_size:ram () in
   Session.advance_time s1 ~seconds:1.0;
   let b0 = cycles_of s1 in
-  let r1 = Session.attest_round_r s1 in
+  ignore (Session.attest_round_r s1);
   let oneshot_cycles = Int64.sub (cycles_of s1) b0 in
-  let oneshot_ok = r1.Session.r_verdict = Ra_core.Verdict.Trusted in
-  let amortization_pass =
-    established && streamed && oneshot_ok
-    && Int64.compare record_cycles oneshot_cycles < 0
-  in
+  let phases = List.sort compare phase_cycles in
   Printf.printf
     "%d KiB attested RAM: handshake %Ld anchor cycles, then %Ld cycles per \
-     streamed record vs %Ld per one-shot round -> %s\n"
+     streamed record vs %Ld per one-shot round\nhandshake anchor phases: %s\n"
     (ram / 1024) handshake_cycles record_cycles oneshot_cycles
-    (if amortization_pass then "PASS" else "FAIL");
-  Printf.printf "handshake anchor phases: %s\n"
-    (String.concat ", "
-       (List.map
-          (fun (p, c) -> Printf.sprintf "%s=%Ld" p c)
-          (List.sort compare phase_cycles)));
-  (* -- 3. convergence under loss ---------------------------------------- *)
-  let members = if smoke then 4 else 8 in
-  let rounds = if smoke then 2 else 3 in
-  let session_records = 4 in
-  let loss = 0.2 in
-  let names = List.init members (Printf.sprintf "dev-%03d") in
-  let f = Fleet.create ~ram_size:2048 ~names () in
-  let t0 = Unix.gettimeofday () in
-  let cells =
-    Fleet.chaos_sweep ~seed:2016L ~rounds_per_member:rounds
-      ~workload:(`Session session_records)
-      ~losses:[ loss ]
-      ~policies:[ ("default", Ra_core.Retry.default) ]
-      f
-  in
-  let sweep_wall = Unix.gettimeofday () -. t0 in
-  let convergence_pct =
-    match cells with c :: _ -> Fleet.convergence_pct c | [] -> 0.0
-  in
-  let convergence_pass = convergence_pct >= 99.0 in
-  Printf.printf
-    "%d members x %d session rounds (%d records each) at %.0f%% loss: %.1f%% \
-     converged in %.3f s -> %s\n"
-    members rounds session_records (100.0 *. loss) convergence_pct sweep_wall
-    (if convergence_pass then "PASS" else "FAIL");
-  let pass = amortization_pass && convergence_pass in
-  write_bench "session" (fun oc ->
-  Printf.fprintf oc "  \"record_body_bytes\": %d,\n" (String.length body);
-  Printf.fprintf oc "  \"seal_ns\": %.1f,\n" seal_ns;
-  Printf.fprintf oc "  \"open_ns\": %.1f,\n" open_ns;
-  Printf.fprintf oc "  \"records_per_s\": %.0f,\n" records_per_s;
-  Printf.fprintf oc "  \"attested_ram_bytes\": %d,\n" ram;
-  Printf.fprintf oc "  \"handshake_anchor_cycles\": %Ld,\n" handshake_cycles;
-  Printf.fprintf oc "  \"streamed_record_cycles\": %Ld,\n" record_cycles;
-  Printf.fprintf oc "  \"oneshot_round_cycles\": %Ld,\n" oneshot_cycles;
-  Printf.fprintf oc "  \"handshake_phases\": {%s},\n"
-    (String.concat ", "
-       (List.map
-          (fun (p, c) -> Printf.sprintf "\"%s\": %Ld" p c)
-          (List.sort compare phase_cycles)));
-  Printf.fprintf oc "  \"amortization_pass\": %b,\n" amortization_pass;
-  Printf.fprintf oc "  \"members\": %d,\n" members;
-  Printf.fprintf oc "  \"rounds_per_member\": %d,\n" rounds;
-  Printf.fprintf oc "  \"session_records\": %d,\n" session_records;
-  Printf.fprintf oc "  \"loss\": %.2f,\n" loss;
-  Printf.fprintf oc "  \"convergence_pct\": %.1f,\n" convergence_pct;
-  Printf.fprintf oc "  \"convergence_pass\": %b,\n" convergence_pass;
-  Printf.fprintf oc "  \"pass\": %b,\n" pass)
+    (String.concat ", " (List.map (fun (p, c) -> Printf.sprintf "%s=%Ld" p c) phases));
+  let cycles c = num (Int64.to_float c) in
+  write_bench "session"
+    [
+      ("record_body_bytes", int (String.length body));
+      ("ops_ns", stats_obj ops);
+      ("records_per_s", num records_per_s);
+      ("attested_ram_bytes", int ram);
+      ("handshake_anchor_cycles", cycles handshake_cycles);
+      ("streamed_record_cycles", cycles record_cycles);
+      ("oneshot_round_cycles", cycles oneshot_cycles);
+      ("handshake_phases", J.Obj (List.map (fun (p, c) -> (p, cycles c)) phases));
+    ]
 
 let sections =
   [
@@ -2053,7 +1676,7 @@ let sections =
     ("swatt", bench_swatt);
     ("realtime", bench_realtime);
     ("figure1", bench_figure1);
-    ("bechamel", bench_bechamel);
+    ("host-crypto", bench_host_crypto);
     ("hotpath", bench_hotpath);
     ("isa", bench_isa);
     ("sha1-asm", bench_sha1_asm);

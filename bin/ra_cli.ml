@@ -549,7 +549,7 @@ let run_prof n rounds loss shards period out folded_out =
     Fleet.sweep ~engine:(`Shards shards) ~tracks fleet
   in
   let track = Profiler.Track.merge ~name:"ra_sched_queue_depth" (Array.to_list tracks) in
-  let prof = Fleet.profile ~shards fleet in
+  let prof = Fleet.profile fleet in
   let symbolized_pct =
     let total = Profiler.Pc.cycles pc in
     if Int64.equal total 0L then 0.0

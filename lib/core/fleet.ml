@@ -277,15 +277,6 @@ let ledger_verdict = function
   | Verdict.Bad_auth | Verdict.Not_fresh _ | Verdict.Fault _ | Verdict.Timed_out _ ->
     None
 
-(* nearest-rank percentile over an already-sorted sample *)
-let percentile_of_sorted sorted p =
-  let n = Array.length sorted in
-  if n = 0 then 0.0
-  else begin
-    let rank = int_of_float (Float.ceil (p /. 100.0 *. float_of_int n)) - 1 in
-    sorted.(max 0 (min (n - 1) rank))
-  end
-
 (* Per-member accumulator for one (loss, policy) cell; both engines feed
    it through [chaos_record], so the ledgers and metrics a cell produces
    are independent of which engine ran it. *)
@@ -597,9 +588,9 @@ let chaos_sweep ?(seed = 0xC4A05L) ?(rounds_per_member = 10) ?(engine = `Shards 
       c_rounds = total;
       c_converged = converged;
       c_mean_attempts = float_of_int attempts /. float_of_int total;
-      c_p50_s = percentile_of_sorted durations 50.0;
-      c_p90_s = percentile_of_sorted durations 90.0;
-      c_p99_s = percentile_of_sorted durations 99.0;
+      c_p50_s = Shard.percentile durations 0.50;
+      c_p90_s = Shard.percentile durations 0.90;
+      c_p99_s = Shard.percentile durations 0.99;
     }
   in
   let grid = List.mapi run_cell cells in
@@ -876,7 +867,7 @@ let recent_rounds t =
       | Some tracer -> Ra_obs.Trace.rounds tracer)
     t.members
 
-(* ---- cycle/energy profiling: per-member profiles, shard-order merge ---- *)
+(* ---- cycle/energy profiling: per-member profiles, member-order merge ---- *)
 
 let enable_profiling ?capacity t =
   List.iter
@@ -887,40 +878,18 @@ let enable_profiling ?capacity t =
 let disable_profiling t =
   List.iter (fun m -> Session.disable_profiling m.session) t.members
 
-(* Fleet-wide profile: per-shard accumulators over contiguous member
-   ranges, bulk-merged in shard order — the Arena discipline applied to
-   profiles. Within a shard, members absorb in index order; shards absorb
-   in shard order; contiguous partition makes the global absorb sequence
-   the member-index order at {e every} shard count, so the merged profile
-   (sorted stack rows, sorted phase totals, ring in push order) is
-   byte-identical for shards = 1, 2, 4, ... The merge rings are sized to
-   the surviving sample count so the two-stage merge never evicts. *)
-let profile ?(shards = 1) t =
-  if shards < 1 then invalid_arg "Fleet.profile: shards must be >= 1";
-  let members = Array.of_list t.members in
-  let n = Array.length members in
-  let member_profiles = Array.map (fun m -> Session.profiling m.session) members in
+(* Fleet-wide profile: the member profiles absorbed in member-index order
+   into one accumulator, whose ring is sized to the surviving sample
+   count so the merge never evicts. *)
+let profile t =
+  let member_profiles = List.filter_map (fun m -> Session.profiling m.session) t.members in
   let total_samples =
-    Array.fold_left
-      (fun acc p ->
-        match p with
-        | None -> acc
-        | Some p -> acc + Ra_obs.Profiler.Phases.length p.Ra_obs.Profiler.phases)
+    List.fold_left
+      (fun acc p -> acc + Ra_obs.Profiler.Phases.length p.Ra_obs.Profiler.phases)
       0 member_profiles
   in
-  let capacity = max 1 total_samples in
-  let parts = Shard.partition ~members:n ~shards in
-  let accs = Array.init shards (fun _ -> Ra_obs.Profiler.create ~capacity ()) in
-  Array.iteri
-    (fun s { Shard.sh_lo; sh_hi } ->
-      for i = sh_lo to sh_hi - 1 do
-        match member_profiles.(i) with
-        | None -> ()
-        | Some p -> Ra_obs.Profiler.absorb accs.(s) p
-      done)
-    parts;
-  let merged = Ra_obs.Profiler.create ~capacity () in
-  Array.iter (fun acc -> Ra_obs.Profiler.absorb merged acc) accs;
+  let merged = Ra_obs.Profiler.create ~capacity:(max 1 total_samples) () in
+  List.iter (Ra_obs.Profiler.absorb merged) member_profiles;
   merged
 
 (* ---- SLO watchdog over chaos cells and member ledgers ---- *)

@@ -287,7 +287,7 @@ val recent_rounds : t -> Ra_obs.Trace.round list
     With profiling enabled every member session attributes its exact
     per-round cycle and energy spend to phases (see
     {!Session.enable_profiling}); {!profile} merges the per-member
-    profiles into one fleet-wide profile, shard by shard. *)
+    profiles into one fleet-wide profile. *)
 
 val enable_profiling : ?capacity:int -> t -> unit
 (** Attach a fresh profile to every member; the member name tags its
@@ -295,13 +295,11 @@ val enable_profiling : ?capacity:int -> t -> unit
 
 val disable_profiling : t -> unit
 
-val profile : ?shards:int -> t -> Ra_obs.Profiler.t
-(** Merge the members' profiles: contiguous member ranges per shard
-    ({!Shard.partition}), members absorbed in index order into per-shard
-    accumulators, accumulators absorbed in shard order — Arena-style.
-    The folded stacks, phase totals and sample ring of the result are
-    byte-identical at every shard count.
-    @raise Invalid_argument when [shards < 1]. *)
+val profile : t -> Ra_obs.Profiler.t
+(** Merge the members' profiles, absorbed in member-index order into one
+    accumulator that never evicts. Since every sweep engine leaves the
+    same per-member profiles, the result is byte-identical at every
+    shard count of the sweep that produced them. *)
 
 (** {2 SLO watchdog}
 

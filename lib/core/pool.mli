@@ -2,7 +2,7 @@
     every parallel batch.
 
     [Domain.spawn] per sweep is what made the old parallel engines lose
-    to sequential (BENCH_hotpath.json: 0.89x at 2 domains, 0.76x at 4) —
+    to sequential (0.89x at 2 domains, 0.76x at 4, on a one-core host) —
     a fresh OS thread, minor heap and runtime handshake per domain per
     sweep. Pool helpers park on a condition variable between batches;
     steady-state dispatch is one lock + broadcast.

@@ -458,13 +458,6 @@ module Load = struct
     done;
     server
 
-  let percentile sorted p =
-    let n = Array.length sorted in
-    if n = 0 then 0.0
-    else
-      let rank = int_of_float (Float.ceil (p *. float_of_int n)) in
-      sorted.(max 0 (min (n - 1) (rank - 1)))
-
   let run ?(engine = `Shards 1) ?(record_outcomes = false) ?forensics cfg traffic =
     (match create ~sched:(Sched.create ()) cfg with
     | Ok _ -> ()
@@ -529,8 +522,8 @@ module Load = struct
           (if traffic.tr_horizon_s > 0.0 then
              float_of_int trusted /. traffic.tr_horizon_s
            else 0.0);
-        rp_p50_ms = percentile latencies 0.50;
-        rp_p99_ms = percentile latencies 0.99;
+        rp_p50_ms = Shard.percentile latencies 0.50;
+        rp_p99_ms = Shard.percentile latencies 0.99;
         rp_max_queue =
           Array.fold_left (fun acc s -> max acc s.sv_max_queue) 0 per_shard;
         rp_batches = batches;

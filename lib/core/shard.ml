@@ -25,6 +25,15 @@ let partition ~members ~shards =
 
 let size r = r.sh_hi - r.sh_lo
 
+(* nearest-rank percentile over an already-sorted merged sample, p in
+   0..1; 0 when empty *)
+let percentile sorted p =
+  let n = Array.length sorted in
+  if n = 0 then 0.0
+  else
+    let rank = int_of_float (Float.ceil (p *. float_of_int n)) in
+    sorted.(max 0 (min (n - 1) (rank - 1)))
+
 (* Run [f s] for every shard id s in [0, shards) on the caller plus
    pool helpers. Shard ids are handed out through an atomic counter, so
    with more shards than domains the surplus queues naturally; which

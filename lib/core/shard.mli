@@ -21,6 +21,11 @@ val partition : members:int -> shards:int -> range array
 
 val size : range -> int
 
+val percentile : float array -> float -> float
+(** [percentile sorted p], [p] in [0..1]: the nearest-rank percentile of
+    an already-sorted sample (typically the shards' merged outputs);
+    [0.0] when empty. *)
+
 val run : ?pool:Pool.t -> shards:int -> (int -> unit) -> unit
 (** [run ~shards f] executes [f s] for every shard id [s] in
     [0 .. shards-1] on the calling domain plus pool helpers (default

@@ -218,27 +218,26 @@ let test_phase_ring_wraparound () =
   Alcotest.(check bool) "survivors chronological" true
     (List.sort compare at = at)
 
-(* --- fleet merge: byte-identical at every shard count --- *)
+(* --- fleet profile: byte-identical at every sweep shard count --- *)
 
 let test_fleet_profile_shard_invariant () =
   let names = List.init 5 (Printf.sprintf "dev-%d") in
-  let profiled () =
+  let profiled k =
     let fleet = Fleet.create ~ram_size:2048 ~names () in
     Fleet.enable_tracing fleet;
     Fleet.enable_profiling fleet;
     Fleet.advance fleet ~seconds:1.0;
-    let depth = Profiler.Track.create "depth" in
-    ignore (Fleet.sweep ~tracks:[| depth |] fleet);
-    (fleet, depth)
+    let tracks = Array.init k (fun _ -> Profiler.Track.create "depth") in
+    ignore (Fleet.sweep ~engine:(`Shards k) ~tracks fleet);
+    (fleet, tracks.(0))
   in
-  let fleet, depth = profiled () in
-  let export ?(fleet = fleet) k =
-    let p = Fleet.profile ~shards:k fleet in
+  let export k =
+    let p = Fleet.profile (fst (profiled k)) in
     (Profiler.folded p, Ra_obs.Export.profile_jsonl p)
   in
+  let fleet, depth = profiled 1 in
   let base = export 1 in
-  Alcotest.(check bool) "deterministic across runs" true
-    (export ~fleet:(fst (profiled ())) 1 = base);
+  Alcotest.(check bool) "deterministic across runs" true (export 1 = base);
   let at = List.map fst (Profiler.Track.points depth) in
   Alcotest.(check bool) "queue-depth track recorded, chronological" true
     (at <> [] && List.sort compare at = at);

@@ -169,7 +169,32 @@ let test_handshake_and_streaming_by_hand () =
   pump s;
   Alcotest.(check bool) "close acked" true (SS.close_acked i);
   Alcotest.(check bool) "initiator closed" true (SS.closed i);
-  Alcotest.(check bool) "responder tore down" false (SS.responder_session_up r)
+  Alcotest.(check bool) "responder tore down" false (SS.responder_session_up r);
+  (* amortization: at 4 KiB a streamed record costs the anchor fewer
+     cycles than a one-shot round, which re-pays auth and freshness *)
+  let cycles s = Ra_mcu.Cpu.work_cycles (Ra_mcu.Device.cpu (Session.device s)) in
+  let fresh_4k () =
+    let s = Session.create ~ram_size:4096 () in
+    Session.advance_time s ~seconds:1.0;
+    s
+  in
+  let s = fresh_4k () in
+  let _, i = establish s in
+  let c0 = cycles s in
+  ignore (SS.request_round i);
+  pump s;
+  Alcotest.(check int) "4 KiB record verdict" 1 (SS.verdict_count i);
+  let record = Int64.sub (cycles s) c0 in
+  let s = fresh_4k () in
+  let c0 = cycles s in
+  let r = Session.attest_round_r s in
+  Alcotest.(check bool) "4 KiB one-shot trusted" true
+    (r.Session.r_verdict = Verdict.Trusted);
+  let oneshot = Int64.sub (cycles s) c0 in
+  Alcotest.(check bool)
+    (Printf.sprintf "streamed record %Ld < one-shot round %Ld cycles" record oneshot)
+    true
+    (Int64.compare record oneshot < 0)
 
 let test_implicit_confirmation_without_fin () =
   (* a lost Hs_fin must not wedge the session: the first valid record is
