@@ -217,8 +217,10 @@ val annotate_exemplars : t -> int
 
 (** {2 Streaming sweeps}
 
-    A materialised member world costs ~88 KB (dominated by the device's
-    flash image), so a million-member {!t} would need ~88 GB. The
+    A materialised member world costs ~15 KiB of host heap at 1 KiB of
+    RAM (its session and the memory pages its device wrote; blank pages
+    share one zero page, see {!Ra_mcu.Memory}), so a million-member {!t}
+    would need ~15 GB. The
     streaming sweep keeps {e one} live session per shard at a time:
     create member [i]'s world, run it through exactly the staggered
     slot {!sweep} runs, on the same engine, fold the outcome into per-shard tallies and

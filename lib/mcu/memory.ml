@@ -1,8 +1,21 @@
 exception Bus_fault of string
 
+(* Every region is backed by fixed-size pages, numbered from the region's
+   base; a region's last page is cut to the bytes it covers. A page starts
+   as [zero_page], which every page of every memory shares, and gets bytes
+   of its own on the first write that puts a non-zero byte in it. Only
+   reads touch [zero_page] (byte loads and blits out of it), and no page
+   buffer ever leaves this module, so it stays all zeros and any domain
+   may read it concurrently. *)
+let page_bits = 12
+let page_size = 1 lsl page_bits
+let page_mask = page_size - 1
+let zero_page = Bytes.make page_size '\x00'
+
+type mapped = { region : Region.t; pages : Bytes.t array }
+
 type t = {
-  regions : Region.t list;
-  store : (string, Bytes.t) Hashtbl.t; (* region name -> backing bytes *)
+  mapped : mapped list; (* in map order, each region next to its pages *)
   mutable rom_sealed : bool;
 }
 
@@ -19,52 +32,93 @@ let create regions =
       check rest
   in
   check regions;
-  let store = Hashtbl.create 8 in
-  List.iter
-    (fun r -> Hashtbl.replace store r.Region.name (Bytes.make r.Region.size '\x00'))
-    regions;
-  { regions; store; rom_sealed = false }
+  let map r =
+    { region = r; pages = Array.make ((r.Region.size + page_mask) lsr page_bits) zero_page }
+  in
+  { mapped = List.map map regions; rom_sealed = false }
 
-let regions t = t.regions
+let regions t = List.map (fun m -> m.region) t.mapped
 
 let region_named t name =
-  match List.find_opt (fun r -> r.Region.name = name) t.regions with
-  | Some r -> r
+  match List.find_opt (fun m -> m.region.Region.name = name) t.mapped with
+  | Some m -> m.region
   | None -> raise Not_found
 
-let region_of_addr t addr = List.find_opt (fun r -> Region.contains r addr) t.regions
+let region_of_addr t addr =
+  List.find_map (fun m -> if Region.contains m.region addr then Some m.region else None) t.mapped
 
 let seal_rom t = t.rom_sealed <- true
 
-let locate t addr =
-  match region_of_addr t addr with
-  | Some r -> (r, Hashtbl.find t.store r.Region.name, addr - r.Region.base)
-  | None -> raise (Bus_fault (Printf.sprintf "no region at address 0x%06x" addr))
+let rec locate addr = function
+  | [] -> raise (Bus_fault (Printf.sprintf "no region at address 0x%06x" addr))
+  | m :: rest -> if Region.contains m.region addr then m else locate addr rest
+
+let locate_writable t addr =
+  let m = locate addr t.mapped in
+  if t.rom_sealed && m.region.Region.kind = Region.Rom then
+    raise (Bus_fault (Printf.sprintf "ROM write at 0x%06x (%s)" addr m.region.Region.name));
+  m
+
+(* Page [i] of [m] with bytes of its own, materialised on first use. *)
+let own_page m i =
+  let p = m.pages.(i) in
+  if p != zero_page then p
+  else begin
+    let p = Bytes.make (min page_size (m.region.Region.size - (i lsl page_bits))) '\x00' in
+    m.pages.(i) <- p;
+    p
+  end
 
 let read_byte t addr =
-  let _, bytes, off = locate t addr in
-  Char.code (Bytes.get bytes off)
+  let m = locate addr t.mapped in
+  let off = addr - m.region.Region.base in
+  Char.code (Bytes.get m.pages.(off lsr page_bits) (off land page_mask))
 
 let write_byte t addr v =
-  let r, bytes, off = locate t addr in
-  if t.rom_sealed && r.Region.kind = Region.Rom then
-    raise (Bus_fault (Printf.sprintf "ROM write at 0x%06x (%s)" addr r.Region.name));
-  Bytes.set bytes off (Char.chr (v land 0xff))
+  let m = locate_writable t addr in
+  let off = addr - m.region.Region.base in
+  let i = off lsr page_bits and c = Char.chr (v land 0xff) in
+  if c <> '\x00' || m.pages.(i) != zero_page then Bytes.set (own_page m i) (off land page_mask) c
 
-(* Bulk accessors locate each region once and blit whole runs instead of
-   paying a region lookup per byte — attestation reads the prover's entire
-   writable memory through here, which made this the simulator's real
-   (wall-clock) bottleneck. Faults surface exactly as in the byte-wise
-   versions: at the first unmapped/ROM byte, with prior runs applied. *)
+let rec zeros s i stop = i >= stop || (String.unsafe_get s i = '\x00' && zeros s (i + 1) stop)
+
+(* [n] bytes at offset [roff] of region [m], one page run at a time. *)
+let rec blit_out m roff buf off n =
+  if n > 0 then begin
+    let poff = roff land page_mask in
+    let k = min n (page_size - poff) in
+    Bytes.blit m.pages.(roff lsr page_bits) poff buf off k;
+    blit_out m (roff + k) buf (off + k) (n - k)
+  end
+
+(* A run of zeros that lands on the zero page leaves it shared, so copying
+   a mostly blank image (a reboot's flash and ROM) materialises only the
+   pages that hold data. *)
+let rec blit_in m s off roff n =
+  if n > 0 then begin
+    let i = roff lsr page_bits and poff = roff land page_mask in
+    let k = min n (page_size - poff) in
+    if m.pages.(i) != zero_page || not (zeros s off (off + k)) then
+      Bytes.blit_string s off (own_page m i) poff k;
+    blit_in m s (off + k) (roff + k) (n - k)
+  end
+
+(* Bulk accessors locate each region once and blit whole page runs instead
+   of paying a region lookup per byte — attestation reads the prover's
+   entire writable memory through here, which made this the simulator's
+   real (wall-clock) bottleneck. Faults surface exactly as in the
+   byte-wise versions: at the first unmapped/ROM byte, with prior runs
+   applied. *)
 let read_bytes t addr len =
   if len = 0 then ""
   else begin
     let buf = Bytes.create len in
     let rec fill off =
       if off < len then begin
-        let r, bytes, roff = locate t (addr + off) in
-        let n = min (len - off) (r.Region.size - roff) in
-        Bytes.blit bytes roff buf off n;
+        let m = locate (addr + off) t.mapped in
+        let roff = addr + off - m.region.Region.base in
+        let n = min (len - off) (m.region.Region.size - roff) in
+        blit_out m roff buf off n;
         fill (off + n)
       end
     in
@@ -76,12 +130,10 @@ let write_bytes t addr s =
   let len = String.length s in
   let rec store off =
     if off < len then begin
-      let r, bytes, roff = locate t (addr + off) in
-      if t.rom_sealed && r.Region.kind = Region.Rom then
-        raise
-          (Bus_fault (Printf.sprintf "ROM write at 0x%06x (%s)" (addr + off) r.Region.name));
-      let n = min (len - off) (r.Region.size - roff) in
-      Bytes.blit_string s off bytes roff n;
+      let m = locate_writable t (addr + off) in
+      let roff = addr + off - m.region.Region.base in
+      let n = min (len - off) (m.region.Region.size - roff) in
+      blit_in m s off roff n;
       store (off + n)
     end
   in

@@ -2,7 +2,14 @@
     non-overlapping {!Region}s. Access through this module is *raw*
     (hardware view, no protection) — software accesses are mediated by
     {!Cpu} + {!Ea_mpu}. ROM raw-writes are only allowed during device
-    construction ("mask programming") and fault afterwards. *)
+    construction ("mask programming") and fault afterwards.
+
+    Host storage is paged: each region is backed by 4 KiB pages that all
+    start as one shared zero page and get bytes of their own on the first
+    write of a non-zero byte, so a memory holds host heap only for the
+    pages it wrote. Reads copy into fresh strings and no page buffer is
+    ever handed out, so the zero page stays zero and memories owned by
+    different domains may share it. *)
 
 type t
 

@@ -94,6 +94,12 @@ let test_reboot_preserves_security_state () =
   | Secure_boot.Rejected_bad_image _ -> Alcotest.fail "reboot refused");
   Alcotest.(check bool) "MPU re-locked" true
     (Ea_mpu.is_locked (Device.mpu prover'.Architecture.device));
+  (* the reboot copies ROM and flash across, but their blank pages stay the
+     shared zero page: no bigger than a fresh prover plus one 4 KiB page *)
+  let words p = Obj.reachable_words (Obj.repr p) in
+  let fresh = words (Architecture.build ~ram_size:4096 ~key_blob spec) in
+  if words prover' > fresh + (4096 / (Sys.word_size / 8)) then
+    Alcotest.failf "rebooted prover holds %d words, a fresh one %d" (words prover') fresh;
   (* the counter survived NVM: replaying the pre-reboot request fails *)
   (match Code_attest.handle_request_r prover'.Architecture.anchor (req 7L) with
   | Error (Verdict.Not_fresh (Verdict.Stale_counter { stored = 7L; _ })) -> ()

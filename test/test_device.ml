@@ -107,6 +107,12 @@ let test_protection_rule_constructors () =
   let i = Device.rule_protect_idt d in
   Alcotest.(check int) "idt rule size" (Device.idt_size d) i.Ea_mpu.data_size
 
+(* Host heap, not simulated bytes: a device holds only the pages it wrote
+   (the key's) plus the one shared zero page, not its ~80 KB memory map. *)
+let test_host_footprint () =
+  let words = Obj.reachable_words (Obj.repr (Device.create ~ram_size:1024 ~key ())) in
+  if words > 2048 then Alcotest.failf "blank 1 KiB device holds %d words (> 2048)" words
+
 let tests =
   [
     Alcotest.test_case "construction" `Quick test_construction;
@@ -122,4 +128,5 @@ let tests =
     Alcotest.test_case "ROM image provisioning" `Quick test_rom_image_provisioning;
     Alcotest.test_case "protection rule constructors" `Quick
       test_protection_rule_constructors;
+    Alcotest.test_case "host footprint" `Quick test_host_footprint;
   ]

@@ -155,6 +155,13 @@ let test_stream_shard_invariant () =
         oracle.Fleet.st_healthy r.Fleet.st_healthy)
     [ 2; 3; 4 ]
 
+(* A materialised member's host heap: its session, device and the pages
+   its device wrote; the blank rest of the memory map is one shared page. *)
+let test_member_footprint () =
+  let fleet = Fleet.create ~ram_size:1024 ~names:(List.init 100 (Printf.sprintf "m%03d")) () in
+  let bytes = Obj.reachable_words (Obj.repr fleet) * (Sys.word_size / 8) / 100 in
+  if bytes > 32 * 1024 then Alcotest.failf "member holds %d bytes (> 32 KiB)" bytes
+
 let tests =
   [
     Alcotest.test_case "creation" `Quick test_creation;
@@ -171,4 +178,5 @@ let tests =
     Alcotest.test_case "stream = materialised fingerprint" `Quick
       test_stream_matches_materialised;
     Alcotest.test_case "stream shard-count invariant" `Quick test_stream_shard_invariant;
+    Alcotest.test_case "member host footprint" `Quick test_member_footprint;
   ]

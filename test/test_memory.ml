@@ -81,6 +81,163 @@ let qcheck_u64_roundtrip =
       Memory.write_u64 m 0x1000 v;
       Memory.read_u64 m 0x1000 = v)
 
+(* Model test of the paged store: random access sequences against a flat
+   reference that backs each region with one eager [Bytes], byte by byte,
+   as the memory did before paging. [page] is the page size of
+   [memory.ml]; the map's region sizes straddle it, so runs cross page
+   edges inside a region as well as region edges and an unmapped gap. *)
+let page = 4096
+
+let model_map =
+  let region name base size kind = Region.make ~name ~base ~size ~kind in
+  [
+    region "r1" 0 1 Region.Rom;
+    region "r16" 1 16 Region.Ram;
+    region "rpm" 17 (page - 1) Region.Rom;
+    region "rpp" (page + 16) (page + 1) Region.Flash;
+    (* 7 unmapped bytes before the last region *)
+    region "r3p" ((2 * page) + 24) ((3 * page) + 5) Region.Ram;
+  ]
+
+let model_end = List.fold_left (fun acc r -> max acc (Region.limit r)) 0 model_map
+
+module Flat = struct
+  type t = { regions : (Region.t * Bytes.t) list; mutable sealed : bool }
+
+  let create regions =
+    { regions = List.map (fun r -> (r, Bytes.make r.Region.size '\x00')) regions; sealed = false }
+
+  let locate t addr =
+    match List.find_opt (fun (r, _) -> Region.contains r addr) t.regions with
+    | Some (r, b) -> (r, b, addr - r.Region.base)
+    | None -> raise (Memory.Bus_fault (Printf.sprintf "no region at address 0x%06x" addr))
+
+  let read_byte t addr =
+    let _, b, off = locate t addr in
+    Char.code (Bytes.get b off)
+
+  let poke ~raw t addr v =
+    let r, b, off = locate t addr in
+    if t.sealed && (not raw) && r.Region.kind = Region.Rom then
+      raise (Memory.Bus_fault (Printf.sprintf "ROM write at 0x%06x (%s)" addr r.Region.name));
+    Bytes.set b off (Char.chr (v land 0xff))
+
+  let seal_rom t = t.sealed <- true
+  let write_byte = poke ~raw:false
+  let read_bytes t addr len = String.init len (fun i -> Char.chr (read_byte t (addr + i)))
+  let write_bytes t addr s = String.iteri (fun i c -> write_byte t (addr + i) (Char.code c)) s
+  let copy_raw t ~base s = String.iteri (fun i c -> poke ~raw:true t (base + i) (Char.code c)) s
+  (* the same expression as [Memory.read_u32], so a word that straddles
+     unmapped bytes faults at the same one *)
+  let read_u32 t addr =
+    read_byte t addr
+    lor (read_byte t (addr + 1) lsl 8)
+    lor (read_byte t (addr + 2) lsl 16)
+    lor (read_byte t (addr + 3) lsl 24)
+
+  let write_u64 t addr v =
+    for i = 0 to 7 do
+      write_byte t (addr + i) (Int64.to_int (Int64.shift_right_logical v (8 * i)))
+    done
+end
+
+type op =
+  | Read_byte of int
+  | Write_byte of int * int
+  | Read_bytes of int * int
+  | Write_bytes of int * string
+  | Copy_raw of int * string
+  | Read_u32 of int
+  | Write_u64 of int * int64
+  | Seal
+
+let pp_op = function
+  | Read_byte a -> Printf.sprintf "read_byte 0x%x" a
+  | Write_byte (a, v) -> Printf.sprintf "write_byte 0x%x %d" a v
+  | Read_bytes (a, n) -> Printf.sprintf "read_bytes 0x%x %d" a n
+  | Write_bytes (a, s) -> Printf.sprintf "write_bytes 0x%x (%d B)" a (String.length s)
+  | Copy_raw (a, s) -> Printf.sprintf "copy_raw 0x%x (%d B)" a (String.length s)
+  | Read_u32 a -> Printf.sprintf "read_u32 0x%x" a
+  | Write_u64 (a, v) -> Printf.sprintf "write_u64 0x%x %Ld" a v
+  | Seal -> "seal_rom"
+
+let op_gen =
+  let open QCheck.Gen in
+  (* region edges, page edges inside regions, and the gap, +-8 bytes *)
+  let edges =
+    List.concat_map
+      (fun r ->
+        let b = r.Region.base in
+        [ b; Region.limit r; b + page; b + (2 * page); b + (3 * page) ])
+      model_map
+  in
+  let addr =
+    frequency
+      [ (3, map2 ( + ) (oneofl edges) (int_range (-8) 8)); (1, int_range 0 (model_end + 16)) ]
+  in
+  (* zero runs, sparse runs and dense runs, up to two pages long *)
+  let payload =
+    int_range 0 (2 * page) >>= fun n ->
+    frequency
+      [ (1, return (String.make n '\x00'));
+        (1, map (fun (i, c) -> String.init n (fun j -> if j = i then c else '\x00'))
+              (pair (int_bound (max 0 (n - 1))) (char_range '\x01' '\xff')));
+        (2, string_size ~gen:char (return n)) ]
+  in
+  frequency
+    [ (3, map (fun a -> Read_byte a) addr);
+      (3, map2 (fun a v -> Write_byte (a, v)) addr (oneof [ return 0; int_bound 255 ]));
+      (3, map2 (fun a n -> Read_bytes (a, n)) addr (int_range 0 (2 * page)));
+      (3, map2 (fun a s -> Write_bytes (a, s)) addr payload);
+      (1, map2 (fun a s -> Copy_raw (a, s)) addr payload);
+      (2, map (fun a -> Read_u32 a) addr);
+      (2, map2 (fun a v -> Write_u64 (a, v)) addr (map Int64.of_int int));
+      (1, return Seal) ]
+
+module type MEM = sig
+  type t
+
+  val seal_rom : t -> unit
+  val read_byte : t -> int -> int
+  val write_byte : t -> int -> int -> unit
+  val read_bytes : t -> int -> int -> string
+  val write_bytes : t -> int -> string -> unit
+  val copy_raw : t -> base:int -> string -> unit
+  val read_u32 : t -> int -> int
+  val write_u64 : t -> int -> int64 -> unit
+end
+
+(* One op's result, or the message of the bus fault it raised. *)
+let exec (type m) (module M : MEM with type t = m) (mem : m) op =
+  try
+    Ok
+      (match op with
+      | Read_byte a -> string_of_int (M.read_byte mem a)
+      | Write_byte (a, v) -> M.write_byte mem a v; ""
+      | Read_bytes (a, n) -> M.read_bytes mem a n
+      | Write_bytes (a, s) -> M.write_bytes mem a s; ""
+      | Copy_raw (a, s) -> M.copy_raw mem ~base:a s; ""
+      | Read_u32 a -> string_of_int (M.read_u32 mem a)
+      | Write_u64 (a, v) -> M.write_u64 mem a v; ""
+      | Seal -> M.seal_rom mem; "")
+  with Memory.Bus_fault msg -> Error msg
+
+let image_of read = List.map (fun r -> read r.Region.base r.Region.size) model_map
+
+let qcheck_paged_matches_flat =
+  QCheck.Test.make ~name:"memory: paged store = flat reference" ~count:150
+    (QCheck.make
+       QCheck.Gen.(list_size (int_range 1 40) op_gen)
+       ~print:(fun ops -> String.concat "; " (List.map pp_op ops)))
+    (fun ops ->
+      let m = Memory.create model_map and f = Flat.create model_map in
+      List.for_all (fun op -> exec (module Memory) m op = exec (module Flat) f op) ops
+      && image_of (Memory.read_bytes m) = image_of (Flat.read_bytes f)
+      (* a fresh memory still reads zeros: the shared zero page was never written *)
+      && List.for_all
+           (fun s -> s = String.make (String.length s) '\x00')
+           (image_of (Memory.read_bytes (Memory.create model_map))))
+
 let tests =
   [
     Alcotest.test_case "region basics" `Quick test_region_basics;
@@ -91,4 +248,5 @@ let tests =
     Alcotest.test_case "region lookup" `Quick test_region_lookup;
     QCheck_alcotest.to_alcotest qcheck_u32_roundtrip;
     QCheck_alcotest.to_alcotest qcheck_u64_roundtrip;
+    QCheck_alcotest.to_alcotest qcheck_paged_matches_flat;
   ]
