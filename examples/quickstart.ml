@@ -16,6 +16,9 @@ let () =
      boot and locked. *)
   let session = Session.create ~ram_size:(64 * 1024) () in
   Session.advance_time session ~seconds:1.0;
+  (* The causal tracer seals each round's events (channel, prover,
+     verifier) into a bounded ring; it never touches the wire. *)
+  let tracer = Session.enable_tracing session in
 
   Printf.printf "== quickstart: one benign attestation round ==\n";
   let round = Session.attest_round_r session in
@@ -36,5 +39,15 @@ let () =
   let round = Session.attest_round_r session in
   Format.printf "verifier verdict: %a@." Verdict.pp round.Session.r_verdict;
 
-  Printf.printf "\n== protocol trace ==\n";
-  Format.printf "%a" Ra_net.Trace.pp (Session.trace session)
+  Printf.printf "\n== causal trace ==\n";
+  List.iter
+    (fun (rd : Ra_obs.Trace.round) ->
+      Printf.printf "round %d: %s after %d attempt(s)\n" rd.rd_trace_id rd.rd_verdict
+        rd.rd_attempts;
+      List.iter
+        (fun (e : Ra_obs.Trace.event) ->
+          let labels = List.map (fun (k, v) -> k ^ "=" ^ v) e.ev_labels in
+          Printf.printf "  [%9.4f s] %-9s %s\n" e.ev_start e.ev_cat
+            (String.concat " " (e.ev_name :: labels)))
+        rd.rd_events)
+    (Ra_obs.Trace.rounds tracer)

@@ -1,5 +1,4 @@
 module Channel = Ra_net.Channel
-module Trace = Ra_net.Trace
 module Device = Ra_mcu.Device
 module Cpu = Ra_mcu.Cpu
 module Memory = Ra_mcu.Memory
@@ -34,12 +33,9 @@ let forge_request session ?key_blob ~freshness () =
   in
   { Message.challenge; freshness; tag }
 
-let inject session req =
-  Trace.recordf (Session.trace session) "adv_ext: injected %a" Message.pp_attreq req;
-  Session.deliver_to_prover session req
+let inject session req = Session.deliver_to_prover session req
 
 let replay session req =
-  Trace.recordf (Session.trace session) "adv_ext: replayed %a" Message.pp_attreq req;
   (* verbatim bit-for-bit replay of the recorded frame *)
   Session.deliver_frame_to_prover session (Message.wire_to_bytes (Message.Request req))
 
@@ -55,10 +51,7 @@ let intercept_next_request session =
     | Some sent ->
       if Channel.drop_next channel ~src:Channel.Verifier_side then
         match Message.wire_of_bytes sent.Channel.payload with
-        | Some (Message.Request req) ->
-          Trace.recordf (Session.trace session) "adv_ext: intercepted %a"
-            Message.pp_attreq req;
-          Some req
+        | Some (Message.Request req) -> Some req
         | Some (Message.Response _ | Message.Sync_request _ | Message.Sync_response _
                | Message.Service_request _ | Message.Service_ack _
                | Message.Hs_init _ | Message.Hs_resp _ | Message.Hs_fin _
@@ -170,34 +163,18 @@ let malware_marker = "MALWARE-IMPLANT-v1"
 
 let compromise session ~tampers =
   let device = Session.device session in
-  let trace = Session.trace session in
   let cpu = Device.cpu device in
   let base = Device.attested_base device in
-  Trace.record trace "adv_roam: phase II begins (prover compromised)";
   as_untrusted device (fun () ->
       (* infect: malware becomes resident in attested RAM *)
       let original = Cpu.load_bytes cpu base (String.length malware_marker) in
       Cpu.store_bytes cpu base malware_marker;
-      let attempts =
-        List.map
-          (fun tamper ->
-            let result = attempt device tamper in
-            Trace.recordf trace "adv_roam: tamper -> %s"
-              (match result with
-              | Tamper_succeeded d -> "succeeded: " ^ d
-              | Blocked_by_mpu -> "blocked by EA-MPU"
-              | Blocked_rom_immutable -> "blocked: ROM immutable"
-              | Blocked_mpu_locked -> "blocked: EA-MPU locked"
-              | Not_applicable why -> "n/a: " ^ why);
-            (tamper, result))
-          tampers
-      in
+      let attempts = List.map (fun tamper -> (tamper, attempt device tamper)) tampers in
       (* cover tracks: restore the attested image bit-exact and leave *)
       Cpu.store_bytes cpu base original;
       let erased =
         Cpu.load_bytes cpu base (String.length malware_marker) = original
       in
-      Trace.record trace "adv_roam: phase II ends (traces erased, malware gone)";
       { attempts; malware_was_resident = true; traces_erased = erased })
 
 let stolen_key_blob report =

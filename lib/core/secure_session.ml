@@ -213,21 +213,18 @@ let count_open_error stats trace = function
   | Bad_record ->
     stats.s_bad_record <- stats.s_bad_record + 1;
     Ra_obs.Registry.Counter.inc M.rec_bad;
-    Trace.record trace "secure: record rejected";
     Trace.causal_instant trace ~cat:"secure"
       ~labels:[ ("reason", Verdict.Reason.label Verdict.Reason.Bad_record) ]
       "secure.record_reject"
   | Replayed ->
     stats.s_replayed <- stats.s_replayed + 1;
     Ra_obs.Registry.Counter.inc M.rec_replayed;
-    Trace.record trace "secure: record replayed (window hit)";
     Trace.causal_instant trace ~cat:"secure"
       ~labels:[ ("reason", "replayed") ]
       "secure.record_reject"
   | Stale ->
     stats.s_stale <- stats.s_stale + 1;
     Ra_obs.Registry.Counter.inc M.rec_stale;
-    Trace.record trace "secure: record stale (outside window)";
     Trace.causal_instant trace ~cat:"secure"
       ~labels:[ ("reason", "stale") ]
       "secure.record_reject"
@@ -303,7 +300,7 @@ let listen ?(window_bits = 128) session =
     Channel.Endpoint.attach (Session.channel session) Channel.Prover_side (fun frame ->
         prover_radio session ~bytes:(String.length frame);
         match Message.wire_of_bytes frame with
-        | None -> Trace.record trace "secure: malformed frame dropped"
+        | None -> ()
         | Some (Message.Hs_init { hs_nonce = _; hs_req }) -> (
           (* A fresh handshake, or an initiator retry. The embedded
              request goes through the {e full} one-shot anchor path —
@@ -314,9 +311,7 @@ let listen ?(window_bits = 128) session =
             anchored session "secure.hs.attest" (fun () ->
                 Code_attest.handle_request_r (Session.anchor session) hs_req)
           with
-          | Error reject ->
-            Trace.recordf trace "secure: handshake attestation rejected: %a"
-              Verdict.pp reject
+          | Error _ -> ()
           | Ok report ->
             let hs_rnonce = C.Drbg.generate r.r_drbg 16 in
             (* bind covers the response core (report + nonce) so the
@@ -333,26 +328,21 @@ let listen ?(window_bits = 128) session =
             r.r_peer <- Some (derive_peer ~sym_key ~th ~bits:r.r_bits `Responder);
             r.r_confirmed <- false;
             r.r_closed <- false;
-            Trace.record trace "secure: handshake response sent";
             responder_send r full)
         | Some (Message.Hs_fin { fin_tag }) -> (
           match r.r_peer with
-          | None -> Trace.record trace "secure: unexpected hs_fin ignored"
+          | None -> ()
           | Some peer ->
             if C.Hexutil.equal_ct (fin_tag_of ~fin_key:peer.p_fin_key ~th:peer.p_th) fin_tag
-            then begin
-              r.r_confirmed <- true;
-              Trace.record trace "secure: handshake confirmed"
-            end
+            then r.r_confirmed <- true
             else begin
               r.r_stats.s_hs_rejected <- r.r_stats.s_hs_rejected + 1;
               Ra_obs.Registry.Counter.inc M.hs_rejected;
-              r.r_peer <- None;
-              Trace.record trace "secure: handshake confirmation rejected"
+              r.r_peer <- None
             end)
         | Some (Message.Record { rec_seq; rec_ct; rec_tag }) -> (
           match r.r_peer with
-          | None -> Trace.record trace "secure: record outside session dropped"
+          | None -> ()
           | Some peer -> (
             match open_record peer ~seq:rec_seq ~ct:rec_ct ~tag:rec_tag with
             | Error e -> count_open_error r.r_stats trace e
@@ -370,9 +360,7 @@ let listen ?(window_bits = 128) session =
                 with
                 | Ok resp ->
                   responder_send r (seal peer (inner_msg (Message.Response resp)))
-                | Error reject ->
-                  Trace.recordf trace "secure: in-session attestation rejected: %a"
-                    Verdict.pp reject)
+                | Error _ -> ())
               | Close ->
                 (* acknowledge, then detach — from {e inside} this very
                    receive callback: the endpoint re-entrancy contract
@@ -381,15 +369,13 @@ let listen ?(window_bits = 128) session =
                    shape safe *)
                 responder_send r (seal peer inner_close_ack);
                 r.r_closed <- true;
-                teardown_responder r;
-                Trace.record trace "secure: session closed by initiator"
-              | Close_ack -> Trace.record trace "secure: unexpected close-ack ignored"
-              | Msg _ -> Trace.record trace "secure: unexpected inner message ignored")))
+                teardown_responder r
+              | Close_ack | Msg _ -> ())))
         | Some
             ( Message.Request _ | Message.Response _ | Message.Sync_request _
             | Message.Sync_response _ | Message.Service_request _
             | Message.Service_ack _ | Message.Hs_resp _ ) ->
-          Trace.record trace "secure: non-session frame ignored (responder)")
+          ())
   in
   r.r_handle <- Some handle;
   r
@@ -428,7 +414,6 @@ let handshake_send i =
   let hs_nonce = Verifier.session_nonce verifier in
   let frame = Message.wire_to_bytes (Message.Hs_init { hs_nonce; hs_req }) in
   i.i_state <- Connecting { init_frame = frame; hs_req };
-  Trace.record (Session.trace i.i_session) "secure: handshake initiated";
   Channel.send (Session.channel i.i_session) ~src:Channel.Verifier_side frame
 
 let teardown_initiator i =
@@ -458,7 +443,7 @@ let connect ?(window_bits = 128) session =
   let handle =
     Channel.Endpoint.attach (Session.channel session) Channel.Verifier_side (fun frame ->
         match Message.wire_of_bytes frame with
-        | None -> Trace.record trace "secure: malformed frame dropped (initiator)"
+        | None -> ()
         | Some (Message.Hs_resp { hs_rnonce; hs_report; hs_bind }) -> (
           match i.i_state with
           | Connecting { init_frame; hs_req } ->
@@ -472,8 +457,7 @@ let connect ?(window_bits = 128) session =
             let th_core = transcript_hash ~init:init_frame ~resp:core in
             if not (C.Hexutil.equal_ct (bind_tag ~sym_key ~th:th_core) hs_bind) then begin
               i.i_stats.s_hs_rejected <- i.i_stats.s_hs_rejected + 1;
-              Ra_obs.Registry.Counter.inc M.hs_rejected;
-              Trace.record trace "secure: handshake bind rejected"
+              Ra_obs.Registry.Counter.inc M.hs_rejected
             end
             else (
               match Verifier.check_response_r verifier ~request:hs_req hs_report with
@@ -483,7 +467,6 @@ let connect ?(window_bits = 128) session =
                 i.i_state <- Established peer;
                 i.i_stats.s_established <- i.i_stats.s_established + 1;
                 Ra_obs.Registry.Counter.inc M.hs_established;
-                Trace.record trace "secure: session established";
                 Trace.causal_instant trace ~cat:"secure" "secure.established";
                 Channel.send (Session.channel session) ~src:Channel.Verifier_side
                   (Message.wire_to_bytes
@@ -494,17 +477,13 @@ let connect ?(window_bits = 128) session =
                    so the session is refused outright *)
                 i.i_state <- Refused Verdict.Untrusted_state;
                 i.i_stats.s_refused <- i.i_stats.s_refused + 1;
-                Ra_obs.Registry.Counter.inc M.hs_refused;
-                Trace.record trace "secure: session refused (untrusted report)"
-              | other ->
+                Ra_obs.Registry.Counter.inc M.hs_refused
+              | _ ->
                 (* echo mismatch — usually a response to an earlier
                    retry attempt; reject and keep waiting *)
                 i.i_stats.s_hs_rejected <- i.i_stats.s_hs_rejected + 1;
-                Ra_obs.Registry.Counter.inc M.hs_rejected;
-                Trace.recordf trace "secure: handshake report rejected: %a"
-                  Verdict.pp other)
-          | Established _ | Refused _ | Closed ->
-            Trace.record trace "secure: unexpected hs_resp ignored")
+                Ra_obs.Registry.Counter.inc M.hs_rejected)
+          | Established _ | Refused _ | Closed -> ())
         | Some (Message.Record { rec_seq; rec_ct; rec_tag }) -> (
           match i.i_state with
           | Established peer -> (
@@ -516,8 +495,7 @@ let connect ?(window_bits = 128) session =
               match opened with
               | Msg (Message.Response resp) -> (
                 match Hashtbl.find_opt i.i_pending resp.Message.echo_challenge with
-                | None ->
-                  Trace.record trace "secure: unsolicited session response ignored"
+                | None -> ()
                 | Some req ->
                   Hashtbl.remove i.i_pending resp.Message.echo_challenge;
                   let verdict =
@@ -529,21 +507,17 @@ let connect ?(window_bits = 128) session =
                   i.i_verdict_count <- i.i_verdict_count + 1;
                   Trace.causal_instant trace ~cat:"secure"
                     ~labels:[ ("verdict", Verdict.label verdict) ]
-                    "secure.verdict";
-                  Trace.recordf trace "secure: verdict %a" Verdict.pp verdict)
+                    "secure.verdict")
               | Close_ack ->
                 i.i_close_acked <- true;
-                teardown_initiator i;
-                Trace.record trace "secure: close acknowledged"
-              | Close | Msg _ ->
-                Trace.record trace "secure: unexpected inner message ignored"))
-          | Connecting _ | Refused _ | Closed ->
-            Trace.record trace "secure: record outside session dropped (initiator)")
+                teardown_initiator i
+              | Close | Msg _ -> ()))
+          | Connecting _ | Refused _ | Closed -> ())
         | Some
             ( Message.Request _ | Message.Response _ | Message.Sync_request _
             | Message.Sync_response _ | Message.Service_request _
             | Message.Service_ack _ | Message.Hs_init _ | Message.Hs_fin _ ) ->
-          Trace.record trace "secure: non-session frame ignored (initiator)")
+          ())
   in
   i.i_handle <- Some handle;
   i

@@ -118,17 +118,16 @@ let create ?(spec = Architecture.trustlite_base) ?(sym_key = default_sym_key)
       profile_phase "radio" ~cycles:0L ~nj:(float_of_int bytes *. uj *. 1e3)
   in
   (* Prover side: parse the frame (total parser -- malformed input is
-     dropped with a trace record, the radio cost is still paid), run the
-     trust anchor, keep wall time in lock-step with consumed device
-     cycles, answer on the wire. *)
+     dropped, the radio cost is still paid), run the trust anchor, keep
+     wall time in lock-step with consumed device cycles, answer on the
+     wire. *)
   let (_ : string Channel.Endpoint.handle) =
     Channel.Endpoint.attach channel Channel.Prover_side (fun frame ->
       match Message.wire_of_bytes frame with
       | None ->
         Ra_mcu.Energy.consume_radio
           (Device.energy prover.Architecture.device)
-          ~bytes:(String.length frame);
-        Trace.record trace "prover: malformed frame dropped"
+          ~bytes:(String.length frame)
       | Some wire ->
       (* the radio burns energy on every received frame, bogus or not *)
       Ra_mcu.Energy.consume_radio
@@ -157,53 +156,47 @@ let create ?(spec = Architecture.trustlite_base) ?(sym_key = default_sym_key)
           "prover.result";
         match result with
         | Ok resp ->
-          Trace.recordf trace "prover: attested (%.3f ms of work)" (spent *. 1000.0);
           Ra_mcu.Energy.consume_radio
             (Device.energy prover.Architecture.device)
             ~bytes:(Message.wire_size (Message.Response resp));
           profile_radio ~bytes:(Message.wire_size (Message.Response resp));
           Channel.send channel ~src:Channel.Prover_side
             (Message.wire_to_bytes (Message.Response resp))
-        | Error reject ->
-          Trace.recordf trace "prover: rejected request: %a" Verdict.pp reject)
+        | Error _ -> ())
       | Message.Sync_request _ as sync_req ->
         (match t.clock_sync with
-        | None -> Trace.record trace "prover: no clock, sync ignored"
+        | None -> ()
         | Some sync ->
           (match Clock_sync.handle sync sync_req with
           | Ok ack ->
-            Trace.record trace "prover: clock synchronized";
             Channel.send channel ~src:Channel.Prover_side (Message.wire_to_bytes ack)
-          | Error reject ->
-            Trace.recordf trace "prover: sync rejected: %a" Clock_sync.pp_reject reject))
+          | Error _ -> ()))
       | Message.Service_request _ as svc_frame ->
         (match Service.request_of_wire svc_frame with
-        | None -> Trace.record trace "prover: unknown service command dropped"
+        | None -> ()
         | Some svc_req ->
           (match Service.handle_r t.service svc_req with
           | Ok ack ->
-            Trace.recordf trace "prover: service %s executed" ack.Service.acked_command;
             Channel.send channel ~src:Channel.Prover_side
               (Message.wire_to_bytes (Service.ack_to_wire ack))
-          | Error reject ->
-            Trace.recordf trace "prover: service rejected: %a" Verdict.pp reject))
+          | Error _ -> ()))
       | Message.Sync_response _ | Message.Response _ | Message.Service_ack _
       | Message.Hs_init _ | Message.Hs_resp _ | Message.Hs_fin _
       | Message.Record _ ->
         (* session frames are handled by the Secure_session endpoint
            attached above this one; reaching here means no session is
            listening *)
-        Trace.record trace "prover: ignored non-request message")
+        ())
   in
   let (_ : string Channel.Endpoint.handle) =
     Channel.Endpoint.attach channel Channel.Verifier_side (fun frame ->
       match Message.wire_of_bytes frame with
-      | None -> Trace.record trace "verifier: malformed frame dropped"
+      | None -> ()
       | Some wire ->
       match wire with
       | Message.Response resp ->
         (match Hashtbl.find_opt t.pending resp.Message.echo_challenge with
-        | None -> Trace.record trace "verifier: unsolicited response ignored"
+        | None -> ()
         | Some req ->
           Hashtbl.remove t.pending resp.Message.echo_challenge;
           let verdict =
@@ -214,21 +207,16 @@ let create ?(spec = Architecture.trustlite_base) ?(sym_key = default_sym_key)
           t.verdict_count <- t.verdict_count + 1;
           Trace.causal_instant trace ~cat:"verifier"
             ~labels:[ ("verdict", Verdict.label verdict) ]
-            "verifier.verdict";
-          Trace.recordf trace "verifier: verdict %a" Verdict.pp verdict)
+            "verifier.verdict")
       | Message.Sync_response _ as ack ->
-        if Clock_sync.check_sync_ack ~sym_key:t.sym_key ~counter:t.sync_counter ack then begin
-          t.sync_acks <- t.sync_acks + 1;
-          Trace.record trace "verifier: sync acknowledged"
-        end
-        else Trace.record trace "verifier: bad sync ack ignored"
+        if Clock_sync.check_sync_ack ~sym_key:t.sym_key ~counter:t.sync_counter ack then
+          t.sync_acks <- t.sync_acks + 1
       | Message.Service_ack { acked_command; _ } ->
-        t.service_acks <- acked_command :: t.service_acks;
-        Trace.recordf trace "verifier: service %s acknowledged" acked_command
+        t.service_acks <- acked_command :: t.service_acks
       | Message.Request _ | Message.Sync_request _ | Message.Service_request _
       | Message.Hs_init _ | Message.Hs_resp _ | Message.Hs_fin _
       | Message.Record _ ->
-        Trace.record trace "verifier: ignored non-response message")
+        ())
   in
   (* Permanent out-of-band observers over the anchor's CPU-clocked spans
      and the CPU's idle advances. Both the causal-trace mirror and the
@@ -487,9 +475,7 @@ module Machine = struct
       if not (done_ ()) then begin
         let fwd = deliver_next_to_prover t in
         let back = deliver_next_to_verifier t in
-        if (not (done_ ())) && (fwd || back) then
-          if steps < 100_000 then go (steps + 1)
-          else Trace.record t.trace "retry: pump step cap hit, backing off"
+        if (not (done_ ())) && (fwd || back) && steps < 100_000 then go (steps + 1)
       end
     in
     go 0
@@ -550,14 +536,7 @@ module Machine = struct
       end
     and attempt_over n attempt_sp =
       close ~labels:[ ("outcome", "timeout") ] attempt_sp;
-      if n < m.policy.Retry.max_attempts then begin
-        Trace.recordf t.trace "retry: %s attempt %d timed out, retransmitting" phase n;
-        attempt (n + 1)
-      end
-      else begin
-        Trace.recordf t.trace "retry: %s gave up after %d attempts" phase n;
-        give_up n
-      end
+      if n < m.policy.Retry.max_attempts then attempt (n + 1) else give_up n
     in
     attempt 1
 end
@@ -575,9 +554,7 @@ let round_begin ?(policy = Retry.default) t =
     ~give_up:(fun n ->
       Machine.finish m ~attempts:n
         (Verdict.Timed_out { attempts = n; waited_s = Machine.elapsed m }))
-    ~next:(fun n ->
-      Trace.recordf t.trace "retry: verdict on attempt %d" n;
-      Machine.finish m ~attempts:n (snd (List.hd t.verdicts)))
+    ~next:(fun n -> Machine.finish m ~attempts:n (snd (List.hd t.verdicts)))
 
 let rec drive_round = function
   | Round_done r -> r

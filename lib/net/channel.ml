@@ -52,10 +52,6 @@ module M = struct
   let lost = Counter.get "ra_channel_lost_total"
 end
 
-let pp_side fmt = function
-  | Verifier_side -> Format.pp_print_string fmt "verifier"
-  | Prover_side -> Format.pp_print_string fmt "prover"
-
 let side_label = function Verifier_side -> "verifier" | Prover_side -> "prover"
 
 let create time trace =
@@ -152,7 +148,6 @@ let send t ~src payload =
   if not (Hashtbl.mem t.seen payload) then Hashtbl.replace t.seen payload ();
   Ra_obs.Registry.Counter.inc
     (match src with Verifier_side -> M.sent_verifier | Prover_side -> M.sent_prover);
-  Trace.recordf t.trace "net: %a sent a message" pp_side src;
   Trace.causal_instant t.trace ~cat:"net" ~labels:[ ("src", side_label src) ] "net.tx"
 
 let transcript t = List.init t.t_len (fun i -> t.transcript.(i))
@@ -177,7 +172,6 @@ let deliver_kind t ~kind ~dst payload =
   match first_active (Endpoint.stack t dst) with
   | None ->
     Ra_obs.Registry.Counter.inc M.lost;
-    Trace.recordf t.trace "net: delivery to %a lost (no receiver)" pp_side dst;
     Trace.causal_instant t.trace ~cat:"net"
       ~labels:[ ("dst", side_label dst) ]
       "net.lost"
@@ -190,7 +184,6 @@ let deliver_kind t ~kind ~dst payload =
         else (M.delivered_injected, "injected")
     in
     Ra_obs.Registry.Counter.inc counter;
-    Trace.recordf t.trace "net: delivered to %a" pp_side dst;
     Trace.causal_span t.trace ~cat:"net"
       ~labels:[ ("kind", label); ("dst", side_label dst) ]
       "net.deliver"
@@ -200,12 +193,7 @@ let deliver_kind t ~kind ~dst payload =
             let target =
               if h.h_active then Some h else first_active (Endpoint.stack t dst)
             in
-            match target with
-            | Some h -> h.h_fn payload
-            | None ->
-              Trace.recordf t.trace
-                "net: receiver on %a detached before invocation; frame lost"
-                pp_side dst))
+            match target with Some h -> h.h_fn payload | None -> ()))
 
 let deliver t ~dst payload = deliver_kind t ~kind:Adversarial ~dst payload
 
@@ -272,35 +260,33 @@ let forward_impaired t imp ~dst entry =
     | Verifier_side -> Impairment.To_verifier
   in
   let src = entry.src in
-  let impaired ?(labels = []) what event =
-    Trace.recordf t.trace "net: impairment %s a message to %a" what pp_side dst;
+  let impaired ?(labels = []) event =
     Trace.causal_instant t.trace ~cat:"impairment"
       ~labels:(("dst", side_label dst) :: labels)
       event
   in
   match Impairment.decide imp ~dir with
   | Impairment.Pass -> deliver_kind t ~kind:Forwarded ~dst entry.payload
-  | Impairment.Drop -> impaired "dropped" "net.drop"
+  | Impairment.Drop -> impaired "net.drop"
   | Impairment.Duplicate ->
-    impaired "duplicated" "net.duplicate";
+    impaired "net.duplicate";
     deliver_kind t ~kind:Forwarded ~dst entry.payload;
     deliver_kind t ~kind:Forwarded ~dst entry.payload
   | Impairment.Reorder ->
     if has_pending t ~src then begin
       (* overtaken by the next message: back of the queue it goes *)
-      impaired "reordered" "net.reorder";
+      impaired "net.reorder";
       push_pending t entry
     end
     else deliver_kind t ~kind:Forwarded ~dst entry.payload
   | Impairment.Corrupt { salt } ->
     (match t.mangle with
     | Some mangle ->
-      impaired "corrupted" "net.corrupt";
+      impaired "net.corrupt";
       deliver_kind t ~kind:Forwarded ~dst (mangle entry.payload ~salt)
-    | None -> impaired "dropped (corrupt, no mangler)" "net.corrupt_drop")
+    | None -> impaired "net.corrupt_drop")
   | Impairment.Delay extra ->
-    impaired ~labels:[ ("delay_s", Printf.sprintf "%.6f" extra) ] "delayed"
-      "net.delay";
+    impaired ~labels:[ ("delay_s", Printf.sprintf "%.6f" extra) ] "net.delay";
     (match t.defer with
     | Some defer ->
       (* a scheduler owns the timeline: delivery becomes a future event,
@@ -325,7 +311,6 @@ let drop_next t ~src =
   | None -> false
   | Some _ ->
     Ra_obs.Registry.Counter.inc M.dropped;
-    Trace.recordf t.trace "net: adversary dropped a message from %a" pp_side src;
     Trace.causal_instant t.trace ~cat:"net"
       ~labels:[ ("src", side_label src) ]
       "net.adv_drop";

@@ -74,8 +74,9 @@ val undelivered : 'msg t -> 'msg sent list
 (** Sent messages not yet delivered (nor explicitly dropped). *)
 
 val deliver : 'msg t -> dst:side -> 'msg -> unit
-(** Hand a message (genuine, replayed or forged) to a receiver. No-op
-    with a trace record if the side has no receiver installed. Never
+(** Hand a message (genuine, replayed or forged) to a receiver. If the
+    side has no receiver installed the message is lost: it counts in
+    [ra_channel_lost_total] and leaves a [net.lost] causal instant. Never
     impaired: adversarial delivery is the adversary's own choice. *)
 
 val forward_next : 'msg t -> dst:side -> bool
@@ -115,5 +116,3 @@ val mangle_string : string -> salt:int -> string
 (** XOR one salt-chosen byte with a salt-derived non-zero mask — the
     [mangle] hook for [string]-framed channels. Empty strings pass
     through unchanged. *)
-
-val pp_side : Format.formatter -> side -> unit

@@ -1,31 +1,10 @@
-type entry = { at : float; label : string }
-
 type t = {
-  time : Simtime.t;
-  mutable entries : entry list; (* newest first *)
   spans : Ra_obs.Span.t;
   mutable tracer : Ra_obs.Trace.t option; (* causal flight recorder, off by default *)
 }
 
 let create time =
-  let spans = Ra_obs.Span.create ~clock:(fun () -> Simtime.now time) () in
-  let t = { time; entries = []; spans; tracer = None } in
-  Ra_obs.Span.on_finish spans (fun f ->
-      t.entries <-
-        {
-          at = f.Ra_obs.Span.f_stop;
-          label =
-            Printf.sprintf "span %s: %.3f ms" f.Ra_obs.Span.f_name
-              (Ra_obs.Span.duration_ms f);
-        }
-        :: t.entries);
-  t
-
-let record t label = t.entries <- { at = Simtime.now t.time; label } :: t.entries
-
-let recordf t fmt = Format.kasprintf (record t) fmt
-
-let entries t = List.rev t.entries
+  { spans = Ra_obs.Span.create ~clock:(fun () -> Simtime.now time) (); tracer = None }
 
 let spans t = t.spans
 
@@ -58,9 +37,3 @@ let contains_substring ~needle haystack =
     let rec loop i = i + nl <= hl && (matches_at i 0 || loop (i + 1)) in
     loop 0
   end
-
-let find t ~substring =
-  List.filter (fun e -> contains_substring ~needle:substring e.label) (entries t)
-
-let pp fmt t =
-  List.iter (fun e -> Format.fprintf fmt "[%10.4f] %s@." e.at e.label) (entries t)

@@ -1,18 +1,12 @@
-(** Timestamped event log of a protocol run — the audit trail the
-    experiment harness and the examples print. *)
-
-type entry = { at : float; label : string }
+(** A protocol run's observability context: the simulated-time span
+    context and the optional causal tracer that the channel and the
+    session handlers share. It keeps no event list of its own — the
+    metrics registry and the causal tracer are the only records of a
+    run. *)
 
 type t
 
 val create : Simtime.t -> t
-val record : t -> string -> unit
-val recordf : t -> ('a, Format.formatter, unit, unit) format4 -> 'a
-val entries : t -> entry list
-(** Chronological order. *)
-
-val find : t -> substring:string -> entry list
-val pp : Format.formatter -> t -> unit
 
 val contains_substring : needle:string -> string -> bool
 (** Allocation-free substring search (exposed for property tests). *)
@@ -20,9 +14,9 @@ val contains_substring : needle:string -> string -> bool
 (** {2 Spans}
 
     Each trace owns a {!Ra_obs.Span} context clocked by its
-    {!Simtime.t}. Finished spans are mirrored into the event log as
-    ["span <name>: <ms> ms"] entries and into the process-wide metrics
-    registry as [ra_span_ms{span="<name>"}] observations. *)
+    {!Simtime.t} and made by {!Ra_obs.Span.create}: every finished span
+    is a [ra_span_ms{span="<name>"}] observation in the process-wide
+    metrics registry, and the context keeps no finished list. *)
 
 val spans : t -> Ra_obs.Span.t
 val with_span : t -> ?labels:Ra_obs.Registry.labels -> string -> (unit -> 'a) -> 'a

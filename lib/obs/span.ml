@@ -25,7 +25,7 @@ type t = {
   histogram : string;
   mutable callback : (finished -> unit) option;
   mutable stack : span list; (* innermost first *)
-  mutable log : finished list; (* newest first *)
+  mutable log : finished list; (* newest first; [no_registry] contexts only *)
   mutable next_id : int;
 }
 
@@ -38,16 +38,6 @@ let create ?(registry = Registry.default) ?(histogram = "ra_span_ms") ~clock () 
 let no_registry ~clock () = make None ~histogram:"ra_span_ms" ~clock
 
 let on_finish t cb = t.callback <- Some cb
-
-let add_on_finish t cb =
-  match t.callback with
-  | None -> t.callback <- Some cb
-  | Some prev ->
-    t.callback <-
-      Some
-        (fun f ->
-          prev f;
-          cb f)
 
 let enter t ?(labels = []) name =
   let parent = match t.stack with [] -> None | p :: _ -> Some p in
@@ -81,9 +71,8 @@ let exit t ?(labels = []) sp =
       f_stop = stop;
     }
   in
-  t.log <- f :: t.log;
   (match t.registry with
-  | None -> ()
+  | None -> t.log <- f :: t.log
   | Some registry ->
     let h =
       Registry.Histogram.get ~registry ~labels:[ ("span", sp.o_name) ] t.histogram

@@ -1,11 +1,14 @@
 (** Span-based tracing over an arbitrary clock.
 
     A span context owns a clock (e.g. [Ra_net.Simtime.now] for wall-clock
-    spans, or a device's [Cpu.elapsed_seconds] for prover-work spans), a
-    stack of open spans (children nest under the innermost open span) and
-    the finished-span log. On exit, the span's duration is mirrored into a
-    registry histogram [ra_span_ms{span="<name>"}] so percentile queries
-    and the Prometheus exposition see every span family.
+    spans, or a device's [Cpu.elapsed_seconds] for prover-work spans) and
+    a stack of open spans (children nest under the innermost open span).
+    Each context has exactly one sink for finished spans, chosen by its
+    constructor: a {!create} context observes each span's duration in a
+    registry histogram [ra_span_ms{span="<name>"}], so percentile queries
+    and the Prometheus exposition see every span family, and keeps no
+    list; a {!no_registry} context keeps the finished list that
+    {!finished} and [Export.spans_jsonl] read.
 
     A context is {e not} domain-safe — give each session/world its own,
     as [Ra_net.Trace] does. The registry histogram it reports into is
@@ -34,11 +37,16 @@ val create :
   clock:(unit -> float) ->
   unit ->
   t
-(** [histogram] defaults to ["ra_span_ms"]; [registry] defaults to
-    {!Registry.default}. *)
+(** A context that records each finished span only as an observation
+    of [histogram] in [registry] (and hands it to the {!on_finish}
+    hook): its {!finished} stays [[]], so a long-lived session pays no
+    heap per span. [histogram] defaults to ["ra_span_ms"]; [registry]
+    defaults to {!Registry.default}. *)
 
 val no_registry : clock:(unit -> float) -> unit -> t
-(** A context that keeps its span log but reports into no registry. *)
+(** A context that keeps every finished span in its {!finished} list and
+    reports into no registry — for measurements that read their spans
+    back. *)
 
 val enter : t -> ?labels:Registry.labels -> string -> span
 
@@ -52,7 +60,8 @@ val with_span : t -> ?labels:Registry.labels -> string -> (unit -> 'a) -> 'a
     [outcome="raised"] and the exception re-raised. *)
 
 val finished : t -> finished list
-(** Completion order (chronological). *)
+(** Completion order (chronological) for a {!no_registry} context; always
+    [[]] for a {!create} context. *)
 
 val open_count : t -> int
 (** Number of still-open spans — 0 when enter/exit calls balance. *)
@@ -62,11 +71,8 @@ val duration_ms : finished -> float
     Simtime and Cpu clocks used in this repository. *)
 
 val on_finish : t -> (finished -> unit) -> unit
-(** Install a callback run at every span exit (used by [Ra_net.Trace] to
-    mirror spans into its free-form event log). Replaces any previous. *)
-
-val add_on_finish : t -> (finished -> unit) -> unit
-(** Like {!on_finish} but composes: the new callback runs after any
-    previously installed one, so tracing mirrors and profiler phase
-    attribution can observe the same span context without clobbering
-    each other. *)
+(** Install a callback run at every span exit, whichever constructor made
+    the context. It is handed the finished span even when the context
+    keeps no list ([Ra_core.Session] mirrors the anchor's and the
+    service's CPU-clocked spans into the causal trace and the profiler
+    this way). Replaces any previous. *)

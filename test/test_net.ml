@@ -14,16 +14,58 @@ let test_simtime () =
 let test_trace () =
   let time = Simtime.create () in
   let trace = Trace.create time in
-  Trace.record trace "first";
-  Simtime.advance_by time 2.0;
-  Trace.recordf trace "second %d" 42;
-  (match Trace.entries trace with
-  | [ a; b ] ->
-    Alcotest.(check string) "order" "first" a.Trace.label;
-    Alcotest.(check (float 0.0)) "timestamp" 2.0 b.Trace.at;
-    Alcotest.(check string) "formatted" "second 42" b.Trace.label
-  | entries -> Alcotest.failf "expected 2 entries, got %d" (List.length entries));
-  Alcotest.(check int) "find" 1 (List.length (Trace.find trace ~substring:"second"))
+  (* a span lands in the process-wide ra_span_ms{span=...} histogram in
+     simulated ms, and the trace keeps no list of its own *)
+  let hist =
+    Ra_obs.Registry.Histogram.get ~labels:[ ("span", "test.net.trace") ] "ra_span_ms"
+  in
+  let count0 = Ra_obs.Registry.Histogram.count hist in
+  let sum0 = Ra_obs.Registry.Histogram.sum hist in
+  let v =
+    Trace.with_span trace "test.net.trace" (fun () ->
+        Simtime.advance_by time 0.25;
+        7)
+  in
+  Alcotest.(check int) "with_span value" 7 v;
+  Alcotest.(check int) "one observation" 1 (Ra_obs.Registry.Histogram.count hist - count0);
+  Alcotest.(check (float 1e-9)) "simulated ms" 250.0
+    (Ra_obs.Registry.Histogram.sum hist -. sum0);
+  Alcotest.(check int) "no finished list" 0
+    (List.length (Ra_obs.Span.finished (Trace.spans trace)));
+  (* the causal hooks record only with a tracer set and a round open;
+     causal_span always returns its thunk's value *)
+  let hooks tag =
+    Trace.causal_instant trace ~cat:"test" ~labels:[ ("k", tag) ] (tag ^ ".instant");
+    Trace.causal_span trace ~cat:"test" (tag ^ ".span") (fun () -> String.length tag)
+  in
+  Alcotest.(check int) "no tracer: value" 3 (hooks "off");
+  let tracer = Ra_obs.Trace.create ~device:"d" ~clock:(fun () -> Simtime.now time) () in
+  Trace.set_tracer trace (Some tracer);
+  Alcotest.(check bool) "tracer set" true
+    (match Trace.tracer trace with Some tr -> tr == tracer | None -> false);
+  Alcotest.(check int) "no round: value" 6 (hooks "closed");
+  ignore (Ra_obs.Trace.begin_round tracer);
+  Alcotest.(check int) "open round: value" 2 (hooks "on");
+  Ra_obs.Trace.end_round tracer ~verdict:"trusted" ~attempts:1;
+  Trace.set_tracer trace None;
+  ignore (Ra_obs.Trace.begin_round tracer);
+  Alcotest.(check int) "detached: value" 8 (hooks "detached");
+  Ra_obs.Trace.end_round tracer ~verdict:"trusted" ~attempts:1;
+  let names (rd : Ra_obs.Trace.round) =
+    List.sort compare (List.map (fun e -> e.Ra_obs.Trace.ev_name) rd.rd_events)
+  in
+  match Ra_obs.Trace.rounds tracer with
+  | [ on; detached ] ->
+    Alcotest.(check (list string)) "only the open round recorded"
+      [ Ra_obs.Trace.root_span_name; "on.instant"; "on.span" ]
+      (names on);
+    Alcotest.(check bool) "instant labels kept" true
+      (List.exists
+         (fun e -> e.Ra_obs.Trace.ev_labels = [ ("k", "on") ])
+         on.rd_events);
+    Alcotest.(check (list string)) "nothing once detached"
+      [ Ra_obs.Trace.root_span_name ] (names detached)
+  | l -> Alcotest.failf "expected 2 sealed rounds, got %d" (List.length l)
 
 (* reference implementation the allocation-free search must agree with:
    the old O(n*m)-allocation [String.sub]-per-position scan *)

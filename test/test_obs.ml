@@ -122,18 +122,22 @@ let test_domain_safety () =
 (* --- spans over simulated time --- *)
 
 let test_span_nesting_over_simtime () =
-  let time = Simtime.create () in
-  let r = fresh () in
-  let ctx = Span.create ~registry:r ~clock:(fun () -> Simtime.now time) () in
-  let outer = Span.enter ctx "attest.round" in
-  Simtime.advance_by time 0.100;
-  let inner = Span.enter ctx ~labels:[ ("scheme", "hmac_sha1") ] "anchor.mac" in
-  Simtime.advance_by time 0.654;
-  Span.exit ctx inner;
-  Simtime.advance_by time 0.046;
-  Span.exit ctx ~labels:[ ("result", "attested") ] outer;
-  Alcotest.(check int) "balanced" 0 (Span.open_count ctx);
-  match Span.finished ctx with
+  (* one nesting, run on each kind of context *)
+  let nest make =
+    let time = Simtime.create () in
+    let ctx = make ~clock:(fun () -> Simtime.now time) in
+    let outer = Span.enter ctx "attest.round" in
+    Simtime.advance_by time 0.100;
+    let inner = Span.enter ctx ~labels:[ ("scheme", "hmac_sha1") ] "anchor.mac" in
+    Simtime.advance_by time 0.654;
+    Span.exit ctx inner;
+    Simtime.advance_by time 0.046;
+    Span.exit ctx ~labels:[ ("result", "attested") ] outer;
+    Alcotest.(check int) "balanced" 0 (Span.open_count ctx);
+    ctx
+  in
+  (* a no_registry context keeps the finished list *)
+  (match Span.finished (nest (fun ~clock -> Span.no_registry ~clock ())) with
   | [ i; o ] ->
     (* completion order: the inner span finishes first *)
     Alcotest.(check string) "inner name" "anchor.mac" i.Span.f_name;
@@ -146,16 +150,21 @@ let test_span_nesting_over_simtime () =
     Alcotest.(check int) "outer depth" 0 o.Span.f_depth;
     Alcotest.(check (float 1e-6)) "outer simulated ms" 800.0 (Span.duration_ms o);
     Alcotest.(check bool) "exit labels appended" true
-      (List.mem_assoc "result" o.Span.f_labels);
-    (* every exit mirrors into the ra_span_ms{span=...} histogram *)
-    let hist name =
-      Registry.Histogram.get ~registry:r ~labels:[ ("span", name) ] "ra_span_ms"
-    in
-    Alcotest.(check int) "histogram mirror" 1
-      (Registry.Histogram.count (hist "anchor.mac"));
-    Alcotest.(check (float 1e-6)) "histogram sum is ms" 800.0
-      (Registry.Histogram.sum (hist "attest.round"))
-  | l -> Alcotest.failf "expected 2 finished spans, got %d" (List.length l)
+      (List.mem_assoc "result" o.Span.f_labels)
+  | l -> Alcotest.failf "expected 2 finished spans, got %d" (List.length l));
+  (* a registry context mirrors every exit into the ra_span_ms{span=...}
+     histogram and keeps no list *)
+  let r = fresh () in
+  let ctx = nest (fun ~clock -> Span.create ~registry:r ~clock ()) in
+  Alcotest.(check int) "registry context keeps no list" 0
+    (List.length (Span.finished ctx));
+  let hist name =
+    Registry.Histogram.get ~registry:r ~labels:[ ("span", name) ] "ra_span_ms"
+  in
+  Alcotest.(check int) "histogram mirror" 1
+    (Registry.Histogram.count (hist "anchor.mac"));
+  Alcotest.(check (float 1e-6)) "histogram sum is ms" 800.0
+    (Registry.Histogram.sum (hist "attest.round"))
 
 let test_with_span_exception () =
   let ctx = Span.no_registry ~clock:(fun () -> 0.0) () in

@@ -258,10 +258,17 @@ let test_sync_round_over_the_channel () =
   in
   (match sync_frames with
   | frame :: _ ->
+    let stale =
+      Ra_obs.Registry.Counter.get ~labels:[ ("result", "stale_counter") ]
+        "ra_clock_sync_requests_total"
+    in
+    let before = Ra_obs.Registry.Counter.value stale in
+    let wire = Ra_net.Channel.transcript_length (Session.channel s) in
     Session.deliver_frame_to_prover s frame.Ra_net.Channel.payload;
-    let trace = Session.trace s in
-    Alcotest.(check bool) "sync replay rejected" true
-      (Ra_net.Trace.find trace ~substring:"sync rejected" <> [])
+    Alcotest.(check int) "sync replay rejected" (before + 1)
+      (Ra_obs.Registry.Counter.value stale);
+    Alcotest.(check int) "no sync ack sent" wire
+      (Ra_net.Channel.transcript_length (Session.channel s))
   | [] -> Alcotest.fail "no sync frame recorded")
 
 let test_sync_round_without_clock () =

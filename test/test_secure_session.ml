@@ -37,6 +37,26 @@ let frames_from s ~pos =
 
 let wire_len s = Channel.transcript_length (Session.channel s)
 
+(* every counter value and histogram count in the process-wide registry *)
+let metric_counts () =
+  List.filter_map
+    (fun (name, labels, sample) ->
+      match sample with
+      | Ra_obs.Registry.Counter_sample v -> Some ((name, labels), v)
+      | Ra_obs.Registry.Histogram_sample { hs_count; _ } -> Some ((name, labels), hs_count)
+      | Ra_obs.Registry.Gauge_sample _ -> None)
+    (Ra_obs.Registry.snapshot Ra_obs.Registry.default)
+
+(* the series that moved between two [metric_counts], with their deltas *)
+let metric_delta before after =
+  List.filter_map
+    (fun (key, v) ->
+      let moved = v - Option.value ~default:0 (List.assoc_opt key before) in
+      if moved <> 0 then Some (key, moved) else None)
+    after
+
+let moved delta name labels = Option.value ~default:0 (List.assoc_opt (name, labels) delta)
+
 (* ---- anti-replay window ----------------------------------------------- *)
 
 let result = Alcotest.testable
@@ -238,11 +258,17 @@ let test_mitm_init_substitution_rejected () =
       (Message.wire_to_bytes forged)
   | _ -> Alcotest.fail "expected an Hs_init flight");
   Alcotest.(check bool) "responder answered" true (SS.responder_session_up r);
+  let before = metric_counts () in
   ignore (Session.deliver_next_to_verifier s);
+  let delta = metric_delta before (metric_counts ()) in
   Alcotest.(check bool) "session not established" false (SS.established i);
   Alcotest.(check int) "bind rejected" 1 (SS.initiator_stats i).SS.s_hs_rejected;
-  Alcotest.(check bool) "trace names the bind" true
-    (Ra_net.Trace.find (Session.trace s) ~substring:"handshake bind rejected" <> [])
+  Alcotest.(check int) "one rejected handshake" 1
+    (moved delta "ra_secure_handshakes_total" [ ("result", "rejected") ]);
+  (* the bind check runs before the verifier: a report reject would
+     have counted a verdict *)
+  Alcotest.(check bool) "rejected at the bind, not the report" false
+    (List.exists (fun ((name, _), _) -> name = "ra_verifier_verdicts_total") delta)
 
 let test_cross_session_splice_rejected () =
   (* same K_attest, two distinct sessions (B's verifier burned one extra
@@ -321,32 +347,28 @@ let test_tampered_records_reject_uniformly () =
         Message.wire_to_bytes (Message.Record { rc with rec_tag = flip rc.rec_tag }) )
     | _ -> Alcotest.fail "expected a record frame"
   in
-  let trace = Session.trace s in
   let reaction forged =
     let wire_before = wire_len s in
-    let trace_before = List.length (Ra_net.Trace.entries trace) in
+    let metrics_before = metric_counts () in
     let bad_before = (SS.responder_stats r).SS.s_bad_record in
     Channel.deliver (Session.channel s) ~dst:Channel.Prover_side forged;
-    let entries =
-      List.filteri
-        (fun k _ -> k >= trace_before)
-        (List.map (fun e -> e.Ra_net.Trace.label) (Ra_net.Trace.entries trace))
-    in
     ( wire_len s - wire_before,
       (SS.responder_stats r).SS.s_bad_record - bad_before,
-      entries )
+      metric_delta metrics_before (metric_counts ()) )
   in
-  let sent_ct, count_ct, trace_ct = reaction tampered_ct in
-  let sent_tag, count_tag, trace_tag = reaction tampered_tag in
-  (* one uniform reject: same counter, same silence, same trace shape —
-     no observable distinguishes a bad tag from bad ciphertext *)
+  let sent_ct, count_ct, metrics_ct = reaction tampered_ct in
+  let sent_tag, count_tag, metrics_tag = reaction tampered_tag in
+  (* one uniform reject: same counter, same silence, same metric
+     footprint — no observable distinguishes a bad tag from bad
+     ciphertext *)
   Alcotest.(check int) "ct tamper: silent" 0 sent_ct;
   Alcotest.(check int) "tag tamper: silent" 0 sent_tag;
   Alcotest.(check int) "ct tamper: one bad_record" 1 count_ct;
   Alcotest.(check int) "tag tamper: one bad_record" 1 count_tag;
-  Alcotest.(check (list string)) "identical trace reaction" trace_ct trace_tag;
-  Alcotest.(check bool) "the uniform line" true
-    (List.exists (Ra_net.Trace.contains_substring ~needle:"secure: record rejected") trace_ct);
+  Alcotest.(check (list (pair (pair string (list (pair string string))) int)))
+    "identical metric reaction" metrics_ct metrics_tag;
+  Alcotest.(check int) "the uniform counter" 1
+    (moved metrics_ct "ra_secure_records_total" [ ("result", "bad_record") ]);
   (* forgeries never advanced the window: the held-back original still opens *)
   Session.deliver_frame_to_prover s legit;
   pump s;

@@ -42,12 +42,24 @@ let test_verdict_timeline_monotone () =
 let test_trace_records_protocol_events () =
   let s = make () in
   Session.advance_time s ~seconds:1.0;
-  let _ = Session.attest_round s in
-  let trace = Session.trace s in
-  List.iter
-    (fun needle ->
-      Alcotest.(check bool) needle true (Ra_net.Trace.find trace ~substring:needle <> []))
-    [ "verifier sent a message"; "prover: attested"; "verifier: verdict trusted" ]
+  let tracer = Session.enable_tracing s in
+  let r = Session.attest_round_r s in
+  Alcotest.(check string) "trusted" "trusted" (Verdict.label r.Session.r_verdict);
+  match Ra_obs.Trace.rounds tracer with
+  | [ rd ] ->
+    List.iter
+      (fun (name, label) ->
+        Alcotest.(check bool) name true
+          (List.exists
+             (fun e ->
+               e.Ra_obs.Trace.ev_name = name && List.mem label e.Ra_obs.Trace.ev_labels)
+             rd.Ra_obs.Trace.rd_events))
+      [
+        ("net.tx", ("src", "verifier"));
+        ("prover.result", ("result", "attested"));
+        ("verifier.verdict", ("verdict", "trusted"));
+      ]
+  | l -> Alcotest.failf "expected 1 sealed round, got %d" (List.length l)
 
 let test_response_to_stale_challenge_ignored () =
   let s = make () in
@@ -99,9 +111,12 @@ let test_service_round_over_channel () =
   in
   (match erase_frames with
   | frame :: _ ->
+    let not_fresh () =
+      Service.rejected (Service.stats (Session.service s)) Verdict.Reason.Not_fresh
+    in
+    let before = not_fresh () in
     Session.deliver_frame_to_prover s frame.Channel.payload;
-    Alcotest.(check bool) "service replay rejected" true
-      (Ra_net.Trace.find (Session.trace s) ~substring:"service rejected" <> [])
+    Alcotest.(check int) "service replay rejected" (before + 1) (not_fresh ())
   | [] -> Alcotest.fail "no erase frame recorded")
 
 let test_custom_sym_key () =
@@ -110,6 +125,55 @@ let test_custom_sym_key () =
   | Some Verdict.Trusted -> ()
   | Some v -> Alcotest.failf "custom key round: %a" Verdict.pp v
   | None -> Alcotest.fail "no response with custom key"
+
+(* Host heap a long-lived session keeps per operation, as the growth of
+   [Obj.reachable_words] over 500 ops after 10 warm-up ops. What a round
+   keeps on purpose (its wire frames, its verdict) fits well under the
+   bound; a per-round text log or span list does not. *)
+let retained_bytes_per_op root op =
+  for _ = 1 to 10 do
+    op ()
+  done;
+  let bytes () = Obj.reachable_words (Obj.repr root) * (Sys.word_size / 8) in
+  let before = bytes () in
+  for _ = 1 to 500 do
+    op ()
+  done;
+  (bytes () - before) / 500
+
+let test_retained_heap_per_round () =
+  let bound = 640 in
+  let s = Session.create ~ram_size:1024 () in
+  Session.advance_time s ~seconds:1.0;
+  let round () =
+    match (Session.attest_round_r s).Session.r_verdict with
+    | Verdict.Trusted -> ()
+    | v -> Alcotest.failf "attest round: %a" Verdict.pp v
+  in
+  let per_round = retained_bytes_per_op s round in
+  if per_round > bound then
+    Alcotest.failf "attest_round_r keeps %d B per round (bound %d B)" per_round bound;
+  let s = Session.create ~ram_size:1024 () in
+  Session.advance_time s ~seconds:1.0;
+  let responder = Secure_session.listen s in
+  let initiator = Secure_session.connect s in
+  let pump () =
+    while Session.deliver_next_to_prover s || Session.deliver_next_to_verifier s do
+      ()
+    done
+  in
+  Secure_session.handshake_send initiator;
+  pump ();
+  Alcotest.(check bool) "established" true (Secure_session.established initiator);
+  let record () =
+    let before = Secure_session.verdict_count initiator in
+    Alcotest.(check bool) "record sent" true (Secure_session.request_round initiator);
+    pump ();
+    Alcotest.(check int) "one verdict" (before + 1) (Secure_session.verdict_count initiator)
+  in
+  let per_record = retained_bytes_per_op (s, responder, initiator) record in
+  if per_record > bound then
+    Alcotest.failf "a streamed record keeps %d B (bound %d B)" per_record bound
 
 let tests =
   [
@@ -125,4 +189,5 @@ let tests =
     Alcotest.test_case "service round over the channel" `Quick
       test_service_round_over_channel;
     Alcotest.test_case "custom symmetric key" `Quick test_custom_sym_key;
+    Alcotest.test_case "retained heap per round" `Quick test_retained_heap_per_round;
   ]
