@@ -57,10 +57,10 @@ let () =
 
   Printf.printf "\n== round 1: benign ==\n";
   let req = Verifier.make_request verifier in
-  (match Isa_anchor.handle_request_r anchor req with
+  (match Isa_anchor.handle_request anchor req with
   | Ok resp ->
     Format.printf "verdict: %a@." Verdict.pp
-      (Verifier.check_response_r verifier ~request:req resp);
+      (Verifier.check_response verifier ~request:req resp);
     Printf.printf "interpreted MAC: %Ld cycles (%.2f ms at 24 MHz) for %d bytes\n"
       (Isa_anchor.last_mac_cycles anchor)
       (Timing.ms_of_cycles (Isa_anchor.last_mac_cycles anchor))
@@ -70,10 +70,10 @@ let () =
   Printf.printf "\n== round 2: resident malware in attested RAM ==\n";
   Cpu.store_bytes (Device.cpu device) (Device.attested_base device) "IMPLANT";
   let req2 = Verifier.make_request verifier in
-  (match Isa_anchor.handle_request_r anchor req2 with
+  (match Isa_anchor.handle_request anchor req2 with
   | Ok resp ->
     Format.printf "verdict: %a@." Verdict.pp
-      (Verifier.check_response_r verifier ~request:req2 resp)
+      (Verifier.check_response verifier ~request:req2 resp)
   | Error e -> Format.printf "rejected: %a@." Verdict.pp e);
 
   Printf.printf "\n== malware probes the anchor's private state ==\n";

@@ -54,7 +54,7 @@ let () =
       Service.make_request ~sym_key ~scheme:(Some Timing.Auth_hmac_sha1)
         ~freshness:(Message.F_counter counter) command
     in
-    match Service.handle_r svc req with
+    match Service.handle svc req with
     | Ok ack -> Printf.printf "%-14s -> ok\n" ack.Service.acked_command
     | Error e -> Format.printf "%-14s -> rejected: %a@." (Service.command_name command)
                    Verdict.pp e
@@ -70,7 +70,7 @@ let () =
       ~scheme:(Some Timing.Auth_hmac_sha1) ~freshness:(Message.F_counter 4L)
       Service.Secure_erase
   in
-  (match Service.handle_r svc forged with
+  (match Service.handle svc forged with
   | Error Verdict.Bad_auth -> Printf.printf "forged erase    -> rejected (bad MAC)\n"
   | Ok _ -> Printf.printf "BUG: forged erase accepted\n"
   | Error e -> Format.printf "forged erase    -> %a@." Verdict.pp e);
@@ -79,7 +79,7 @@ let () =
       ~freshness:(Message.F_counter 2L)
       (Service.Code_update { image = "firmware v2: safer valve control loop" })
   in
-  (match Service.handle_r svc replayed with
+  (match Service.handle svc replayed with
   | Error (Verdict.Not_fresh _) ->
     Printf.printf "replayed update -> rejected (stale counter)\n"
   | Ok _ -> Printf.printf "BUG: replayed update accepted\n"

@@ -51,6 +51,16 @@ let cipher_key k = String.sub k 0 16
 
 let keyed sym_key = C.Hmac.key C.Hmac.sha1 ~key:sym_key
 
+let keyed_memo () =
+  let last = ref None in
+  fun sym_key ->
+    match !last with
+    | Some (k, kc) when String.equal k sym_key -> kc
+    | Some _ | None ->
+      let kc = keyed sym_key in
+      last := Some (sym_key, kc);
+      kc
+
 let tag_request ?hmac_keyed scheme secret ~body =
   match scheme with
   | Timing.Auth_hmac_sha1 ->

@@ -40,6 +40,14 @@ val keyed : string -> Ra_crypto.Hmac.key_ctx
     [?hmac_keyed] below skips the per-message ipad/opad hashing — the
     "fixed" part of Table 1's SHA1-HMAC cost. *)
 
+val keyed_memo : unit -> string -> Ra_crypto.Hmac.key_ctx
+(** [keyed_memo ()] is {!keyed} behind a one-entry cache: it derives the
+    midstates again only when the key differs from the previous call's.
+    A prover handler keeps one and passes it the K_attest it has just
+    read through the MPU, so a changed key blob is picked up. It saves
+    host time only: modelled cycles and MPU-mediated reads are
+    unchanged. *)
+
 val tag_request :
   ?hmac_keyed:Ra_crypto.Hmac.key_ctx ->
   scheme ->

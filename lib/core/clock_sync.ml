@@ -11,8 +11,7 @@ type reject =
 
 type t = {
   device : Device.t;
-  (* HMAC midstates for the current K_attest (see Code_attest.keyed_cache) *)
-  mutable keyed_cache : (string * C.Hmac.key_ctx) option;
+  keyed : string -> C.Hmac.key_ctx; (* Auth.keyed_memo *)
 }
 
 let sync_counter_offset = 8
@@ -46,7 +45,7 @@ module M = struct
   let no_clock = result "no_clock"
 end
 
-let install device = { device; keyed_cache = None }
+let install device = { device; keyed = Auth.keyed_memo () }
 
 let cpu t = Device.cpu t.device
 let sync_counter_addr t = Device.counter_addr t.device + sync_counter_offset
@@ -78,14 +77,6 @@ let key t =
   Auth.blob_sym_key
     (Cpu.load_bytes (cpu t) (Device.key_addr t.device) (Device.key_len t.device))
 
-let keyed_for t sym_key =
-  match t.keyed_cache with
-  | Some (k, kc) when String.equal k sym_key -> kc
-  | Some _ | None ->
-    let kc = Auth.keyed sym_key in
-    t.keyed_cache <- Some (sym_key, kc);
-    kc
-
 let handle_raw t wire =
   match wire with
   | Message.Sync_request { verifier_time_ms; sync_counter; sync_tag } ->
@@ -96,7 +87,7 @@ let handle_raw t wire =
           Cpu.consume_cycles (cpu t)
             (Ra_mcu.Timing.request_auth_cycles Ra_mcu.Timing.Auth_hmac_sha1);
           let body = sync_body ~verifier_time_ms ~sync_counter in
-          let kc = keyed_for t (key t) in
+          let kc = t.keyed (key t) in
           if not (C.Hmac.verify_with kc ~msg:body ~tag:sync_tag) then
             Error Sync_bad_auth
           else begin

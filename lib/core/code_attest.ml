@@ -2,11 +2,6 @@ module Device = Ra_mcu.Device
 module Cpu = Ra_mcu.Cpu
 module Timing = Ra_mcu.Timing
 
-type reject =
-  | Bad_auth
-  | Not_fresh of Freshness.reject
-  | Anchor_fault of Cpu.fault
-
 type stats = {
   requests_seen : int;
   requests_rejected : int;
@@ -20,10 +15,7 @@ type t = {
   precomputed_key_schedule : bool;
   spans : Ra_obs.Span.t;
   mutable stats : stats;
-  (* HMAC ipad/opad midstates for the current K_attest, rebuilt only if the
-     key blob in protected storage changes. Pure wall-clock optimization:
-     the modeled cycle charges and memory reads are untouched. *)
-  mutable keyed_cache : (string * Ra_crypto.Hmac.key_ctx) option;
+  keyed : string -> Ra_crypto.Hmac.key_ctx; (* Auth.keyed_memo *)
 }
 
 (* outcome counters precreated at module init: one atomic add per request *)
@@ -35,6 +27,12 @@ module M = struct
   let bad_auth = result "bad_auth"
   let not_fresh = result "not_fresh"
   let fault = result "fault"
+
+  (* the anchor rejects with Bad_auth, Not_fresh or Fault only *)
+  let rejected = function
+    | Verdict.Bad_auth -> bad_auth
+    | Verdict.Not_fresh _ -> not_fresh
+    | _ -> fault
 end
 
 (* Modeled instruction cost of the bookkeeping around the crypto
@@ -51,7 +49,7 @@ let install device ~scheme ~policy ?(precomputed_key_schedule = false) () =
     precomputed_key_schedule;
     spans = Ra_obs.Span.create ~clock:(fun () -> Cpu.elapsed_seconds cpu) ();
     stats = { requests_seen = 0; requests_rejected = 0; attestations_performed = 0 };
-    keyed_cache = None;
+    keyed = Auth.keyed_memo ();
   }
 
 let device t = t.device
@@ -74,14 +72,6 @@ let read_attested_memory t =
 let measure_memory t =
   Cpu.with_context (cpu t) Device.region_attest (fun () -> read_attested_memory t)
 
-let keyed_for t sym_key =
-  match t.keyed_cache with
-  | Some (k, kc) when String.equal k sym_key -> kc
-  | Some _ | None ->
-    let kc = Auth.keyed sym_key in
-    t.keyed_cache <- Some (sym_key, kc);
-    kc
-
 let authenticate t (req : Message.attreq) =
   match t.scheme with
   | None -> Ok () (* unauthenticated baseline: trust anything *)
@@ -91,9 +81,9 @@ let authenticate t (req : Message.attreq) =
          scheme);
     let key_blob = read_key_blob t in
     let body = Message.request_body ~challenge:req.challenge ~freshness:req.freshness in
-    let hmac_keyed = keyed_for t (Auth.blob_sym_key key_blob) in
+    let hmac_keyed = t.keyed (Auth.blob_sym_key key_blob) in
     if Auth.verify_request ~hmac_keyed scheme ~key_blob ~body req.tag then Ok ()
-    else Error Bad_auth
+    else Error Verdict.Bad_auth
 
 let attest t (req : Message.attreq) =
   let len = Device.attested_total_len t.device in
@@ -111,7 +101,7 @@ let attest t (req : Message.attreq) =
   {
     resp with
     Message.report =
-      Auth.response_report_keyed ~keyed:(keyed_for t key) ~body ~memory_image:image;
+      Auth.response_report_keyed ~keyed:(t.keyed key) ~body ~memory_image:image;
   }
 
 let bump_seen t = t.stats <- { t.stats with requests_seen = t.stats.requests_seen + 1 }
@@ -123,36 +113,37 @@ let bump_attested t =
   t.stats <-
     { t.stats with attestations_performed = t.stats.attestations_performed + 1 }
 
-let handle_request t req =
+(* Run [body] in the anchor's execution context. An EA-MPU denial
+   becomes [Fault], and every outcome is counted in the stats and in
+   [ra_attest_requests_total]. *)
+let guarded t body =
   bump_seen t;
-  let run () =
-    Cpu.consume_cycles (cpu t) bookkeeping_cycles;
-    match Ra_obs.Span.with_span t.spans "anchor.auth" (fun () -> authenticate t req) with
-    | Error e -> Error e
-    | Ok () ->
-      (match
-         Ra_obs.Span.with_span t.spans "anchor.freshness" (fun () ->
-             Freshness.check_and_update t.freshness req.Message.freshness)
-       with
-      | Error e -> Error (Not_fresh e)
-      | Ok () -> Ok (Ra_obs.Span.with_span t.spans "anchor.mac" (fun () -> attest t req)))
-  in
   let result =
-    try Cpu.with_context (cpu t) Device.region_attest run
-    with Cpu.Protection_fault fault -> Error (Anchor_fault fault)
+    try Cpu.with_context (cpu t) Device.region_attest body
+    with Cpu.Protection_fault { fault_addr; fault_code; _ } ->
+      Error (Verdict.Fault { fault_addr; fault_code })
   in
   (match result with
   | Ok _ ->
     Ra_obs.Registry.Counter.inc M.attested;
     bump_attested t
-  | Error e ->
-    Ra_obs.Registry.Counter.inc
-      (match e with
-      | Bad_auth -> M.bad_auth
-      | Not_fresh _ -> M.not_fresh
-      | Anchor_fault _ -> M.fault);
+  | Error v ->
+    Ra_obs.Registry.Counter.inc (M.rejected v);
     bump_rejected t);
   result
+
+let handle_request t req =
+  guarded t (fun () ->
+      Cpu.consume_cycles (cpu t) bookkeeping_cycles;
+      match Ra_obs.Span.with_span t.spans "anchor.auth" (fun () -> authenticate t req) with
+      | Error e -> Error e
+      | Ok () ->
+        (match
+           Ra_obs.Span.with_span t.spans "anchor.freshness" (fun () ->
+               Freshness.check_and_update t.freshness req.Message.freshness)
+         with
+        | Error e -> Error (Verdict.Not_fresh e)
+        | Ok () -> Ok (Ra_obs.Span.with_span t.spans "anchor.mac" (fun () -> attest t req))))
 
 (* The channel-authenticated path: a request arriving inside an
    established secure session already carries channel-level authenticity
@@ -163,39 +154,6 @@ let handle_request t req =
    the protected execution context and the [anchor.mac] span are
    identical to the one-shot path. *)
 let handle_channel_request t req =
-  bump_seen t;
-  let run () =
-    Cpu.consume_cycles (cpu t) bookkeeping_cycles;
-    Ok (Ra_obs.Span.with_span t.spans "anchor.mac" (fun () -> attest t req))
-  in
-  let result =
-    try Cpu.with_context (cpu t) Device.region_attest run
-    with Cpu.Protection_fault fault -> Error (Anchor_fault fault)
-  in
-  (match result with
-  | Ok _ ->
-    Ra_obs.Registry.Counter.inc M.attested;
-    bump_attested t
-  | Error _ ->
-    Ra_obs.Registry.Counter.inc M.fault;
-    bump_rejected t);
-  result
-
-let to_verdict = function
-  | Bad_auth -> Verdict.Bad_auth
-  | Not_fresh r -> Verdict.Not_fresh r
-  | Anchor_fault f ->
-    Verdict.Fault { fault_addr = f.Cpu.fault_addr; fault_code = f.Cpu.fault_code }
-
-let handle_request_r t req =
-  Result.map_error to_verdict (handle_request t req)
-
-let handle_channel_request_r t req =
-  Result.map_error to_verdict (handle_channel_request t req)
-
-let pp_reject fmt = function
-  | Bad_auth -> Format.pp_print_string fmt "authentication failed"
-  | Not_fresh r -> Format.fprintf fmt "not fresh: %a" Freshness.pp_reject r
-  | Anchor_fault f ->
-    Format.fprintf fmt "trust anchor denied access at 0x%06x (context %s)"
-      f.Cpu.fault_addr f.Cpu.fault_code
+  guarded t (fun () ->
+      Cpu.consume_cycles (cpu t) bookkeeping_cycles;
+      Ok (Ra_obs.Span.with_span t.spans "anchor.mac" (fun () -> attest t req)))

@@ -12,12 +12,6 @@
     additionally charges the full memory-MAC sweep (§3.1, ≈754 ms for
     512 KB). Both are visible on the device's battery. *)
 
-type reject =
-  | Bad_auth
-  | Not_fresh of Freshness.reject
-  | Anchor_fault of Ra_mcu.Cpu.fault
-      (* the anchor itself was denied access — broken configuration *)
-
 type stats = {
   requests_seen : int;
   requests_rejected : int;
@@ -46,25 +40,23 @@ val spans : t -> Ra_obs.Span.t
     [anchor.auth], [anchor.freshness] and [anchor.mac] spans time the
     phases of each {!handle_request} in simulated milliseconds. *)
 
-val handle_request_r : t -> Message.attreq -> (Message.attresp, Verdict.t) result
-(** The primary entry point: process one attestation request end to end,
-    errors in the unified {!Verdict.t} vocabulary. *)
+val handle_request : t -> Message.attreq -> (Message.attresp, Verdict.t) result
+(** Process one attestation request end to end: authenticate it (§4.1),
+    check its freshness (§4.2), then run the memory-MAC sweep. Rejects
+    with [Bad_auth], [Not_fresh] or — when the EA-MPU denies the anchor
+    itself an access, a broken configuration — [Fault]. *)
 
-val handle_channel_request_r :
+val handle_channel_request :
   t -> Message.attreq -> (Message.attresp, Verdict.t) result
-(** Like {!handle_request_r} for a request that arrived {e inside} an
+(** Like {!handle_request} for a request that arrived {e inside} an
     established secure session: authenticity and freshness are already
     established by the record layer (CMAC + anti-replay window), so the
     per-request auth-tag and monotone-counter checks are skipped — they
     would wrongly reject in-session requests the impairment layer
     reordered. The measured memory-MAC sweep, its cycle/energy charges
-    and the protected execution context are unchanged. *)
-
-val to_verdict : reject -> Verdict.t
-(** Embed an anchor reject into the unified {!Verdict.t}. *)
+    and the protected execution context are unchanged. Rejects only
+    with [Fault]. *)
 
 val measure_memory : t -> string
 (** The raw attested-memory image as [Code_attest] reads it (for tests
     and for provisioning the verifier's reference image). *)
-
-val pp_reject : Format.formatter -> reject -> unit

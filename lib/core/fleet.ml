@@ -804,10 +804,10 @@ type stream_report = {
   st_fingerprint : string;
 }
 
-let default_stream_name i = Printf.sprintf "dev-%07d" i
+let stream_name i = Printf.sprintf "dev-%07d" i
 
-let stream_sweep ?(spec = Architecture.trustlite_base) ?ram_size ?(shards = 1)
-    ?(name_of = default_stream_name) ~members () =
+let stream_sweep ?(spec = Architecture.trustlite_base) ?ram_size ?(shards = 1) ~members
+    () =
   if members < 1 then invalid_arg "Fleet.stream_sweep: members < 1";
   if shards < 1 then invalid_arg "Fleet.stream_sweep: shards must be >= 1";
   (* per-shard tallies merged by sums and XOR — both order-independent,
@@ -825,7 +825,7 @@ let stream_sweep ?(spec = Architecture.trustlite_base) ?ram_size ?(shards = 1)
       let rec slot i =
         if i < hi then
           Sched.at sched ~at:(pre_offset i) (fun () ->
-              let m = new_member ~spec ?ram_size (name_of i) in
+              let m = new_member ~spec ?ram_size (stream_name i) in
               let verdict = sweep_slot obs sched ~n:members i m in
               (match m.health with
               | Healthy -> healthy.(s) <- healthy.(s) + 1

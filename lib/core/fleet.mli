@@ -246,15 +246,13 @@ val stream_sweep :
   ?spec:Architecture.spec ->
   ?ram_size:int ->
   ?shards:int ->
-  ?name_of:(int -> string) ->
   members:int ->
   unit ->
   stream_report
 (** Sweep a fleet of [members] freshly-created devices without ever
     materialising it, on [shards] engine shards (default 1); each
     member's slot is an event that schedules the next, so a shard's
-    queue holds one member at a time.
-    [name_of] (default [dev-%07d]) names member [i] — it must be pure.
+    queue holds one member at a time. Member [i] is named [dev-%07d].
     The report is a pure function of [(spec, ram_size, members)]:
     tallies merge by sums and fingerprints by XOR, both
     order-independent, so shard count and domain schedule are

@@ -71,7 +71,7 @@ let authenticate t (req : Message.attreq) =
     let key_blob = read_key_blob t in
     let body = Message.request_body ~challenge:req.challenge ~freshness:req.freshness in
     if Auth.verify_request scheme ~key_blob ~body req.tag then Ok ()
-    else Error Code_attest.Bad_auth
+    else Error Verdict.Bad_auth
 
 let handle_request t req =
   try
@@ -80,9 +80,7 @@ let handle_request t req =
         | Error e -> Error e
         | Ok () ->
           (match Freshness.check_and_update t.freshness req.Message.freshness with
-          | Error e -> Error (Code_attest.Not_fresh e)
+          | Error e -> Error (Verdict.Not_fresh e)
           | Ok () -> Ok (attest t req)))
-  with Cpu.Protection_fault fault -> Error (Code_attest.Anchor_fault fault)
-
-let handle_request_r t req =
-  Result.map_error Code_attest.to_verdict (handle_request t req)
+  with Cpu.Protection_fault { fault_addr; fault_code; _ } ->
+    Error (Verdict.Fault { fault_addr; fault_code })

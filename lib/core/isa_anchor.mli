@@ -37,13 +37,9 @@ val install :
     @raise Invalid_argument if the ROM content does not match (the
     routine would execute garbage). *)
 
-val handle_request : t -> Message.attreq -> (Message.attresp, Code_attest.reject) result
-(** Same contract as the anchor's request handler; the report is
-    computed by interpreted code. *)
-
-val handle_request_r : t -> Message.attreq -> (Message.attresp, Verdict.t) result
-(** {!handle_request} with the error in the unified {!Verdict.t}
-    vocabulary. *)
+val handle_request : t -> Message.attreq -> (Message.attresp, Verdict.t) result
+(** The checks and rejects of {!Code_attest.handle_request}; the
+    report is computed by interpreted code. *)
 
 val measure_memory : t -> string
 (** The attested image (for provisioning the verifier), read through the

@@ -1,6 +1,3 @@
-module Simtime = Ra_net.Simtime
-module Trace = Ra_net.Trace
-
 type event = { ev_at : float; ev_seq : int; ev_fn : unit -> unit }
 
 (* How a scheduler reports into the metrics layer. The default sink hits
@@ -21,7 +18,6 @@ type t = {
   mutable size : int;
   mutable seq : int; (* insertion order, the deterministic tie-break *)
   mutable fired : int;
-  trace : Trace.t option;
   mx : metrics;
   track : Ra_obs.Profiler.Track.t option; (* queue depth over sim time *)
 }
@@ -63,9 +59,8 @@ let arena_metrics arena =
     mx_lag = (fun l -> Histogram.observe lag l);
   }
 
-let create ?(start = 0.0) ?trace ?(metrics = global_metrics) ?track () =
-  { now = start; heap = [||]; size = 0; seq = 0; fired = 0; trace; mx = metrics;
-    track }
+let create ?(start = 0.0) ?(metrics = global_metrics) ?track () =
+  { now = start; heap = [||]; size = 0; seq = 0; fired = 0; mx = metrics; track }
 
 let now t = t.now
 let pending t = t.size
@@ -150,12 +145,6 @@ let step t =
     (match t.track with
     | None -> ()
     | Some tr -> Ra_obs.Profiler.Track.push tr ~at:t.now (float_of_int t.size));
-    (match t.trace with
-    | None -> ()
-    | Some trace ->
-      Trace.causal_instant trace ~cat:"sched"
-        ~labels:[ ("at", Printf.sprintf "%.6f" ev.ev_at) ]
-        "sched.fire");
     ev.ev_fn ();
     true
   end

@@ -19,9 +19,7 @@
 
     Metrics: [ra_sched_events_total{kind=scheduled|fired}],
     [ra_sched_queue_depth] (gauge, post-pop depth),
-    [ra_sched_lag_seconds] (histogram, seconds). With a trace attached,
-    every fire also emits a [sched.fire] causal instant (cat ["sched"])
-    — a no-op unless that trace has a tracer installed. *)
+    [ra_sched_lag_seconds] (histogram, seconds). *)
 
 type t
 
@@ -42,7 +40,6 @@ val arena_metrics : Ra_obs.Arena.t -> metrics
 
 val create :
   ?start:float ->
-  ?trace:Ra_net.Trace.t ->
   ?metrics:metrics ->
   ?track:Ra_obs.Profiler.Track.t ->
   unit ->

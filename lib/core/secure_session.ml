@@ -242,12 +242,9 @@ type responder = {
   mutable r_closed : bool;
 }
 
-let prover_radio session ~bytes =
-  Ra_mcu.Energy.consume_radio (Device.energy (Session.device session)) ~bytes
-
 let responder_send r wire =
   let bytes = Message.wire_to_bytes wire in
-  prover_radio r.r_session ~bytes:(String.length bytes);
+  Session.prover_radio r.r_session ~bytes:(String.length bytes);
   Channel.send (Session.channel r.r_session) ~src:Channel.Prover_side bytes
 
 (* Run the trust anchor under the modeled CPU and keep the shared wall
@@ -298,7 +295,7 @@ let listen ?(window_bits = 128) session =
   let sym_key = Session.sym_key session in
   let handle =
     Channel.Endpoint.attach (Session.channel session) Channel.Prover_side (fun frame ->
-        prover_radio session ~bytes:(String.length frame);
+        Session.prover_radio session ~bytes:(String.length frame);
         match Message.wire_of_bytes frame with
         | None -> ()
         | Some (Message.Hs_init { hs_nonce = _; hs_req }) -> (
@@ -309,7 +306,7 @@ let listen ?(window_bits = 128) session =
              session state exists. *)
           match
             anchored session "secure.hs.attest" (fun () ->
-                Code_attest.handle_request_r (Session.anchor session) hs_req)
+                Code_attest.handle_request (Session.anchor session) hs_req)
           with
           | Error _ -> ()
           | Ok report ->
@@ -356,7 +353,7 @@ let listen ?(window_bits = 128) session =
               | Msg (Message.Request req) -> (
                 match
                   anchored session "secure.record.attest" (fun () ->
-                      Code_attest.handle_channel_request_r (Session.anchor session) req)
+                      Code_attest.handle_channel_request (Session.anchor session) req)
                 with
                 | Ok resp ->
                   responder_send r (seal peer (inner_msg (Message.Response resp)))
@@ -460,7 +457,7 @@ let connect ?(window_bits = 128) session =
               Ra_obs.Registry.Counter.inc M.hs_rejected
             end
             else (
-              match Verifier.check_response_r verifier ~request:hs_req hs_report with
+              match Verifier.check_response verifier ~request:hs_req hs_report with
               | Verdict.Trusted ->
                 let th = transcript_hash ~init:init_frame ~resp:frame in
                 let peer = derive_peer ~sym_key ~th ~bits:i.i_bits `Initiator in
@@ -500,7 +497,7 @@ let connect ?(window_bits = 128) session =
                   Hashtbl.remove i.i_pending resp.Message.echo_challenge;
                   let verdict =
                     Trace.causal_span trace ~cat:"secure" "secure.check" (fun () ->
-                        Verifier.check_response_r verifier ~request:req resp)
+                        Verifier.check_response verifier ~request:req resp)
                   in
                   i.i_verdicts <-
                     (Simtime.now (Session.time session), verdict) :: i.i_verdicts;

@@ -81,7 +81,7 @@ val listen : ?window_bits:int -> Session.t -> responder
     freshness — a replayed handshake dies in the anchor's freshness
     cell), answers with report + transcript-bind MAC, and derives its
     channel keys. Valid records are answered via
-    {!Code_attest.handle_channel_request_r}; a [Close] record is acked
+    {!Code_attest.handle_channel_request}; a [Close] record is acked
     and the handle detaches from inside its own receive callback. *)
 
 val connect : ?window_bits:int -> Session.t -> initiator

@@ -82,7 +82,7 @@ module Batch = struct
     if Ra_crypto.Hexutil.equal_ct expected resp.Message.report then Verdict.Trusted
     else Verdict.Untrusted_state
 
-  let verify verifier resps = Verifier.check_reports_r verifier resps
+  let verify verifier resps = Verifier.check_reports verifier resps
 end
 
 let create ?(record_outcomes = false) ?(capture = false) ~sched cfg =

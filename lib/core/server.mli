@@ -132,7 +132,7 @@ module Batch : sig
       isolation would. Pure — no metrics, no freshness. *)
 
   val verify : Verifier.t -> Message.attresp array -> Verdict.t array
-  (** {!Verifier.check_reports_r}: one key context for the whole batch. *)
+  (** {!Verifier.check_reports}: one key context for the whole batch. *)
 
   val report_blocks : body_len:int -> image_len:int -> int
   (** SHA-1 blocks one batched report check hashes (inner stream over

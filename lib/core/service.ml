@@ -17,11 +17,6 @@ type request = {
 
 type ack = { acked_command : string; ack_report : string }
 
-type reject =
-  | Service_bad_auth
-  | Service_not_fresh of Freshness.reject
-  | Service_fault of Cpu.fault
-
 type stats = { invocations : int; breakdown : (Verdict.reason * int) list }
 
 let rejections s = List.fold_left (fun acc (_, n) -> acc + n) 0 s.breakdown
@@ -36,22 +31,27 @@ type t = {
   spans : Ra_obs.Span.t;
   mutable invocations : int;
   tally : Verdict.Tally.t; (* rejection counts, shared reason vocabulary *)
-  (* HMAC midstates for the current K_attest (see Code_attest.keyed_cache) *)
-  mutable keyed_cache : (string * C.Hmac.key_ctx) option;
+  keyed : string -> C.Hmac.key_ctx; (* Auth.keyed_memo *)
 }
 
 (* one atomic add per outcome; handles created at module init *)
 module M = struct
   let invocations = Ra_obs.Registry.Counter.get "ra_service_invocations_total"
 
-  let rejected reason =
+  let rejections reason =
     Ra_obs.Registry.Counter.get
       ~labels:[ ("reason", Verdict.Reason.label reason) ]
       "ra_service_rejections_total"
 
-  let bad_auth = rejected Verdict.Reason.Bad_auth
-  let not_fresh = rejected Verdict.Reason.Not_fresh
-  let fault = rejected Verdict.Reason.Fault
+  let bad_auth = rejections Verdict.Reason.Bad_auth
+  let not_fresh = rejections Verdict.Reason.Not_fresh
+  let fault = rejections Verdict.Reason.Fault
+
+  (* the service rejects with Bad_auth, Not_fresh or Fault only *)
+  let rejected = function
+    | Verdict.Bad_auth -> bad_auth
+    | Verdict.Not_fresh _ -> not_fresh
+    | _ -> fault
 end
 
 let service_cell_offset = 24
@@ -76,7 +76,7 @@ let install device ~scheme ~policy =
     spans = Ra_obs.Span.create ~clock:(fun () -> Cpu.elapsed_seconds cpu) ();
     invocations = 0;
     tally = Verdict.Tally.create ();
-    keyed_cache = None;
+    keyed = Auth.keyed_memo ();
   }
 
 let stats t =
@@ -110,14 +110,6 @@ let make_request ~sym_key ~scheme ~freshness command =
 let cpu t = Device.cpu t.device
 
 let key_blob t = Cpu.load_bytes (cpu t) (Device.key_addr t.device) (Device.key_len t.device)
-
-let keyed_for t sym_key =
-  match t.keyed_cache with
-  | Some (k, kc) when String.equal k sym_key -> kc
-  | Some _ | None ->
-    let kc = Auth.keyed sym_key in
-    t.keyed_cache <- Some (sym_key, kc);
-    kc
 
 (* Modeled costs of the service bodies: a RAM write per erased byte and a
    flash word program (slow: 20 cycles/word here) per 4 image bytes. *)
@@ -162,18 +154,18 @@ let handle t req =
             Cpu.consume_cycles (cpu t) (Timing.request_auth_cycles scheme);
             let blob = key_blob t in
             Auth.verify_request
-              ~hmac_keyed:(keyed_for t (Auth.blob_sym_key blob))
+              ~hmac_keyed:(t.keyed (Auth.blob_sym_key blob))
               scheme ~key_blob:blob
               ~body:(request_body req.command req.freshness)
               req.tag)
     in
-    if not authenticated then Error Service_bad_auth
+    if not authenticated then Error Verdict.Bad_auth
     else
       match
         Ra_obs.Span.with_span t.spans "service.freshness" (fun () ->
             Freshness.check_and_update t.freshness req.freshness)
       with
-      | Error e -> Error (Service_not_fresh e)
+      | Error e -> Error (Verdict.Not_fresh e)
       | Ok () ->
         let result =
           Ra_obs.Span.with_span t.spans
@@ -185,26 +177,21 @@ let handle t req =
         Ok
           {
             acked_command = command_name req.command;
-            ack_report = C.Hmac.mac_parts (keyed_for t key) [ "ACK"; result ];
+            ack_report = C.Hmac.mac_parts (t.keyed key) [ "ACK"; result ];
           }
   in
   let result =
     try Cpu.with_context (cpu t) Device.region_attest run
-    with Cpu.Protection_fault fault -> Error (Service_fault fault)
+    with Cpu.Protection_fault { fault_addr; fault_code; _ } ->
+      Error (Verdict.Fault { fault_addr; fault_code })
   in
   (match result with
   | Ok _ ->
     Ra_obs.Registry.Counter.inc M.invocations;
     t.invocations <- t.invocations + 1
-  | Error Service_bad_auth ->
-    Ra_obs.Registry.Counter.inc M.bad_auth;
-    Verdict.Tally.add t.tally Verdict.Reason.Bad_auth
-  | Error (Service_not_fresh _) ->
-    Ra_obs.Registry.Counter.inc M.not_fresh;
-    Verdict.Tally.add t.tally Verdict.Reason.Not_fresh
-  | Error (Service_fault _) ->
-    Ra_obs.Registry.Counter.inc M.fault;
-    Verdict.Tally.add t.tally Verdict.Reason.Fault);
+  | Error v ->
+    Ra_obs.Registry.Counter.inc (M.rejected v);
+    Option.iter (Verdict.Tally.add t.tally) (Verdict.reason_of v));
   result
 
 let command_payload = function
@@ -241,17 +228,3 @@ let request_of_wire = function
 
 let ack_to_wire ack =
   Message.Service_ack { acked_command = ack.acked_command; ack_report = ack.ack_report }
-
-let to_verdict = function
-  | Service_bad_auth -> Verdict.Bad_auth
-  | Service_not_fresh r -> Verdict.Not_fresh r
-  | Service_fault f ->
-    Verdict.Fault { fault_addr = f.Cpu.fault_addr; fault_code = f.Cpu.fault_code }
-
-let handle_r t req = Result.map_error to_verdict (handle t req)
-
-let pp_reject fmt = function
-  | Service_bad_auth -> Format.pp_print_string fmt "service authentication failed"
-  | Service_not_fresh r -> Format.fprintf fmt "service not fresh: %a" Freshness.pp_reject r
-  | Service_fault f ->
-    Format.fprintf fmt "service denied access at 0x%06x" f.Cpu.fault_addr

@@ -25,11 +25,6 @@ type ack = {
   ack_report : string; (* HMAC under K_attest over the result *)
 }
 
-type reject =
-  | Service_bad_auth
-  | Service_not_fresh of Freshness.reject
-  | Service_fault of Ra_mcu.Cpu.fault
-
 type stats = {
   invocations : int; (* accepted and executed *)
   breakdown : (Verdict.reason * int) list;
@@ -78,14 +73,12 @@ val make_request :
   request
 (** Verifier-side construction (symmetric schemes). *)
 
-val handle_r : t -> request -> (ack, Verdict.t) result
-(** The primary entry point: authenticate, check freshness, then execute
-    the command body with its modeled cycle cost (erase: one write per
-    byte; update: one flash word program per 4 bytes; ping: bookkeeping
-    only). Errors are the unified {!Verdict.t}. *)
-
-val to_verdict : reject -> Verdict.t
-(** Embed a service reject into the unified {!Verdict.t}. *)
+val handle : t -> request -> (ack, Verdict.t) result
+(** Authenticate, check freshness, then execute the command body with
+    its modeled cycle cost (erase: one write per byte; update: one flash
+    word program per 4 bytes; ping: bookkeeping only). Rejects with
+    [Bad_auth], [Not_fresh] or, when the EA-MPU denies the handler an
+    access, [Fault]. *)
 
 val request_to_wire : request -> Message.wire
 (** Serialize for the channel (frame type [V]). *)
@@ -94,5 +87,3 @@ val request_of_wire : Message.wire -> request option
 (** [None] for non-service frames or unknown command names. *)
 
 val ack_to_wire : ack -> Message.wire
-
-val pp_reject : Format.formatter -> reject -> unit

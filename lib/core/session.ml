@@ -34,6 +34,32 @@ let freshness_kind_of_policy = function
   | Freshness.Counter -> Verifier.Fk_counter
   | Freshness.Timestamp _ -> Verifier.Fk_timestamp
 
+(* Phase attribution is out-of-band: one option match when profiling is
+   off, and nothing here ever writes device or wire state. *)
+let profile_phase t phase ~cycles ~nj =
+  match t.profiler with
+  | None -> ()
+  | Some p ->
+    let trace_id = Option.bind (Trace.tracer t.trace) Ra_obs.Trace.current_trace_id in
+    Ra_obs.Profiler.Phases.record p.Ra_obs.Profiler.phases
+      {
+        Ra_obs.Profiler.ps_at = Simtime.now t.time;
+        ps_trace_id = trace_id;
+        ps_device = t.profile_device;
+        ps_phase = phase;
+        ps_cycles = cycles;
+        ps_nj = nj;
+      }
+
+let prover_radio t ~bytes =
+  let energy = Device.energy t.prover.Architecture.device in
+  Ra_mcu.Energy.consume_radio energy ~bytes;
+  match t.profiler with
+  | None -> ()
+  | Some _ ->
+    profile_phase t "radio" ~cycles:0L
+      ~nj:(float_of_int bytes *. Ra_mcu.Energy.radio_uj_per_byte energy *. 1e3)
+
 let create ?(spec = Architecture.trustlite_base) ?(sym_key = default_sym_key)
     ?ram_seed ?ram_size () =
   let time = Simtime.create () in
@@ -89,51 +115,17 @@ let create ?(spec = Architecture.trustlite_base) ?(sym_key = default_sym_key)
       in_flight = false;
     }
   in
-  (* Phase attribution is out-of-band: one option match when profiling is
-     off, and nothing here ever writes device or wire state. *)
-  let profile_phase phase ~cycles ~nj =
-    match t.profiler with
-    | None -> ()
-    | Some p ->
-      let trace_id =
-        Option.bind (Trace.tracer t.trace) Ra_obs.Trace.current_trace_id
-      in
-      Ra_obs.Profiler.Phases.record p.Ra_obs.Profiler.phases
-        {
-          Ra_obs.Profiler.ps_at = Simtime.now t.time;
-          ps_trace_id = trace_id;
-          ps_device = t.profile_device;
-          ps_phase = phase;
-          ps_cycles = cycles;
-          ps_nj = nj;
-        }
-  in
-  let profile_radio ~bytes =
-    match t.profiler with
-    | None -> ()
-    | Some _ ->
-      let uj =
-        Ra_mcu.Energy.radio_uj_per_byte (Device.energy prover.Architecture.device)
-      in
-      profile_phase "radio" ~cycles:0L ~nj:(float_of_int bytes *. uj *. 1e3)
-  in
   (* Prover side: parse the frame (total parser -- malformed input is
      dropped, the radio cost is still paid), run the trust anchor, keep
      wall time in lock-step with consumed device cycles, answer on the
      wire. *)
   let (_ : string Channel.Endpoint.handle) =
     Channel.Endpoint.attach channel Channel.Prover_side (fun frame ->
-      match Message.wire_of_bytes frame with
-      | None ->
-        Ra_mcu.Energy.consume_radio
-          (Device.energy prover.Architecture.device)
-          ~bytes:(String.length frame)
-      | Some wire ->
       (* the radio burns energy on every received frame, bogus or not *)
-      Ra_mcu.Energy.consume_radio
-        (Device.energy prover.Architecture.device)
-        ~bytes:(Message.wire_size wire);
-      profile_radio ~bytes:(Message.wire_size wire);
+      match Message.wire_of_bytes frame with
+      | None -> prover_radio t ~bytes:(String.length frame)
+      | Some wire ->
+      prover_radio t ~bytes:(Message.wire_size wire);
       match wire with
       | Message.Request req ->
         Trace.causal_span trace ~cat:"prover" "prover.attest" (fun () ->
@@ -142,7 +134,7 @@ let create ?(spec = Architecture.trustlite_base) ?(sym_key = default_sym_key)
         (* the span closes after Simtime catches up with the consumed
            cycles, so its duration equals the anchor's simulated work *)
         let span = Ra_obs.Span.enter (Trace.spans trace) "prover.attest" in
-        let result = Code_attest.handle_request_r prover.Architecture.anchor req in
+        let result = Code_attest.handle_request prover.Architecture.anchor req in
         let spent = Cpu.elapsed_seconds cpu -. before in
         Simtime.advance_by time spent;
         let result_label =
@@ -156,12 +148,9 @@ let create ?(spec = Architecture.trustlite_base) ?(sym_key = default_sym_key)
           "prover.result";
         match result with
         | Ok resp ->
-          Ra_mcu.Energy.consume_radio
-            (Device.energy prover.Architecture.device)
-            ~bytes:(Message.wire_size (Message.Response resp));
-          profile_radio ~bytes:(Message.wire_size (Message.Response resp));
-          Channel.send channel ~src:Channel.Prover_side
-            (Message.wire_to_bytes (Message.Response resp))
+          let reply = Message.wire_to_bytes (Message.Response resp) in
+          prover_radio t ~bytes:(String.length reply);
+          Channel.send channel ~src:Channel.Prover_side reply
         | Error _ -> ())
       | Message.Sync_request _ as sync_req ->
         (match t.clock_sync with
@@ -175,7 +164,7 @@ let create ?(spec = Architecture.trustlite_base) ?(sym_key = default_sym_key)
         (match Service.request_of_wire svc_frame with
         | None -> ()
         | Some svc_req ->
-          (match Service.handle_r t.service svc_req with
+          (match Service.handle t.service svc_req with
           | Ok ack ->
             Channel.send channel ~src:Channel.Prover_side
               (Message.wire_to_bytes (Service.ack_to_wire ack))
@@ -201,7 +190,7 @@ let create ?(spec = Architecture.trustlite_base) ?(sym_key = default_sym_key)
           Hashtbl.remove t.pending resp.Message.echo_challenge;
           let verdict =
             Trace.causal_span trace ~cat:"verifier" "verifier.check" (fun () ->
-                Verifier.check_response_r verifier ~request:req resp)
+                Verifier.check_response verifier ~request:req resp)
           in
           t.verdicts <- (Simtime.now time, verdict) :: t.verdicts;
           t.verdict_count <- t.verdict_count + 1;
@@ -257,7 +246,7 @@ let create ?(spec = Architecture.trustlite_base) ?(sym_key = default_sym_key)
             String.sub n 7 (String.length n - 7)
           else n
         in
-        profile_phase phase ~cycles ~nj:(Int64.to_float cycles *. nj_per_cycle));
+        profile_phase t phase ~cycles ~nj:(Int64.to_float cycles *. nj_per_cycle));
   Ra_obs.Span.on_finish (Service.spans service) (mirror "service");
   (* Channel wait: idle cycles spent inside a retry round (reply windows,
      backoff) are the paper's "device waits on the radio" share. Idle
@@ -267,7 +256,7 @@ let create ?(spec = Architecture.trustlite_base) ?(sym_key = default_sym_key)
       match (kind, t.profiler) with
       | Cpu.Idle, Some _ when t.in_flight ->
         let seconds = Int64.to_float delta /. hz in
-        profile_phase "wait" ~cycles:delta ~nj:(seconds *. sleep_uw *. 1e3)
+        profile_phase t "wait" ~cycles:delta ~nj:(seconds *. sleep_uw *. 1e3)
       | _ -> ());
   t
 

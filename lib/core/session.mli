@@ -217,6 +217,12 @@ val enable_profiling : ?capacity:int -> ?device:string -> t -> Ra_obs.Profiler.t
 val disable_profiling : t -> unit
 val profiling : t -> Ra_obs.Profiler.t option
 
+val prover_radio : t -> bytes:int -> unit
+(** Charge the prover's battery for [bytes] of radio traffic and, when
+    profiling is on, record the matching [radio] sample. The plain
+    prover handler and {!Secure_session}'s responder make every radio
+    charge through this. *)
+
 val advance_time : t -> seconds:float -> unit
 (** Let wall-clock time pass for everyone: the network clock and the
     prover's sleeping device. *)

@@ -39,13 +39,12 @@ let percentile sorted p =
    with more shards than domains the surplus queues naturally; which
    domain runs which shard is *not* deterministic — which is exactly why
    shard bodies may only touch their own range and their own arena. *)
-let run ?pool ~shards f =
+let run ~shards f =
   if shards < 1 then invalid_arg "Shard.run: shards must be >= 1";
-  let pool = match pool with Some p -> p | None -> Pool.shared () in
   if shards = 1 then f 0
   else begin
     let next = Atomic.make 0 in
-    Pool.run pool ~helpers:(shards - 1) (fun () ->
+    Pool.run (Pool.shared ()) ~helpers:(shards - 1) (fun () ->
         let rec go () =
           let s = Atomic.fetch_and_add next 1 in
           if s < shards then begin

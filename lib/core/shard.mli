@@ -26,10 +26,10 @@ val percentile : float array -> float -> float
     an already-sorted sample (typically the shards' merged outputs);
     [0.0] when empty. *)
 
-val run : ?pool:Pool.t -> shards:int -> (int -> unit) -> unit
+val run : shards:int -> (int -> unit) -> unit
 (** [run ~shards f] executes [f s] for every shard id [s] in
-    [0 .. shards-1] on the calling domain plus pool helpers (default
-    {!Pool.shared}); returns when all shards completed, re-raising the
+    [0 .. shards-1] on the calling domain plus {!Pool.shared} helpers;
+    returns when all shards completed, re-raising the
     first exception. Shard ids are distributed dynamically — shard
     bodies must touch only their own member range and their own arena.
     [shards = 1] degrades to a plain call on the caller.

@@ -101,14 +101,7 @@ module Tally = struct
       Reason.all
 end
 
-let label = function
-  | Trusted -> "trusted"
-  | Untrusted_state -> "untrusted_state"
-  | Invalid_response -> "invalid_response"
-  | Bad_auth -> "bad_auth"
-  | Not_fresh _ -> "not_fresh"
-  | Fault _ -> "fault"
-  | Timed_out _ -> "timed_out"
+let label v = match reason_of v with None -> "trusted" | Some r -> Reason.label r
 
 let freshness_label = function
   | Missing_field -> "missing_field"

@@ -1,12 +1,11 @@
 (** The one vocabulary every handler's outcome is expressed in.
 
-    Before this module, the library had three ad-hoc rejection types —
-    [Code_attest.reject], [Service.reject] and the verifier's bare
-    [verdict] — that all said overlapping things ("authentication
-    failed", "not fresh", "the MPU faulted") in incompatible ways, and no
-    way at all to say "the round never resolved". Each of those types
-    survives as a thin alias/conversion so existing callers compile, but
-    the [*_r] handler variants and the retry engine speak {!t}.
+    The prover's defence is one sequence — authenticate the request,
+    check its freshness, run the costly body under the EA-MPU — and {!t}
+    names every way it can end, plus the verifier's report check and a
+    round that never resolved. [Code_attest], [Isa_anchor], [Service],
+    [Verifier] and the retry engine all build a {!t} at the point of
+    failure; none keeps an outcome type of its own.
 
     Depends on nothing above the obs layer, so every core module
     (including {!Freshness}, whose reject type is re-exported from here)
@@ -39,7 +38,8 @@ val accepted : t -> bool
 (** [true] only for [Trusted]. *)
 
 val label : t -> string
-(** Stable lower-snake metric label ([trusted], [untrusted_state],
+(** Stable lower-snake metric label: [trusted], else the
+    {!Reason.label} of {!reason_of} ([untrusted_state],
     [invalid_response], [bad_auth], [not_fresh], [fault], [timed_out]). *)
 
 (** {2 Rejection reasons}
@@ -78,8 +78,7 @@ module Reason : sig
   (** Dense index into [0 .. count-1]; stable within a build. *)
 
   val label : t -> string
-  (** Same strings as {!Verdict.label} for the shared constructors, plus
-      [malformed], [rate_limited], [queue_full]. *)
+  (** The lower-snake metric label ({!Verdict.label} is built on it). *)
 
   val pp : Format.formatter -> t -> unit
 end

@@ -4,8 +4,6 @@ module Simtime = Ra_net.Simtime
 
 type freshness_kind = Fk_none | Fk_nonce | Fk_counter | Fk_timestamp
 
-type verdict = Trusted | Untrusted_state | Invalid_response
-
 type t = {
   scheme : Timing.auth_scheme option;
   freshness_kind : freshness_kind;
@@ -128,56 +126,31 @@ let make_session_request t =
 
 let session_nonce t = C.Drbg.generate t.drbg 16
 
-let count_verdict verdict =
-  Ra_obs.Registry.Counter.inc
-    (match verdict with
-    | Trusted -> M.trusted
-    | Untrusted_state -> M.untrusted_state
-    | Invalid_response -> M.invalid_response)
+let counted counter verdict =
+  Ra_obs.Registry.Counter.inc counter;
+  verdict
 
-(* the report check alone, against the precomputed midstates — no echo
-   matching, no metrics: shared by the closed-loop and open-loop paths *)
-let report_matches t (resp : Message.attresp) =
+(* the report MAC alone, against the precomputed midstates, no echo
+   matching: the open-loop (server-side) check and the closed-loop
+   check's last step *)
+let check_report t (resp : Message.attresp) =
   let body = Message.response_body resp in
   let expected =
     Auth.response_report_keyed ~keyed:t.keyed ~body ~memory_image:t.reference_image
   in
-  C.Hexutil.equal_ct expected resp.Message.report
+  if C.Hexutil.equal_ct expected resp.Message.report then
+    counted M.trusted Verdict.Trusted
+  else counted M.untrusted_state Verdict.Untrusted_state
 
 let check_response t ~request (resp : Message.attresp) =
-  let verdict =
-    if
-      resp.Message.echo_challenge <> request.Message.challenge
-      || resp.Message.echo_freshness <> request.Message.freshness
-    then Invalid_response
-    else if report_matches t resp then Trusted
-    else Untrusted_state
-  in
-  count_verdict verdict;
-  verdict
+  if
+    resp.Message.echo_challenge <> request.Message.challenge
+    || resp.Message.echo_freshness <> request.Message.freshness
+  then counted M.invalid_response Verdict.Invalid_response
+  else check_report t resp
 
-let to_verdict = function
-  | Trusted -> Verdict.Trusted
-  | Untrusted_state -> Verdict.Untrusted_state
-  | Invalid_response -> Verdict.Invalid_response
-
-let check_response_r t ~request resp = to_verdict (check_response t ~request resp)
-
-(* ---- open-loop (server-side) report checks ---- *)
-
-let check_report_r t (resp : Message.attresp) =
-  let verdict = if report_matches t resp then Trusted else Untrusted_state in
-  count_verdict verdict;
-  to_verdict verdict
-
-let check_reports_r t resps =
-  (* one key context — [t.keyed] — serves the whole batch; the per-report
-     work is the report MAC itself *)
-  Array.map (fun resp -> check_report_r t resp) resps
+(* one key context — [t.keyed] — serves the whole batch; the per-report
+   work is the report MAC itself *)
+let check_reports t resps = Array.map (check_report t) resps
 
 let set_reference_image t image = t.reference_image <- image
-
-let pp_verdict fmt = function
-  | Trusted -> Format.pp_print_string fmt "trusted"
-  | Untrusted_state -> Format.pp_print_string fmt "untrusted state"
-  | Invalid_response -> Format.pp_print_string fmt "invalid response"

@@ -3,16 +3,10 @@
     of the prover's memory.
 
     Construction goes through {!Config} + {!of_config}; verdicts come
-    back as the unified {!Verdict.t} ({!check_response_r},
-    {!check_report_r}). The historical [create]/[check_response] pair
-    survives as deprecated shims. *)
+    back as the unified {!Verdict.t} ({!check_response},
+    {!check_reports}). *)
 
 type freshness_kind = Fk_none | Fk_nonce | Fk_counter | Fk_timestamp
-
-type verdict =
-  | Trusted (* report matches the reference state *)
-  | Untrusted_state (* authentic-looking response, wrong memory *)
-  | Invalid_response (* echo mismatch / malformed *)
 
 type t
 
@@ -69,24 +63,18 @@ val make_session_request : t -> Message.attreq
 val session_nonce : t -> string
 (** 16 fresh bytes from the verifier's DRBG — handshake nonces. *)
 
-val check_response_r : t -> request:Message.attreq -> Message.attresp -> Verdict.t
-(** The primary closed-loop check: echo fields must match [request], then
-    the report MAC decides [Trusted] vs [Untrusted_state]. *)
+val check_response : t -> request:Message.attreq -> Message.attresp -> Verdict.t
+(** The closed-loop check: echo fields must match [request]
+    ([Invalid_response] otherwise), then the report MAC decides
+    [Trusted] vs [Untrusted_state]. *)
 
-val check_report_r : t -> Message.attresp -> Verdict.t
-(** Open-loop (server-side) check: report MAC only, no echo matching —
-    the caller has already bound the response to a request (or accepts
-    counter-based freshness instead). Never returns [Invalid_response]. *)
-
-val check_reports_r : t -> Message.attresp array -> Verdict.t array
-(** Batch form of {!check_report_r}: the HMAC key context (ipad/opad
-    midstates) is derived once per verifier and shared across the batch,
-    so per-report cost drops to the report MAC itself. *)
-
-val to_verdict : verdict -> Verdict.t
-(** Embed the verifier-local verdict into the unified {!Verdict.t}. *)
+val check_reports : t -> Message.attresp array -> Verdict.t array
+(** Open-loop (server-side) batch check: report MAC only, no echo
+    matching — the caller has already bound each response to a request
+    (or accepts counter-based freshness instead), so it never returns
+    [Invalid_response]. The HMAC key context (ipad/opad midstates) is
+    derived once per verifier and shared across the batch, so
+    per-report cost drops to the report MAC itself. *)
 
 val set_reference_image : t -> string -> unit
 (** Update the known-good state (e.g. after an authorized code update). *)
-
-val pp_verdict : Format.formatter -> verdict -> unit

@@ -31,7 +31,6 @@ let base_anchor_scratch = 0x800400
 
 type genesis = {
   g_ram_size : int;
-  g_mpu_capacity : int;
   g_clock_impl : clock_impl;
   g_key_location : key_location;
   g_key : string;
@@ -53,7 +52,7 @@ type t = {
   genesis : genesis;
 }
 
-let rec create ?(ram_size = 512 * 1024) ?(mpu_capacity = 8) ?(clock_impl = Clock_none)
+let rec create ?(ram_size = 512 * 1024) ?(clock_impl = Clock_none)
     ?(key_location = Key_in_rom) ?energy ?(rom_images = []) ?(attest_app_flash = false)
     ~key () =
   if String.length key = 0 || String.length key > 64 then
@@ -76,7 +75,7 @@ let rec create ?(ram_size = 512 * 1024) ?(mpu_capacity = 8) ?(clock_impl = Clock
     ]
   in
   let memory = Memory.create regions in
-  let mpu = Ea_mpu.create ~capacity:mpu_capacity in
+  let mpu = Ea_mpu.create ~capacity:8 in
   let cpu = Cpu.create memory mpu ~clock_hz:Timing.siskiyou_hz in
   let interrupt =
     Interrupt.create cpu ~idt_base:base_idt ~vectors:64 ~ctrl_addr:base_irq_ctrl
@@ -132,7 +131,6 @@ let rec create ?(ram_size = 512 * 1024) ?(mpu_capacity = 8) ?(clock_impl = Clock
     genesis =
       {
         g_ram_size = ram_size;
-        g_mpu_capacity = mpu_capacity;
         g_clock_impl = clock_impl;
         g_key_location = key_location;
         g_key = key;
@@ -146,8 +144,8 @@ let rec create ?(ram_size = 512 * 1024) ?(mpu_capacity = 8) ?(clock_impl = Clock
 and power_cycle t =
   let g = t.genesis in
   let fresh =
-    create ~ram_size:g.g_ram_size ~mpu_capacity:g.g_mpu_capacity
-      ~clock_impl:g.g_clock_impl ~key_location:g.g_key_location ~energy:t.energy
+    create ~ram_size:g.g_ram_size ~clock_impl:g.g_clock_impl
+      ~key_location:g.g_key_location ~energy:t.energy
       ~attest_app_flash:g.g_attest_app_flash ~key:g.g_key ()
   in
   (* the fresh ROM is sealed, so copy non-volatile contents via a

@@ -21,7 +21,6 @@ type t
 
 val create :
   ?ram_size:int ->
-  ?mpu_capacity:int ->
   ?clock_impl:clock_impl ->
   ?key_location:key_location ->
   ?energy:Energy.t ->
@@ -30,8 +29,8 @@ val create :
   key:string ->
   unit ->
   t
-(** Build and provision a device. Defaults: 512 KB RAM (the paper's
-    Siskiyou Peak figure), MPU capacity 8 rules, [Clock_none],
+(** Build and provision a device with an 8-rule EA-MPU. Defaults:
+    512 KB RAM (the paper's Siskiyou Peak figure), [Clock_none],
     [Key_in_rom], fresh default battery. [rom_images] are
     (region name, code bytes) pairs mask-programmed into ROM regions —
     e.g. an interpreted [Code_attest] routine for {!region_attest}. The

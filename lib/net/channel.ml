@@ -31,7 +31,6 @@ and 'msg t = {
   mutable rx_prover : 'msg handle list;
   mutable impairment : Impairment.t option;
   mutable mangle : ('msg -> salt:int -> 'msg) option;
-  mutable defer : (float -> (unit -> unit) -> unit) option;
 }
 
 (* Handles are created once at module init; per-event cost is one
@@ -68,7 +67,6 @@ let create time trace =
     rx_prover = [];
     impairment = None;
     mangle = None;
-    defer = None;
   }
 
 let time t = t.time
@@ -240,7 +238,6 @@ let set_impairment t ?mangle imp =
   t.mangle <- mangle
 
 let impairment t = t.impairment
-let set_defer t f = t.defer <- f
 
 let mangle_string s ~salt =
   let len = String.length s in
@@ -287,14 +284,8 @@ let forward_impaired t imp ~dst entry =
     | None -> impaired "net.corrupt_drop")
   | Impairment.Delay extra ->
     impaired ~labels:[ ("delay_s", Printf.sprintf "%.6f" extra) ] "net.delay";
-    (match t.defer with
-    | Some defer ->
-      (* a scheduler owns the timeline: delivery becomes a future event,
-         and the clock advances when that event fires, not here *)
-      defer extra (fun () -> deliver_kind t ~kind:Forwarded ~dst entry.payload)
-    | None ->
-      Simtime.advance_by t.time extra;
-      deliver_kind t ~kind:Forwarded ~dst entry.payload)
+    Simtime.advance_by t.time extra;
+    deliver_kind t ~kind:Forwarded ~dst entry.payload
 
 let forward_next t ~dst =
   let src = match dst with Verifier_side -> Prover_side | Prover_side -> Verifier_side in

@@ -102,16 +102,6 @@ val set_impairment :
 
 val impairment : 'msg t -> Impairment.t option
 
-val set_defer : 'msg t -> (float -> (unit -> unit) -> unit) option -> unit
-(** Install (or, with [None], remove) a deferral hook for [Delay]
-    impairments. Without a hook, a delayed delivery advances the
-    channel's {!Simtime.t} inline and delivers immediately — correct
-    when the session owns its own timeline. With a hook installed (by an
-    event scheduler), the channel instead calls [defer extra deliver]:
-    the scheduler enqueues [deliver] at [now + extra] and becomes
-    responsible for advancing the clock before firing it. The hook must
-    eventually run the thunk or the message is lost. *)
-
 val mangle_string : string -> salt:int -> string
 (** XOR one salt-chosen byte with a salt-derived non-zero mask — the
     [mangle] hook for [string]-framed channels. Empty strings pass

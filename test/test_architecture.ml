@@ -84,7 +84,7 @@ let test_reboot_preserves_security_state () =
     let body = Message.request_body ~challenge:"c" ~freshness in
     { Message.challenge = "c"; freshness; tag = tag body }
   in
-  (match Code_attest.handle_request_r prover.Architecture.anchor (req 7L) with
+  (match Code_attest.handle_request prover.Architecture.anchor (req 7L) with
   | Ok _ -> ()
   | Error e -> Alcotest.failf "pre-reboot request failed: %a" Verdict.pp e);
   (* reboot: secure boot reruns, rules are re-locked *)
@@ -101,12 +101,12 @@ let test_reboot_preserves_security_state () =
   if words prover' > fresh + (4096 / (Sys.word_size / 8)) then
     Alcotest.failf "rebooted prover holds %d words, a fresh one %d" (words prover') fresh;
   (* the counter survived NVM: replaying the pre-reboot request fails *)
-  (match Code_attest.handle_request_r prover'.Architecture.anchor (req 7L) with
+  (match Code_attest.handle_request prover'.Architecture.anchor (req 7L) with
   | Error (Verdict.Not_fresh (Verdict.Stale_counter { stored = 7L; _ })) -> ()
   | Ok _ -> Alcotest.fail "reboot rolled the counter back!"
   | Error e -> Alcotest.failf "unexpected reject: %a" Verdict.pp e);
   (* a genuinely fresh request still works *)
-  (match Code_attest.handle_request_r prover'.Architecture.anchor (req 8L) with
+  (match Code_attest.handle_request prover'.Architecture.anchor (req 8L) with
   | Ok _ -> ()
   | Error e -> Alcotest.failf "post-reboot request failed: %a" Verdict.pp e)
 

@@ -55,8 +55,8 @@ let test_end_to_end_trusted () =
   match Isa_anchor.handle_request anchor req with
   | Ok resp ->
     Alcotest.(check bool) "verifier accepts the interpreted MAC" true
-      (Verifier.check_response_r verifier ~request:req resp = Verdict.Trusted)
-  | Error e -> Alcotest.failf "rejected: %a" Code_attest.pp_reject e
+      (Verifier.check_response verifier ~request:req resp = Verdict.Trusted)
+  | Error e -> Alcotest.failf "rejected: %a" Verdict.pp e
 
 let test_report_equals_host_crypto () =
   let _, anchor, verifier = make () in
@@ -71,7 +71,7 @@ let test_report_equals_host_crypto () =
     Alcotest.(check string) "bit-identical to Hmac.mac"
       (Ra_crypto.Hexutil.to_hex expected)
       (Ra_crypto.Hexutil.to_hex resp.Message.report)
-  | Error e -> Alcotest.failf "rejected: %a" Code_attest.pp_reject e
+  | Error e -> Alcotest.failf "rejected: %a" Verdict.pp e
 
 let test_detects_infection () =
   let device, anchor, verifier = make () in
@@ -80,19 +80,19 @@ let test_detects_infection () =
   match Isa_anchor.handle_request anchor req with
   | Ok resp ->
     Alcotest.(check bool) "untrusted" true
-      (Verifier.check_response_r verifier ~request:req resp = Verdict.Untrusted_state)
-  | Error e -> Alcotest.failf "rejected: %a" Code_attest.pp_reject e
+      (Verifier.check_response verifier ~request:req resp = Verdict.Untrusted_state)
+  | Error e -> Alcotest.failf "rejected: %a" Verdict.pp e
 
 let test_freshness_enforced () =
   let _, anchor, verifier = make () in
   let req = Verifier.make_request verifier in
   (match Isa_anchor.handle_request anchor req with
   | Ok _ -> ()
-  | Error e -> Alcotest.failf "first rejected: %a" Code_attest.pp_reject e);
+  | Error e -> Alcotest.failf "first rejected: %a" Verdict.pp e);
   match Isa_anchor.handle_request anchor req with
-  | Error (Code_attest.Not_fresh _) -> ()
+  | Error (Verdict.Not_fresh _) -> ()
   | Ok _ -> Alcotest.fail "replay attested"
-  | Error e -> Alcotest.failf "wrong reject: %a" Code_attest.pp_reject e
+  | Error e -> Alcotest.failf "wrong reject: %a" Verdict.pp e
 
 let test_bad_auth_rejected () =
   let _, anchor, _ = make () in
@@ -100,9 +100,9 @@ let test_bad_auth_rejected () =
     { Message.challenge = "evil"; freshness = Message.F_counter 1L; tag = Message.Tag_none }
   in
   match Isa_anchor.handle_request anchor req with
-  | Error Code_attest.Bad_auth -> ()
+  | Error Verdict.Bad_auth -> ()
   | Ok _ -> Alcotest.fail "unauthenticated request attested"
-  | Error e -> Alcotest.failf "wrong reject: %a" Code_attest.pp_reject e
+  | Error e -> Alcotest.failf "wrong reject: %a" Verdict.pp e
 
 let test_interpreted_cost_visible () =
   let device, anchor, verifier = make () in
@@ -114,7 +114,7 @@ let test_interpreted_cost_visible () =
   Ra_isa.Sha1_asm.set_sampler (Isa_anchor.sha anchor) (Some sampler);
   (match Isa_anchor.handle_request anchor req with
   | Ok _ -> ()
-  | Error e -> Alcotest.failf "rejected: %a" Code_attest.pp_reject e);
+  | Error e -> Alcotest.failf "rejected: %a" Verdict.pp e);
   Ra_isa.Sampler.flush sampler;
   Alcotest.(check int64) "sampler attributes every mac cycle"
     (Isa_anchor.last_mac_cycles anchor) (Ra_obs.Profiler.Pc.cycles pc);

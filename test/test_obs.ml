@@ -422,7 +422,7 @@ let test_fleet_metric_families () =
   List.iter
     (fun (sym_key, counter) ->
       ignore
-        (Service.handle_r (Session.service first)
+        (Service.handle (Session.service first)
            (Service.make_request ~sym_key ~scheme ~freshness:(Message.F_counter counter)
               Service.Ping)))
     [ (String.make 20 'x', 99L); (Session.sym_key first, 0L) ];

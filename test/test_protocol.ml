@@ -190,7 +190,7 @@ let test_code_update_with_flash_attestation () =
       ~scheme:(Some Timing.Auth_hmac_sha1) ~freshness:(Message.F_counter 1L)
       (Service.Code_update { image = "firmware v2" })
   in
-  (match Service.handle_r svc update with
+  (match Service.handle svc update with
   | Ok _ -> ()
   | Error e -> Alcotest.failf "update rejected: %a" Verdict.pp e);
   (* the measurement now differs from the verifier's reference *)
@@ -296,7 +296,7 @@ let test_anchor_fault_on_misconfigured_rules () =
       write_by = Ra_mcu.Ea_mpu.Nobody;
     };
   let req = Session.send_request s in
-  (match Code_attest.handle_request_r (Session.anchor s) req with
+  (match Code_attest.handle_request (Session.anchor s) req with
   | Error (Verdict.Fault _) -> ()
   | Ok _ | Error _ -> Alcotest.fail "expected anchor fault")
 

@@ -426,20 +426,46 @@ let test_all_frames_lost_times_out () =
 
 (* ---- observability is out-of-band -------------------------------------- *)
 
+(* nJ the profile attributes to the prover's radio *)
+let radio_nj (p : Ra_obs.Profiler.t) =
+  match List.assoc_opt "radio" (Ra_obs.Profiler.Phases.totals p.phases) with
+  | Some (_, nj, _) -> nj
+  | None -> 0.0
+
+(* what the battery pays for [bytes] of radio traffic, in nJ *)
+let radio_cost s ~bytes =
+  let uj = Ra_mcu.Energy.radio_uj_per_byte (Ra_mcu.Device.energy (Session.device s)) in
+  float_of_int bytes *. uj *. 1e3
+
+let wire_bytes s =
+  List.fold_left (fun n f -> n + String.length f) 0 (frames_from s ~pos:0)
+
 let test_tracing_profiling_wire_neutral () =
   let bare =
     let s = make () in
     ignore (SS.run_r ~records:3 s);
     frames_from s ~pos:0
   in
-  let observed =
-    let s = make () in
-    ignore (Session.enable_tracing s);
-    ignore (Session.enable_profiling s);
-    ignore (SS.run_r ~records:3 s);
-    frames_from s ~pos:0
-  in
-  Alcotest.(check (list string)) "transcripts byte-identical" bare observed
+  let s = make () in
+  ignore (Session.enable_tracing s);
+  let p = Session.enable_profiling s in
+  ignore (SS.run_r ~records:3 s);
+  Alcotest.(check (list string)) "transcripts byte-identical" bare (frames_from s ~pos:0);
+  (* the prover sends or receives every frame on a pristine wire, and the
+     profile prices every one of them *)
+  Alcotest.(check (float 1e-6)) "secure session radio profiled"
+    (radio_cost s ~bytes:(wire_bytes s)) (radio_nj p);
+  let s = make () in
+  let p = Session.enable_profiling s in
+  ignore (Session.attest_round_r s);
+  Alcotest.(check (float 1e-6)) "plain round radio profiled"
+    (radio_cost s ~bytes:(wire_bytes s)) (radio_nj p);
+  let s = make () in
+  let p = Session.enable_profiling s in
+  let junk = "\xff not a frame" in
+  Session.deliver_frame_to_prover s junk;
+  Alcotest.(check (float 1e-6)) "malformed frame radio profiled"
+    (radio_cost s ~bytes:(String.length junk)) (radio_nj p)
 
 (* ---- fleet engine identity --------------------------------------------- *)
 

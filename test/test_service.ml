@@ -16,14 +16,14 @@ let req ?(key = sym_key) ~scheme ~counter command =
 
 let test_ping () =
   let _, svc = make () in
-  (match Service.handle_r svc (req ~scheme:(Some Timing.Auth_hmac_sha1) ~counter:1L Service.Ping) with
+  (match Service.handle svc (req ~scheme:(Some Timing.Auth_hmac_sha1) ~counter:1L Service.Ping) with
   | Ok ack -> Alcotest.(check string) "echo" "ping" ack.Service.acked_command
   | Error e -> Alcotest.failf "ping rejected: %a" Verdict.pp e)
 
 let test_secure_erase_wipes_ram () =
   let device, svc = make () in
   Device.fill_ram_deterministic device ~seed:1L;
-  (match Service.handle_r svc (req ~scheme:(Some Timing.Auth_hmac_sha1) ~counter:1L Service.Secure_erase) with
+  (match Service.handle svc (req ~scheme:(Some Timing.Auth_hmac_sha1) ~counter:1L Service.Secure_erase) with
   | Ok _ -> ()
   | Error e -> Alcotest.failf "erase rejected: %a" Verdict.pp e);
   let image = Memory.read_bytes (Device.memory device) (Device.attested_base device) 1024 in
@@ -33,7 +33,7 @@ let test_code_update_installs () =
   let device, svc = make () in
   let image = "new firmware v2" in
   (match
-     Service.handle_r svc
+     Service.handle svc
        (req ~scheme:(Some Timing.Auth_hmac_sha1) ~counter:1L (Service.Code_update { image }))
    with
   | Ok _ -> ()
@@ -46,7 +46,7 @@ let test_code_update_installs () =
 let test_bad_auth_rejected () =
   let _, svc = make () in
   let forged = req ~key:(String.make 20 'x') ~scheme:(Some Timing.Auth_hmac_sha1) ~counter:1L Service.Secure_erase in
-  (match Service.handle_r svc forged with
+  (match Service.handle svc forged with
   | Error Verdict.Bad_auth -> ()
   | Ok _ -> Alcotest.fail "forged erase accepted!"
   | Error e -> Alcotest.failf "wrong reject: %a" Verdict.pp e);
@@ -56,8 +56,8 @@ let test_bad_auth_rejected () =
 let test_replay_rejected () =
   let _, svc = make () in
   let r = req ~scheme:(Some Timing.Auth_hmac_sha1) ~counter:3L Service.Ping in
-  (match Service.handle_r svc r with Ok _ -> () | Error _ -> Alcotest.fail "first");
-  (match Service.handle_r svc r with
+  (match Service.handle svc r with Ok _ -> () | Error _ -> Alcotest.fail "first");
+  (match Service.handle svc r with
   | Error (Verdict.Not_fresh _) -> ()
   | Ok _ -> Alcotest.fail "replayed command accepted!"
   | Error e -> Alcotest.failf "wrong reject: %a" Verdict.pp e)
@@ -67,7 +67,7 @@ let test_tag_binds_command () =
   let _, svc = make () in
   let ping = req ~scheme:(Some Timing.Auth_hmac_sha1) ~counter:1L Service.Ping in
   let transplanted = { ping with Service.command = Service.Secure_erase } in
-  (match Service.handle_r svc transplanted with
+  (match Service.handle svc transplanted with
   | Error Verdict.Bad_auth -> ()
   | Ok _ -> Alcotest.fail "transplanted tag accepted!"
   | Error e -> Alcotest.failf "wrong reject: %a" Verdict.pp e)
@@ -85,18 +85,18 @@ let test_service_counter_independent_of_attestation () =
     Auth.tag_request Timing.Auth_hmac_sha1 (Auth.Vs_symmetric sym_key)
       ~body:(Message.request_body ~challenge ~freshness:body_freshness)
   in
-  (match Code_attest.handle_request_r anchor { Message.challenge; freshness = body_freshness; tag } with
+  (match Code_attest.handle_request anchor { Message.challenge; freshness = body_freshness; tag } with
   | Ok _ -> ()
   | Error e -> Alcotest.failf "attestation failed: %a" Verdict.pp e);
   (* the service still accepts counter 1: separate cells *)
-  (match Service.handle_r svc (req ~scheme:(Some Timing.Auth_hmac_sha1) ~counter:1L Service.Ping) with
+  (match Service.handle svc (req ~scheme:(Some Timing.Auth_hmac_sha1) ~counter:1L Service.Ping) with
   | Ok _ -> ()
   | Error e -> Alcotest.failf "service cell not isolated: %a" Verdict.pp e)
 
 let test_unauthenticated_service_is_dosable () =
   let device, svc = make ~scheme:None () in
   let before = Ra_mcu.Cpu.work_cycles (Device.cpu device) in
-  (match Service.handle_r svc { Service.command = Service.Secure_erase; freshness = Message.F_counter 1L; tag = Message.Tag_none } with
+  (match Service.handle svc { Service.command = Service.Secure_erase; freshness = Message.F_counter 1L; tag = Message.Tag_none } with
   | Ok _ -> ()
   | Error e -> Alcotest.failf "unexpected reject: %a" Verdict.pp e);
   let spent = Int64.sub (Ra_mcu.Cpu.work_cycles (Device.cpu device)) before in

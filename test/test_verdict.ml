@@ -112,8 +112,11 @@ let test_freshness_alias () =
     (Format.asprintf "%a" Freshness.pp_reject r)
     (Format.asprintf "%a" Verdict.pp_freshness_reject r)
 
+let counter ?(labels = []) name =
+  Ra_obs.Registry.Counter.value (Ra_obs.Registry.Counter.get ~labels name)
+
 let test_handler_conversions () =
-  (* the _r variants must agree with the legacy typed errors *)
+  (* every handler builds its Verdict.t at the point of failure *)
   let session = Session.create ~ram_size:1024 () in
   Session.advance_time session ~seconds:1.0;
   let req = Session.send_request session in
@@ -123,12 +126,66 @@ let test_handler_conversions () =
   | (_, v) :: _ ->
     Alcotest.(check bool) "verifier conversion accepted" true (Verdict.accepted v)
   | [] -> Alcotest.fail "expected a verdict");
-  (* replaying the same request must surface as Not_fresh through the _r
-     anchor API *)
-  match Code_attest.handle_request_r (Session.anchor session) req with
+  (* replaying the same request must surface as Not_fresh *)
+  (match Code_attest.handle_request (Session.anchor session) req with
   | Error (Verdict.Not_fresh _) -> ()
   | Error v -> Alcotest.failf "expected Not_fresh, got %s" (Verdict.label v)
-  | Ok _ -> Alcotest.fail "replayed request accepted"
+  | Ok _ -> Alcotest.fail "replayed request accepted");
+  (* a response whose echo does not match its request *)
+  let invalid () =
+    counter ~labels:[ ("verdict", "invalid_response") ] "ra_verifier_verdicts_total"
+  in
+  let before = invalid () in
+  let mismatched =
+    { Message.echo_challenge = "not the challenge"; echo_freshness = req.freshness;
+      report = "" }
+  in
+  Alcotest.(check string) "echo mismatch" "invalid_response"
+    (Verdict.label
+       (Verifier.check_response (Session.verifier session) ~request:req mismatched));
+  Alcotest.(check int) "invalid_response counted" 1 (invalid () - before);
+  (* Fault: the unprotected spec never locks its EA-MPU, so a rule that
+     lets only application code read K_attest can still be programmed —
+     and the anchor's own key read then faults *)
+  let s = Session.create ~spec:Architecture.unprotected ~ram_size:1024 () in
+  let device = Session.device s in
+  Ra_mcu.Ea_mpu.program (Ra_mcu.Device.mpu device)
+    {
+      Ra_mcu.Ea_mpu.rule_name = "key_app_only";
+      data_base = Ra_mcu.Device.key_addr device;
+      data_size = Ra_mcu.Device.key_len device;
+      read_by = Ra_mcu.Ea_mpu.Code_in [ Ra_mcu.Device.region_app ];
+      write_by = Ra_mcu.Ea_mpu.Nobody;
+    };
+  let attest_faults () =
+    counter ~labels:[ ("result", "fault") ] "ra_attest_requests_total"
+  in
+  let service_faults () =
+    counter ~labels:[ ("reason", "fault") ] "ra_service_rejections_total"
+  in
+  let attest_before = attest_faults () and service_before = service_faults () in
+  let fault =
+    let req = Verifier.make_request (Session.verifier s) in
+    match Code_attest.handle_request (Session.anchor s) req with
+    | Error (Verdict.Fault { fault_code; _ } as v) ->
+      Alcotest.(check string) "anchor faults in its own context"
+        Ra_mcu.Device.region_attest fault_code;
+      v
+    | Error v -> Alcotest.failf "expected Fault, got %s" (Verdict.label v)
+    | Ok _ -> Alcotest.fail "anchor read a key only application code may read"
+  in
+  Alcotest.(check int) "anchor fault counted" 1 (attest_faults () - attest_before);
+  let ping =
+    Service.make_request ~sym_key:(Session.sym_key s) ~scheme:None
+      ~freshness:(Message.F_counter 1L) Service.Ping
+  in
+  (match Service.handle (Session.service s) ping with
+  | Error v ->
+    Alcotest.(check bool) "service gives the same fault" true (v = fault)
+  | Ok _ -> Alcotest.fail "service read a key only application code may read");
+  Alcotest.(check int) "service fault counted" 1 (service_faults () - service_before);
+  Alcotest.(check int) "service tally" 1
+    (Service.rejected (Service.stats (Session.service s)) Verdict.Reason.Fault)
 
 let tests =
   [
