@@ -40,50 +40,116 @@ type wire =
   | Hs_fin of { fin_tag : string }
   | Record of { rec_seq : int64; rec_ct : string; rec_tag : string }
 
-let u64_be v =
-  String.init 8 (fun i ->
-      Char.chr (Int64.to_int (Int64.logand (Int64.shift_right_logical v (8 * (7 - i))) 0xFFL)))
+(* --- encoder: each frame or body is written into one buffer of exactly
+   its size; every [put_*] writes at [pos] and returns the next position *)
 
-let lv s = u64_be (Int64.of_int (String.length s)) ^ s
+let lv_size s = 8 + String.length s
 
-let freshness_bytes = function
-  | F_none -> "F0"
-  | F_nonce n -> "F1" ^ lv n
-  | F_counter c -> "F2" ^ u64_be c
-  | F_timestamp t -> "F3" ^ u64_be t
+let freshness_size = function
+  | F_none -> 2
+  | F_nonce n -> 2 + lv_size n
+  | F_counter _ | F_timestamp _ -> 10
 
-let request_body ~challenge ~freshness = "REQ" ^ lv challenge ^ freshness_bytes freshness
+let tag_size = function
+  | Tag_none -> 2
+  | Tag_hmac_sha1 s | Tag_aes_cbc_mac s | Tag_speck_cbc_mac s | Tag_ecdsa s -> 2 + lv_size s
 
-let response_body r = "RSP" ^ lv r.echo_challenge ^ freshness_bytes r.echo_freshness
+let attreq_size r = lv_size r.challenge + freshness_size r.freshness + tag_size r.tag
 
-let tag_bytes = function
-  | Tag_none -> "T0"
-  | Tag_hmac_sha1 s -> "T1" ^ lv s
-  | Tag_aes_cbc_mac s -> "T2" ^ lv s
-  | Tag_speck_cbc_mac s -> "T3" ^ lv s
-  | Tag_ecdsa s -> "T4" ^ lv s
+let attresp_size r =
+  lv_size r.echo_challenge + freshness_size r.echo_freshness + lv_size r.report
 
-let attreq_fields r = lv r.challenge ^ freshness_bytes r.freshness ^ tag_bytes r.tag
-
-let attresp_fields r =
-  lv r.echo_challenge ^ freshness_bytes r.echo_freshness ^ lv r.report
-
-let wire_to_bytes = function
-  | Request r -> "Q" ^ attreq_fields r
-  | Response r -> "P" ^ attresp_fields r
-  | Sync_request { verifier_time_ms; sync_counter; sync_tag } ->
-    "S" ^ u64_be verifier_time_ms ^ u64_be sync_counter ^ lv sync_tag
-  | Sync_response { acked_counter; ack_tag } -> "A" ^ u64_be acked_counter ^ lv ack_tag
+let frame_size = function
+  | Request r -> 1 + attreq_size r
+  | Response r -> 1 + attresp_size r
+  | Sync_request { sync_tag; _ } -> 17 + lv_size sync_tag
+  | Sync_response { ack_tag; _ } -> 9 + lv_size ack_tag
   | Service_request { command_name; payload; service_freshness; service_tag } ->
-    "V" ^ lv command_name ^ lv payload
-    ^ freshness_bytes service_freshness
-    ^ tag_bytes service_tag
-  | Service_ack { acked_command; ack_report } -> "K" ^ lv acked_command ^ lv ack_report
-  | Hs_init { hs_nonce; hs_req } -> "H" ^ lv hs_nonce ^ attreq_fields hs_req
+    1 + lv_size command_name + lv_size payload + freshness_size service_freshness
+    + tag_size service_tag
+  | Service_ack { acked_command; ack_report } ->
+    1 + lv_size acked_command + lv_size ack_report
+  | Hs_init { hs_nonce; hs_req } -> 1 + lv_size hs_nonce + attreq_size hs_req
   | Hs_resp { hs_rnonce; hs_report; hs_bind } ->
-    "E" ^ lv hs_rnonce ^ attresp_fields hs_report ^ lv hs_bind
-  | Hs_fin { fin_tag } -> "F" ^ lv fin_tag
-  | Record { rec_seq; rec_ct; rec_tag } -> "R" ^ u64_be rec_seq ^ lv rec_ct ^ lv rec_tag
+    1 + lv_size hs_rnonce + attresp_size hs_report + lv_size hs_bind
+  | Hs_fin { fin_tag } -> 1 + lv_size fin_tag
+  | Record { rec_ct; rec_tag; _ } -> 9 + lv_size rec_ct + lv_size rec_tag
+
+let put_char b pos c =
+  Bytes.set b pos c;
+  pos + 1
+
+let put2 b pos c0 c1 = put_char b (put_char b pos c0) c1
+
+let put_u64 b pos v =
+  Bytes.set_int64_be b pos v;
+  pos + 8
+
+let put_lv b pos s =
+  let n = String.length s in
+  Bytes.set_int64_be b pos (Int64.of_int n);
+  Bytes.blit_string s 0 b (pos + 8) n;
+  pos + 8 + n
+
+let put_freshness b pos = function
+  | F_none -> put2 b pos 'F' '0'
+  | F_nonce n -> put_lv b (put2 b pos 'F' '1') n
+  | F_counter c -> put_u64 b (put2 b pos 'F' '2') c
+  | F_timestamp t -> put_u64 b (put2 b pos 'F' '3') t
+
+let put_tag b pos = function
+  | Tag_none -> put2 b pos 'T' '0'
+  | Tag_hmac_sha1 s -> put_lv b (put2 b pos 'T' '1') s
+  | Tag_aes_cbc_mac s -> put_lv b (put2 b pos 'T' '2') s
+  | Tag_speck_cbc_mac s -> put_lv b (put2 b pos 'T' '3') s
+  | Tag_ecdsa s -> put_lv b (put2 b pos 'T' '4') s
+
+let put_attreq b pos r =
+  put_tag b (put_freshness b (put_lv b pos r.challenge) r.freshness) r.tag
+
+let put_attresp b pos r =
+  put_lv b (put_freshness b (put_lv b pos r.echo_challenge) r.echo_freshness) r.report
+
+(* the writers must fill the buffer the size functions allotted *)
+let finish b pos =
+  assert (pos = Bytes.length b);
+  Bytes.unsafe_to_string b
+
+let freshness_bytes f =
+  let b = Bytes.create (freshness_size f) in
+  finish b (put_freshness b 0 f)
+
+(* ["REQ"]/["RSP"] || lv challenge || freshness *)
+let body prefix challenge freshness =
+  let b = Bytes.create (3 + lv_size challenge + freshness_size freshness) in
+  Bytes.blit_string prefix 0 b 0 3;
+  finish b (put_freshness b (put_lv b 3 challenge) freshness)
+
+let request_body ~challenge ~freshness = body "REQ" challenge freshness
+let response_body r = body "RSP" r.echo_challenge r.echo_freshness
+
+let put_wire b = function
+  | Request r -> put_attreq b (put_char b 0 'Q') r
+  | Response r -> put_attresp b (put_char b 0 'P') r
+  | Sync_request { verifier_time_ms; sync_counter; sync_tag } ->
+    put_lv b (put_u64 b (put_u64 b (put_char b 0 'S') verifier_time_ms) sync_counter) sync_tag
+  | Sync_response { acked_counter; ack_tag } ->
+    put_lv b (put_u64 b (put_char b 0 'A') acked_counter) ack_tag
+  | Service_request { command_name; payload; service_freshness; service_tag } ->
+    let pos = put_lv b (put_lv b (put_char b 0 'V') command_name) payload in
+    put_tag b (put_freshness b pos service_freshness) service_tag
+  | Service_ack { acked_command; ack_report } ->
+    put_lv b (put_lv b (put_char b 0 'K') acked_command) ack_report
+  | Hs_init { hs_nonce; hs_req } -> put_attreq b (put_lv b (put_char b 0 'H') hs_nonce) hs_req
+  | Hs_resp { hs_rnonce; hs_report; hs_bind } ->
+    put_lv b (put_attresp b (put_lv b (put_char b 0 'E') hs_rnonce) hs_report) hs_bind
+  | Hs_fin { fin_tag } -> put_lv b (put_char b 0 'F') fin_tag
+  | Record { rec_seq; rec_ct; rec_tag } ->
+    put_lv b (put_lv b (put_u64 b (put_char b 0 'R') rec_seq) rec_ct) rec_tag
+
+let wire_to_bytes w =
+  let b = Bytes.create (frame_size w) in
+  finish b (put_wire b w)
 
 (* --- total parser: a cursor over the frame; any violation aborts --- *)
 
@@ -99,34 +165,49 @@ let take c n =
   c.pos <- c.pos + n;
   s
 
-let take_u64 c =
-  let s = take c 8 in
-  let v = ref 0L in
-  String.iter
-    (fun ch -> v := Int64.logor (Int64.shift_left !v 8) (Int64.of_int (Char.code ch)))
-    s;
-  !v
+let take_char c =
+  need c 1;
+  let ch = String.unsafe_get c.data c.pos in
+  c.pos <- c.pos + 1;
+  ch
 
+let take_u64 c =
+  need c 8;
+  let v = String.get_int64_be c.data c.pos in
+  c.pos <- c.pos + 8;
+  v
+
+(* a length is an unsigned 64-bit count: one with the top bit set is
+   beyond any frame, so it is refused before [Int64.to_int] could drop
+   that bit and read it as a small length *)
 let take_lv c =
-  let len = Int64.to_int (take_u64 c) in
-  if len < 0 || len > String.length c.data then raise Malformed;
-  take c len
+  let len = take_u64 c in
+  if len < 0L || len > Int64.of_int (String.length c.data) then raise Malformed;
+  take c (Int64.to_int len)
+
+(* a two-char discriminator: [lead] then the variant digit *)
+let take_kind c lead =
+  need c 2;
+  if String.unsafe_get c.data c.pos <> lead then raise Malformed;
+  let digit = String.unsafe_get c.data (c.pos + 1) in
+  c.pos <- c.pos + 2;
+  digit
 
 let take_freshness c =
-  match take c 2 with
-  | "F0" -> F_none
-  | "F1" -> F_nonce (take_lv c)
-  | "F2" -> F_counter (take_u64 c)
-  | "F3" -> F_timestamp (take_u64 c)
+  match take_kind c 'F' with
+  | '0' -> F_none
+  | '1' -> F_nonce (take_lv c)
+  | '2' -> F_counter (take_u64 c)
+  | '3' -> F_timestamp (take_u64 c)
   | _ -> raise Malformed
 
 let take_tag c =
-  match take c 2 with
-  | "T0" -> Tag_none
-  | "T1" -> Tag_hmac_sha1 (take_lv c)
-  | "T2" -> Tag_aes_cbc_mac (take_lv c)
-  | "T3" -> Tag_speck_cbc_mac (take_lv c)
-  | "T4" -> Tag_ecdsa (take_lv c)
+  match take_kind c 'T' with
+  | '0' -> Tag_none
+  | '1' -> Tag_hmac_sha1 (take_lv c)
+  | '2' -> Tag_aes_cbc_mac (take_lv c)
+  | '3' -> Tag_speck_cbc_mac (take_lv c)
+  | '4' -> Tag_ecdsa (take_lv c)
   | _ -> raise Malformed
 
 let take_attreq c =
@@ -145,39 +226,39 @@ let wire_of_bytes data =
   let c = { data; pos = 0 } in
   try
     let wire =
-      match take c 1 with
-      | "Q" -> Request (take_attreq c)
-      | "P" -> Response (take_attresp c)
-      | "S" ->
+      match take_char c with
+      | 'Q' -> Request (take_attreq c)
+      | 'P' -> Response (take_attresp c)
+      | 'S' ->
         let verifier_time_ms = take_u64 c in
         let sync_counter = take_u64 c in
         let sync_tag = take_lv c in
         Sync_request { verifier_time_ms; sync_counter; sync_tag }
-      | "A" ->
+      | 'A' ->
         let acked_counter = take_u64 c in
         let ack_tag = take_lv c in
         Sync_response { acked_counter; ack_tag }
-      | "V" ->
+      | 'V' ->
         let command_name = take_lv c in
         let payload = take_lv c in
         let service_freshness = take_freshness c in
         let service_tag = take_tag c in
         Service_request { command_name; payload; service_freshness; service_tag }
-      | "K" ->
+      | 'K' ->
         let acked_command = take_lv c in
         let ack_report = take_lv c in
         Service_ack { acked_command; ack_report }
-      | "H" ->
+      | 'H' ->
         let hs_nonce = take_lv c in
         let hs_req = take_attreq c in
         Hs_init { hs_nonce; hs_req }
-      | "E" ->
+      | 'E' ->
         let hs_rnonce = take_lv c in
         let hs_report = take_attresp c in
         let hs_bind = take_lv c in
         Hs_resp { hs_rnonce; hs_report; hs_bind }
-      | "F" -> Hs_fin { fin_tag = take_lv c }
-      | "R" ->
+      | 'F' -> Hs_fin { fin_tag = take_lv c }
+      | 'R' ->
         let rec_seq = take_u64 c in
         let rec_ct = take_lv c in
         let rec_tag = take_lv c in
@@ -186,8 +267,6 @@ let wire_of_bytes data =
     in
     if c.pos <> String.length data then None (* trailing garbage *) else Some wire
   with Malformed -> None
-
-let wire_size w = String.length (wire_to_bytes w)
 
 let pp_freshness fmt = function
   | F_none -> Format.pp_print_string fmt "none"

@@ -76,8 +76,6 @@ val wire_to_bytes : wire -> string
 
 val wire_of_bytes : string -> wire option
 (** Parse a received frame; [None] on anything malformed (truncated,
-    bad tags, trailing garbage). Total: never raises. *)
-
-val wire_size : wire -> int
-(** Serialized size in bytes (for energy/bandwidth accounting);
-    equals [String.length (wire_to_bytes w)]. *)
+    bad tags, a length beyond the frame, trailing garbage). Total: never
+    raises. Canonical: whenever [wire_of_bytes b = Some w],
+    [wire_to_bytes w = b], so [String.length b] is the wire size of [w]. *)

@@ -1,5 +1,3 @@
-type event = { ev_at : float; ev_seq : int; ev_fn : unit -> unit }
-
 (* How a scheduler reports into the metrics layer. The default sink hits
    the shared atomic registry handles directly; the sharded engines give
    each shard an [Ra_obs.Arena]-backed sink instead, so the per-event hot
@@ -12,10 +10,18 @@ type metrics = {
   mx_lag : float -> unit;
 }
 
+(* The binary min-heap is three parallel arrays indexed by slot: fire
+   times unboxed in a float array, insertion sequence numbers, and the
+   thunks. An event is never a record and its time never a boxed float;
+   only [fns] holds pointers, so only its stores pay the write barrier.
+   Every slot from [size] on holds [noop], so a fired thunk, and all it
+   captured, is unreachable from the scheduler once it has fired. *)
 type t = {
   mutable now : float;
-  mutable heap : event array; (* binary min-heap, first [size] slots live *)
-  mutable size : int;
+  mutable times : float array;
+  mutable seqs : int array;
+  mutable fns : (unit -> unit) array;
+  mutable size : int; (* the first [size] slots are live *)
   mutable seq : int; (* insertion order, the deterministic tie-break *)
   mutable fired : int;
   mx : metrics;
@@ -59,56 +65,65 @@ let arena_metrics arena =
     mx_lag = (fun l -> Histogram.observe lag l);
   }
 
+let noop () = ()
+
 let create ?(start = 0.0) ?(metrics = global_metrics) ?track () =
-  { now = start; heap = [||]; size = 0; seq = 0; fired = 0; mx = metrics; track }
+  {
+    now = start;
+    times = [||];
+    seqs = [||];
+    fns = [||];
+    size = 0;
+    seq = 0;
+    fired = 0;
+    mx = metrics;
+    track;
+  }
 
 let now t = t.now
 let pending t = t.size
 let fired t = t.fired
 
+let grow t =
+  let cap = max 16 (2 * t.size) in
+  let times = Array.make cap 0.0 and seqs = Array.make cap 0 and fns = Array.make cap noop in
+  Array.blit t.times 0 times 0 t.size;
+  Array.blit t.seqs 0 seqs 0 t.size;
+  Array.blit t.fns 0 fns 0 t.size;
+  t.times <- times;
+  t.seqs <- seqs;
+  t.fns <- fns
+
 (* (at, seq) lexicographic order: earlier time first, insertion order on
-   ties — the whole determinism guarantee lives in this comparison *)
-let before a b = a.ev_at < b.ev_at || (a.ev_at = b.ev_at && a.ev_seq < b.ev_seq)
-
-let swap t i j =
-  let tmp = t.heap.(i) in
-  t.heap.(i) <- t.heap.(j);
-  t.heap.(j) <- tmp
-
-let rec sift_up t i =
-  if i > 0 then begin
-    let parent = (i - 1) / 2 in
-    if before t.heap.(i) t.heap.(parent) then begin
-      swap t i parent;
-      sift_up t parent
-    end
-  end
-
-let rec sift_down t i =
-  let l = (2 * i) + 1 and r = (2 * i) + 2 in
-  let smallest = ref i in
-  if l < t.size && before t.heap.(l) t.heap.(!smallest) then smallest := l;
-  if r < t.size && before t.heap.(r) t.heap.(!smallest) then smallest := r;
-  if !smallest <> i then begin
-    swap t i !smallest;
-    sift_down t !smallest
-  end
+   ties — the whole determinism guarantee lives in this comparison, and
+   [seq] makes it strict. Both sifts move a hole rather than swapping,
+   and write the moving event once, where the hole stops. *)
+let[@inline] before (at : float) (seq : int) at' seq' = at < at' || (at = at' && seq < seq')
 
 let at t ~at:when_ fn =
   (* never schedule into the past: an event "due" before the shared clock
      (a member resumed out of a wait its private clock already served)
      fires at the next step instead of rewinding the timeline *)
   let when_ = Float.max when_ t.now in
-  let ev = { ev_at = when_; ev_seq = t.seq; ev_fn = fn } in
-  t.seq <- t.seq + 1;
-  if t.size = Array.length t.heap then begin
-    let grown = Array.make (max 16 (2 * t.size)) ev in
-    Array.blit t.heap 0 grown 0 t.size;
-    t.heap <- grown
-  end;
-  t.heap.(t.size) <- ev;
+  let seq = t.seq in
+  t.seq <- seq + 1;
+  if t.size = Array.length t.fns then grow t;
+  let times = t.times and seqs = t.seqs and fns = t.fns in
+  let i = ref t.size and placed = ref false in
+  while not !placed do
+    let parent = (!i - 1) / 2 in
+    if !i > 0 && before when_ seq times.(parent) seqs.(parent) then begin
+      times.(!i) <- times.(parent);
+      seqs.(!i) <- seqs.(parent);
+      fns.(!i) <- fns.(parent);
+      i := parent
+    end
+    else placed := true
+  done;
+  times.(!i) <- when_;
+  seqs.(!i) <- seq;
+  fns.(!i) <- fn;
   t.size <- t.size + 1;
-  sift_up t (t.size - 1);
   t.mx.mx_scheduled ();
   t.mx.mx_depth t.size;
   match t.track with
@@ -119,46 +134,68 @@ let after t ~delay fn =
   if not (delay >= 0.0) then invalid_arg "Sched.after: delay must be >= 0";
   at t ~at:(t.now +. delay) fn
 
-let next_at t = if t.size = 0 then None else Some t.heap.(0).ev_at
+let next_at t = if t.size = 0 then None else Some t.times.(0)
 
-let pop t =
-  let ev = t.heap.(0) in
-  t.size <- t.size - 1;
-  if t.size > 0 then begin
-    t.heap.(0) <- t.heap.(t.size);
-    sift_down t 0
-  end;
-  ev
+(* drop the root: the last event fills the hole it leaves, sifted down;
+   the vacated last slot goes back to [noop] *)
+let remove_min t =
+  let n = t.size - 1 in
+  t.size <- n;
+  let times = t.times and seqs = t.seqs and fns = t.fns in
+  let last_at = times.(n) and last_seq = seqs.(n) and last_fn = fns.(n) in
+  fns.(n) <- noop;
+  if n > 0 then begin
+    let i = ref 0 and placed = ref false in
+    while not !placed do
+      let l = (2 * !i) + 1 in
+      if l >= n then placed := true
+      else begin
+        let r = l + 1 in
+        let c = if r < n && before times.(r) seqs.(r) times.(l) seqs.(l) then r else l in
+        if before times.(c) seqs.(c) last_at last_seq then begin
+          times.(!i) <- times.(c);
+          seqs.(!i) <- seqs.(c);
+          fns.(!i) <- fns.(c);
+          i := c
+        end
+        else placed := true
+      end
+    done;
+    times.(!i) <- last_at;
+    seqs.(!i) <- last_seq;
+    fns.(!i) <- last_fn
+  end
 
 let observe_lag t ~member_now = t.mx.mx_lag (Float.max 0.0 (member_now -. t.now))
 
 let step t =
   if t.size = 0 then false
   else begin
-    let ev = pop t in
+    let at = t.times.(0) and fn = t.fns.(0) in
+    remove_min t;
     (* virtual time jumps to the event — monotone because insertions are
        clamped to [now] *)
-    t.now <- ev.ev_at;
+    t.now <- at;
     t.fired <- t.fired + 1;
     t.mx.mx_fired ();
     t.mx.mx_depth t.size;
     (match t.track with
     | None -> ()
     | Some tr -> Ra_obs.Profiler.Track.push tr ~at:t.now (float_of_int t.size));
-    ev.ev_fn ();
+    fn ();
     true
   end
 
 let run ?until t =
-  let within () =
-    match (until, next_at t) with
-    | _, None -> false
-    | None, Some _ -> true
-    | Some horizon, Some at -> at <= horizon
-  in
   let n = ref 0 in
-  while within () do
-    ignore (step t);
-    incr n
-  done;
+  (match until with
+  | None ->
+    while step t do
+      incr n
+    done
+  | Some horizon ->
+    while t.size > 0 && t.times.(0) <= horizon do
+      ignore (step t);
+      incr n
+    done);
   !n

@@ -8,6 +8,13 @@
     to it and runs it; events scheduled into the past are clamped to
     [now] (the timeline is monotone by construction).
 
+    The heap is three parallel arrays indexed by slot: fire times in a
+    [float array] (unboxed), sequence numbers in an [int array], and
+    the thunks. Scheduling or firing allocates no event record and no
+    boxed time; only the thunk array holds pointers. A fired thunk is
+    released: its slot is reset to a no-op, so nothing it captured stays
+    reachable from the scheduler.
+
     The intended shape (the fleet engine runs one scheduler per shard —
     see {!Fleet.sweep}): each session keeps its private
     {!Ra_net.Simtime.t} and runs its round machine

@@ -121,11 +121,13 @@ let create ?(spec = Architecture.trustlite_base) ?(sym_key = default_sym_key)
      wire. *)
   let (_ : string Channel.Endpoint.handle) =
     Channel.Endpoint.attach channel Channel.Prover_side (fun frame ->
-      (* the radio burns energy on every received frame, bogus or not *)
+      (* the radio burns energy on every received frame, bogus or not;
+         the encoding is canonical, so a parsed frame's length is also
+         its value's wire size *)
+      prover_radio t ~bytes:(String.length frame);
       match Message.wire_of_bytes frame with
-      | None -> prover_radio t ~bytes:(String.length frame)
+      | None -> ()
       | Some wire ->
-      prover_radio t ~bytes:(Message.wire_size wire);
       match wire with
       | Message.Request req ->
         Trace.causal_span trace ~cat:"prover" "prover.attest" (fun () ->

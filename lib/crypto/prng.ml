@@ -24,7 +24,12 @@ let float t bound =
   let v = Int64.to_float (Int64.shift_right_logical (next_int64 t) 11) in
   bound *. (v /. 9007199254740992.0 (* 2^53 *))
 
+(* byte i is the low byte of the i-th draw *)
 let bytes t n =
-  String.init n (fun _ -> Char.chr (Int64.to_int (Int64.logand (next_int64 t) 0xFFL)))
+  let b = Bytes.create n in
+  for i = 0 to n - 1 do
+    Bytes.unsafe_set b i (Char.unsafe_chr (Int64.to_int (next_int64 t) land 0xFF))
+  done;
+  Bytes.unsafe_to_string b
 
 let split t = create (next_int64 t)

@@ -21,7 +21,8 @@ let test_wire_size () =
   let req =
     Message.Request { challenge = "0123456789abcdef"; freshness = Message.F_counter 1L; tag = Message.Tag_none }
   in
-  Alcotest.(check bool) "positive" true (Message.wire_size req > 0);
+  let size w = String.length (Message.wire_to_bytes w) in
+  Alcotest.(check bool) "positive" true (size req > 0);
   let req_hmac =
     Message.Request
       {
@@ -31,9 +32,20 @@ let test_wire_size () =
       }
   in
   Alcotest.(check bool) "tag adds size" true
-    (Message.wire_size req_hmac > Message.wire_size req)
+    (size req_hmac > size req)
 
 (* ---- wire serialization ---- *)
+
+(* u64 fields take every bit pattern: small values, the sign edges and
+   uniform 64-bit draws *)
+let u64_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        (2, map Int64.of_int small_nat);
+        (1, oneofl [ 0L; 255L; 256L; -1L; Int64.max_int; Int64.min_int ]);
+        (3, ui64);
+      ])
 
 let freshness_gen =
   QCheck.Gen.(
@@ -41,8 +53,8 @@ let freshness_gen =
       [
         return Message.F_none;
         map (fun s -> Message.F_nonce s) (string_size (int_range 0 32));
-        map (fun i -> Message.F_counter (Int64.of_int (abs i))) int;
-        map (fun i -> Message.F_timestamp (Int64.of_int (abs i))) int;
+        map (fun c -> Message.F_counter c) u64_gen;
+        map (fun t -> Message.F_timestamp t) u64_gen;
       ])
 
 let tag_gen =
@@ -72,14 +84,12 @@ let wire_gen =
           (string_size (return 20));
         map3
           (fun t c tag ->
-            Message.Sync_request
-              { verifier_time_ms = Int64.of_int (abs t); sync_counter = Int64.of_int (abs c); sync_tag = tag })
-          int int
+            Message.Sync_request { verifier_time_ms = t; sync_counter = c; sync_tag = tag })
+          u64_gen u64_gen
           (string_size (return 20));
         map2
-          (fun c tag ->
-            Message.Sync_response { acked_counter = Int64.of_int (abs c); ack_tag = tag })
-          int
+          (fun c tag -> Message.Sync_response { acked_counter = c; ack_tag = tag })
+          u64_gen
           (string_size (return 20));
         map3
           (fun name payload (freshness, tag) ->
@@ -110,9 +120,9 @@ let wire_gen =
           (pair (string_size (return 20)) (string_size (return 32)));
         map (fun fin_tag -> Message.Hs_fin { fin_tag }) (string_size (return 32));
         map3
-          (fun seq ct tag -> Message.Record { rec_seq = Int64.of_int (abs seq); rec_ct = ct; rec_tag = tag })
-          int
-          (string_size (int_range 0 64))
+          (fun seq ct tag -> Message.Record { rec_seq = seq; rec_ct = ct; rec_tag = tag })
+          u64_gen
+          (string_size (int_range 0 300))
           (string_size (return 16));
       ])
 
@@ -122,9 +132,76 @@ let qcheck_wire_roundtrip =
   QCheck.Test.make ~name:"message: wire_of_bytes . wire_to_bytes = id" ~count:300
     wire_arb (fun w -> Message.wire_of_bytes (Message.wire_to_bytes w) = Some w)
 
-let qcheck_wire_size_consistent =
-  QCheck.Test.make ~name:"message: wire_size = |wire_to_bytes|" ~count:300 wire_arb
-    (fun w -> Message.wire_size w = String.length (Message.wire_to_bytes w))
+(* every frame that differs from a valid one in one byte: each position
+   XORed with a drawn mask, and each position set to 0x80, which puts the
+   top bit into any length or u64 field it lands on *)
+let single_byte_mutations frame mask =
+  List.concat
+    (List.init (String.length frame) (fun i ->
+         let flip = Bytes.of_string frame and top = Bytes.of_string frame in
+         Bytes.set flip i (Char.chr (Char.code frame.[i] lxor mask));
+         Bytes.set top i '\x80';
+         [ Bytes.to_string flip; Bytes.to_string top ]))
+
+let mutated_arb =
+  QCheck.make
+    ~print:(fun (w, mask) -> Format.asprintf "%a, mask %d" Message.pp_wire w mask)
+    QCheck.Gen.(pair wire_gen (int_range 1 255))
+
+let canonical b =
+  match Message.wire_of_bytes b with None -> true | Some w -> Message.wire_to_bytes w = b
+
+let qcheck_canonical_encoding =
+  QCheck.Test.make ~name:"message: canonical encoding" ~count:300 mutated_arb
+    (fun (w, mask) ->
+      let frame = Message.wire_to_bytes w in
+      canonical frame && List.for_all canonical (single_byte_mutations frame mask))
+
+(* ---- the codec against the concatenating reference in wire_oracle.ml ---- *)
+
+let qcheck_encoder_matches_oracle =
+  QCheck.Test.make ~name:"message: encoder = oracle" ~count:500
+    QCheck.(pair wire_arb (make Gen.(pair (string_size (int_range 0 40)) freshness_gen)))
+    (fun (w, (challenge, freshness)) ->
+      let resp =
+        { Message.echo_challenge = challenge; echo_freshness = freshness; report = "r" }
+      in
+      Message.wire_to_bytes w = Wire_oracle.wire_to_bytes w
+      && Message.request_body ~challenge ~freshness
+         = Wire_oracle.request_body ~challenge ~freshness
+      && Message.response_body resp = Wire_oracle.response_body resp
+      && Message.freshness_bytes freshness = Wire_oracle.freshness_bytes freshness)
+
+let same_parse b = Message.wire_of_bytes b = Wire_oracle.wire_of_bytes b
+
+let qcheck_decoder_matches_oracle_frames =
+  QCheck.Test.make ~name:"message: mutants parse = oracle" ~count:300 mutated_arb
+    (fun (w, mask) ->
+      let frame = Message.wire_to_bytes w in
+      List.for_all same_parse
+        (List.init (String.length frame + 1) (fun n -> String.sub frame 0 n))
+      && List.for_all same_parse (single_byte_mutations frame mask))
+
+(* garbage behind a valid discriminator gets past the first byte *)
+let qcheck_decoder_matches_oracle_garbage =
+  QCheck.Test.make ~name:"message: garbage parses = oracle" ~count:1000
+    QCheck.(
+      pair
+        (make Gen.(oneofl [ ""; "Q"; "P"; "S"; "A"; "V"; "K"; "H"; "E"; "F"; "R" ]))
+        (string_of_size Gen.(0 -- 200)))
+    (fun (lead, rest) -> same_parse (lead ^ rest))
+
+let test_length_top_bit_refused () =
+  let frame =
+    Message.wire_to_bytes
+      (Message.Response { echo_challenge = "c"; echo_freshness = Message.F_none; report = "r" })
+  in
+  Alcotest.(check bool) "clean frame parses" true (Message.wire_of_bytes frame <> None);
+  (* the challenge length is bytes 1..8; 2^63 + 1 must not read as 1 *)
+  let b = Bytes.of_string frame in
+  Bytes.set b 1 '\x80';
+  Alcotest.(check bool) "length 2^63 + 1 refused" true
+    (Message.wire_of_bytes (Bytes.to_string b) = None)
 
 let qcheck_truncation_rejected =
   QCheck.Test.make ~name:"message: truncated frames rejected" ~count:300
@@ -171,8 +248,12 @@ let tests =
     Alcotest.test_case "freshness encoding" `Quick test_freshness_encoding;
     Alcotest.test_case "wire size" `Quick test_wire_size;
     Alcotest.test_case "trailing garbage rejected" `Quick test_trailing_garbage_rejected;
+    Alcotest.test_case "length top bit refused" `Quick test_length_top_bit_refused;
     QCheck_alcotest.to_alcotest qcheck_wire_roundtrip;
-    QCheck_alcotest.to_alcotest qcheck_wire_size_consistent;
+    QCheck_alcotest.to_alcotest qcheck_canonical_encoding;
+    QCheck_alcotest.to_alcotest qcheck_encoder_matches_oracle;
+    QCheck_alcotest.to_alcotest qcheck_decoder_matches_oracle_frames;
+    QCheck_alcotest.to_alcotest qcheck_decoder_matches_oracle_garbage;
     QCheck_alcotest.to_alcotest qcheck_truncation_rejected;
     QCheck_alcotest.to_alcotest qcheck_garbage_never_raises;
     QCheck_alcotest.to_alcotest qcheck_body_injective_challenge;

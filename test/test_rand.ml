@@ -48,6 +48,13 @@ let test_prng_split () =
   Alcotest.(check bool) "split stream differs" true
     (Prng.next_int64 p <> Prng.next_int64 q)
 
+let test_prng_bytes_known_answer () =
+  (* byte i is the low byte of the i-th draw; server-flood's forged
+     reports are these bytes, and no digest reads them *)
+  Alcotest.(check string) "seed 7, 32 bytes"
+    "d71c02cbda11f6fe6169eb2c4e30e6f8afc735f82fcd9dff30e9ba5f471d78ac"
+    (Hexutil.to_hex (Prng.bytes (Prng.create 7L) 32))
+
 let qcheck_prng_int_bounds =
   QCheck.Test.make ~name:"prng: int respects bounds" ~count:500
     QCheck.(pair int64 (int_range 1 1000))
@@ -77,6 +84,7 @@ let tests =
     Alcotest.test_case "drbg lengths" `Quick test_drbg_lengths;
     Alcotest.test_case "prng deterministic" `Quick test_prng_deterministic;
     Alcotest.test_case "prng split" `Quick test_prng_split;
+    Alcotest.test_case "prng bytes known answer" `Quick test_prng_bytes_known_answer;
     QCheck_alcotest.to_alcotest qcheck_prng_int_bounds;
     QCheck_alcotest.to_alcotest qcheck_prng_float_bounds;
     QCheck_alcotest.to_alcotest qcheck_prng_bytes_len;

@@ -70,6 +70,90 @@ let test_determinism_across_runs () =
   in
   Alcotest.(check bool) "two runs identical" true (run () = run ())
 
+let test_fired_events_released () =
+  (* once it has fired, a thunk and everything it captured belong to the
+     garbage collector, not to the scheduler's heap *)
+  let sched = Sched.create () in
+  let captured = Weak.create 2 in
+  let schedule i =
+    let buf = Bytes.make 100_000 'x' in
+    Weak.set captured i (Some buf);
+    Sched.at sched ~at:(float_of_int i) (fun () -> ignore (Sys.opaque_identity buf))
+  in
+  schedule 0;
+  schedule 1;
+  Alcotest.(check int) "both fired" 2 (Sched.run sched);
+  Gc.full_major ();
+  Gc.full_major ();
+  Alcotest.(check (list bool)) "captured buffers collected" [ false; false ]
+    [ Weak.check captured 0; Weak.check captured 1 ];
+  (* the scheduler itself was live across the collections *)
+  Alcotest.(check int) "queue drained" 0 (Sched.pending sched)
+
+(* Random interleavings against a list that pops the minimum (at, seq):
+   absolute times on a half-second grid repeat (ties) and fall behind the
+   clock (clamped to now), delays include zero, and runs grow to ~2k
+   pending events. *)
+type heap_op = At of float | After of float | Step
+
+let heap_op_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        (3, map (fun k -> At (float_of_int k /. 2.0)) (int_range 0 60));
+        (2, map (fun k -> After (float_of_int k /. 4.0)) (int_range 0 8));
+        (2, return Step);
+      ])
+
+let heap_op_to_string = function
+  | At x -> Printf.sprintf "at %g" x
+  | After d -> Printf.sprintf "after %g" d
+  | Step -> "step"
+
+let qcheck_heap_matches_list_reference =
+  QCheck.Test.make ~name:"sched: heap = list reference" ~count:60
+    (QCheck.make
+       ~print:(fun ops -> String.concat "; " (List.map heap_op_to_string ops))
+       QCheck.Gen.(list_size (int_range 0 5000) heap_op_gen))
+    (fun ops ->
+      let sched = Sched.create () in
+      let fired = ref (-1) in
+      (* the reference: pending (at, seq) pairs, unordered *)
+      let pending = ref [] and count = ref 0 and now = ref 0.0 and seq = ref 0 in
+      let add at =
+        let id = !seq in
+        incr seq;
+        incr count;
+        pending := (Float.max at !now, id) :: !pending;
+        fun () -> fired := id
+      in
+      let earliest () =
+        List.fold_left
+          (fun best e -> match best with Some b when b <= e -> best | _ -> Some e)
+          None !pending
+      in
+      List.for_all
+        (fun op ->
+          (match op with
+          | At x ->
+            Sched.at sched ~at:x (add x);
+            true
+          | After d ->
+            Sched.after sched ~delay:d (add (!now +. d));
+            true
+          | Step -> (
+            fired := -1;
+            let stepped = Sched.step sched in
+            match earliest () with
+            | None -> not stepped
+            | Some (at, id) ->
+              pending := List.filter (fun (_, i) -> i <> id) !pending;
+              decr count;
+              now := at;
+              stepped && !fired = id && Sched.now sched = at))
+          && Sched.pending sched = !count)
+        ops)
+
 (* ---- delayed delivery ------------------------------------------------ *)
 
 let test_channel_defer_hook () =
@@ -227,6 +311,8 @@ let tests =
     Alcotest.test_case "run until horizon" `Quick test_run_until_horizon;
     Alcotest.test_case "negative delay rejected" `Quick test_after_negative_rejected;
     Alcotest.test_case "determinism across runs" `Quick test_determinism_across_runs;
+    Alcotest.test_case "fired events are released" `Quick test_fired_events_released;
+    QCheck_alcotest.to_alcotest qcheck_heap_matches_list_reference;
     Alcotest.test_case "channel defer hook" `Quick test_channel_defer_hook;
     Alcotest.test_case "sweep: events = seq" `Quick
       test_sweep_event_per_member_matches_oracle;
