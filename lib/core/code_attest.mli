@@ -58,5 +58,7 @@ val handle_channel_request :
     with [Fault]. *)
 
 val measure_memory : t -> string
-(** The raw attested-memory image as [Code_attest] reads it (for tests
-    and for provisioning the verifier's reference image). *)
+(** The raw attested-memory image as [Code_attest] reads it, in a fresh
+    string (for tests and for provisioning the verifier's reference
+    image). A request's MAC covers the same bytes, read into one buffer
+    per domain and hashed in place. *)

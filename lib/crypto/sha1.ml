@@ -1,113 +1,200 @@
-(* SHA-1 over unboxed native ints, 64-byte blocks. The compression function
-   follows FIPS 180-4 §6.1.2 with the usual 80-step expansion.
+(* SHA-1 (FIPS 180-4 §6.1.2) with the compression function written out as
+   straight-line code on unboxed 64-bit words.
 
-   Hot-path notes: state words live in a flat [int array] (no Int32 boxing),
-   block words are loaded big-endian as two [Bytes.get_uint16_be] halves
-   (allocation-free, unlike [get_int32_be] which boxes an Int32 in the
-   non-flambda compiler), and the 80-word message schedule is preallocated
-   in the context so compressing a block allocates nothing. All word
-   arithmetic is on the native [int] with explicit masking to 32 bits —
-   several times cheaper than the boxed [Int32] kernel this replaced (the
-   seed kernel is kept in bench/main.ml, section "hotpath", as baseline). *)
+   [compress] is nearly all of the memory MAC's host time, so:
+   - all 80 rounds are unrolled, and the five working variables are
+     [int64] let-bindings renamed from round to round. The native
+     compiler keeps a let-bound [int64] unboxed in a register while it
+     only feeds [Int64] primitives, so no round allocates. Nothing goes
+     through tail-call arguments, which are always boxed;
+   - the message schedule is computed inside the rounds over a 16-slot
+     ring of 64-bit slots in a 128-byte [Bytes];
+   - a big-endian message word is one unaligned 32-bit load and a byte
+     swap;
+   - only the round sum is masked to 32 bits. Every other word may carry
+     junk above bit 31, which no low bit ever sees: additions carry
+     upwards only, the round functions are bitwise, and the only values
+     rotated are [a] (by 5) and [b] (by 30), each of which is a masked
+     round sum or a chaining word. The schedule's rotate-by-one takes
+     bit 31 down with an explicit [land 1].
+   DESIGN.md §5 "Unboxed hash kernels" has the measurements and the
+   variants that lost. *)
+
+external get32u : Bytes.t -> int -> int32 = "%caml_bytes_get32u"
+external get64u : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external set64u : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
+external bswap32 : int32 -> int32 = "%bswap_int32"
 
 let digest_size = 20
 let block_size = 64
-let mask32 = 0xFFFFFFFF
 
 type ctx = {
-  state : int array; (* h0..h4, each < 2^32 *)
-  w : int array; (* preallocated 80-word message schedule *)
+  mutable h0 : int; (* chaining state, each word < 2^32 *)
+  mutable h1 : int;
+  mutable h2 : int;
+  mutable h3 : int;
+  mutable h4 : int;
+  ring : Bytes.t; (* schedule words w(i-16) .. w(i-1), slot i land 15 *)
   buf : Bytes.t; (* partial block *)
   mutable buf_len : int;
-  mutable total : int64; (* bytes absorbed *)
+  mutable total : int; (* bytes absorbed *)
 }
 
 let init () =
   {
-    state = [| 0x67452301; 0xEFCDAB89; 0x98BADCFE; 0x10325476; 0xC3D2E1F0 |];
-    w = Array.make 80 0;
+    h0 = 0x67452301;
+    h1 = 0xEFCDAB89;
+    h2 = 0x98BADCFE;
+    h3 = 0x10325476;
+    h4 = 0xC3D2E1F0;
+    ring = Bytes.create 128;
     buf = Bytes.create block_size;
     buf_len = 0;
-    total = 0L;
+    total = 0;
   }
 
-let copy t =
-  {
-    state = Array.copy t.state;
-    w = Array.make 80 0;
-    buf = Bytes.copy t.buf;
-    buf_len = t.buf_len;
-    total = t.total;
-  }
+(* Every compression writes a ring slot before reading it, so a copy
+   takes none of the ring's contents. It gets a ring of its own all the
+   same: the original and the copy may hash in two domains at once. *)
+let copy t = { t with ring = Bytes.create 128; buf = Bytes.copy t.buf }
 
-let[@inline] rotl32 x n = ((x lsl n) lor (x lsr (32 - n))) land mask32
+let[@inline] rotl x n = Int64.(logor (shift_left x n) (shift_right_logical x (32 - n)))
 
-(* The working variables rotate through tail-call arguments, which the
-   compiler keeps in registers — refs would be heap loads/stores on every
-   one of the 80 rounds. Top-level (not nested in [compress]) so no closure
-   is allocated per block. *)
-let rec q4 w state i a b c d e =
-  if i = 80 then begin
-    state.(0) <- (state.(0) + a) land mask32;
-    state.(1) <- (state.(1) + b) land mask32;
-    state.(2) <- (state.(2) + c) land mask32;
-    state.(3) <- (state.(3) + d) land mask32;
-    state.(4) <- (state.(4) + e) land mask32
-  end
-  else
-    let f = b lxor c lxor d in
-    let temp = (rotl32 a 5 + f + e + 0xCA62C1D6 + Array.unsafe_get w i) land mask32 in
-    q4 w state (i + 1) temp a (rotl32 b 30) c d
+(* Word [i] of the block at [off] (big-endian), kept in ring slot [i]. *)
+let[@inline] load ring blk off i =
+  let x = get32u blk (off + (4 * i)) in
+  let w = Int64.of_int32 (if Sys.big_endian then x else bswap32 x) in
+  set64u ring (8 * i) w;
+  w
 
-let rec q3 w state i a b c d e =
-  if i = 60 then q4 w state i a b c d e
-  else
-    let f = (b land c) lor (b land d) lor (c land d) in
-    let temp = (rotl32 a 5 + f + e + 0x8F1BBCDC + Array.unsafe_get w i) land mask32 in
-    q3 w state (i + 1) temp a (rotl32 b 30) c d
+(* Schedule word [i] >= 16, written over w(i-16) in its slot. The slot
+   arithmetic is spelled out so that it folds to constants once [i] is. *)
+let[@inline] next ring i =
+  let x =
+    Int64.(
+      logxor
+        (logxor (get64u ring (8 * ((i - 3) land 15))) (get64u ring (8 * ((i - 8) land 15))))
+        (logxor (get64u ring (8 * ((i - 14) land 15))) (get64u ring (8 * (i land 15)))))
+  in
+  let w = Int64.(logor (shift_left x 1) (logand (shift_right_logical x 31) 1L)) in
+  set64u ring (8 * (i land 15)) w;
+  w
 
-let rec q2 w state i a b c d e =
-  if i = 40 then q3 w state i a b c d e
-  else
-    let f = b lxor c lxor d in
-    let temp = (rotl32 a 5 + f + e + 0x6ED9EBA1 + Array.unsafe_get w i) land mask32 in
-    q2 w state (i + 1) temp a (rotl32 b 30) c d
+(* A round's new [a]: rotl a 5 + f b c d + e + k + w, masked, the round's
+   only mask. [r1] uses ch, [r2] and [r4] parity, [r3] maj. *)
+let[@inline] sum a f e k w =
+  Int64.(logand (add (add (rotl a 5) f) (add (add e k) w)) 0xFFFFFFFFL)
 
-let rec q1 w state i a b c d e =
-  if i = 20 then q2 w state i a b c d e
-  else
-    (* (b lxor mask32) = lnot b on clean 32-bit words, one op cheaper *)
-    let f = (b land c) lor ((b lxor mask32) land d) in
-    let temp = (rotl32 a 5 + f + e + 0x5A827999 + Array.unsafe_get w i) land mask32 in
-    q1 w state (i + 1) temp a (rotl32 b 30) c d
+let[@inline] r1 a b c d e w = sum a Int64.(logxor d (logand b (logxor c d))) e 0x5A827999L w
+let[@inline] r2 a b c d e w = sum a Int64.(logxor b (logxor c d)) e 0x6ED9EBA1L w
 
-let compress t block off =
-  let w = t.w in
-  for i = 0 to 15 do
-    (* four unchecked byte loads: big-endian word without boxing an Int32 *)
-    let base = off + (4 * i) in
-    Array.unsafe_set w i
-      ((Char.code (Bytes.unsafe_get block base) lsl 24)
-      lor (Char.code (Bytes.unsafe_get block (base + 1)) lsl 16)
-      lor (Char.code (Bytes.unsafe_get block (base + 2)) lsl 8)
-      lor Char.code (Bytes.unsafe_get block (base + 3)))
-  done;
-  for i = 16 to 79 do
-    let x =
-      Array.unsafe_get w (i - 3)
-      lxor Array.unsafe_get w (i - 8)
-      lxor Array.unsafe_get w (i - 14)
-      lxor Array.unsafe_get w (i - 16)
-    in
-    Array.unsafe_set w i (((x lsl 1) lor (x lsr 31)) land mask32)
-  done;
-  let state = t.state in
-  q1 w state 0 state.(0) state.(1) state.(2) state.(3) state.(4)
+let[@inline] r3 a b c d e w =
+  sum a Int64.(logor (logand b c) (logand d (logor b c))) e 0x8F1BBCDCL w
+
+let[@inline] r4 a b c d e w = sum a Int64.(logxor b (logxor c d)) e 0xCA62C1D6L w
+
+(* Round [i] with the working variables in (a, b, c, d, e) binds the new
+   [a] over [e] and rotates [b]; round [i + 1] then reads the same names
+   one place further on, (e, a, b, c, d), so five rounds bring them back.
+   Rounds 0-15 load their message word, 16-79 compute it. *)
+let compress t m o =
+  let r = t.ring in
+  let a = Int64.of_int t.h0 and b = Int64.of_int t.h1 and c = Int64.of_int t.h2 in
+  let d = Int64.of_int t.h3 and e = Int64.of_int t.h4 in
+  (* rounds 0-19: ch *)
+  let e = r1 a b c d e (load r m o 0) in let b = rotl b 30 in
+  let d = r1 e a b c d (load r m o 1) in let a = rotl a 30 in
+  let c = r1 d e a b c (load r m o 2) in let e = rotl e 30 in
+  let b = r1 c d e a b (load r m o 3) in let d = rotl d 30 in
+  let a = r1 b c d e a (load r m o 4) in let c = rotl c 30 in
+  let e = r1 a b c d e (load r m o 5) in let b = rotl b 30 in
+  let d = r1 e a b c d (load r m o 6) in let a = rotl a 30 in
+  let c = r1 d e a b c (load r m o 7) in let e = rotl e 30 in
+  let b = r1 c d e a b (load r m o 8) in let d = rotl d 30 in
+  let a = r1 b c d e a (load r m o 9) in let c = rotl c 30 in
+  let e = r1 a b c d e (load r m o 10) in let b = rotl b 30 in
+  let d = r1 e a b c d (load r m o 11) in let a = rotl a 30 in
+  let c = r1 d e a b c (load r m o 12) in let e = rotl e 30 in
+  let b = r1 c d e a b (load r m o 13) in let d = rotl d 30 in
+  let a = r1 b c d e a (load r m o 14) in let c = rotl c 30 in
+  let e = r1 a b c d e (load r m o 15) in let b = rotl b 30 in
+  let d = r1 e a b c d (next r 16) in let a = rotl a 30 in
+  let c = r1 d e a b c (next r 17) in let e = rotl e 30 in
+  let b = r1 c d e a b (next r 18) in let d = rotl d 30 in
+  let a = r1 b c d e a (next r 19) in let c = rotl c 30 in
+  (* rounds 20-39: parity *)
+  let e = r2 a b c d e (next r 20) in let b = rotl b 30 in
+  let d = r2 e a b c d (next r 21) in let a = rotl a 30 in
+  let c = r2 d e a b c (next r 22) in let e = rotl e 30 in
+  let b = r2 c d e a b (next r 23) in let d = rotl d 30 in
+  let a = r2 b c d e a (next r 24) in let c = rotl c 30 in
+  let e = r2 a b c d e (next r 25) in let b = rotl b 30 in
+  let d = r2 e a b c d (next r 26) in let a = rotl a 30 in
+  let c = r2 d e a b c (next r 27) in let e = rotl e 30 in
+  let b = r2 c d e a b (next r 28) in let d = rotl d 30 in
+  let a = r2 b c d e a (next r 29) in let c = rotl c 30 in
+  let e = r2 a b c d e (next r 30) in let b = rotl b 30 in
+  let d = r2 e a b c d (next r 31) in let a = rotl a 30 in
+  let c = r2 d e a b c (next r 32) in let e = rotl e 30 in
+  let b = r2 c d e a b (next r 33) in let d = rotl d 30 in
+  let a = r2 b c d e a (next r 34) in let c = rotl c 30 in
+  let e = r2 a b c d e (next r 35) in let b = rotl b 30 in
+  let d = r2 e a b c d (next r 36) in let a = rotl a 30 in
+  let c = r2 d e a b c (next r 37) in let e = rotl e 30 in
+  let b = r2 c d e a b (next r 38) in let d = rotl d 30 in
+  let a = r2 b c d e a (next r 39) in let c = rotl c 30 in
+  (* rounds 40-59: maj *)
+  let e = r3 a b c d e (next r 40) in let b = rotl b 30 in
+  let d = r3 e a b c d (next r 41) in let a = rotl a 30 in
+  let c = r3 d e a b c (next r 42) in let e = rotl e 30 in
+  let b = r3 c d e a b (next r 43) in let d = rotl d 30 in
+  let a = r3 b c d e a (next r 44) in let c = rotl c 30 in
+  let e = r3 a b c d e (next r 45) in let b = rotl b 30 in
+  let d = r3 e a b c d (next r 46) in let a = rotl a 30 in
+  let c = r3 d e a b c (next r 47) in let e = rotl e 30 in
+  let b = r3 c d e a b (next r 48) in let d = rotl d 30 in
+  let a = r3 b c d e a (next r 49) in let c = rotl c 30 in
+  let e = r3 a b c d e (next r 50) in let b = rotl b 30 in
+  let d = r3 e a b c d (next r 51) in let a = rotl a 30 in
+  let c = r3 d e a b c (next r 52) in let e = rotl e 30 in
+  let b = r3 c d e a b (next r 53) in let d = rotl d 30 in
+  let a = r3 b c d e a (next r 54) in let c = rotl c 30 in
+  let e = r3 a b c d e (next r 55) in let b = rotl b 30 in
+  let d = r3 e a b c d (next r 56) in let a = rotl a 30 in
+  let c = r3 d e a b c (next r 57) in let e = rotl e 30 in
+  let b = r3 c d e a b (next r 58) in let d = rotl d 30 in
+  let a = r3 b c d e a (next r 59) in let c = rotl c 30 in
+  (* rounds 60-79: parity *)
+  let e = r4 a b c d e (next r 60) in let b = rotl b 30 in
+  let d = r4 e a b c d (next r 61) in let a = rotl a 30 in
+  let c = r4 d e a b c (next r 62) in let e = rotl e 30 in
+  let b = r4 c d e a b (next r 63) in let d = rotl d 30 in
+  let a = r4 b c d e a (next r 64) in let c = rotl c 30 in
+  let e = r4 a b c d e (next r 65) in let b = rotl b 30 in
+  let d = r4 e a b c d (next r 66) in let a = rotl a 30 in
+  let c = r4 d e a b c (next r 67) in let e = rotl e 30 in
+  let b = r4 c d e a b (next r 68) in let d = rotl d 30 in
+  let a = r4 b c d e a (next r 69) in let c = rotl c 30 in
+  let e = r4 a b c d e (next r 70) in let b = rotl b 30 in
+  let d = r4 e a b c d (next r 71) in let a = rotl a 30 in
+  let c = r4 d e a b c (next r 72) in let e = rotl e 30 in
+  let b = r4 c d e a b (next r 73) in let d = rotl d 30 in
+  let a = r4 b c d e a (next r 74) in let c = rotl c 30 in
+  let e = r4 a b c d e (next r 75) in let b = rotl b 30 in
+  let d = r4 e a b c d (next r 76) in let a = rotl a 30 in
+  let c = r4 d e a b c (next r 77) in let e = rotl e 30 in
+  let b = r4 c d e a b (next r 78) in let d = rotl d 30 in
+  let a = r4 b c d e a (next r 79) in let c = rotl c 30 in
+  t.h0 <- (t.h0 + Int64.to_int a) land 0xFFFFFFFF;
+  t.h1 <- (t.h1 + Int64.to_int b) land 0xFFFFFFFF;
+  t.h2 <- (t.h2 + Int64.to_int c) land 0xFFFFFFFF;
+  t.h3 <- (t.h3 + Int64.to_int d) land 0xFFFFFFFF;
+  t.h4 <- (t.h4 + Int64.to_int e) land 0xFFFFFFFF
 
 let feed_bytes t b ~pos ~len =
   if pos < 0 || len < 0 || pos + len > Bytes.length b then
     invalid_arg "Sha1.feed_bytes";
-  t.total <- Int64.add t.total (Int64.of_int len);
+  t.total <- t.total + len;
   let pos = ref pos in
   let remaining = ref len in
   (* fill a partial buffered block first *)
@@ -139,8 +226,7 @@ let feed t s =
   feed_bytes t (Bytes.unsafe_of_string s) ~pos:0 ~len:(String.length s)
 
 let finalize t =
-  let bits = Int64.mul t.total 8L in
-  (* append 0x80, pad with zeros to 56 mod 64, then 64-bit length *)
+  (* append 0x80, pad with zeros to 56 mod 64, then the 64-bit bit length *)
   Bytes.set t.buf t.buf_len '\x80';
   t.buf_len <- t.buf_len + 1;
   if t.buf_len > block_size - 8 then begin
@@ -149,12 +235,14 @@ let finalize t =
     t.buf_len <- 0
   end;
   Bytes.fill t.buf t.buf_len (block_size - 8 - t.buf_len) '\x00';
-  Bytes.set_int64_be t.buf (block_size - 8) bits;
+  Bytes.set_int64_be t.buf (block_size - 8) (Int64.mul (Int64.of_int t.total) 8L);
   compress t t.buf 0;
   let out = Bytes.create digest_size in
-  for i = 0 to 4 do
-    Bytes.set_int32_be out (4 * i) (Int32.of_int t.state.(i))
-  done;
+  Bytes.set_int32_be out 0 (Int32.of_int t.h0);
+  Bytes.set_int32_be out 4 (Int32.of_int t.h1);
+  Bytes.set_int32_be out 8 (Int32.of_int t.h2);
+  Bytes.set_int32_be out 12 (Int32.of_int t.h3);
+  Bytes.set_int32_be out 16 (Int32.of_int t.h4);
   Bytes.unsafe_to_string out
 
 let digest s =

@@ -4,8 +4,10 @@
     SHA1-HMAC over the prover's whole writable memory; this module is the
     functional core of both. Streaming interface plus one-shot digest.
 
-    The compression function runs on unboxed native [int] words with a
-    preallocated message schedule — see "Hot-path performance" in DESIGN.md. *)
+    The compression function is straight-line code: 80 unrolled rounds on
+    unboxed [int64] words, with the message schedule computed inside the
+    rounds over a 16-word ring. Hashing full blocks allocates nothing —
+    see "Unboxed hash kernels" in DESIGN.md §5. *)
 
 type ctx
 (** Mutable hashing context. *)

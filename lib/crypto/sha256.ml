@@ -1,5 +1,5 @@
-(* SHA-256 with the same streaming skeleton and unboxed-int kernel as
-   {!Sha1}: flat [int array] state, [Bytes.get_int32_be] word loads, a
+(* SHA-256 with the streaming skeleton of {!Sha1} and an unboxed-int
+   kernel: flat [int array] state, [Bytes.get_int32_be] word loads, a
    preallocated 64-word schedule, and explicit 32-bit masking on native
    ints so compressing a block allocates nothing. *)
 

@@ -91,6 +91,12 @@ let load_bytes t addr len =
     Memory.read_bytes t.memory addr len
   end
 
+let load_into t addr buf ~pos ~len =
+  if len <> 0 then begin
+    guard t addr len Ea_mpu.Read;
+    Memory.read_into t.memory addr buf ~pos ~len
+  end
+
 let store_bytes t addr s =
   if String.length s > 0 then begin
     guard t addr (String.length s) Ea_mpu.Write;

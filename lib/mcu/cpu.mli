@@ -68,6 +68,12 @@ val faults : t -> fault list
 val load_byte : t -> int -> int
 val store_byte : t -> int -> int -> unit
 val load_bytes : t -> int -> int -> string
+
+val load_into : t -> int -> Bytes.t -> pos:int -> len:int -> unit
+(** {!load_bytes} into [buf] at [pos] ({!Memory.read_into}): the same
+    EA-MPU check runs before any byte moves, and the same faults are
+    raised. *)
+
 val store_bytes : t -> int -> string -> unit
 val load_u32 : t -> int -> int
 val store_u32 : t -> int -> int -> unit

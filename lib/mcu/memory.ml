@@ -109,20 +109,24 @@ let rec blit_in m s off roff n =
    real (wall-clock) bottleneck. Faults surface exactly as in the
    byte-wise versions: at the first unmapped/ROM byte, with prior runs
    applied. *)
+let rec read_runs mapped addr buf pos len =
+  if len > 0 then begin
+    let m = locate addr mapped in
+    let roff = addr - m.region.Region.base in
+    let n = min len (m.region.Region.size - roff) in
+    blit_out m roff buf pos n;
+    read_runs mapped (addr + n) buf (pos + n) (len - n)
+  end
+
+let read_into t addr buf ~pos ~len =
+  if pos < 0 || len < 0 || pos > Bytes.length buf - len then invalid_arg "Memory.read_into";
+  read_runs t.mapped addr buf pos len
+
 let read_bytes t addr len =
   if len = 0 then ""
   else begin
     let buf = Bytes.create len in
-    let rec fill off =
-      if off < len then begin
-        let m = locate (addr + off) t.mapped in
-        let roff = addr + off - m.region.Region.base in
-        let n = min (len - off) (m.region.Region.size - roff) in
-        blit_out m roff buf off n;
-        fill (off + n)
-      end
-    in
-    fill 0;
+    read_runs t.mapped addr buf 0 len;
     Bytes.unsafe_to_string buf
   end
 

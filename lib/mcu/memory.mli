@@ -7,9 +7,9 @@
     Host storage is paged: each region is backed by 4 KiB pages that all
     start as one shared zero page and get bytes of their own on the first
     write of a non-zero byte, so a memory holds host heap only for the
-    pages it wrote. Reads copy into fresh strings and no page buffer is
-    ever handed out, so the zero page stays zero and memories owned by
-    different domains may share it. *)
+    pages it wrote. Reads copy into fresh strings or into a caller's
+    buffer, and no page buffer is ever handed out, so the zero page stays
+    zero and memories owned by different domains may share it. *)
 
 type t
 
@@ -31,6 +31,14 @@ val seal_rom : t -> unit
 val read_byte : t -> int -> int
 val write_byte : t -> int -> int -> unit
 val read_bytes : t -> int -> int -> string
+
+val read_into : t -> int -> Bytes.t -> pos:int -> len:int -> unit
+(** [read_into t addr buf ~pos ~len] copies the [len] bytes at [addr]
+    into [buf] at [pos], the bytes {!read_bytes} would return, without
+    allocating. On a {!Bus_fault} the runs before the faulting byte have
+    been copied.
+    @raise Invalid_argument if [pos]/[len] do not denote a range of [buf]. *)
+
 val write_bytes : t -> int -> string -> unit
 
 val read_u32 : t -> int -> int

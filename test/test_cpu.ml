@@ -79,6 +79,23 @@ let test_zero_length_access () =
   Cpu.store_bytes cpu 0x2000 "";
   Alcotest.(check int) "no faults" 0 (List.length (Cpu.faults cpu))
 
+let test_load_into () =
+  let cpu = make () in
+  Cpu.store_bytes cpu 0x1010 "abcdef";
+  let buf = Bytes.make 10 '.' in
+  Cpu.load_into cpu 0x1010 buf ~pos:2 ~len:6;
+  Alcotest.(check string) "window filled" "..abcdef.." (Bytes.to_string buf);
+  (* a denied read faults as load_bytes does, before any byte moves *)
+  let fault f = match f () with _ -> None | exception Cpu.Protection_fault e -> Some e in
+  let buf = Bytes.make 0x10 '.' in
+  let denied = fault (fun () -> Cpu.load_into cpu 0x2000 buf ~pos:0 ~len:0x10) in
+  Alcotest.(check bool) "same fault as load_bytes" true
+    (denied <> None && denied = fault (fun () -> Cpu.load_bytes cpu 0x2000 0x10));
+  Alcotest.(check string) "nothing copied" (String.make 0x10 '.') (Bytes.to_string buf);
+  Alcotest.(check int) "both recorded" 2 (List.length (Cpu.faults cpu));
+  Cpu.load_into cpu 0x2000 buf ~pos:0 ~len:0;
+  Alcotest.(check int) "empty load is no fault" 2 (List.length (Cpu.faults cpu))
+
 let tests =
   [
     Alcotest.test_case "context switching" `Quick test_context_switching;
@@ -89,4 +106,5 @@ let tests =
     Alcotest.test_case "elapsed seconds" `Quick test_elapsed_seconds;
     Alcotest.test_case "advance listeners" `Quick test_listeners;
     Alcotest.test_case "zero-length access" `Quick test_zero_length_access;
+    Alcotest.test_case "load_into" `Quick test_load_into;
   ]

@@ -109,6 +109,76 @@ let qcheck_sha1_distinct =
       Bytes.set b 0 (Char.chr (Char.code (Bytes.get b 0) lxor 1));
       Sha1.digest (Bytes.to_string b) <> Sha1.digest s)
 
+(* ---- the straight-line kernel against the tail-recursive one kept in
+   sha1_oracle.ml ---- *)
+
+(* [s] cut at the given offsets, clipped to its length, in order *)
+let pieces s cuts =
+  let cuts = List.sort_uniq compare (List.map (fun c -> min c (String.length s)) cuts) in
+  let rec go from = function
+    | [] -> [ String.sub s from (String.length s - from) ]
+    | c :: rest -> String.sub s from (c - from) :: go c rest
+  in
+  go 0 cuts
+
+let qcheck_sha1_oracle_splits =
+  QCheck.Test.make ~name:"sha1 = oracle: 0-5 KiB, multi-way splits" ~count:200
+    QCheck.(pair (string_of_size Gen.(0 -- 5120)) (small_list (int_bound 5120)))
+    (fun (s, cuts) ->
+      let t = Sha1.init () in
+      List.iter (Sha1.feed t) (pieces s cuts);
+      Sha1.finalize t = Sha1_oracle.digest s)
+
+(* the window starts at an odd offset, so every word load is unaligned *)
+let qcheck_sha1_oracle_odd_pos =
+  QCheck.Test.make ~name:"sha1 = oracle: feed_bytes at odd pos" ~count:200
+    QCheck.(triple (string_of_size Gen.(0 -- 5120)) (int_bound 31) (int_bound 5120))
+    (fun (s, k, cut) ->
+      let pos = (2 * k) + 1 in
+      let b = Bytes.of_string (String.make pos '\xa5' ^ s) in
+      let cut = min cut (String.length s) in
+      let t = Sha1.init () in
+      Sha1.feed_bytes t b ~pos ~len:cut;
+      Sha1.feed_bytes t b ~pos:(pos + cut) ~len:(String.length s - cut);
+      Sha1.finalize t = Sha1_oracle.digest s)
+
+(* a fork taken mid-block, then fed interleaved with its original *)
+let qcheck_sha1_oracle_copy =
+  QCheck.Test.make ~name:"sha1 = oracle: copy forks mid-block" ~count:200
+    QCheck.(
+      triple
+        (string_of_size Gen.(map2 (fun q r -> (64 * q) + r) (0 -- 16) (1 -- 63)))
+        (string_of_size Gen.(0 -- 1024))
+        (string_of_size Gen.(0 -- 1024)))
+    (fun (prefix, a, b) ->
+      let t = Sha1.init () in
+      Sha1.feed t prefix;
+      let fork = Sha1.copy t in
+      let half = String.length a / 2 in
+      Sha1.feed t (String.sub a 0 half);
+      Sha1.feed fork b;
+      Sha1.feed t (String.sub a half (String.length a - half));
+      Sha1.finalize t = Sha1_oracle.digest (prefix ^ a)
+      && Sha1.finalize fork = Sha1_oracle.digest (prefix ^ b))
+
+let test_sha1_oracle_64k () =
+  let rng = Random.State.make [| 64 |] in
+  let s = String.init 65536 (fun _ -> Char.chr (Random.State.int rng 256)) in
+  check "64 KiB" (hex (Sha1_oracle.digest s)) (hex (Sha1.digest s))
+
+(* The round variables stay unboxed, so compressing allocates nothing.
+   One boxed variable would cost about three words a round: some 240k
+   words over these 1,024 blocks. *)
+let test_sha1_blocks_allocate_nothing () =
+  let blocks = Bytes.make (1024 * Sha1.block_size) 'b' in
+  let t = Sha1.init () in
+  Sha1.feed_bytes t blocks ~pos:0 ~len:Sha1.block_size;
+  let before = Gc.minor_words () in
+  Sha1.feed_bytes t blocks ~pos:0 ~len:(Bytes.length blocks);
+  let words = Gc.minor_words () -. before in
+  if words >= 64. then
+    Alcotest.failf "1,024 blocks allocated %.0f minor words (bound 64)" words
+
 let tests =
   [
     Alcotest.test_case "sha1 FIPS vectors" `Quick test_sha1_vectors;
@@ -121,4 +191,10 @@ let tests =
     QCheck_alcotest.to_alcotest qcheck_sha1_streaming;
     QCheck_alcotest.to_alcotest qcheck_sha256_streaming;
     QCheck_alcotest.to_alcotest qcheck_sha1_distinct;
+    QCheck_alcotest.to_alcotest qcheck_sha1_oracle_splits;
+    QCheck_alcotest.to_alcotest qcheck_sha1_oracle_odd_pos;
+    QCheck_alcotest.to_alcotest qcheck_sha1_oracle_copy;
+    Alcotest.test_case "sha1 = oracle: 64 KiB" `Quick test_sha1_oracle_64k;
+    Alcotest.test_case "sha1: full blocks allocate nothing" `Quick
+      test_sha1_blocks_allocate_nothing;
   ]

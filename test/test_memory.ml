@@ -125,6 +125,7 @@ module Flat = struct
   let seal_rom t = t.sealed <- true
   let write_byte = poke ~raw:false
   let read_bytes t addr len = String.init len (fun i -> Char.chr (read_byte t (addr + i)))
+  let read_into t addr buf ~pos ~len = Bytes.blit_string (read_bytes t addr len) 0 buf pos len
   let write_bytes t addr s = String.iteri (fun i c -> write_byte t (addr + i) (Char.code c)) s
   let copy_raw t ~base s = String.iteri (fun i c -> poke ~raw:true t (base + i) (Char.code c)) s
   (* the same expression as [Memory.read_u32], so a word that straddles
@@ -145,6 +146,7 @@ type op =
   | Read_byte of int
   | Write_byte of int * int
   | Read_bytes of int * int
+  | Read_into of int * int * int
   | Write_bytes of int * string
   | Copy_raw of int * string
   | Read_u32 of int
@@ -155,6 +157,7 @@ let pp_op = function
   | Read_byte a -> Printf.sprintf "read_byte 0x%x" a
   | Write_byte (a, v) -> Printf.sprintf "write_byte 0x%x %d" a v
   | Read_bytes (a, n) -> Printf.sprintf "read_bytes 0x%x %d" a n
+  | Read_into (a, n, pos) -> Printf.sprintf "read_into 0x%x %d at %d" a n pos
   | Write_bytes (a, s) -> Printf.sprintf "write_bytes 0x%x (%d B)" a (String.length s)
   | Copy_raw (a, s) -> Printf.sprintf "copy_raw 0x%x (%d B)" a (String.length s)
   | Read_u32 a -> Printf.sprintf "read_u32 0x%x" a
@@ -188,6 +191,8 @@ let op_gen =
     [ (3, map (fun a -> Read_byte a) addr);
       (3, map2 (fun a v -> Write_byte (a, v)) addr (oneof [ return 0; int_bound 255 ]));
       (3, map2 (fun a n -> Read_bytes (a, n)) addr (int_range 0 (2 * page)));
+      (2, map3 (fun a n pos -> Read_into (a, n, pos))
+            addr (int_range 0 (2 * page)) (int_bound 9));
       (3, map2 (fun a s -> Write_bytes (a, s)) addr payload);
       (1, map2 (fun a s -> Copy_raw (a, s)) addr payload);
       (2, map (fun a -> Read_u32 a) addr);
@@ -201,6 +206,7 @@ module type MEM = sig
   val read_byte : t -> int -> int
   val write_byte : t -> int -> int -> unit
   val read_bytes : t -> int -> int -> string
+  val read_into : t -> int -> Bytes.t -> pos:int -> len:int -> unit
   val write_bytes : t -> int -> string -> unit
   val copy_raw : t -> base:int -> string -> unit
   val read_u32 : t -> int -> int
@@ -215,6 +221,11 @@ let exec (type m) (module M : MEM with type t = m) (mem : m) op =
       | Read_byte a -> string_of_int (M.read_byte mem a)
       | Write_byte (a, v) -> M.write_byte mem a v; ""
       | Read_bytes (a, n) -> M.read_bytes mem a n
+      | Read_into (a, n, pos) ->
+        (* the bytes around the window must stay as they were *)
+        let buf = Bytes.make (pos + n + 3) '.' in
+        M.read_into mem a buf ~pos ~len:n;
+        Bytes.to_string buf
       | Write_bytes (a, s) -> M.write_bytes mem a s; ""
       | Copy_raw (a, s) -> M.copy_raw mem ~base:a s; ""
       | Read_u32 a -> string_of_int (M.read_u32 mem a)

@@ -300,9 +300,98 @@ let test_anchor_fault_on_misconfigured_rules () =
   | Error (Verdict.Fault _) -> ()
   | Ok _ | Error _ -> Alcotest.fail "expected anchor fault")
 
+(* ---- the image buffer the anchor MACs in place ---- *)
+
+let fresh_session ?spec ?ram_seed ram_size = Session.create ?spec ?ram_seed ~ram_size ()
+
+(* a second apart, so a timestamped request is always fresh *)
+let anchor_request s =
+  Session.advance_time s ~seconds:1.0;
+  Code_attest.handle_request (Session.anchor s) (Verifier.make_request (Session.verifier s))
+
+(* One accepted request: its report must be the MAC over the image
+   [measure_memory] reads into a buffer of its own. *)
+let check_report what s =
+  match anchor_request s with
+  | Error v -> Alcotest.failf "%s: anchor rejected: %a" what Verdict.pp v
+  | Ok resp ->
+    let expected =
+      Auth.response_report ~sym_key:(Session.sym_key s)
+        ~body:(Message.response_body { resp with Message.report = "" })
+        ~memory_image:(Code_attest.measure_memory (Session.anchor s))
+    in
+    Alcotest.(check string) what (Ra_crypto.Hexutil.to_hex expected)
+      (Ra_crypto.Hexutil.to_hex resp.Message.report);
+    resp.Message.report
+
+let test_image_buffer_reports () =
+  (* the domain's buffer changes length 1 KiB -> 64 KiB -> 1 KiB *)
+  let small = fresh_session ~ram_seed:1L 1024 in
+  ignore (check_report "1 KiB" small);
+  ignore (check_report "64 KiB" (fresh_session ~ram_seed:2L 65536));
+  ignore (check_report "1 KiB after 64 KiB" (fresh_session ~ram_seed:3L 1024));
+  ignore (check_report "first device again" small);
+  (* two attested ranges, RAM then application flash, in one buffer *)
+  let spec = { Architecture.trustlite_base with Architecture.attest_app_flash = true } in
+  ignore (check_report "RAM + app flash" (fresh_session ~spec 1024));
+  (* RAM written between rounds *)
+  let s = fresh_session 1024 in
+  let before = check_report "before the write" s in
+  let d = Session.device s in
+  Ra_mcu.Memory.write_bytes (Device.memory d) (Device.attested_base d + 100) "changed";
+  let after = check_report "after the write" s in
+  Alcotest.(check bool) "the write moves the report" true (before <> after)
+
+let test_image_read_fault () =
+  (* an unlocked EA-MPU takes a rule that denies the anchor part of the
+     second attested range, so the read faults after the RAM range was
+     copied: at that range's base, as the fresh-buffer reader does *)
+  let spec =
+    { Architecture.trustlite_base with Architecture.clock_impl = Device.Clock_none;
+      policy = Freshness.Counter; protect_key = false; lock_mpu = false;
+      attest_app_flash = true }
+  in
+  let s = fresh_session ~spec 1024 in
+  let d = Session.device s in
+  let cpu = Device.cpu d in
+  let flash_base = fst (List.nth (Device.attested_ranges d) 1) in
+  Ra_mcu.Ea_mpu.program (Device.mpu d)
+    {
+      Ra_mcu.Ea_mpu.rule_name = "flash-app-only";
+      data_base = flash_base + 100;
+      data_size = 16;
+      read_by = Ra_mcu.Ea_mpu.Code_in [ Device.region_app ];
+      write_by = Ra_mcu.Ea_mpu.Anyone;
+    };
+  let fault =
+    {
+      Cpu.fault_code = Device.region_attest;
+      fault_addr = flash_base;
+      fault_mode = Ra_mcu.Ea_mpu.Read;
+    }
+  in
+  let faults = Cpu.faults cpu in
+  (match anchor_request s with
+  | Error (Verdict.Fault { fault_addr; fault_code }) ->
+    Alcotest.(check int) "at the flash range's base" flash_base fault_addr;
+    Alcotest.(check string) "in the anchor's context" Device.region_attest fault_code
+  | Error v -> Alcotest.failf "expected Fault, got %a" Verdict.pp v
+  | Ok _ -> Alcotest.fail "anchor read flash only application code may read");
+  Alcotest.(check bool) "one fault recorded" true (Cpu.faults cpu = fault :: faults);
+  (match Code_attest.measure_memory (Session.anchor s) with
+  | _ -> Alcotest.fail "measure_memory read flash only application code may read"
+  | exception Cpu.Protection_fault f ->
+    Alcotest.(check bool) "measure_memory faults the same" true (f = fault));
+  (* a partly filled buffer leaves no trace in the next report *)
+  Ra_mcu.Ea_mpu.clear (Device.mpu d);
+  ignore (check_report "after the fault" s)
+
 let tests =
   [
     Alcotest.test_case "benign round trusted" `Quick test_benign_round_trusted;
+    Alcotest.test_case "image buffer report = measure_memory MAC" `Quick
+      test_image_buffer_reports;
+    Alcotest.test_case "image read fault as measure_memory" `Quick test_image_read_fault;
     Alcotest.test_case "modified memory detected" `Quick test_modified_memory_detected;
     Alcotest.test_case "forged request rejected" `Quick test_forged_request_rejected;
     Alcotest.test_case "wrong MAC rejected" `Quick test_wrong_mac_rejected;

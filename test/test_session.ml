@@ -175,6 +175,34 @@ let test_retained_heap_per_round () =
   if per_record > bound then
     Alcotest.failf "a streamed record keeps %d B (bound %d B)" per_record bound
 
+(* The anchor reads a device's attested memory into one buffer per domain
+   and MACs it in place, so after the first round a 64 KiB round puts no
+   image on the major heap. Reading it into fresh strings cost two 64 KiB
+   blocks per round, about 16.5k major words. *)
+let test_round_allocates_no_image () =
+  let bound = 1024 and rounds = 20 in
+  let s = Session.create ~ram_size:65536 () in
+  Session.advance_time s ~seconds:1.0;
+  let round () =
+    match (Session.attest_round_r s).Session.r_verdict with
+    | Verdict.Trusted -> ()
+    | v -> Alcotest.failf "attest round: %a" Verdict.pp v
+  in
+  for _ = 1 to 3 do
+    round ()
+  done;
+  let major_words () =
+    let _, _, major = Gc.counters () in
+    major
+  in
+  let before = major_words () in
+  for _ = 1 to rounds do
+    round ()
+  done;
+  let per_round = (major_words () -. before) /. float_of_int rounds in
+  if per_round >= float_of_int bound then
+    Alcotest.failf "a 64 KiB round allocates %.0f major words (bound %d)" per_round bound
+
 let tests =
   [
     Alcotest.test_case "multiple outstanding requests" `Quick
@@ -190,4 +218,6 @@ let tests =
       test_service_round_over_channel;
     Alcotest.test_case "custom symmetric key" `Quick test_custom_sym_key;
     Alcotest.test_case "retained heap per round" `Quick test_retained_heap_per_round;
+    Alcotest.test_case "64 KiB round allocates no image" `Quick
+      test_round_allocates_no_image;
   ]
