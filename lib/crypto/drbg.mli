@@ -1,7 +1,7 @@
 (** HMAC-DRBG (NIST SP 800-90A) over SHA-256.
 
-    Deterministic randomness for ECDSA nonces (RFC 6979-style) and for
-    reproducible simulation inputs: a given seed always yields the same
+    Deterministic randomness for ECDSA nonces (RFC 6979-style), verifier
+    challenges and reproducible simulation inputs: a given seed always yields the same
     stream, so every experiment in this repository is replayable. *)
 
 type t
@@ -12,4 +12,6 @@ val create : ?personalization:string -> seed:string -> unit -> t
 val reseed : t -> string -> unit
 
 val generate : t -> int -> string
-(** [generate t n] produces [n] pseudorandom bytes and advances the state. *)
+(** [generate t n] produces [n] pseudorandom bytes and advances the state.
+    It allocates only the result.
+    @raise Invalid_argument if [n < 0], leaving the state untouched. *)

@@ -23,35 +23,41 @@ let sha256 =
     block_size = Sha256.block_size;
   }
 
-let normalize_key h key =
-  let key = if String.length key > h.block_size then h.digest key else key in
-  key ^ String.make (h.block_size - String.length key) '\x00'
-
 (* A keyed context stores the compression-function midstates reached after
    absorbing the ipad and opad blocks. Deriving them costs two compressions
-   and two block-sized allocations; [mac_with] then pays neither — exactly
+   and one block-sized buffer; [mac_with] then pays neither — exactly
    the paper's "fixed" vs "per 64B block" HMAC cost split (Table 1), realized
    in the implementation. *)
 type key_ctx =
   | Kc_sha1 of { inner : Sha1.ctx; outer : Sha1.ctx }
   | Kc_sha256 of { inner : Sha256.ctx; outer : Sha256.ctx }
 
+(* Both pads are built in one block: the key (hashed first if longer than
+   a block, per RFC 2104) zero-padded and xored with ipad, absorbed, then
+   xored with ipad xor opad and absorbed again. *)
 let key h ~key:k =
-  let k = normalize_key h k in
-  let ipad = Hexutil.xor k (String.make h.block_size '\x36') in
-  let opad = Hexutil.xor k (String.make h.block_size '\x5c') in
+  let k = if String.length k > h.block_size then h.digest k else k in
+  let pad = Bytes.make h.block_size '\x36' in
+  String.iteri (fun i c -> Bytes.set pad i (Char.chr (Char.code c lxor 0x36))) k;
+  let to_opad () =
+    for i = 0 to h.block_size - 1 do
+      Bytes.set pad i (Char.chr (Char.code (Bytes.get pad i) lxor (0x36 lxor 0x5c)))
+    done
+  in
   match h.kind with
   | Kind_sha1 ->
     let inner = Sha1.init () in
-    Sha1.feed inner ipad;
+    Sha1.feed_bytes inner pad ~pos:0 ~len:h.block_size;
+    to_opad ();
     let outer = Sha1.init () in
-    Sha1.feed outer opad;
+    Sha1.feed_bytes outer pad ~pos:0 ~len:h.block_size;
     Kc_sha1 { inner; outer }
   | Kind_sha256 ->
     let inner = Sha256.init () in
-    Sha256.feed inner ipad;
+    Sha256.feed_bytes inner pad ~pos:0 ~len:h.block_size;
+    to_opad ();
     let outer = Sha256.init () in
-    Sha256.feed outer opad;
+    Sha256.feed_bytes outer pad ~pos:0 ~len:h.block_size;
     Kc_sha256 { inner; outer }
 
 let mac_parts kc parts =

@@ -1,8 +1,11 @@
 (** SHA-256 (FIPS 180-4), implemented from scratch.
 
     Used by the secure-boot measurement (the boot ROM hashes the loaded
-    image and compares it to the reference digest) and available as an
-    alternative HMAC hash. Same unboxed-int kernel design as {!Sha1}. *)
+    image and compares it to the reference digest), by HKDF and the
+    secure-session transcript, and by the HMAC-DRBG behind every
+    verifier challenge. The kernel is straight-line code on unboxed
+    64-bit words, the design of {!Sha1}; compressing a block allocates
+    nothing. *)
 
 type ctx
 
@@ -10,6 +13,13 @@ val init : unit -> ctx
 
 val copy : ctx -> ctx
 (** Independent snapshot of a context's midstate (see {!Sha1.copy}). *)
+
+val reset : ctx -> unit
+(** Return a context to the state {!init} gives, in place. *)
+
+val blit : ctx -> ctx -> unit
+(** [blit src dst] makes [dst] a copy of [src]'s midstate, in place: what
+    {!copy} does, without allocating. *)
 
 val feed : ctx -> string -> unit
 
@@ -19,7 +29,13 @@ val feed_bytes : ctx -> Bytes.t -> pos:int -> len:int -> unit
     @raise Invalid_argument if [pos]/[len] do not denote a valid range. *)
 
 val finalize : ctx -> string
-(** 32-byte digest; the context must not be reused. *)
+(** 32-byte digest; the context must not be reused until {!reset} or
+    {!blit} overwrites it. *)
+
+val finalize_into : ctx -> Bytes.t -> unit
+(** [finalize_into t out] is {!finalize} writing the digest into the first
+    32 bytes of [out] instead of a fresh string.
+    @raise Invalid_argument if [out] is shorter than 32 bytes. *)
 
 val digest : string -> string
 

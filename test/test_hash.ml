@@ -1,5 +1,5 @@
 (* SHA-1 / SHA-256 against FIPS 180 vectors, plus streaming-equivalence
-   properties. *)
+   properties and differential tests against the previous kernels. *)
 open Ra_crypto
 
 let hex = Hexutil.to_hex
@@ -109,8 +109,19 @@ let qcheck_sha1_distinct =
       Bytes.set b 0 (Char.chr (Char.code (Bytes.get b 0) lxor 1));
       Sha1.digest (Bytes.to_string b) <> Sha1.digest s)
 
-(* ---- the straight-line kernel against the tail-recursive one kept in
-   sha1_oracle.ml ---- *)
+(* ---- the straight-line kernels against the tail-recursive ones kept in
+   sha1_oracle.ml and sha256_oracle.ml ---- *)
+
+module type Kernel = sig
+  type ctx
+
+  val init : unit -> ctx
+  val copy : ctx -> ctx
+  val feed : ctx -> string -> unit
+  val feed_bytes : ctx -> Bytes.t -> pos:int -> len:int -> unit
+  val finalize : ctx -> string
+  val digest : string -> string
+end
 
 (* [s] cut at the given offsets, clipped to its length, in order *)
 let pieces s cuts =
@@ -121,50 +132,61 @@ let pieces s cuts =
   in
   go 0 cuts
 
-let qcheck_sha1_oracle_splits =
-  QCheck.Test.make ~name:"sha1 = oracle: 0-5 KiB, multi-way splits" ~count:200
-    QCheck.(pair (string_of_size Gen.(0 -- 5120)) (small_list (int_bound 5120)))
-    (fun (s, cuts) ->
-      let t = Sha1.init () in
-      List.iter (Sha1.feed t) (pieces s cuts);
-      Sha1.finalize t = Sha1_oracle.digest s)
+(* a prefix that ends mid-block, and two continuations *)
+let fork_inputs =
+  QCheck.(
+    triple
+      (string_of_size Gen.(map2 (fun q r -> (64 * q) + r) (0 -- 16) (1 -- 63)))
+      (string_of_size Gen.(0 -- 1024))
+      (string_of_size Gen.(0 -- 1024)))
 
-(* the window starts at an odd offset, so every word load is unaligned *)
-let qcheck_sha1_oracle_odd_pos =
-  QCheck.Test.make ~name:"sha1 = oracle: feed_bytes at odd pos" ~count:200
-    QCheck.(triple (string_of_size Gen.(0 -- 5120)) (int_bound 31) (int_bound 5120))
-    (fun (s, k, cut) ->
-      let pos = (2 * k) + 1 in
-      let b = Bytes.of_string (String.make pos '\xa5' ^ s) in
-      let cut = min cut (String.length s) in
-      let t = Sha1.init () in
-      Sha1.feed_bytes t b ~pos ~len:cut;
-      Sha1.feed_bytes t b ~pos:(pos + cut) ~len:(String.length s - cut);
-      Sha1.finalize t = Sha1_oracle.digest s)
-
-(* a fork taken mid-block, then fed interleaved with its original *)
-let qcheck_sha1_oracle_copy =
-  QCheck.Test.make ~name:"sha1 = oracle: copy forks mid-block" ~count:200
-    QCheck.(
-      triple
-        (string_of_size Gen.(map2 (fun q r -> (64 * q) + r) (0 -- 16) (1 -- 63)))
-        (string_of_size Gen.(0 -- 1024))
-        (string_of_size Gen.(0 -- 1024)))
-    (fun (prefix, a, b) ->
-      let t = Sha1.init () in
-      Sha1.feed t prefix;
-      let fork = Sha1.copy t in
-      let half = String.length a / 2 in
-      Sha1.feed t (String.sub a 0 half);
-      Sha1.feed fork b;
-      Sha1.feed t (String.sub a half (String.length a - half));
-      Sha1.finalize t = Sha1_oracle.digest (prefix ^ a)
-      && Sha1.finalize fork = Sha1_oracle.digest (prefix ^ b))
-
-let test_sha1_oracle_64k () =
-  let rng = Random.State.make [| 64 |] in
-  let s = String.init 65536 (fun _ -> Char.chr (Random.State.int rng 256)) in
-  check "64 KiB" (hex (Sha1_oracle.digest s)) (hex (Sha1.digest s))
+(* kernel [K], called [name], digest for digest against [oracle] *)
+let oracle_tests name (module K : Kernel) oracle =
+  let splits =
+    QCheck.Test.make ~name:(name ^ " = oracle: 0-5 KiB, multi-way splits") ~count:200
+      QCheck.(pair (string_of_size Gen.(0 -- 5120)) (small_list (int_bound 5120)))
+      (fun (s, cuts) ->
+        let t = K.init () in
+        List.iter (K.feed t) (pieces s cuts);
+        K.finalize t = oracle s)
+  in
+  (* the window starts at an odd offset, so every word load is unaligned *)
+  let odd_pos =
+    QCheck.Test.make ~name:(name ^ " = oracle: feed_bytes at odd pos") ~count:200
+      QCheck.(triple (string_of_size Gen.(0 -- 5120)) (int_bound 31) (int_bound 5120))
+      (fun (s, k, cut) ->
+        let pos = (2 * k) + 1 in
+        let b = Bytes.of_string (String.make pos '\xa5' ^ s) in
+        let cut = min cut (String.length s) in
+        let t = K.init () in
+        K.feed_bytes t b ~pos ~len:cut;
+        K.feed_bytes t b ~pos:(pos + cut) ~len:(String.length s - cut);
+        K.finalize t = oracle s)
+  in
+  (* a fork taken mid-block, then fed interleaved with its original *)
+  let copy =
+    QCheck.Test.make ~name:(name ^ " = oracle: copy forks mid-block") ~count:200 fork_inputs
+      (fun (prefix, a, b) ->
+        let t = K.init () in
+        K.feed t prefix;
+        let fork = K.copy t in
+        let half = String.length a / 2 in
+        K.feed t (String.sub a 0 half);
+        K.feed fork b;
+        K.feed t (String.sub a half (String.length a - half));
+        K.finalize t = oracle (prefix ^ a) && K.finalize fork = oracle (prefix ^ b))
+  in
+  let big () =
+    let rng = Random.State.make [| 64 |] in
+    let s = String.init 65536 (fun _ -> Char.chr (Random.State.int rng 256)) in
+    check "64 KiB" (hex (oracle s)) (hex (K.digest s))
+  in
+  [
+    QCheck_alcotest.to_alcotest splits;
+    QCheck_alcotest.to_alcotest odd_pos;
+    QCheck_alcotest.to_alcotest copy;
+    Alcotest.test_case (name ^ " = oracle: 64 KiB") `Quick big;
+  ]
 
 (* The round variables stay unboxed, so compressing allocates nothing.
    One boxed variable would cost about three words a round: some 240k
@@ -175,6 +197,43 @@ let test_sha1_blocks_allocate_nothing () =
   Sha1.feed_bytes t blocks ~pos:0 ~len:Sha1.block_size;
   let before = Gc.minor_words () in
   Sha1.feed_bytes t blocks ~pos:0 ~len:(Bytes.length blocks);
+  let words = Gc.minor_words () -. before in
+  if words >= 64. then
+    Alcotest.failf "1,024 blocks allocated %.0f minor words (bound 64)" words
+
+(* [blit] forks like [copy], over a context that has hashed something
+   else; the fork finalizes into a longer buffer, whose tail must stay,
+   and is then [reset] and reused *)
+let qcheck_sha256_blit_reset =
+  QCheck.Test.make ~name:"sha256 = oracle: blit forks and reset" ~count:200 fork_inputs
+    (fun (prefix, a, b) ->
+      let t = Sha256.init () in
+      Sha256.feed t prefix;
+      let fork = Sha256.init () in
+      Sha256.feed fork b;
+      Sha256.blit t fork;
+      Sha256.feed fork b;
+      Sha256.feed t a;
+      let out = Bytes.make 40 '\xee' in
+      Sha256.finalize_into fork out;
+      Sha256.reset fork;
+      Sha256.feed fork a;
+      Sha256.finalize t = Sha256_oracle.digest (prefix ^ a)
+      && Bytes.sub_string out 0 32 = Sha256_oracle.digest (prefix ^ b)
+      && Bytes.sub_string out 32 8 = String.make 8 '\xee'
+      && Sha256.finalize fork = Sha256_oracle.digest a)
+
+(* Blocks fed one call at a time, as HMAC feeds them: the byte count is
+   an [int] and the round variables stay unboxed, so nothing allocates.
+   A boxed [int64] count costs three words a call, 3,072 here. *)
+let test_sha256_blocks_allocate_nothing () =
+  let block = Bytes.make Sha256.block_size 'b' in
+  let t = Sha256.init () in
+  Sha256.feed_bytes t block ~pos:0 ~len:Sha256.block_size;
+  let before = Gc.minor_words () in
+  for _ = 1 to 1024 do
+    Sha256.feed_bytes t block ~pos:0 ~len:Sha256.block_size
+  done;
   let words = Gc.minor_words () -. before in
   if words >= 64. then
     Alcotest.failf "1,024 blocks allocated %.0f minor words (bound 64)" words
@@ -191,10 +250,15 @@ let tests =
     QCheck_alcotest.to_alcotest qcheck_sha1_streaming;
     QCheck_alcotest.to_alcotest qcheck_sha256_streaming;
     QCheck_alcotest.to_alcotest qcheck_sha1_distinct;
-    QCheck_alcotest.to_alcotest qcheck_sha1_oracle_splits;
-    QCheck_alcotest.to_alcotest qcheck_sha1_oracle_odd_pos;
-    QCheck_alcotest.to_alcotest qcheck_sha1_oracle_copy;
-    Alcotest.test_case "sha1 = oracle: 64 KiB" `Quick test_sha1_oracle_64k;
-    Alcotest.test_case "sha1: full blocks allocate nothing" `Quick
-      test_sha1_blocks_allocate_nothing;
   ]
+  @ oracle_tests "sha1" (module Sha1) Sha1_oracle.digest
+  @ [
+      Alcotest.test_case "sha1: full blocks allocate nothing" `Quick
+        test_sha1_blocks_allocate_nothing;
+    ]
+  @ oracle_tests "sha256" (module Sha256) Sha256_oracle.digest
+  @ [
+      QCheck_alcotest.to_alcotest qcheck_sha256_blit_reset;
+      Alcotest.test_case "sha256: full blocks allocate nothing" `Quick
+        test_sha256_blocks_allocate_nothing;
+    ]
