@@ -33,11 +33,17 @@ let forge_request session ?key_blob ~freshness () =
   in
   { Message.challenge; freshness; tag }
 
-let inject session req = Session.deliver_to_prover session req
+(* A request the adversary finds in its notebook is a replay, whoever
+   built it; anything else is its own injection. *)
+let inject session req =
+  let origin =
+    if List.mem req (recorded_requests session) then Channel.Replayed else Channel.Injected
+  in
+  Session.deliver_to_prover session ~origin req
 
 let replay session req =
   (* verbatim bit-for-bit replay of the recorded frame *)
-  Session.deliver_frame_to_prover session (Message.wire_to_bytes (Message.Request req))
+  Session.deliver_to_prover session ~origin:Channel.Replayed req
 
 let intercept_next_request session =
   let channel = Session.channel session in
@@ -64,7 +70,7 @@ let intercept_next_request session =
 
 let flood session ~count req =
   for _ = 1 to count do
-    Session.deliver_to_prover session req
+    Session.deliver_to_prover session ~origin:Channel.Injected req
   done
 
 (* ---- Adv_roam ---- *)

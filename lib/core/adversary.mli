@@ -26,17 +26,21 @@ val forge_request :
     valid MAC under the prover's own scheme. *)
 
 val inject : Session.t -> Message.attreq -> unit
-(** Deliver a request of the adversary's choosing to the prover now. *)
+(** Deliver a request of the adversary's choosing to the prover now. It
+    counts as replayed if it is one of {!recorded_requests}, and as
+    injected otherwise. *)
 
 val replay : Session.t -> Message.attreq -> unit
-(** Re-deliver a previously recorded request verbatim. *)
+(** Re-deliver a previously recorded request verbatim; counts as
+    replayed. *)
 
 val intercept_next_request : Session.t -> Message.attreq option
 (** Remove the oldest undelivered verifier request from the wire (the
     prover never sees it) and hand it to the adversary. *)
 
 val flood : Session.t -> count:int -> Message.attreq -> unit
-(** Deliver [count] copies back-to-back (the DoS of §3.1). *)
+(** Deliver [count] copies back-to-back (the DoS of §3.1); each counts
+    as injected. *)
 
 (** {2 Adv_roam} *)
 

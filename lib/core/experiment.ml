@@ -61,16 +61,16 @@ let table2_cell feature attack =
     let req1 = Session.send_request session in
     Session.advance_time session ~seconds:1.0;
     let req2 = Session.send_request session in
-    Session.deliver_to_prover session req2;
+    Session.deliver_to_prover session ~origin:Ra_net.Channel.Replayed req2;
     let after_first = attestations session in
-    Session.deliver_to_prover session req1;
+    Session.deliver_to_prover session ~origin:Ra_net.Channel.Replayed req1;
     after_first = 1 && attestations session = after_first
   | A_delay ->
     (* a genuine request held back well beyond the freshness window *)
     Session.advance_time session ~seconds:1.0;
     let req = Session.send_request session in
     Session.advance_time session ~seconds:(6.0 *. window_s);
-    Session.deliver_to_prover session req;
+    Session.deliver_to_prover session ~origin:Ra_net.Channel.Replayed req;
     attestations session = 0
 
 let features = [ F_nonces; F_counter; F_timestamps ]

@@ -24,6 +24,7 @@ type t = {
   mutable profiler : Ra_obs.Profiler.t option;
   mutable profile_device : string;
   mutable in_flight : bool; (* a retry round is awaiting its verdict *)
+  mutable round_challenges : string list; (* sent by the open round *)
 }
 
 let default_sym_key = "K_attest_0123456789." (* 20 bytes *)
@@ -92,6 +93,9 @@ let create ?(spec = Architecture.trustlite_base) ?(sym_key = default_sym_key)
     Service.install prover.Architecture.device ~scheme:spec.Architecture.scheme
       ~policy:Freshness.Counter
   in
+  (* the world is built: its pages become this domain's shared genesis,
+     and a later write copies only the page it changes *)
+  Ra_mcu.Memory.share (Device.memory prover.Architecture.device);
   let t =
     {
       time;
@@ -113,6 +117,7 @@ let create ?(spec = Architecture.trustlite_base) ?(sym_key = default_sym_key)
       profiler = None;
       profile_device = "prover";
       in_flight = false;
+      round_challenges = [];
     }
   in
   (* Prover side: parse the frame (total parser -- malformed input is
@@ -280,12 +285,11 @@ let send_request t =
     (Message.wire_to_bytes (Message.Request req));
   req
 
-let deliver_to_prover t req =
-  Channel.deliver t.channel ~dst:Channel.Prover_side
-    (Message.wire_to_bytes (Message.Request req))
+let deliver_frame_to_prover t ~origin frame =
+  Channel.deliver t.channel ~origin ~dst:Channel.Prover_side frame
 
-let deliver_frame_to_prover t frame =
-  Channel.deliver t.channel ~dst:Channel.Prover_side frame
+let deliver_to_prover t ~origin req =
+  deliver_frame_to_prover t ~origin (Message.wire_to_bytes (Message.Request req))
 
 let deliver_next_to_prover t = Channel.forward_next t.channel ~dst:Channel.Prover_side
 
@@ -532,6 +536,13 @@ module Machine = struct
     attempt 1
 end
 
+(* A round's challenges retire when it finishes: a response that arrives
+   later is ignored like any unknown one, and an attempt whose response
+   was lost keeps no entry. *)
+let retire_challenges t =
+  List.iter (Hashtbl.remove t.pending) t.round_challenges;
+  t.round_challenges <- []
+
 let count_round = Machine.verdict_counter "ra_session_rounds_total"
 
 let round_begin ?(policy = Retry.default) t =
@@ -540,12 +551,16 @@ let round_begin ?(policy = Retry.default) t =
   in
   let before = t.verdict_count in
   Machine.phase m ~phase:"attest"
-    ~send:(fun () -> ignore (send_request t))
+    ~send:(fun () ->
+      t.round_challenges <- (send_request t).Message.challenge :: t.round_challenges)
     ~done_:(fun () -> t.verdict_count > before)
     ~give_up:(fun n ->
+      retire_challenges t;
       Machine.finish m ~attempts:n
         (Verdict.Timed_out { attempts = n; waited_s = Machine.elapsed m }))
-    ~next:(fun n -> Machine.finish m ~attempts:n (snd (List.hd t.verdicts)))
+    ~next:(fun n ->
+      retire_challenges t;
+      Machine.finish m ~attempts:n (snd (List.hd t.verdicts)))
 
 let rec drive_round = function
   | Round_done r -> r

@@ -39,13 +39,17 @@ val verdicts : t -> (float * Verdict.t) list
     chronological order. *)
 
 val send_request : t -> Message.attreq
-(** Verifier builds and sends a request (lands on the wire only). *)
+(** Verifier builds and sends a request (lands on the wire only). Its
+    challenge stays outstanding until a matching response arrives or,
+    for a request sent by a round, the round finishes. *)
 
-val deliver_to_prover : t -> Message.attreq -> unit
+val deliver_to_prover : t -> origin:Ra_net.Channel.origin -> Message.attreq -> unit
 (** Push a request into the prover; the trust anchor runs, time and
-    energy advance, any response goes onto the wire. *)
+    energy advance, any response goes onto the wire. [origin] labels the
+    delivery, as in {!Ra_net.Channel.deliver}: [Replayed] for a request
+    recorded off the wire, [Injected] for one the adversary made. *)
 
-val deliver_frame_to_prover : t -> string -> unit
+val deliver_frame_to_prover : t -> origin:Ra_net.Channel.origin -> string -> unit
 (** Deliver raw bytes — replayed recordings, fuzz, garbage. *)
 
 val deliver_next_to_prover : t -> bool
@@ -138,7 +142,12 @@ val round_begin : ?policy:Retry.policy -> t -> step
     is {!send_request}. Driving every wait immediately is exactly
     {!attest_round_r}; the fleet's event engine instead enqueues each
     [resume] at [now + wait_s], interleaving thousands of sessions on one
-    timeline, with the identical operation sequence per session. *)
+    timeline, with the identical operation sequence per session.
+
+    The challenges of every attempt retire when the round finishes,
+    whatever its verdict: a response to one of them that arrives later is
+    ignored like a response to any unknown challenge, and an attempt whose
+    response was lost leaves nothing behind in the session. *)
 
 val drive_round : step -> round
 (** Resume every wait immediately until the round completes — the

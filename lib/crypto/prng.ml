@@ -1,17 +1,25 @@
-type t = { mutable state : int64 }
+(* The state lives in an 8-byte buffer read and written with
+   [get_int64_le]/[set_int64_le], and [mix] and [next_int64] are inlined
+   into every caller, so the int64 arithmetic of a draw stays unboxed: a
+   [bytes] fill allocates its result and nothing per byte. *)
+type t = Bytes.t
 
-let create seed = { state = seed }
+let create seed =
+  let t = Bytes.create 8 in
+  Bytes.set_int64_le t 0 seed;
+  t
 
 let gamma = 0x9E3779B97F4A7C15L
 
-let mix z =
+let[@inline] mix z =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
 
-let next_int64 t =
-  t.state <- Int64.add t.state gamma;
-  mix t.state
+let[@inline] next_int64 t =
+  let s = Int64.add (Bytes.get_int64_le t 0) gamma in
+  Bytes.set_int64_le t 0 s;
+  mix s
 
 let int t bound =
   if bound <= 0 then invalid_arg "Prng.int: bound must be positive";

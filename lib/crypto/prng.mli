@@ -1,7 +1,11 @@
 (** SplitMix64 pseudorandom generator for simulation workloads (memory
     images, message jitter, fuzzed inputs). Not cryptographic — crypto
     randomness comes from {!Drbg}. Fully deterministic from the seed so
-    every benchmark run is reproducible. *)
+    every benchmark run is reproducible.
+
+    The state is one unboxed 64-bit word, so no draw allocates: {!bytes}
+    allocates only its result, and {!next_int64} only the [int64] it
+    returns when the caller keeps it boxed. *)
 
 type t
 

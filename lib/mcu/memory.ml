@@ -1,18 +1,24 @@
 exception Bus_fault of string
 
 (* Every region is backed by fixed-size pages, numbered from the region's
-   base; a region's last page is cut to the bytes it covers. A page starts
-   as [zero_page], which every page of every memory shares, and gets bytes
-   of its own on the first write that puts a non-zero byte in it. Only
-   reads touch [zero_page] (byte loads and blits out of it), and no page
-   buffer ever leaves this module, so it stays all zeros and any domain
-   may read it concurrently. *)
-let page_bits = 12
+   base; a region's last page is cut to the bytes it covers. A page is
+   either owned by its memory, which writes it in place, or shared, and
+   then immutable: [zero_page], which every blank page of every memory
+   starts as, or a page sealed by [share] and handed round through its
+   domain's pool. The first write that changes a shared page's bytes
+   swaps in a private copy; a write that leaves them as they are keeps
+   the page shared. No page buffer ever leaves this module and nothing
+   writes a shared page, so any domain may read one concurrently. *)
+let page_bits = 10
 let page_size = 1 lsl page_bits
 let page_mask = page_size - 1
 let zero_page = Bytes.make page_size '\x00'
 
-type mapped = { region : Region.t; pages : Bytes.t array }
+type mapped = {
+  region : Region.t;
+  pages : Bytes.t array;
+  owned : Bytes.t; (* bit [i] set: page [i] is this memory's own *)
+}
 
 type t = {
   mapped : mapped list; (* in map order, each region next to its pages *)
@@ -33,7 +39,8 @@ let create regions =
   in
   check regions;
   let map r =
-    { region = r; pages = Array.make ((r.Region.size + page_mask) lsr page_bits) zero_page }
+    let n = (r.Region.size + page_mask) lsr page_bits in
+    { region = r; pages = Array.make n zero_page; owned = Bytes.make ((n + 7) lsr 3) '\x00' }
   in
   { mapped = List.map map regions; rom_sealed = false }
 
@@ -59,13 +66,17 @@ let locate_writable t addr =
     raise (Bus_fault (Printf.sprintf "ROM write at 0x%06x (%s)" addr m.region.Region.name));
   m
 
-(* Page [i] of [m] with bytes of its own, materialised on first use. *)
+let owns m i = Char.code (Bytes.unsafe_get m.owned (i lsr 3)) land (1 lsl (i land 7)) <> 0
+
+(* Page [i] of [m] as its own, copied from the shared page on first use. *)
 let own_page m i =
   let p = m.pages.(i) in
-  if p != zero_page then p
+  if owns m i then p
   else begin
-    let p = Bytes.make (min page_size (m.region.Region.size - (i lsl page_bits))) '\x00' in
+    let p = Bytes.sub p 0 (min page_size (m.region.Region.size - (i lsl page_bits))) in
     m.pages.(i) <- p;
+    Bytes.set m.owned (i lsr 3)
+      (Char.unsafe_chr (Char.code (Bytes.get m.owned (i lsr 3)) lor (1 lsl (i land 7))));
     p
   end
 
@@ -77,10 +88,12 @@ let read_byte t addr =
 let write_byte t addr v =
   let m = locate_writable t addr in
   let off = addr - m.region.Region.base in
-  let i = off lsr page_bits and c = Char.chr (v land 0xff) in
-  if c <> '\x00' || m.pages.(i) != zero_page then Bytes.set (own_page m i) (off land page_mask) c
+  let i = off lsr page_bits and j = off land page_mask and c = Char.chr (v land 0xff) in
+  if Bytes.get m.pages.(i) j <> c then Bytes.set (own_page m i) j c
 
-let rec zeros s i stop = i >= stop || (String.unsafe_get s i = '\x00' && zeros s (i + 1) stop)
+let rec same p poff s off n =
+  n = 0
+  || Bytes.unsafe_get p poff = String.unsafe_get s off && same p (poff + 1) s (off + 1) (n - 1)
 
 (* [n] bytes at offset [roff] of region [m], one page run at a time. *)
 let rec blit_out m roff buf off n =
@@ -91,14 +104,14 @@ let rec blit_out m roff buf off n =
     blit_out m (roff + k) buf (off + k) (n - k)
   end
 
-(* A run of zeros that lands on the zero page leaves it shared, so copying
-   a mostly blank image (a reboot's flash and ROM) materialises only the
+(* A run a shared page already holds leaves it shared, so copying a
+   mostly blank image (a reboot's flash and ROM) materialises only the
    pages that hold data. *)
 let rec blit_in m s off roff n =
   if n > 0 then begin
     let i = roff lsr page_bits and poff = roff land page_mask in
     let k = min n (page_size - poff) in
-    if m.pages.(i) != zero_page || not (zeros s off (off + k)) then
+    if owns m i || not (same m.pages.(i) poff s off k) then
       Bytes.blit_string s off (own_page m i) poff k;
     blit_in m s (off + k) (roff + k) (n - k)
   end
@@ -169,3 +182,25 @@ let read_u64 t addr =
 let write_u64 t addr v =
   write_u32 t addr (Int64.to_int (Int64.logand v 0xFFFFFFFFL));
   write_u32 t (addr + 4) (Int64.to_int (Int64.logand (Int64.shift_right_logical v 32) 0xFFFFFFFFL))
+
+(* The pages [share] sealed on this domain, by address, at most one per
+   address: a sealed page equal to the one held here is swapped for it,
+   and any other page takes its place. *)
+let pool : (int, Bytes.t) Hashtbl.t Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> Hashtbl.create 64)
+
+let share t =
+  let pool = Domain.DLS.get pool in
+  List.iter
+    (fun m ->
+      Array.iteri
+        (fun i p ->
+          if owns m i then begin
+            let addr = m.region.Region.base + (i lsl page_bits) in
+            match Hashtbl.find_opt pool addr with
+            | Some q when Bytes.equal p q -> m.pages.(i) <- q
+            | Some _ | None -> Hashtbl.replace pool addr p
+          end)
+        m.pages;
+      Bytes.fill m.owned 0 (Bytes.length m.owned) '\x00')
+    t.mapped

@@ -4,12 +4,18 @@
     {!Cpu} + {!Ea_mpu}. ROM raw-writes are only allowed during device
     construction ("mask programming") and fault afterwards.
 
-    Host storage is paged: each region is backed by 4 KiB pages that all
-    start as one shared zero page and get bytes of their own on the first
-    write of a non-zero byte, so a memory holds host heap only for the
-    pages it wrote. Reads copy into fresh strings or into a caller's
-    buffer, and no page buffer is ever handed out, so the zero page stays
-    zero and memories owned by different domains may share it. *)
+    Host storage is paged and copy-on-write: each region is backed by
+    1 KiB pages, and a memory owns only the pages whose bytes it changed
+    since it last called {!share}. Every other page is shared and immutable: a blank
+    page is one zero page common to every memory, and {!share} seals a
+    memory's pages so that worlds built alike hold one copy of each. The
+    first write that changes a shared page's bytes gives the memory a
+    private copy; a write that leaves them as they are keeps the page
+    shared. So a memory holds host heap only for the pages in which it
+    differs from the zero page and its domain's pool. Reads copy into
+    fresh strings or into a caller's buffer, and no page buffer is ever
+    handed out, so shared pages never change and memories used by
+    different domains may read them concurrently. *)
 
 type t
 
@@ -48,6 +54,17 @@ val write_u32 : t -> int -> int -> unit
 
 val read_u64 : t -> int -> int64
 val write_u64 : t -> int -> int64 -> unit
+
+val share : t -> unit
+(** Seal every page this memory owns: from now on it is shared, and the
+    memory writes only a copy of it. A sealed page swaps in the page at
+    the same address in this domain's pool if the two hold equal bytes,
+    and otherwise takes that page's place in the pool. The pool lives in
+    [Domain.DLS] and holds at most one page per address: it is bounded
+    by one memory map, needs no lock, and keeps at most one world's pages
+    alive per domain. Contents never change; only host storage does.
+    [Ra_core.Session.create] calls this once, on a fully built world, so
+    that the members of a fleet share their genesis. *)
 
 val copy_raw : t -> base:int -> string -> unit
 (** Write bytes ignoring ROM sealing. This is not a software path: it

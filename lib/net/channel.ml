@@ -8,7 +8,8 @@ type 'msg sent = { sent_at : float; src : side; payload : 'msg }
    transcript is append-only; pending entries are consumed possibly out
    of order (take-oldest-from-src skips the other side's messages), so
    its cells carry a [taken] flag and a head index skips the consumed
-   prefix. *)
+   prefix. A round keeps a frame or two in flight, so the pending window
+   starts at four slots and grows only when frames pile up undelivered. *)
 type 'msg cell = { entry : 'msg sent; mutable taken : bool }
 
 type 'msg handle = {
@@ -26,7 +27,6 @@ and 'msg t = {
   mutable pending : 'msg cell array; (* live window is [p_head, p_len) *)
   mutable p_len : int;
   mutable p_head : int;
-  seen : ('msg, unit) Hashtbl.t; (* every payload ever sent *)
   mutable rx_verifier : 'msg handle list; (* newest-attached first *)
   mutable rx_prover : 'msg handle list;
   mutable impairment : Impairment.t option;
@@ -62,7 +62,6 @@ let create time trace =
     pending = [||];
     p_len = 0;
     p_head = 0;
-    seen = Hashtbl.create 64;
     rx_verifier = [];
     rx_prover = [];
     impairment = None;
@@ -131,7 +130,7 @@ let push_pending t entry =
       t.p_head <- 0
     end;
     if t.p_len = Array.length t.pending then begin
-      let grown = Array.make (max 16 (2 * t.p_len)) cell in
+      let grown = Array.make (max 4 (2 * t.p_len)) cell in
       Array.blit t.pending 0 grown 0 t.p_len;
       t.pending <- grown
     end
@@ -143,7 +142,6 @@ let send t ~src payload =
   let entry = { sent_at = Simtime.now t.time; src; payload } in
   push_transcript t entry;
   push_pending t entry;
-  if not (Hashtbl.mem t.seen payload) then Hashtbl.replace t.seen payload ();
   Ra_obs.Registry.Counter.inc
     (match src with Verifier_side -> M.sent_verifier | Prover_side -> M.sent_prover);
   Trace.causal_instant t.trace ~cat:"net" ~labels:[ ("src", side_label src) ] "net.tx"
@@ -164,7 +162,8 @@ let undelivered t =
   done;
   !out
 
-type delivery_kind = Forwarded | Adversarial
+type origin = Injected | Replayed
+type delivery_kind = Forwarded | Adversarial of origin
 
 let deliver_kind t ~kind ~dst payload =
   match first_active (Endpoint.stack t dst) with
@@ -177,9 +176,8 @@ let deliver_kind t ~kind ~dst payload =
     let counter, label =
       match kind with
       | Forwarded -> (M.delivered_forwarded, "forwarded")
-      | Adversarial ->
-        if Hashtbl.mem t.seen payload then (M.delivered_replayed, "replayed")
-        else (M.delivered_injected, "injected")
+      | Adversarial Injected -> (M.delivered_injected, "injected")
+      | Adversarial Replayed -> (M.delivered_replayed, "replayed")
     in
     Ra_obs.Registry.Counter.inc counter;
     Trace.causal_span t.trace ~cat:"net"
@@ -193,7 +191,7 @@ let deliver_kind t ~kind ~dst payload =
             in
             match target with Some h -> h.h_fn payload | None -> ()))
 
-let deliver t ~dst payload = deliver_kind t ~kind:Adversarial ~dst payload
+let deliver t ~origin ~dst payload = deliver_kind t ~kind:(Adversarial origin) ~dst payload
 
 let skip_taken t =
   while t.p_head < t.p_len && t.pending.(t.p_head).taken do

@@ -73,8 +73,15 @@ val transcript_from : 'msg t -> pos:int -> 'msg sent list
 val undelivered : 'msg t -> 'msg sent list
 (** Sent messages not yet delivered (nor explicitly dropped). *)
 
-val deliver : 'msg t -> dst:side -> 'msg -> unit
-(** Hand a message (genuine, replayed or forged) to a receiver. If the
+type origin =
+  | Injected  (** a frame of the adversary's own making *)
+  | Replayed  (** a frame recorded off the wire, genuine or not *)
+
+val deliver : 'msg t -> origin:origin -> dst:side -> 'msg -> unit
+(** Hand a message (genuine, replayed or forged) to a receiver. The
+    caller says where it came from, and the delivery counts in
+    [ra_channel_delivered_total] with [kind] ["injected"] or
+    ["replayed"]: the channel keeps no index of what was sent. If the
     side has no receiver installed the message is lost: it counts in
     [ra_channel_lost_total] and leaves a [net.lost] causal instant. Never
     impaired: adversarial delivery is the adversary's own choice. *)

@@ -95,7 +95,7 @@ let test_reboot_preserves_security_state () =
   Alcotest.(check bool) "MPU re-locked" true
     (Ea_mpu.is_locked (Device.mpu prover'.Architecture.device));
   (* the reboot copies ROM and flash across, but their blank pages stay the
-     shared zero page: no bigger than a fresh prover plus one 4 KiB page *)
+     shared zero page: no bigger than a fresh prover plus 4 KiB *)
   let words p = Obj.reachable_words (Obj.repr p) in
   let fresh = words (Architecture.build ~ram_size:4096 ~key_blob spec) in
   if words prover' > fresh + (4096 / (Sys.word_size / 8)) then

@@ -155,12 +155,40 @@ let test_stream_shard_invariant () =
         oracle.Fleet.st_healthy r.Fleet.st_healthy)
     [ 2; 3; 4 ]
 
-(* A materialised member's host heap: its session, device and the pages
-   its device wrote; the blank rest of the memory map is one shared page. *)
+(* A materialised member's host heap: its session, device and page
+   tables. Every page its genesis wrote (app image, RAM fill, key,
+   interrupt register) is the one copy the fleet shares, and the blank
+   rest of the memory map is the zero page. Owning those pages, a member
+   held 13,297 B. *)
 let test_member_footprint () =
   let fleet = Fleet.create ~ram_size:1024 ~names:(List.init 100 (Printf.sprintf "m%03d")) () in
   let bytes = Obj.reachable_words (Obj.repr fleet) * (Sys.word_size / 8) / 100 in
-  if bytes > 32 * 1024 then Alcotest.failf "member holds %d bytes (> 32 KiB)" bytes
+  if bytes > 10 * 1024 then Alcotest.failf "member holds %d bytes (> 10 KiB)" bytes
+
+(* Members share their genesis pages, so malware written into one
+   member's RAM must land in a private copy: a two-shard sweep flags that
+   member alone, and every other member still holds its genesis bytes. *)
+let test_implant_stays_private () =
+  let names = List.init 6 (Printf.sprintf "m%d") in
+  let fleet = Fleet.create ~ram_size:1024 ~names () in
+  Fleet.advance fleet ~seconds:1.0;
+  let attested name =
+    let device = Session.device (Fleet.member_session (Fleet.find fleet name)) in
+    List.map
+      (fun (base, len) -> Ra_mcu.Memory.read_bytes (Device.memory device) base len)
+      (Device.attested_ranges device)
+  in
+  let genesis = List.map attested names in
+  let victim = Session.device (Fleet.member_session (Fleet.find fleet "m3")) in
+  Cpu.store_bytes (Device.cpu victim) (Device.attested_base victim + 100) "IMPLANT";
+  let (_ : (string * Verdict.t option) list) = Fleet.sweep ~engine:(`Shards 2) fleet in
+  Alcotest.(check (list string)) "victim alone flagged" [ "m3" ] (Fleet.compromised fleet);
+  List.iter2
+    (fun name before ->
+      if name <> "m3" then
+        Alcotest.(check bool) (name ^ " attested bytes unchanged") true (attested name = before))
+    names genesis;
+  Alcotest.(check bool) "victim holds the implant" true (attested "m3" <> List.nth genesis 3)
 
 let tests =
   [
@@ -179,4 +207,6 @@ let tests =
       test_stream_matches_materialised;
     Alcotest.test_case "stream shard-count invariant" `Quick test_stream_shard_invariant;
     Alcotest.test_case "member host footprint" `Quick test_member_footprint;
+    Alcotest.test_case "implant in a shared page stays private" `Quick
+      test_implant_stays_private;
   ]

@@ -103,7 +103,7 @@ let run_actions spec actions =
     | Intercept -> ignore (Adversary.intercept_next_request session)
     | Advance s -> Session.advance_time session ~seconds:(float_of_int s)
     | Garbage_frame frame ->
-      Session.deliver_frame_to_prover session frame;
+      Session.deliver_frame_to_prover session ~origin:Ra_net.Channel.Injected frame;
       (* I2 covers garbage too: raw bytes must never produce attestation *)
       let now =
         (Code_attest.stats (Session.anchor session)).Code_attest.attestations_performed

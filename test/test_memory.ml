@@ -84,9 +84,11 @@ let qcheck_u64_roundtrip =
 (* Model test of the paged store: random access sequences against a flat
    reference that backs each region with one eager [Bytes], byte by byte,
    as the memory did before paging. [page] is the page size of
-   [memory.ml]; the map's region sizes straddle it, so runs cross page
-   edges inside a region as well as region edges and an unmapped gap. *)
-let page = 4096
+   [memory.ml] and [big] the 4 KiB page it had before; the map's region
+   sizes straddle both, so runs cross page edges inside a region as well
+   as region edges and an unmapped gap. *)
+let page = 1024
+let big = 4096
 
 let model_map =
   let region name base size kind = Region.make ~name ~base ~size ~kind in
@@ -95,8 +97,10 @@ let model_map =
     region "r16" 1 16 Region.Ram;
     region "rpm" 17 (page - 1) Region.Rom;
     region "rpp" (page + 16) (page + 1) Region.Flash;
-    (* 7 unmapped bytes before the last region *)
+    (* 7 unmapped bytes before the next region, which crosses the
+       absolute 4 KiB edge *)
     region "r3p" ((2 * page) + 24) ((3 * page) + 5) Region.Ram;
+    region "rbig" ((5 * page) + 29) (big + page + 3) Region.Ram;
   ]
 
 let model_end = List.fold_left (fun acc r -> max acc (Region.limit r)) 0 model_map
@@ -166,13 +170,15 @@ let pp_op = function
 
 let op_gen =
   let open QCheck.Gen in
-  (* region edges, page edges inside regions, and the gap, +-8 bytes *)
+  (* region edges, page edges inside regions, 4 KiB edges and the gap,
+     +-8 bytes *)
   let edges =
     List.concat_map
       (fun r ->
         let b = r.Region.base in
-        [ b; Region.limit r; b + page; b + (2 * page); b + (3 * page) ])
+        [ b; Region.limit r; b + big ] @ List.init 5 (fun k -> b + ((k + 1) * page)))
       model_map
+    @ [ big; 2 * big ]
   in
   let addr =
     frequency
@@ -249,6 +255,63 @@ let qcheck_paged_matches_flat =
            (fun s -> s = String.make (String.length s) '\x00')
            (image_of (Memory.read_bytes (Memory.create model_map))))
 
+(* Worlds that share pages: each is built by its own op sequence and
+   sealed with [share], the first two from the same sequence so that
+   every page they hold is common to both and to the pool. Random ops then
+   run on random worlds, each checked against its own flat reference, with
+   reseals in between. A write in place to a shared page would show in a
+   sibling world's reads; afterwards a memory rebuilt from the first
+   sequence and sealed must read its genesis bytes, which it takes from
+   the pool where they are equal. *)
+type step = Op of int * op | Share of int
+
+let pp_step = function
+  | Op (k, op) -> Printf.sprintf "world %d: %s" k (pp_op op)
+  | Share k -> Printf.sprintf "world %d: share" k
+
+let qcheck_shared_pages_copy_on_write =
+  let worlds = 3 in
+  let genesis = QCheck.Gen.list_size (QCheck.Gen.int_range 0 20) op_gen in
+  let step =
+    QCheck.Gen.(
+      frequency
+        [ (12, map2 (fun k op -> Op (k, op)) (int_bound (worlds - 1)) op_gen);
+          (1, map (fun k -> Share k) (int_bound (worlds - 1))) ])
+  in
+  QCheck.Test.make ~name:"memory: shared pages are copied on write" ~count:150
+    (QCheck.make
+       QCheck.Gen.(triple genesis genesis (list_size (int_range 1 60) step))
+       ~print:(fun (g0, g1, steps) ->
+         String.concat "; "
+           (List.map pp_op g0 @ [ "|" ] @ List.map pp_op g1 @ [ "|" ]
+           @ List.map pp_step steps)))
+    (fun (g0, g1, steps) ->
+      let build ops =
+        let m = Memory.create model_map and f = Flat.create model_map in
+        List.iter
+          (fun op ->
+            ignore (exec (module Memory) m op);
+            ignore (exec (module Flat) f op))
+          ops;
+        Memory.share m;
+        (m, f)
+      in
+      let w = [| build g0; build g0; build g1 |] in
+      let genesis0 = image_of (Flat.read_bytes (snd w.(0))) in
+      List.for_all
+        (function
+          | Op (k, op) ->
+            let m, f = w.(k) in
+            exec (module Memory) m op = exec (module Flat) f op
+          | Share k ->
+            Memory.share (fst w.(k));
+            true)
+        steps
+      && Array.for_all
+           (fun (m, f) -> image_of (Memory.read_bytes m) = image_of (Flat.read_bytes f))
+           w
+      && image_of (Memory.read_bytes (fst (build g0))) = genesis0)
+
 let tests =
   [
     Alcotest.test_case "region basics" `Quick test_region_basics;
@@ -260,4 +323,5 @@ let tests =
     QCheck_alcotest.to_alcotest qcheck_u32_roundtrip;
     QCheck_alcotest.to_alcotest qcheck_u64_roundtrip;
     QCheck_alcotest.to_alcotest qcheck_paged_matches_flat;
+    QCheck_alcotest.to_alcotest qcheck_shared_pages_copy_on_write;
   ]

@@ -154,7 +154,7 @@ let test_drop () =
 let test_deliver_without_receiver () =
   let _, ch = make_channel () in
   (* must not raise; records a trace entry instead *)
-  Channel.deliver ch ~dst:Channel.Verifier_side "orphan"
+  Channel.deliver ch ~origin:Channel.Injected ~dst:Channel.Verifier_side "orphan"
 
 let test_replay_from_transcript () =
   let _, ch = make_channel () in
@@ -165,8 +165,8 @@ let test_replay_from_transcript () =
   (* adversary replays from the transcript as many times as it likes *)
   (match Channel.transcript ch with
   | [ sent ] ->
-    Channel.deliver ch ~dst:Channel.Prover_side sent.Channel.payload;
-    Channel.deliver ch ~dst:Channel.Prover_side sent.Channel.payload
+    Channel.deliver ch ~origin:Channel.Replayed ~dst:Channel.Prover_side sent.Channel.payload;
+    Channel.deliver ch ~origin:Channel.Replayed ~dst:Channel.Prover_side sent.Channel.payload
   | _ -> Alcotest.fail "expected one transcript entry");
   Alcotest.(check int) "three deliveries total" 3 !count
 
@@ -210,7 +210,7 @@ let test_endpoint_detach_idempotent () =
   Channel.Endpoint.detach a;
   Alcotest.(check bool) "fully detached" false (Channel.Endpoint.is_attached a);
   (* no receiver left: delivery records a trace entry instead of raising *)
-  Channel.deliver ch ~dst:Channel.Prover_side "orphan";
+  Channel.deliver ch ~origin:Channel.Injected ~dst:Channel.Prover_side "orphan";
   Alcotest.(check int) "nothing received" 1 !got
 
 let test_endpoint_mid_stack_detach () =
@@ -243,9 +243,9 @@ let test_endpoint_self_detach_in_callback () =
         if m = "bye" then Option.iter Channel.Endpoint.detach !top)
   in
   top := Some top_handle;
-  Channel.deliver ch ~dst:Channel.Prover_side "m1";
-  Channel.deliver ch ~dst:Channel.Prover_side "bye";
-  Channel.deliver ch ~dst:Channel.Prover_side "m2";
+  Channel.deliver ch ~origin:Channel.Injected ~dst:Channel.Prover_side "m1";
+  Channel.deliver ch ~origin:Channel.Injected ~dst:Channel.Prover_side "bye";
+  Channel.deliver ch ~origin:Channel.Injected ~dst:Channel.Prover_side "m2";
   Alcotest.(check (list (pair string string)))
     "each frame delivered exactly once"
     [ ("base", "m2"); ("top", "bye"); ("top", "m1") ]
@@ -265,8 +265,8 @@ let test_endpoint_attach_in_callback () =
         if m = "grow" then
           ignore (Channel.Endpoint.attach ch Channel.Prover_side (tag "late")))
   in
-  Channel.deliver ch ~dst:Channel.Prover_side "grow";
-  Channel.deliver ch ~dst:Channel.Prover_side "after";
+  Channel.deliver ch ~origin:Channel.Injected ~dst:Channel.Prover_side "grow";
+  Channel.deliver ch ~origin:Channel.Injected ~dst:Channel.Prover_side "after";
   Alcotest.(check (list (pair string string)))
     "newcomer sees only later frames"
     [ ("late", "after"); ("base", "grow") ]
@@ -289,12 +289,54 @@ let test_endpoint_detach_below_in_callback () =
         Option.iter Channel.Endpoint.detach !top)
   in
   top := Some top_handle;
-  Channel.deliver ch ~dst:Channel.Prover_side "m1";
-  Channel.deliver ch ~dst:Channel.Prover_side "m2";
+  Channel.deliver ch ~origin:Channel.Injected ~dst:Channel.Prover_side "m1";
+  Channel.deliver ch ~origin:Channel.Injected ~dst:Channel.Prover_side "m2";
   Alcotest.(check (list (pair string string)))
     "frame falls through both detached handles"
     [ ("floor", "m2"); ("top", "m1") ]
     !got
+
+(* Deltas of [ra_channel_delivered_total] across [f ()], as
+   [forwarded; injected; replayed]. *)
+let delivered_by_kind f =
+  let value kind =
+    Ra_obs.Registry.Counter.value
+      (Ra_obs.Registry.Counter.get ~labels:[ ("kind", kind) ] "ra_channel_delivered_total")
+  in
+  let counts () = List.map value [ "forwarded"; "injected"; "replayed" ] in
+  let before = counts () in
+  f ();
+  List.map2 ( - ) (counts ()) before
+
+(* Every adversarial delivery the attestation core makes carries the
+   label of what the adversary sent: a frame recorded off the wire is
+   replayed, a frame of its own making is injected. *)
+let test_delivery_labels () =
+  let open Ra_core in
+  let check name expected f =
+    Alcotest.(check (list int)) (name ^ ": forwarded, injected, replayed") expected
+      (delivered_by_kind f)
+  in
+  let spec = Architecture.with_policy Architecture.trustlite_base Freshness.Counter in
+  let s = Session.create ~spec ~ram_size:1024 () in
+  Session.advance_time s ~seconds:1.0;
+  check "benign round" [ 2; 0; 0 ] (fun () -> ignore (Session.attest_round s));
+  let recorded =
+    match Adversary.recorded_requests s with
+    | [ req ] -> req
+    | _ -> Alcotest.fail "expected one recorded request"
+  in
+  check "replay" [ 0; 0; 1 ] (fun () -> Adversary.replay s recorded);
+  check "inject of a recorded request" [ 0; 0; 1 ] (fun () -> Adversary.inject s recorded);
+  let forged = Adversary.forge_request s ~freshness:(Message.F_counter 99L) () in
+  check "forged inject" [ 0; 1; 0 ] (fun () -> Adversary.inject s forged);
+  check "flood" [ 0; 7; 0 ] (fun () -> Adversary.flood s ~count:7 forged);
+  check "table 2" [ 6; 0; 12 ] (fun () -> ignore (Experiment.table2 ()));
+  check "roaming matrix" [ 22; 2; 7 ] (fun () -> ignore (Experiment.roaming_matrix ()));
+  check "hostile campaign" [ 24; 300; 3 ] (fun () ->
+      ignore
+        (Campaign.run
+           { Campaign.default_config with Campaign.devices = 3; days = 2; sweeps_per_day = 2 }))
 
 let tests =
   [
@@ -322,4 +364,6 @@ let tests =
       test_endpoint_attach_in_callback;
     Alcotest.test_case "endpoint detach-below in callback" `Quick
       test_endpoint_detach_below_in_callback;
+    Alcotest.test_case "delivery labels of adversarial deliveries" `Quick
+      test_delivery_labels;
   ]

@@ -35,7 +35,7 @@ let test_forged_request_rejected () =
       tag = Message.Tag_none;
     }
   in
-  Session.deliver_to_prover s forged;
+  Session.deliver_to_prover s ~origin:Ra_net.Channel.Injected forged;
   let stats = Code_attest.stats (Session.anchor s) in
   Alcotest.(check int) "no attestation" 0 stats.Code_attest.attestations_performed;
   Alcotest.(check int) "rejected" 1 stats.Code_attest.requests_rejected
@@ -45,7 +45,7 @@ let test_wrong_mac_rejected () =
   Session.advance_time s ~seconds:1.0;
   let req = Session.send_request s in
   let tampered = { req with Message.challenge = req.Message.challenge ^ "x" } in
-  Session.deliver_to_prover s tampered;
+  Session.deliver_to_prover s ~origin:Ra_net.Channel.Injected tampered;
   Alcotest.(check int) "rejected" 1
     (Code_attest.stats (Session.anchor s)).Code_attest.requests_rejected
 
@@ -68,7 +68,7 @@ let test_unauthenticated_spec_attests_bogus () =
   let bogus =
     { Message.challenge = "any"; freshness = Message.F_none; tag = Message.Tag_none }
   in
-  Session.deliver_to_prover s bogus;
+  Session.deliver_to_prover s ~origin:Ra_net.Channel.Injected bogus;
   Alcotest.(check int) "attested a bogus request" 1
     (Code_attest.stats (Session.anchor s)).Code_attest.attestations_performed
 
@@ -83,7 +83,7 @@ let test_response_echo_checked () =
     (match Message.wire_of_bytes sent.Ra_net.Channel.payload with
     | Some (Message.Response resp) ->
       let tampered = { resp with Message.echo_challenge = "spoof" } in
-      Ra_net.Channel.deliver (Session.channel s) ~dst:Ra_net.Channel.Verifier_side
+      Ra_net.Channel.deliver (Session.channel s) ~origin:Ra_net.Channel.Injected ~dst:Ra_net.Channel.Verifier_side
         (Message.wire_to_bytes (Message.Response tampered));
       (* unsolicited (unknown challenge) responses are dropped: no verdict *)
       Alcotest.(check int) "no verdict" 0 (List.length (Session.verdicts s));
@@ -136,9 +136,9 @@ let test_malformed_frames_dropped () =
   let s = small_session () in
   let device = Session.device s in
   let before_energy = Ra_mcu.Energy.consumed_joules (Device.energy device) in
-  Session.deliver_frame_to_prover s "";
-  Session.deliver_frame_to_prover s "garbage that is not a frame";
-  Session.deliver_frame_to_prover s (String.make 4096 '\xff');
+  Session.deliver_frame_to_prover s ~origin:Ra_net.Channel.Injected "";
+  Session.deliver_frame_to_prover s ~origin:Ra_net.Channel.Injected "garbage that is not a frame";
+  Session.deliver_frame_to_prover s ~origin:Ra_net.Channel.Injected (String.make 4096 '\xff');
   let stats = Code_attest.stats (Session.anchor s) in
   Alcotest.(check int) "anchor never invoked" 0 stats.Code_attest.requests_seen;
   (* receiving junk still costs radio energy *)
@@ -158,7 +158,7 @@ let test_bitexact_frame_replay_rejected () =
   let _ = Session.deliver_next_to_verifier s in
   (* replay the exact recorded frame bytes *)
   (match Ra_net.Channel.transcript (Session.channel s) with
-  | frame :: _ -> Session.deliver_frame_to_prover s frame.Ra_net.Channel.payload
+  | frame :: _ -> Session.deliver_frame_to_prover s ~origin:Ra_net.Channel.Replayed frame.Ra_net.Channel.payload
   | [] -> Alcotest.fail "empty transcript");
   let stats = Code_attest.stats (Session.anchor s) in
   Alcotest.(check int) "single attestation" 1 stats.Code_attest.attestations_performed;
@@ -264,7 +264,7 @@ let test_sync_round_over_the_channel () =
     in
     let before = Ra_obs.Registry.Counter.value stale in
     let wire = Ra_net.Channel.transcript_length (Session.channel s) in
-    Session.deliver_frame_to_prover s frame.Ra_net.Channel.payload;
+    Session.deliver_frame_to_prover s ~origin:Ra_net.Channel.Replayed frame.Ra_net.Channel.payload;
     Alcotest.(check int) "sync replay rejected" (before + 1)
       (Ra_obs.Registry.Counter.value stale);
     Alcotest.(check int) "no sync ack sent" wire

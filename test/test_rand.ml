@@ -119,6 +119,77 @@ let test_prng_bytes_known_answer () =
     "d71c02cbda11f6fe6169eb2c4e30e6f8afc735f82fcd9dff30e9ba5f471d78ac"
     (Hexutil.to_hex (Prng.bytes (Prng.create 7L) 32))
 
+(* Every draw kind at seeds around the edges of [int64], each from a
+   fresh generator: the SplitMix64 streams feed memory images, impairment
+   lanes and retry jitter, so any change here moves fleet fingerprints. *)
+let prng_summary seed =
+  let fresh () = Prng.create seed in
+  let p = fresh () in
+  let draws = List.init 3 (fun _ -> Printf.sprintf "%016Lx" (Prng.next_int64 p)) in
+  let float = Prng.float (fresh ()) 1.0 in
+  let int = Prng.int (fresh ()) 1000 in
+  let bool = Prng.bool (fresh ()) in
+  let p = fresh () in
+  let q = Prng.split p in
+  let split = Printf.sprintf "%016Lx/%016Lx" (Prng.next_int64 q) (Prng.next_int64 p) in
+  let bytes = Hexutil.to_hex (Sha256.digest (Prng.bytes (fresh ()) 1024)) in
+  Printf.sprintf "next=%s float=%h int=%d bool=%b split=%s bytes=%s"
+    (String.concat "," draws) float int bool split bytes
+
+let test_prng_known_answers () =
+  List.iter
+    (fun (seed, expected) ->
+      Alcotest.(check string) (Printf.sprintf "seed %Ld" seed) expected (prng_summary seed))
+    [
+      ( 0L,
+        "next=e220a8397b1dcdaf,6e789e6aa1b965f4,06c45d188009454f \
+         float=0x1.c4415072f63b9p-1 int=883 bool=true \
+         split=a706dd2f4d197e6f/6e789e6aa1b965f4 \
+         bytes=42760e41ab56fafa48f7f3fa48785e9e514ca015db406b5a1f0894334fa1183f" );
+      ( 7L,
+        "next=63cbe1e459320dd7,044c3cd7f43c661c,e6984080bab12a02 \
+         float=0x1.8f2f879164c82p-2 int=621 bool=true \
+         split=b8b4c2977eabce45/044c3cd7f43c661c \
+         bytes=3625f21209001cb1fcf212f7cfbf3ae201e0decbe73ac554597fedfea9f07e61" );
+      ( -1L,
+        "next=e4d971771b652c20,e99ff867dbf682c9,382ff84cb27281e9 \
+         float=0x1.c9b2e2ee36ca5p-1 int=984 bool=false \
+         split=5dc20aa7b2a27137/e99ff867dbf682c9 \
+         bytes=351daa69216c8f0a6348d48f8fe3d350a85cba151dba24680ae35acdb5c9c219" );
+      ( Int64.min_int,
+        "next=481ec0a212a9f3db,c46fa638a6309012,61a685ffc80a8140 \
+         float=0x1.207b02884aa7cp-2 int=478 bool=true \
+         split=86db92e833b0c1a0/c46fa638a6309012 \
+         bytes=4d8d44782d2f30b7f83c26c6b643628652c911ddef9c558f8d68e190b3eee705" );
+    ]
+
+(* Minor words [f ()] allocates, after one warm-up call. *)
+let minor_words f =
+  f ();
+  let before = Gc.minor_words () in
+  f ();
+  Gc.minor_words () -. before
+
+(* The state is an unboxed 8-byte buffer, so a draw boxes no [int64]: a
+   1 KiB string allocates its 130 words and nothing else. Boxing one
+   [int64] per byte cost 6,274 words. *)
+let test_prng_bytes_allocation () =
+  let p = Prng.create 7L in
+  let words = minor_words (fun () -> ignore (Sys.opaque_identity (Prng.bytes p 1024))) in
+  if words >= 256. then
+    Alcotest.failf "Prng.bytes p 1024 allocated %.0f minor words (bound 256)" words
+
+(* A 64 KiB RAM fill writes 4 KiB chunks, which go straight to the major
+   heap; the draws behind them allocate nothing. The warm-up fill gives
+   the RAM pages of its own (64 young 1 KiB copies), so the timed one
+   measures the draws alone. It cost 393,336 minor words while each byte
+   boxed an [int64]. *)
+let test_ram_fill_allocation () =
+  let d = Ra_mcu.Device.create ~ram_size:65536 ~key:"k" () in
+  let words = minor_words (fun () -> Ra_mcu.Device.fill_ram_deterministic d ~seed:42L) in
+  if words >= 1024. then
+    Alcotest.failf "a 64 KiB RAM fill allocated %.0f minor words (bound 1024)" words
+
 let qcheck_prng_int_bounds =
   QCheck.Test.make ~name:"prng: int respects bounds" ~count:500
     QCheck.(pair int64 (int_range 1 1000))
@@ -155,6 +226,11 @@ let tests =
     Alcotest.test_case "prng deterministic" `Quick test_prng_deterministic;
     Alcotest.test_case "prng split" `Quick test_prng_split;
     Alcotest.test_case "prng bytes known answer" `Quick test_prng_bytes_known_answer;
+    Alcotest.test_case "prng known answers at edge seeds" `Quick test_prng_known_answers;
+    Alcotest.test_case "prng: 1 KiB of bytes boxes no draw" `Quick
+      test_prng_bytes_allocation;
+    Alcotest.test_case "prng: 64 KiB RAM fill boxes no draw" `Quick
+      test_ram_fill_allocation;
     QCheck_alcotest.to_alcotest qcheck_prng_int_bounds;
     QCheck_alcotest.to_alcotest qcheck_prng_float_bounds;
     QCheck_alcotest.to_alcotest qcheck_prng_bytes_len;

@@ -254,7 +254,7 @@ let test_mitm_init_substitution_rejected () =
   (match Message.wire_of_bytes init_frame with
   | Some (Message.Hs_init { hs_nonce; hs_req }) ->
     let forged = Message.Hs_init { hs_nonce = String.map (fun _ -> 'x') hs_nonce; hs_req } in
-    Channel.deliver (Session.channel s) ~dst:Channel.Prover_side
+    Channel.deliver (Session.channel s) ~origin:Channel.Injected ~dst:Channel.Prover_side
       (Message.wire_to_bytes forged)
   | _ -> Alcotest.fail "expected an Hs_init flight");
   Alcotest.(check bool) "responder answered" true (SS.responder_session_up r);
@@ -288,7 +288,7 @@ let test_cross_session_splice_rejected () =
     match frames_from sa ~pos with [ f ] -> f | _ -> Alcotest.fail "expected one record"
   in
   let before = wire_len sb in
-  Session.deliver_frame_to_prover sb record_frame;
+  Session.deliver_frame_to_prover sb ~origin:Channel.Replayed record_frame;
   Alcotest.(check int) "B rejects the spliced record" 1
     (SS.responder_stats rb).SS.s_bad_record;
   Alcotest.(check int) "B answered nothing" before (wire_len sb);
@@ -315,13 +315,13 @@ let test_replay_inside_and_outside_window () =
   let second = round () in
   Alcotest.(check int) "two verdicts" 2 (SS.verdict_count i);
   (* replay inside the window: the sequence number's bit is set *)
-  Session.deliver_frame_to_prover s second;
+  Session.deliver_frame_to_prover s ~origin:Channel.Replayed second;
   Alcotest.(check int) "in-window replay flagged" 1 (SS.responder_stats r).SS.s_replayed;
   (* push the window past capacity 32, then replay the very first record *)
   for _ = 1 to 32 do
     ignore (round ())
   done;
-  Session.deliver_frame_to_prover s first;
+  Session.deliver_frame_to_prover s ~origin:Channel.Replayed first;
   Alcotest.(check int) "out-of-window replay stale" 1 (SS.responder_stats r).SS.s_stale;
   Alcotest.(check int) "no forged accepts" 34 (SS.responder_stats r).SS.s_accepted;
   (* rejects never poison the stream: the next round still verifies *)
@@ -351,7 +351,7 @@ let test_tampered_records_reject_uniformly () =
     let wire_before = wire_len s in
     let metrics_before = metric_counts () in
     let bad_before = (SS.responder_stats r).SS.s_bad_record in
-    Channel.deliver (Session.channel s) ~dst:Channel.Prover_side forged;
+    Channel.deliver (Session.channel s) ~origin:Channel.Injected ~dst:Channel.Prover_side forged;
     ( wire_len s - wire_before,
       (SS.responder_stats r).SS.s_bad_record - bad_before,
       metric_delta metrics_before (metric_counts ()) )
@@ -370,7 +370,7 @@ let test_tampered_records_reject_uniformly () =
   Alcotest.(check int) "the uniform counter" 1
     (moved metrics_ct "ra_secure_records_total" [ ("result", "bad_record") ]);
   (* forgeries never advanced the window: the held-back original still opens *)
-  Session.deliver_frame_to_prover s legit;
+  Session.deliver_frame_to_prover s ~origin:Channel.Replayed legit;
   pump s;
   Alcotest.(check int) "legit record survives the forgeries" 1 (SS.verdict_count i);
   Alcotest.(check int) "no replay miscount" 0 (SS.responder_stats r).SS.s_replayed
@@ -463,7 +463,7 @@ let test_tracing_profiling_wire_neutral () =
   let s = make () in
   let p = Session.enable_profiling s in
   let junk = "\xff not a frame" in
-  Session.deliver_frame_to_prover s junk;
+  Session.deliver_frame_to_prover s ~origin:Channel.Injected junk;
   Alcotest.(check (float 1e-6)) "malformed frame radio profiled"
     (radio_cost s ~bytes:(String.length junk)) (radio_nj p)
 
