@@ -49,17 +49,11 @@ let sym_of_secret = function
    to the cipher's key size (16 bytes). *)
 let cipher_key k = String.sub k 0 16
 
-let keyed sym_key = C.Hmac.key C.Hmac.sha1 ~key:sym_key
-
-let keyed_memo () =
-  let last = ref None in
-  fun sym_key ->
-    match !last with
-    | Some (k, kc) when String.equal k sym_key -> kc
-    | Some _ | None ->
-      let kc = keyed sym_key in
-      last := Some (sym_key, kc);
-      kc
+(* Key contexts are immutable, so every world on a domain that uses the
+   same K_attest shares one. *)
+let keyed =
+  C.Memo.per_domain ~capacity:4 ~equal:String.equal (fun sym_key ->
+      C.Hmac.key C.Hmac.sha1 ~key:sym_key)
 
 let tag_request ?hmac_keyed scheme secret ~body =
   match scheme with

@@ -36,16 +36,17 @@ val point_of_bytes : string -> Ra_crypto.Ec.point option
 
 val keyed : string -> Ra_crypto.Hmac.key_ctx
 (** Precomputed HMAC-SHA1 midstates for a long-lived K_attest
-    ({!Ra_crypto.Hmac.key}). Deriving this once per key and passing it as
-    [?hmac_keyed] below skips the per-message ipad/opad hashing — the
-    "fixed" part of Table 1's SHA1-HMAC cost. *)
+    ({!Ra_crypto.Hmac.key}). Passing them as [?hmac_keyed] below skips
+    the per-message ipad/opad hashing — the "fixed" part of Table 1's
+    SHA1-HMAC cost.
 
-val keyed_memo : unit -> string -> Ra_crypto.Hmac.key_ctx
-(** [keyed_memo ()] is {!keyed} behind a one-entry cache: it derives the
-    midstates again only when the key differs from the previous call's.
-    A prover handler keeps one and passes it the K_attest it has just
-    read through the MPU, so a changed key blob is picked up. It saves
-    host time only: modelled cycles and MPU-mediated reads are
+    The contexts come from a per-domain memo ({!Ra_crypto.Memo.per_domain},
+    four entries) keyed by the key bytes, and are shared: the verifier
+    and every prover handler of every world on a domain that uses the
+    same key hold one context, and two keys used in turn each keep
+    theirs. A prover handler calls this with the K_attest it has just
+    read through the MPU, so a changed key blob selects its own context.
+    It saves host time only: modelled cycles and MPU-mediated reads are
     unchanged. *)
 
 val tag_request :

@@ -9,10 +9,7 @@ type reject =
   | Sync_stale_counter of { got : int64; stored : int64 }
   | Sync_no_clock
 
-type t = {
-  device : Device.t;
-  keyed : string -> C.Hmac.key_ctx; (* Auth.keyed_memo *)
-}
+type t = { device : Device.t }
 
 let sync_counter_offset = 8
 let offset_offset = 16
@@ -45,7 +42,7 @@ module M = struct
   let no_clock = result "no_clock"
 end
 
-let install device = { device; keyed = Auth.keyed_memo () }
+let install device = { device }
 
 let cpu t = Device.cpu t.device
 let sync_counter_addr t = Device.counter_addr t.device + sync_counter_offset
@@ -87,7 +84,7 @@ let handle_raw t wire =
           Cpu.consume_cycles (cpu t)
             (Ra_mcu.Timing.request_auth_cycles Ra_mcu.Timing.Auth_hmac_sha1);
           let body = sync_body ~verifier_time_ms ~sync_counter in
-          let kc = t.keyed (key t) in
+          let kc = Auth.keyed (key t) in
           if not (C.Hmac.verify_with kc ~msg:body ~tag:sync_tag) then
             Error Sync_bad_auth
           else begin

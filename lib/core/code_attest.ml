@@ -15,7 +15,6 @@ type t = {
   precomputed_key_schedule : bool;
   spans : Ra_obs.Span.t;
   mutable stats : stats;
-  keyed : string -> Ra_crypto.Hmac.key_ctx; (* Auth.keyed_memo *)
 }
 
 (* outcome counters precreated at module init: one atomic add per request *)
@@ -49,7 +48,6 @@ let install device ~scheme ~policy ?(precomputed_key_schedule = false) () =
     precomputed_key_schedule;
     spans = Ra_obs.Span.create ~clock:(fun () -> Cpu.elapsed_seconds cpu) ();
     stats = { requests_seen = 0; requests_rejected = 0; attestations_performed = 0 };
-    keyed = Auth.keyed_memo ();
   }
 
 let device t = t.device
@@ -101,7 +99,7 @@ let authenticate t (req : Message.attreq) =
          scheme);
     let key_blob = read_key_blob t in
     let body = Message.request_body ~challenge:req.challenge ~freshness:req.freshness in
-    let hmac_keyed = t.keyed (Auth.blob_sym_key key_blob) in
+    let hmac_keyed = Auth.keyed (Auth.blob_sym_key key_blob) in
     if Auth.verify_request ~hmac_keyed scheme ~key_blob ~body req.tag then Ok ()
     else Error Verdict.Bad_auth
 
@@ -121,7 +119,7 @@ let attest t (req : Message.attreq) =
   let key = Auth.blob_sym_key (read_key_blob t) in
   (* the string view of the domain's buffer must not outlive this MAC *)
   let report =
-    Auth.response_report_keyed ~keyed:(t.keyed key) ~body
+    Auth.response_report_keyed ~keyed:(Auth.keyed key) ~body
       ~memory_image:(Bytes.unsafe_to_string image)
   in
   { resp with Message.report }

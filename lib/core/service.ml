@@ -31,7 +31,6 @@ type t = {
   spans : Ra_obs.Span.t;
   mutable invocations : int;
   tally : Verdict.Tally.t; (* rejection counts, shared reason vocabulary *)
-  keyed : string -> C.Hmac.key_ctx; (* Auth.keyed_memo *)
 }
 
 (* one atomic add per outcome; handles created at module init *)
@@ -76,7 +75,6 @@ let install device ~scheme ~policy =
     spans = Ra_obs.Span.create ~clock:(fun () -> Cpu.elapsed_seconds cpu) ();
     invocations = 0;
     tally = Verdict.Tally.create ();
-    keyed = Auth.keyed_memo ();
   }
 
 let stats t =
@@ -154,7 +152,7 @@ let handle t req =
             Cpu.consume_cycles (cpu t) (Timing.request_auth_cycles scheme);
             let blob = key_blob t in
             Auth.verify_request
-              ~hmac_keyed:(t.keyed (Auth.blob_sym_key blob))
+              ~hmac_keyed:(Auth.keyed (Auth.blob_sym_key blob))
               scheme ~key_blob:blob
               ~body:(request_body req.command req.freshness)
               req.tag)
@@ -177,7 +175,7 @@ let handle t req =
         Ok
           {
             acked_command = command_name req.command;
-            ack_report = C.Hmac.mac_parts (t.keyed key) [ "ACK"; result ];
+            ack_report = C.Hmac.mac_parts (Auth.keyed key) [ "ACK"; result ];
           }
   in
   let result =

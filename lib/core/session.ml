@@ -230,11 +230,14 @@ let create ?(spec = Architecture.trustlite_base) ?(sym_key = default_sym_key)
      their clock is prover CPU work, not Simtime, and mixing the two
      timebases as span bounds would skew the timeline. *)
   let mirror cat (f : Ra_obs.Span.finished) =
-    Trace.causal_instant t.trace ~cat
-      ~labels:
-        (("cpu_ms", Printf.sprintf "%.4f" (Ra_obs.Span.duration_ms f))
-        :: f.Ra_obs.Span.f_labels)
-      f.Ra_obs.Span.f_name
+    match Trace.tracer t.trace with
+    | None -> ()
+    | Some tracer ->
+      Ra_obs.Trace.instant tracer ~cat
+        ~labels:
+          (("cpu_ms", Printf.sprintf "%.4f" (Ra_obs.Span.duration_ms f))
+          :: f.Ra_obs.Span.f_labels)
+        f.Ra_obs.Span.f_name
   in
   Ra_obs.Span.on_finish (Code_attest.spans prover.Architecture.anchor) (fun f ->
       mirror "prover" f;

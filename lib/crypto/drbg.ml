@@ -68,7 +68,7 @@ let update t provided =
   step_k t "\x00" provided;
   if String.length provided > 0 then step_k t "\x01" provided
 
-let create ?(personalization = "") ~seed () =
+let instantiate material =
   let t =
     {
       v = Bytes.make out_len '\x01';
@@ -79,8 +79,25 @@ let create ?(personalization = "") ~seed () =
     }
   in
   rekey t;
-  update t (seed ^ personalization);
+  update t material;
   t
+
+(* Instantiated states by seed material. Every world of a fleet
+   instantiates its verifier's challenge stream from the same key, so
+   the states recur; the memo's templates are never drawn from, and
+   each caller gets its own copy of V, K and both midstates. An ECDSA
+   nonce seed never recurs, so each signature takes a slot too. *)
+let instantiated = Memo.per_domain ~capacity:4 ~equal:String.equal instantiate
+
+let create ?(personalization = "") ~seed () =
+  let s = instantiated (seed ^ personalization) in
+  {
+    v = Bytes.copy s.v;
+    key = Bytes.copy s.key;
+    inner = Sha256.copy s.inner;
+    outer = Sha256.copy s.outer;
+    work = Sha256.init ();
+  }
 
 let reseed t entropy = update t entropy
 

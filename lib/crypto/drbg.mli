@@ -7,7 +7,17 @@
 type t
 
 val create : ?personalization:string -> seed:string -> unit -> t
-(** Instantiate with entropy [seed] (any length). *)
+(** Instantiate with entropy [seed] (any length). The instantiated state
+    is a pure function of [seed ^ personalization], so it comes from a
+    per-domain memo ({!Memo.per_domain}, four entries) keyed by that
+    whole string: a state among the domain's last four instantiations is
+    copied from the memo's template instead of being derived again, and
+    the caller owns its copy.
+
+    The memo keeps those four seed strings and states until later
+    instantiations evict them or the domain ends. They include ECDSA's:
+    every {!Ecdsa.sign} instantiates a nonce stream whose seed holds the
+    private key in clear and whose state determines the nonce. *)
 
 val reseed : t -> string -> unit
 

@@ -243,18 +243,15 @@ let rule_protect_irq_ctrl _ =
     write_by = Ea_mpu.Nobody;
   }
 
+(* RAM images by (seed, size), one per domain: the members of a fleet
+   fill their RAM from the same seed, and [Memory.share] then swaps the
+   pool's pages in for the ones this write gives each member. *)
+let ram_image =
+  Ra_crypto.Memo.per_domain ~capacity:1 ~equal:( = ) (fun (seed, size) ->
+      Ra_crypto.Prng.bytes (Ra_crypto.Prng.create seed) size)
+
 let fill_ram_deterministic t ~seed =
-  let prng = Ra_crypto.Prng.create seed in
-  (* chunked writes keep allocation bounded for large RAM sizes *)
-  let chunk = 4096 in
-  let rec loop off =
-    if off < t.ram_size then begin
-      let n = min chunk (t.ram_size - off) in
-      Memory.write_bytes t.memory (base_ram + off) (Ra_crypto.Prng.bytes prng n);
-      loop (off + n)
-    end
-  in
-  loop 0
+  Memory.write_bytes t.memory base_ram (ram_image (seed, t.ram_size))
 
 let idle t ~seconds = Cpu.idle_seconds t.cpu seconds
 

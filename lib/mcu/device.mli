@@ -115,7 +115,11 @@ val timer_vector : int
 
 val fill_ram_deterministic : t -> seed:int64 -> unit
 (** Populate RAM with a reproducible pseudorandom image (the benign
-    device state that attestation measures). *)
+    device state that attestation measures): the first [attested_len]
+    bytes of the {!Ra_crypto.Prng} stream from [seed]. The image comes
+    from a per-domain memo ({!Ra_crypto.Memo.per_domain}) keyed by
+    (seed, RAM size) that holds one RAM image per domain, so the worlds
+    of a fleet draw it once. *)
 
 val idle : t -> seconds:float -> unit
 (** Let wall-clock time pass with the CPU asleep: clock ticks advance,

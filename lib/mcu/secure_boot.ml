@@ -11,7 +11,14 @@ type outcome =
   | Booted
   | Rejected_bad_image of { expected : string; measured : string }
 
-let digest_image image = Ra_crypto.Sha256.digest image.code
+(* SHA-256 by the exact bytes measured, compared in full: every world
+   of a fleet installs the same app image, so its reference digest and
+   its boot measurement are one entry here, and an image that differs
+   from every earlier input in any byte misses and is hashed. *)
+let sha256 =
+  Ra_crypto.Memo.per_domain ~capacity:4 ~equal:String.equal Ra_crypto.Sha256.digest
+
+let digest_image image = sha256 image.code
 
 let install_image memory ~region image =
   let r = Memory.region_named memory region in
@@ -21,7 +28,7 @@ let install_image memory ~region image =
 
 let measure_region memory ~region ~image_len =
   let r = Memory.region_named memory region in
-  Ra_crypto.Sha256.digest (Memory.read_bytes memory r.Region.base image_len)
+  sha256 (Memory.read_bytes memory r.Region.base image_len)
 
 let boot cpu interrupt config ~region ~image_len =
   Cpu.with_context cpu "rom_boot" (fun () ->

@@ -21,7 +21,16 @@ type outcome =
   | Rejected_bad_image of { expected : string; measured : string }
 
 val digest_image : image -> string
-(** SHA-256 measurement of the image contents. *)
+(** SHA-256 measurement of the image contents.
+
+    This and {!measure_region} hash through one per-domain memo
+    ({!Ra_crypto.Memo.per_domain}, four entries) keyed by the exact
+    bytes hashed and compared in full, so a world that installs the
+    same image as an earlier one takes its digest from the memo. A hit
+    needs bytes equal to an earlier input, so it returns the true digest
+    of the bytes measured: a tampered image differs from the benign one
+    in at least one byte, cannot hit the benign entry, and measures as
+    what it is. *)
 
 val install_image : Memory.t -> region:string -> image -> unit
 (** Load the image into the given region (raw write; this is the external

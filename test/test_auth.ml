@@ -86,6 +86,23 @@ let qcheck_tags_differ_across_bodies =
       Auth.tag_request Timing.Auth_speck64_cbc_mac (Auth.Vs_symmetric sym_key) ~body:b1
       <> Auth.tag_request Timing.Auth_speck64_cbc_mac (Auth.Vs_symmetric sym_key) ~body:b2)
 
+(* Key contexts come from a per-domain memo keyed by the key bytes: two
+   keys used in turn each MAC under their own key, and each keeps one
+   shared context instead of deriving it again on every use. *)
+let test_keyed_alternating () =
+  let ka = String.make 20 'a' and kb = String.make 20 'b' in
+  for i = 1 to 4 do
+    List.iter
+      (fun k ->
+        let msg = Printf.sprintf "message %d" i in
+        Alcotest.(check string) "keyed MAC = Hmac.mac"
+          (C.Hexutil.to_hex (C.Hmac.mac C.Hmac.sha1 ~key:k msg))
+          (C.Hexutil.to_hex (C.Hmac.mac_with (Auth.keyed k) msg)))
+      [ ka; kb ]
+  done;
+  Alcotest.(check bool) "each key's context is shared" true
+    (Auth.keyed ka == Auth.keyed ka && Auth.keyed kb == Auth.keyed kb)
+
 let tests =
   [
     Alcotest.test_case "symmetric roundtrip" `Quick test_symmetric_roundtrip;
@@ -96,4 +113,5 @@ let tests =
     Alcotest.test_case "point encoding" `Quick test_point_encoding;
     Alcotest.test_case "response report binding" `Quick test_response_report_binding;
     QCheck_alcotest.to_alcotest qcheck_tags_differ_across_bodies;
+    Alcotest.test_case "key contexts: two keys in turn" `Quick test_keyed_alternating;
   ]

@@ -158,12 +158,13 @@ let test_stream_shard_invariant () =
 (* A materialised member's host heap: its session, device and page
    tables. Every page its genesis wrote (app image, RAM fill, key,
    interrupt register) is the one copy the fleet shares, and the blank
-   rest of the memory map is the zero page. Owning those pages, a member
-   held 13,297 B. *)
+   rest of the memory map is the zero page; the verifier and the prover's
+   handlers share one HMAC key context. Owning those pages, a member held
+   13,297 B, and with a key context of its own 8,224 B. *)
 let test_member_footprint () =
   let fleet = Fleet.create ~ram_size:1024 ~names:(List.init 100 (Printf.sprintf "m%03d")) () in
   let bytes = Obj.reachable_words (Obj.repr fleet) * (Sys.word_size / 8) / 100 in
-  if bytes > 10 * 1024 then Alcotest.failf "member holds %d bytes (> 10 KiB)" bytes
+  if bytes > 7_936 then Alcotest.failf "member holds %d bytes (> 7.75 KiB)" bytes
 
 (* Members share their genesis pages, so malware written into one
    member's RAM must land in a private copy: a two-shard sweep flags that
@@ -190,6 +191,24 @@ let test_implant_stays_private () =
     names genesis;
   Alcotest.(check bool) "victim holds the implant" true (attested "m3" <> List.nth genesis 3)
 
+(* A member's world built after warm-up: its DRBG instantiation, key
+   context, boot measurement and RAM image come from the domain's memos,
+   so building it allocates only the world itself. Recomputing them cost
+   1,942 minor words. *)
+let test_member_construction_allocation () =
+  let bound = 1750. and builds = 50 in
+  let build () = ignore (Sys.opaque_identity (Session.create ~ram_size:1024 ())) in
+  for _ = 1 to 3 do
+    build ()
+  done;
+  let before = Gc.minor_words () in
+  for _ = 1 to builds do
+    build ()
+  done;
+  let per_build = (Gc.minor_words () -. before) /. float_of_int builds in
+  if per_build >= bound then
+    Alcotest.failf "building a member allocates %.0f minor words (bound %.0f)" per_build bound
+
 let tests =
   [
     Alcotest.test_case "creation" `Quick test_creation;
@@ -209,4 +228,6 @@ let tests =
     Alcotest.test_case "member host footprint" `Quick test_member_footprint;
     Alcotest.test_case "implant in a shared page stays private" `Quick
       test_implant_stays_private;
+    Alcotest.test_case "member construction allocates < 1,750 minor words" `Quick
+      test_member_construction_allocation;
   ]

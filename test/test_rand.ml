@@ -190,6 +190,74 @@ let test_ram_fill_allocation () =
   if words >= 1024. then
     Alcotest.failf "a 64 KiB RAM fill allocated %.0f minor words (bound 1024)" words
 
+(* The case above may time a hit of the RAM-image memo. A fresh seed on
+   every call misses it, so this case times the [Prng] draws themselves;
+   the 64 KiB image goes straight to the major heap. *)
+let test_fresh_ram_fill_allocation () =
+  let d = Ra_mcu.Device.create ~ram_size:65536 ~key:"k" () in
+  let seed = ref 1_000L in
+  let words =
+    minor_words (fun () ->
+        seed := Int64.succ !seed;
+        Ra_mcu.Device.fill_ram_deterministic d ~seed:!seed)
+  in
+  if words >= 1024. then
+    Alcotest.failf "a 64 KiB RAM fill under a fresh seed allocated %.0f minor words (bound 1024)"
+      words
+
+(* Instantiations over a small pool of inputs, so that most of them hit
+   the per-domain memo, with every DRBG kept alive: each step makes one
+   more, then reseeds and draws from one of them. Each must stay equal to
+   its oracle twin whatever the others did. *)
+let drbg_pool =
+  [| ("s", None); ("s", Some "p"); ("t", None); ("t", Some "p"); ("u", Some "q"); ("", None) |]
+
+let qcheck_drbg_memo =
+  QCheck.Test.make ~name:"drbg memo = oracle: interleaved instantiations" ~count:100
+    QCheck.(
+      small_list
+        (triple
+           (int_bound (Array.length drbg_pool - 1))
+           (option (string_of_size Gen.(0 -- 20)))
+           (int_bound 40)))
+    (fun steps ->
+      let live = ref [] in
+      let step_ok (i, entropy, n) =
+        let seed, personalization = drbg_pool.(i) in
+        live :=
+          (Drbg.create ?personalization ~seed (), Drbg_oracle.create ?personalization ~seed ())
+          :: !live;
+        let d, o = List.nth !live (n mod List.length !live) in
+        Option.iter
+          (fun e ->
+            Drbg.reseed d e;
+            Drbg_oracle.reseed o e)
+          entropy;
+        Drbg.generate d n = Drbg_oracle.generate o n
+      in
+      List.for_all step_ok steps
+      && List.for_all (fun (d, o) -> Drbg.generate d 16 = Drbg_oracle.generate o 16) !live)
+
+(* RAM fills interleaved over (seed, size) pairs, each twice in a row
+   so that the second hits the one-image memo, and a seed returning at
+   another size: every RAM holds the first [size] bytes of its seed's
+   stream. *)
+let test_ram_fill_memo () =
+  let fills = [ (42L, 1024); (42L, 4096); (7L, 4096); (42L, 1024); (7L, 2048) ] in
+  List.iter
+    (fun (seed, size) ->
+      for _ = 1 to 2 do
+        let d = Ra_mcu.Device.create ~ram_size:size ~key:"k" () in
+        Ra_mcu.Device.fill_ram_deterministic d ~seed;
+        Alcotest.(check string)
+          (Printf.sprintf "seed %Ld, %d B" seed size)
+          (Hexutil.to_hex (Prng.bytes (Prng.create seed) size))
+          (Hexutil.to_hex
+             (Ra_mcu.Memory.read_bytes (Ra_mcu.Device.memory d)
+                (Ra_mcu.Device.attested_base d) size))
+      done)
+    fills
+
 let qcheck_prng_int_bounds =
   QCheck.Test.make ~name:"prng: int respects bounds" ~count:500
     QCheck.(pair int64 (int_range 1 1000))
@@ -234,4 +302,8 @@ let tests =
     QCheck_alcotest.to_alcotest qcheck_prng_int_bounds;
     QCheck_alcotest.to_alcotest qcheck_prng_float_bounds;
     QCheck_alcotest.to_alcotest qcheck_prng_bytes_len;
+    Alcotest.test_case "prng: 64 KiB RAM fill under a fresh seed boxes no draw" `Quick
+      test_fresh_ram_fill_allocation;
+    QCheck_alcotest.to_alcotest qcheck_drbg_memo;
+    Alcotest.test_case "ram fill memo = Prng stream" `Quick test_ram_fill_memo;
   ]

@@ -82,6 +82,26 @@ let test_measure_matches_digest () =
        (Secure_boot.measure_region memory ~region:"flash"
           ~image_len:(String.length image.Secure_boot.code)))
 
+(* Boot hashes through a per-domain memo keyed by the bytes measured.
+   A benign boot makes the benign image resident in this domain's memo
+   whatever ran before; a byte flipped after that must still be hashed. *)
+let test_tampered_after_benign_boot () =
+  let memory, _, cpu = make () in
+  Secure_boot.install_image memory ~region:"flash" image;
+  let image_len = String.length image.Secure_boot.code in
+  let boot () = Secure_boot.boot cpu None (config ~lock:false ()) ~region:"flash" ~image_len in
+  (match boot () with
+  | Secure_boot.Booted -> ()
+  | Secure_boot.Rejected_bad_image _ -> Alcotest.fail "benign image must boot");
+  Memory.write_byte memory 0x1000 (Memory.read_byte memory 0x1000 lxor 1);
+  let tampered = Memory.read_bytes memory 0x1000 image_len in
+  match boot () with
+  | Secure_boot.Booted -> Alcotest.fail "tampered image must not boot"
+  | Secure_boot.Rejected_bad_image { measured; _ } ->
+    Alcotest.(check string) "measured = SHA-256 of the tampered bytes"
+      (Ra_crypto.Hexutil.to_hex (Ra_crypto.Sha256.digest tampered))
+      (Ra_crypto.Hexutil.to_hex measured)
+
 let tests =
   [
     Alcotest.test_case "good boot installs rules and locks" `Quick test_good_boot;
@@ -89,4 +109,6 @@ let tests =
     Alcotest.test_case "boot without lockdown" `Quick test_unlocked_boot;
     Alcotest.test_case "image too large" `Quick test_image_too_large;
     Alcotest.test_case "measurement" `Quick test_measure_matches_digest;
+    Alcotest.test_case "tampered after a benign boot is hashed" `Quick
+      test_tampered_after_benign_boot;
   ]

@@ -221,6 +221,30 @@ let test_round_allocates_no_image () =
   if per_round >= float_of_int bound then
     Alcotest.failf "a 64 KiB round allocates %.0f major words (bound %d)" per_round bound
 
+(* Minor words per pristine 1 KiB round, after warm-up. The anchor's
+   spans mirror into the causal timeline only when a tracer is attached:
+   formatting their cpu_ms labels for no tracer cost a round about 190
+   words (2,123 in all). *)
+let test_round_minor_words () =
+  let bound = 2000. and rounds = 200 in
+  let s = Session.create ~ram_size:1024 () in
+  Session.advance_time s ~seconds:1.0;
+  let round () =
+    match (Session.attest_round_r s).Session.r_verdict with
+    | Verdict.Trusted -> ()
+    | v -> Alcotest.failf "attest round: %a" Verdict.pp v
+  in
+  for _ = 1 to 20 do
+    round ()
+  done;
+  let before = Gc.minor_words () in
+  for _ = 1 to rounds do
+    round ()
+  done;
+  let per_round = (Gc.minor_words () -. before) /. float_of_int rounds in
+  if per_round >= bound then
+    Alcotest.failf "a 1 KiB round allocates %.0f minor words (bound %.0f)" per_round bound
+
 let tests =
   [
     Alcotest.test_case "multiple outstanding requests" `Quick
@@ -240,4 +264,6 @@ let tests =
       test_round_allocates_no_image;
     Alcotest.test_case "retained heap per round, lossy wire" `Quick
       test_retained_heap_per_round_lossy;
+    Alcotest.test_case "1 KiB round allocates < 2,000 minor words" `Quick
+      test_round_minor_words;
   ]
