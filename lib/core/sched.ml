@@ -10,18 +10,23 @@ type metrics = {
   mx_lag : float -> unit;
 }
 
-(* The binary min-heap is three parallel arrays indexed by slot: fire
-   times unboxed in a float array, insertion sequence numbers, and the
-   thunks. An event is never a record and its time never a boxed float;
-   only [fns] holds pointers, so only its stores pay the write barrier.
-   Every slot from [size] on holds [noop], so a fired thunk, and all it
-   captured, is unreachable from the scheduler once it has fired. *)
+(* The binary min-heap keeps only unboxed keys: fire times in a float
+   array, insertion sequence numbers, and the slot each event's thunk
+   sits in. The thunks live in [fns], indexed by slot and never moved, so
+   a sift moves only floats and ints and pays no write barrier; an event
+   writes [fns] once when it is scheduled and once when it fires. [slots]
+   is a permutation of [0, capacity): its first [size] entries follow the
+   heap, and the rest are the free list, so a pop hands its slot to the
+   position it vacates. Every free slot holds [noop], so a fired thunk,
+   and all it captured, is unreachable from the scheduler once it has
+   fired. *)
 type t = {
   mutable now : float;
   mutable times : float array;
   mutable seqs : int array;
-  mutable fns : (unit -> unit) array;
-  mutable size : int; (* the first [size] slots are live *)
+  mutable slots : int array;
+  mutable fns : (unit -> unit) array; (* by slot *)
+  mutable size : int; (* the first [size] heap positions are live *)
   mutable seq : int; (* insertion order, the deterministic tie-break *)
   mutable fired : int;
   mx : metrics;
@@ -72,6 +77,7 @@ let create ?(start = 0.0) ?(metrics = global_metrics) ?track () =
     now = start;
     times = [||];
     seqs = [||];
+    slots = [||];
     fns = [||];
     size = 0;
     seq = 0;
@@ -84,14 +90,20 @@ let now t = t.now
 let pending t = t.size
 let fired t = t.fired
 
+(* Called when every slot is live: the heap keeps its positions, and the
+   new slots, numbered from the old capacity up, are the free list. *)
 let grow t =
-  let cap = max 16 (2 * t.size) in
-  let times = Array.make cap 0.0 and seqs = Array.make cap 0 and fns = Array.make cap noop in
-  Array.blit t.times 0 times 0 t.size;
-  Array.blit t.seqs 0 seqs 0 t.size;
-  Array.blit t.fns 0 fns 0 t.size;
+  let old = Array.length t.fns in
+  let cap = max 16 (2 * old) in
+  let times = Array.make cap 0.0 and seqs = Array.make cap 0 in
+  let slots = Array.init cap Fun.id and fns = Array.make cap noop in
+  Array.blit t.times 0 times 0 old;
+  Array.blit t.seqs 0 seqs 0 old;
+  Array.blit t.slots 0 slots 0 old;
+  Array.blit t.fns 0 fns 0 old;
   t.times <- times;
   t.seqs <- seqs;
+  t.slots <- slots;
   t.fns <- fns
 
 (* (at, seq) lexicographic order: earlier time first, insertion order on
@@ -99,6 +111,13 @@ let grow t =
    [seq] makes it strict. Both sifts move a hole rather than swapping,
    and write the moving event once, where the hole stops. *)
 let[@inline] before (at : float) (seq : int) at' seq' = at < at' || (at = at' && seq < seq')
+
+(* [before] on heap positions [i] and [j], as 1 or 0 and without a
+   branch: which child a pop descends to is a coin flip that a branch
+   predictor mostly loses at every level *)
+let[@inline] earlier (times : float array) (seqs : int array) i j =
+  let ti = times.(i) and tj = times.(j) in
+  Bool.to_int (ti < tj) lor (Bool.to_int (ti = tj) land Bool.to_int (seqs.(i) < seqs.(j)))
 
 let at t ~at:when_ fn =
   (* never schedule into the past: an event "due" before the shared clock
@@ -108,21 +127,23 @@ let at t ~at:when_ fn =
   let seq = t.seq in
   t.seq <- seq + 1;
   if t.size = Array.length t.fns then grow t;
-  let times = t.times and seqs = t.seqs and fns = t.fns in
+  let times = t.times and seqs = t.seqs and slots = t.slots in
+  let slot = slots.(t.size) in
+  t.fns.(slot) <- fn;
   let i = ref t.size and placed = ref false in
   while not !placed do
     let parent = (!i - 1) / 2 in
     if !i > 0 && before when_ seq times.(parent) seqs.(parent) then begin
       times.(!i) <- times.(parent);
       seqs.(!i) <- seqs.(parent);
-      fns.(!i) <- fns.(parent);
+      slots.(!i) <- slots.(parent);
       i := parent
     end
     else placed := true
   done;
   times.(!i) <- when_;
   seqs.(!i) <- seq;
-  fns.(!i) <- fn;
+  slots.(!i) <- slot;
   t.size <- t.size + 1;
   t.mx.mx_scheduled ();
   t.mx.mx_depth t.size;
@@ -136,14 +157,15 @@ let after t ~delay fn =
 
 let next_at t = if t.size = 0 then None else Some t.times.(0)
 
-(* drop the root: the last event fills the hole it leaves, sifted down;
-   the vacated last slot goes back to [noop] *)
+(* drop the root: the last event fills the hole it leaves, sifted down,
+   and the root's slot joins the free list at the position vacated *)
 let remove_min t =
   let n = t.size - 1 in
   t.size <- n;
-  let times = t.times and seqs = t.seqs and fns = t.fns in
-  let last_at = times.(n) and last_seq = seqs.(n) and last_fn = fns.(n) in
-  fns.(n) <- noop;
+  let times = t.times and seqs = t.seqs and slots = t.slots in
+  let root = slots.(0) in
+  let last_at = times.(n) and last_seq = seqs.(n) and last_slot = slots.(n) in
+  slots.(n) <- root;
   if n > 0 then begin
     let i = ref 0 and placed = ref false in
     while not !placed do
@@ -151,11 +173,11 @@ let remove_min t =
       if l >= n then placed := true
       else begin
         let r = l + 1 in
-        let c = if r < n && before times.(r) seqs.(r) times.(l) seqs.(l) then r else l in
+        let c = if r < n then l + earlier times seqs r l else l in
         if before times.(c) seqs.(c) last_at last_seq then begin
           times.(!i) <- times.(c);
           seqs.(!i) <- seqs.(c);
-          fns.(!i) <- fns.(c);
+          slots.(!i) <- slots.(c);
           i := c
         end
         else placed := true
@@ -163,7 +185,7 @@ let remove_min t =
     done;
     times.(!i) <- last_at;
     seqs.(!i) <- last_seq;
-    fns.(!i) <- last_fn
+    slots.(!i) <- last_slot
   end
 
 let observe_lag t ~member_now = t.mx.mx_lag (Float.max 0.0 (member_now -. t.now))
@@ -171,7 +193,9 @@ let observe_lag t ~member_now = t.mx.mx_lag (Float.max 0.0 (member_now -. t.now)
 let step t =
   if t.size = 0 then false
   else begin
-    let at = t.times.(0) and fn = t.fns.(0) in
+    let at = t.times.(0) and slot = t.slots.(0) in
+    let fn = t.fns.(slot) in
+    t.fns.(slot) <- noop;
     remove_min t;
     (* virtual time jumps to the event — monotone because insertions are
        clamped to [now] *)

@@ -8,12 +8,16 @@
     to it and runs it; events scheduled into the past are clamped to
     [now] (the timeline is monotone by construction).
 
-    The heap is three parallel arrays indexed by slot: fire times in a
-    [float array] (unboxed), sequence numbers in an [int array], and
-    the thunks. Scheduling or firing allocates no event record and no
-    boxed time; only the thunk array holds pointers. A fired thunk is
-    released: its slot is reset to a no-op, so nothing it captured stays
-    reachable from the scheduler.
+    The heap holds only unboxed keys: three parallel arrays indexed by
+    heap position give each event's fire time ([float array]), sequence
+    number and slot ([int array]s). The thunks sit in a separate table
+    indexed by slot, which the sifts never touch, and the free slots
+    form a free list. So a sift moves only floats and ints, scheduling
+    or firing allocates no event record and no boxed time, and the heap
+    stores a pointer only twice per event: the thunk into its slot when
+    it is scheduled, and a no-op over it when it fires. A fired thunk is
+    thus released at once, so nothing it captured stays reachable from
+    the scheduler.
 
     The intended shape (the fleet engine runs one scheduler per shard —
     see {!Fleet.sweep}): each session keeps its private
@@ -25,7 +29,8 @@
     that lead when {!observe_lag} is called at fire time.
 
     Metrics: [ra_sched_events_total{kind=scheduled|fired}],
-    [ra_sched_queue_depth] (gauge, post-pop depth),
+    [ra_sched_queue_depth] (gauge: the depth after the latest {!at} or
+    {!step}, so after a push or after a pop, whichever came last),
     [ra_sched_lag_seconds] (histogram, seconds). *)
 
 type t

@@ -50,7 +50,10 @@ type t = {
   record : bool;
   capture : bool; (* record a forensic capsule per deadline miss *)
   mutable capsules_rev : Ra_obs.Forensics.capsule list;
-  mutable outcomes_rev : outcome list;
+  mutable chunk : outcome array; (* the newest chunk of the outcome log *)
+  mutable fill : int; (* outcomes in [chunk] *)
+  mutable full : outcome array list; (* the log's older chunks, newest first *)
+  mutable listed : outcome list; (* [outcomes]' list, older than every chunk *)
   mutable requests : int;
   mutable admitted : int;
   mutable trusted : int;
@@ -76,8 +79,11 @@ module Batch = struct
 
   let verify_one ~sym_key ~reference_image resp =
     let body = Message.response_body resp in
+    (* its own key context, not [Auth.keyed]'s memoized one: this is the
+       server that pays the pad compressions for every report *)
+    let keyed = Ra_crypto.Hmac.key Ra_crypto.Hmac.sha1 ~key:sym_key in
     let expected =
-      Auth.response_report ~sym_key ~body ~memory_image:reference_image
+      Auth.response_report_keyed ~keyed ~body ~memory_image:reference_image
     in
     if Ra_crypto.Hexutil.equal_ct expected resp.Message.report then Verdict.Trusted
     else Verdict.Untrusted_state
@@ -107,7 +113,10 @@ let create ?(record_outcomes = false) ?(capture = false) ~sched cfg =
             record = record_outcomes;
             capture;
             capsules_rev = [];
-            outcomes_rev = [];
+            chunk = [||];
+            fill = 0;
+            full = [];
+            listed = [];
             requests = 0;
             admitted = 0;
             trusted = 0;
@@ -123,21 +132,40 @@ let create ?(record_outcomes = false) ?(capture = false) ~sched cfg =
 
 let register_device t identity = Admission.register t.admission identity
 
+(* The outcome log. A recorded flood keeps one outcome per forged
+   report, so the log adds to a record and its time box only one pointer
+   in a fixed-size chunk: no list cell until [outcomes] asks, and every
+   rejection for a reason shares one [Error] value. The first outcome
+   recorded allocates the first chunk, so an unrecorded server holds
+   none. *)
+let chunk_size = 1024
+
+let blank =
+  { oc_device = None; oc_tag = 0; oc_arrived = 0.0; oc_done = 0.0; oc_result = Ok () }
+
+let errors = Array.of_list (List.map (fun r -> Error r) Verdict.Reason.all)
+
 let note t ~device ~tag ~arrived ~done_ result =
-  if t.record then
-    t.outcomes_rev <-
+  if t.record then begin
+    if t.fill = Array.length t.chunk then begin
+      if t.fill > 0 then t.full <- t.chunk :: t.full;
+      t.chunk <- Array.make chunk_size blank;
+      t.fill <- 0
+    end;
+    t.chunk.(t.fill) <-
       {
         oc_device = device;
         oc_tag = tag;
         oc_arrived = arrived;
         oc_done = done_;
         oc_result = result;
-      }
-      :: t.outcomes_rev
+      };
+    t.fill <- t.fill + 1
+  end
 
 let reject t ~device ~tag ~arrived ~done_ reason =
   Verdict.Tally.add t.tally reason;
-  note t ~device ~tag ~arrived ~done_ (Error reason)
+  note t ~device ~tag ~arrived ~done_ errors.(Verdict.Reason.index reason)
 
 (* counter-freshness triage: cheap, before any admission or crypto. Only a
    Trusted verdict advances the stored counter, so a flood replaying or
@@ -285,7 +313,28 @@ let stats t =
     sv_latencies_ms = List.rev t.latencies_rev;
   }
 
-let outcomes t = List.rev t.outcomes_rev
+(* Empty the log onto [acc]: cons its outcomes from the newest chunk back
+   to the oldest, so the result is chronological and no list is reversed
+   or copied. The log lets go of its chunks first, so each one is garbage
+   once it has been read. *)
+let unchunk t acc =
+  let cons_chunk acc c n =
+    let acc = ref acc in
+    for i = n - 1 downto 0 do
+      acc := c.(i) :: !acc
+    done;
+    !acc
+  in
+  let newest = t.chunk and fill = t.fill and full = t.full in
+  t.chunk <- [||];
+  t.fill <- 0;
+  t.full <- [];
+  List.fold_left (fun acc c -> cons_chunk acc c chunk_size) (cons_chunk acc newest fill) full
+
+let outcomes t =
+  if t.fill > 0 then t.listed <- t.listed @ unchunk t [];
+  t.listed
+
 let capsules t = List.rev t.capsules_rev
 
 let publish ?registry t =
@@ -531,11 +580,9 @@ module Load = struct
           (if batches > 0 then float_of_int batched /. float_of_int batches else 0.0);
       }
     in
-    let outcome_log =
-      if record_outcomes then
-        List.concat_map (fun s -> outcomes s) (Array.to_list servers)
-      else []
-    in
+    (* one list across the shards, in shard order; the servers are
+       dropped, so their logs are consumed in place *)
+    let outcome_log = Array.fold_right unchunk servers [] in
     (report, outcome_log)
 
   let slo_watch ?(max_p99_ms = 250.0) ?(min_goodput_rps = 0.0) rp =

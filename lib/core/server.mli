@@ -71,8 +71,15 @@ val create :
   (t, string) result
 (** Validation errors (bad verifier config, batch < 1, non-positive
     block time, ...) come back as [Error] — construction is
-    {!Verifier.of_config} all the way down. With [capture] (default
-    false) every deadline-missed request additionally records a
+    {!Verifier.of_config} all the way down. With [record_outcomes]
+    (default false) every request's {!outcome} is kept for {!outcomes}.
+    On a 64-bit host that is a 48 B record, a 16 B box per distinct time
+    (a report turned away on arrival has one, and a batch shares its
+    completion time) and one pointer in a 1,024-entry chunk of the log;
+    rejections for one reason share one [Error] value, and the first
+    recorded outcome allocates the first chunk. Without it a request
+    leaves nothing behind. With [capture] (default false) every
+    deadline-missed request additionally records a
     {!Ra_obs.Forensics.Deadline_miss} capsule — see {!capsules}. *)
 
 val register_device : t -> string -> unit
@@ -107,7 +114,10 @@ type stats = {
 val stats : t -> stats
 
 val outcomes : t -> outcome list
-(** Chronological; empty unless created with [~record_outcomes:true]. *)
+(** Chronological; empty unless created with [~record_outcomes:true].
+    The first call builds the list from the log's chunks (one list cell,
+    24 B, per outcome) and lets go of the chunks; later calls return the
+    same list, extended by any outcome recorded since. *)
 
 val capsules : t -> Ra_obs.Forensics.capsule list
 (** Deadline-miss capsules, chronological; empty unless created with
@@ -197,7 +207,10 @@ module Load : sig
       device's admission/verdict sequence too); the merged report sums
       tallies and pools latency samples in shard order, and each shard's
       totals are published into the default metric registry. Outcomes
-      are empty unless [record_outcomes] (concatenated in shard order).
+      are empty unless [record_outcomes]: one list, each shard's
+      outcomes in chronological order and the shards in shard order,
+      built once from the shard servers' logs (about 88 B per outcome on
+      a 64-bit host).
       With [forensics], every shard server captures deadline-miss
       capsules, merged into the given ring in shard order after the run.
       @raise Invalid_argument on an invalid [config] or [shards < 1]. *)

@@ -85,8 +85,7 @@ let instantiate material =
 (* Instantiated states by seed material. Every world of a fleet
    instantiates its verifier's challenge stream from the same key, so
    the states recur; the memo's templates are never drawn from, and
-   each caller gets its own copy of V, K and both midstates. An ECDSA
-   nonce seed never recurs, so each signature takes a slot too. *)
+   each caller gets its own copy of V, K and both midstates. *)
 let instantiated = Memo.per_domain ~capacity:4 ~equal:String.equal instantiate
 
 let create ?(personalization = "") ~seed () =
@@ -98,6 +97,8 @@ let create ?(personalization = "") ~seed () =
     outer = Sha256.copy s.outer;
     work = Sha256.init ();
   }
+
+let create_secret ~personalization ~seed = instantiate (seed ^ personalization)
 
 let reseed t entropy = update t entropy
 

@@ -15,9 +15,16 @@ val create : ?personalization:string -> seed:string -> unit -> t
     the caller owns its copy.
 
     The memo keeps those four seed strings and states until later
-    instantiations evict them or the domain ends. They include ECDSA's:
-    every {!Ecdsa.sign} instantiates a nonce stream whose seed holds the
-    private key in clear and whose state determines the nonce. *)
+    instantiations evict them or the domain ends. Seeds that hold a
+    secret go through {!create_secret} instead. *)
+
+val create_secret : personalization:string -> seed:string -> t
+(** The same stream as [create ~personalization ~seed ()], instantiated
+    without the memo: nothing derived from [seed] outlives the returned
+    state. ECDSA's key generation and nonce streams use it, because their
+    seeds hold the private key in clear and never recur, so in the memo
+    they would keep the key reachable and evict the states that do recur,
+    such as a verifier's challenge stream. *)
 
 val reseed : t -> string -> unit
 

@@ -13,7 +13,7 @@ let fresh_scalar curve drbg =
 let public_of_secret curve secret = Ec.mul curve secret (Ec.base curve)
 
 let generate_keypair curve ~seed =
-  let drbg = Drbg.create ~personalization:"ecdsa-keygen" ~seed () in
+  let drbg = Drbg.create_secret ~personalization:"ecdsa-keygen" ~seed in
   let secret = fresh_scalar curve drbg in
   { secret; public = public_of_secret curve secret }
 
@@ -32,9 +32,8 @@ let sign curve ~secret msg =
   let z = hash_to_int curve msg in
   (* deterministic nonce stream keyed by (secret, message digest) *)
   let drbg =
-    Drbg.create ~personalization:"ecdsa-nonce"
+    Drbg.create_secret ~personalization:"ecdsa-nonce"
       ~seed:(B.to_bytes_be ~pad:curve.Ec.key_bytes secret ^ Sha1.digest msg)
-      ()
   in
   let rec attempt () =
     let k = fresh_scalar curve drbg in

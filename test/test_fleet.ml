@@ -209,6 +209,25 @@ let test_member_construction_allocation () =
   if per_build >= bound then
     Alcotest.failf "building a member allocates %.0f minor words (bound %.0f)" per_build bound
 
+(* ECDSA seeds hold the private key and never recur, so they stay out of
+   the DRBG memo: four signatures on a domain must not evict the
+   verifier's challenge stream that the next world instantiates. When
+   they went through the memo, that build allocated 1,758 words. *)
+let test_member_construction_after_ecdsa () =
+  let bound = 1750. in
+  let build () = ignore (Sys.opaque_identity (Session.create ~ram_size:1024 ())) in
+  build ();
+  let secret = Ra_crypto.Bignum.of_int 0x5eed in
+  List.iter
+    (fun msg -> ignore (Ra_crypto.Ecdsa.sign Ra_crypto.Ec.secp160r1 ~secret msg))
+    [ "m0"; "m1"; "m2"; "m3" ];
+  let before = Gc.minor_words () in
+  build ();
+  let words = Gc.minor_words () -. before in
+  if words >= bound then
+    Alcotest.failf "building a member after four signatures allocates %.0f minor words (bound %.0f)"
+      words bound
+
 let tests =
   [
     Alcotest.test_case "creation" `Quick test_creation;
@@ -230,4 +249,7 @@ let tests =
       test_implant_stays_private;
     Alcotest.test_case "member construction allocates < 1,750 minor words" `Quick
       test_member_construction_allocation;
+    Alcotest.test_case
+      "member construction after four ECDSA instantiations allocates < 1,750 minor words"
+      `Quick test_member_construction_after_ecdsa;
   ]

@@ -92,23 +92,32 @@ let test_fired_events_released () =
 
 (* Random interleavings against a list that pops the minimum (at, seq):
    absolute times on a half-second grid repeat (ties) and fall behind the
-   clock (clamped to now), delays include zero, and runs grow to ~2k
-   pending events. *)
-type heap_op = At of float | After of float | Step
+   clock (clamped to now), delays include zero, some thunks schedule one
+   more event while they fire (into the slot their own firing has just
+   freed), [run ~until] stops at a horizon, and runs grow to ~2k pending
+   events. Each thunk logs an id handed out in scheduling order, and the
+   reference predicts the ids in firing order. *)
+type heap_op = At of float | After of float | Chain of float * float | Step | Until of float
 
 let heap_op_gen =
   QCheck.Gen.(
+    let grid = map (fun k -> float_of_int k /. 2.0) (int_range 0 60) in
+    let delay = map (fun k -> float_of_int k /. 4.0) (int_range 0 8) in
     frequency
       [
-        (3, map (fun k -> At (float_of_int k /. 2.0)) (int_range 0 60));
-        (2, map (fun k -> After (float_of_int k /. 4.0)) (int_range 0 8));
+        (3, map (fun x -> At x) grid);
+        (2, map (fun d -> After d) delay);
+        (1, map2 (fun x d -> Chain (x, d)) grid delay);
         (2, return Step);
+        (1, map (fun x -> Until x) grid);
       ])
 
 let heap_op_to_string = function
   | At x -> Printf.sprintf "at %g" x
   | After d -> Printf.sprintf "after %g" d
+  | Chain (x, d) -> Printf.sprintf "at %g then %g later" x d
   | Step -> "step"
+  | Until x -> Printf.sprintf "run until %g" x
 
 let qcheck_heap_matches_list_reference =
   QCheck.Test.make ~name:"sched: heap = list reference" ~count:60
@@ -117,42 +126,74 @@ let qcheck_heap_matches_list_reference =
        QCheck.Gen.(list_size (int_range 0 5000) heap_op_gen))
     (fun ops ->
       let sched = Sched.create () in
-      let fired = ref (-1) in
-      (* the reference: pending (at, seq) pairs, unordered *)
-      let pending = ref [] and count = ref 0 and now = ref 0.0 and seq = ref 0 in
-      let add at =
-        let id = !seq in
-        incr seq;
-        incr count;
-        pending := (Float.max at !now, id) :: !pending;
-        fun () -> fired := id
+      let log = ref [] and issued = ref 0 in
+      let rec thunk spawn =
+        let id = !issued in
+        incr issued;
+        fun () ->
+          log := id :: !log;
+          Option.iter (fun d -> Sched.after sched ~delay:d (thunk None)) spawn
       in
-      let earliest () =
-        List.fold_left
-          (fun best e -> match best with Some b when b <= e -> best | _ -> Some e)
-          None !pending
+      (* the reference: pending (at, seq, spawned delay) in firing order;
+         a new event goes after every pending one due no later, which
+         all have smaller seqs *)
+      let pending = ref [] and count = ref 0 and now = ref 0.0 and seq = ref 0 in
+      let expected = ref [] in
+      let add at spawn =
+        let at = Float.max at !now in
+        let rec insert = function
+          | ((at', _, _) as e) :: rest when at' <= at -> e :: insert rest
+          | later -> (at, !seq, spawn) :: later
+        in
+        pending := insert !pending;
+        incr seq;
+        incr count
+      in
+      let pop () =
+        match !pending with
+        | [] -> false
+        | (at, id, spawn) :: rest ->
+          pending := rest;
+          decr count;
+          now := at;
+          expected := id :: !expected;
+          Option.iter (fun d -> add (at +. d) None) spawn;
+          true
+      in
+      let rec pop_until x n =
+        match !pending with
+        | (at, _, _) :: _ when at <= x ->
+          ignore (pop ());
+          pop_until x (n + 1)
+        | _ -> n
       in
       List.for_all
         (fun op ->
           (match op with
           | At x ->
-            Sched.at sched ~at:x (add x);
+            Sched.at sched ~at:x (thunk None);
+            add x None;
             true
           | After d ->
-            Sched.after sched ~delay:d (add (!now +. d));
+            Sched.after sched ~delay:d (thunk None);
+            add (!now +. d) None;
             true
-          | Step -> (
-            fired := -1;
+          | Chain (x, d) ->
+            Sched.at sched ~at:x (thunk (Some d));
+            add x (Some d);
+            true
+          | Step ->
             let stepped = Sched.step sched in
-            match earliest () with
-            | None -> not stepped
-            | Some (at, id) ->
-              pending := List.filter (fun (_, i) -> i <> id) !pending;
-              decr count;
-              now := at;
-              stepped && !fired = id && Sched.now sched = at))
-          && Sched.pending sched = !count)
-        ops)
+            stepped = pop ()
+          | Until x ->
+            let fired = Sched.run ~until:x sched in
+            fired = pop_until x 0)
+          && Sched.pending sched = !count
+          && Sched.now sched = !now
+          && Sched.next_at sched
+             = match !pending with [] -> None | (at, _, _) :: _ -> Some at)
+        ops
+      && !log = !expected)
 
 (* ---- delayed delivery ------------------------------------------------ *)
 

@@ -459,6 +459,68 @@ let test_publish_and_slo () =
   Alcotest.(check int) "tight p99 breaches" 1
     (List.length (Ra_obs.Slo.breaches tight))
 
+(* ---- outcome log ------------------------------------------------------- *)
+
+let flood_traffic =
+  { quiet_traffic with Server.Load.tr_flood_sources = 8; tr_flood_rate = 30.0 }
+
+(* Nine in ten outcomes of a flood are forged reports turned away at
+   once, so the outcome list is most of a recorded run's heap. Each entry
+   is its record, one float box and one list cell: every rejection for a
+   reason shares one [Error]. A fresh [Error] per rejection, with the
+   list reversed and then concatenated across shards, cost 104.4 B on
+   this flood. *)
+let test_outcome_list_bytes () =
+  let _, outcomes =
+    Server.Load.run ~engine:(`Shards 2) ~record_outcomes:true (load_config ())
+      flood_traffic
+  in
+  let n = List.length outcomes in
+  Alcotest.(check bool) (Printf.sprintf "a flood recorded (%d outcomes)" n) true (n > 2000);
+  let per = float_of_int (Obj.reachable_words (Obj.repr outcomes) * (Sys.word_size / 8)) in
+  let per = per /. float_of_int n in
+  if per > 96.0 then
+    Alcotest.failf "the outcome list holds %.1f B per outcome (bound 96)" per
+
+(* Enough outcomes to fill several chunks of the log, in arrival order;
+   a second call returns the list the first one built, and outcomes
+   recorded later follow it. *)
+let test_outcomes_listed_once () =
+  let _sched, server = make () in
+  let submit n0 n =
+    for tag = n0 to n0 + n - 1 do
+      Server.submit server { Server.rq_device = None; rq_tag = tag; rq_frame = "junk" }
+    done
+  in
+  let tags () = List.map (fun o -> o.Server.oc_tag) (Server.outcomes server) in
+  submit 1 2500;
+  let first = Server.outcomes server in
+  Alcotest.(check bool) "second call returns the same list" true
+    (Server.outcomes server == first);
+  Alcotest.(check (list int)) "chronological" (List.init 2500 succ) (tags ());
+  submit 2501 10;
+  Alcotest.(check (list int)) "later outcomes appended" (List.init 2510 succ) (tags ());
+  Alcotest.(check bool) "and listed once" true
+    (Server.outcomes server == Server.outcomes server)
+
+(* Without [~record_outcomes] nothing grows per request: once the flood
+   has filled the unknown share of the queue and emptied its bucket, a
+   thousand more forged reports leave the server exactly as large. *)
+let test_unrecorded_server_size () =
+  let _sched, server = make ~record:false () in
+  let flood n0 =
+    for i = n0 to n0 + 999 do
+      Server.submit server
+        { Server.rq_device = None; rq_tag = i; rq_frame = forged_frame (Int64.of_int i) }
+    done
+  in
+  flood 1;
+  let words = Obj.reachable_words (Obj.repr server) in
+  flood 1001;
+  Alcotest.(check int) "every request counted" 2000 (Server.stats server).Server.sv_requests;
+  Alcotest.(check int) "same size" words (Obj.reachable_words (Obj.repr server));
+  Alcotest.(check int) "no outcomes" 0 (List.length (Server.outcomes server))
+
 let tests =
   [
     Alcotest.test_case "bucket refill at time boundaries" `Quick test_bucket_refill;
@@ -480,4 +542,9 @@ let tests =
     Alcotest.test_case "breakdown labels agree across sides" `Quick
       test_breakdown_labels_agree;
     Alcotest.test_case "publish and SLO wiring" `Quick test_publish_and_slo;
+    Alcotest.test_case "outcome list holds <= 96 B per outcome" `Quick
+      test_outcome_list_bytes;
+    Alcotest.test_case "outcomes listed once, in order" `Quick test_outcomes_listed_once;
+    Alcotest.test_case "unrecorded server does not grow" `Quick
+      test_unrecorded_server_size;
   ]
