@@ -48,6 +48,16 @@ let measure_memory t =
 let last_mac_cycles t = t.mac_cycles
 let sha t = t.sha
 
+(* An EA-MPU denial names its address and executing region; any other
+   trap is charged to the routine itself. *)
+let fault_of_trap = function
+  | Ra_isa.Core.Trap_protection { Cpu.fault_addr; fault_code; _ } ->
+    Verdict.Fault { fault_addr; fault_code }
+  | Ra_isa.Core.Trap_entry { target; region; _ } ->
+    Verdict.Fault { fault_addr = target; fault_code = region }
+  | Ra_isa.Core.Trap_bus _ | Ra_isa.Core.Trap_illegal _ ->
+    Verdict.Fault { fault_addr = rom_origin; fault_code = Device.region_attest }
+
 let attest t (req : Message.attreq) =
   let resp =
     { Message.echo_challenge = req.challenge; echo_freshness = req.freshness; report = "" }
@@ -59,9 +69,16 @@ let attest t (req : Message.attreq) =
     :: List.map (fun (base, len) -> Sha1_asm.Range (base, len)) (Device.attested_ranges t.device)
   in
   let before = Cpu.cycles (cpu t) in
-  let report = Sha1_asm.hmac_segments t.sha (cpu t) ~key segments in
-  t.mac_cycles <- Int64.sub (Cpu.cycles (cpu t)) before;
-  { resp with Message.report }
+  match Sha1_asm.hmac_segments t.sha (cpu t) ~key segments with
+  | Ok report ->
+    t.mac_cycles <- Int64.sub (Cpu.cycles (cpu t)) before;
+    Ok { resp with Message.report }
+  | Error trap ->
+    (* the routine stopped mid-measurement with the key's pads staged in
+       its scratch: clear it before untrusted code runs again *)
+    Memory.write_bytes (Device.memory t.device) (scratch_addr t.device)
+      (String.make Sha1_asm.scratch_bytes '\x00');
+    Error (fault_of_trap trap)
 
 let authenticate t (req : Message.attreq) =
   match t.scheme with
@@ -81,6 +98,6 @@ let handle_request t req =
         | Ok () ->
           (match Freshness.check_and_update t.freshness req.Message.freshness with
           | Error e -> Error (Verdict.Not_fresh e)
-          | Ok () -> Ok (attest t req)))
+          | Ok () -> attest t req))
   with Cpu.Protection_fault { fault_addr; fault_code; _ } ->
     Error (Verdict.Fault { fault_addr; fault_code })

@@ -62,7 +62,7 @@ let prover_radio t ~bytes =
       ~nj:(float_of_int bytes *. Ra_mcu.Energy.radio_uj_per_byte energy *. 1e3)
 
 let create ?(spec = Architecture.trustlite_base) ?(sym_key = default_sym_key)
-    ?ram_seed ?ram_size () =
+    ?(ram_seed = 42L) ?ram_size () =
   let time = Simtime.create () in
   let trace = Trace.create time in
   let channel = Channel.create time trace in
@@ -79,11 +79,15 @@ let create ?(spec = Architecture.trustlite_base) ?(sym_key = default_sym_key)
     | Error msg -> invalid_arg ("Session.create: " ^ msg)
   in
   let prover =
-    Architecture.build ?ram_seed ?ram_size
+    Architecture.build ~ram_seed ?ram_size
       ~key_blob:(Verifier.prover_key_blob verifier)
       spec
   in
-  Verifier.set_reference_image verifier (Code_attest.measure_memory prover.anchor);
+  (* a pristine RAM measures as the RAM-fill memo's image: the verifier
+     holds that string, not a copy per world *)
+  let image = Code_attest.measure_memory prover.anchor in
+  let pristine = Device.pristine_ram prover.Architecture.device ~seed:ram_seed in
+  Verifier.set_reference_image verifier (if String.equal image pristine then pristine else image);
   let clock_sync =
     match Ra_mcu.Device.clock prover.Architecture.device with
     | Some _ -> Some (Clock_sync.install prover.Architecture.device)

@@ -17,8 +17,12 @@ val create :
   unit ->
   t
 (** Build a fresh world: simulated time at 0, booted prover (default
-    {!Architecture.trustlite_base}), verifier provisioned with the
-    matching key blob and the prover's actual memory image as reference. *)
+    {!Architecture.trustlite_base}) with its RAM filled from [ram_seed]
+    (default 42, as in {!Architecture.build}), verifier provisioned with
+    the matching key blob and the prover's actual memory image as
+    reference. When that image is the pristine RAM fill, the reference
+    is the RAM-fill memo's own string ({!Ra_mcu.Device.pristine_ram}),
+    so the worlds of a fleet share one copy of it. *)
 
 val time : t -> Ra_net.Simtime.t
 val trace : t -> Ra_net.Trace.t

@@ -5,6 +5,10 @@
     stream, so every experiment in this repository is replayable. *)
 
 type t
+(** V and the SHA-256 midstates of K's two HMAC pads: what the next call
+    needs, and nothing else. The HMACs run in a scratch that each domain
+    keeps for itself (K's pad block and a working hash context), and
+    every call wipes it before it returns. *)
 
 val create : ?personalization:string -> seed:string -> unit -> t
 (** Instantiate with entropy [seed] (any length). The instantiated state
@@ -32,3 +36,9 @@ val generate : t -> int -> string
 (** [generate t n] produces [n] pseudorandom bytes and advances the state.
     It allocates only the result.
     @raise Invalid_argument if [n < 0], leaving the state untouched. *)
+
+val scratch_residue : unit -> string
+(** Every byte this domain's scratch holds, marshalled: what one call
+    leaves behind for the next. The wipe leaves it equal on every
+    domain and after every call, and tests check that it holds nothing
+    of a state. *)

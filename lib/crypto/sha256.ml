@@ -84,6 +84,11 @@ let blit src dst =
 let iv = init ()
 let reset t = blit iv t
 
+let wipe t =
+  Bytes.fill t.ring 0 128 '\x00';
+  Bytes.fill t.buf 0 block_size '\x00';
+  reset t
+
 let[@inline] m32 x = Int64.logand x 0xFFFFFFFFL
 
 (* x, a word below 2^32, next to itself: [shift_right_logical (double x) n]

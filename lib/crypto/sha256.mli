@@ -17,6 +17,11 @@ val copy : ctx -> ctx
 val reset : ctx -> unit
 (** Return a context to the state {!init} gives, in place. *)
 
+val wipe : ctx -> unit
+(** {!reset} that also zeroes the partial block and the schedule words
+    the last compression left behind: the context then holds nothing of
+    what it hashed. *)
+
 val blit : ctx -> ctx -> unit
 (** [blit src dst] makes [dst] a copy of [src]'s midstate, in place: what
     {!copy} does, without allocating. *)

@@ -228,14 +228,22 @@ let pad message =
   in
   message ^ "\x80" ^ String.make zero_pad '\x00' ^ length_bytes
 
+exception Trapped of Core.trap
+
+(* A routine that does not halt within its step budget is a bug in it. *)
+let run t core what =
+  (match t.sampler with None -> () | Some s -> Sampler.attach s core);
+  match Core.run ~max_steps:100_000 core with
+  | Core.Halted, _ -> ()
+  | Core.Trapped trap, _ -> raise (Trapped trap)
+  | (Core.Running as state), _ ->
+    failwith (Format.asprintf "Sha1_asm: %s %a" what Core.pp_state state)
+
 let run_compress t cpu =
   let core = Core.create cpu ~pc:t.origin ~sp:(t.scratch_addr + scratch_bytes) in
-  (match t.sampler with None -> () | Some s -> Sampler.attach s core);
   let before = Cpu.cycles cpu in
-  match Core.run ~max_steps:100_000 core with
-  | Core.Halted, _ -> t.last_cycles <- Int64.sub (Cpu.cycles cpu) before
-  | state, _ ->
-    failwith (Format.asprintf "Sha1_asm: compression %a" Core.pp_state state)
+  run t core "compression";
+  t.last_cycles <- Int64.sub (Cpu.cycles cpu) before
 
 let digest t cpu message =
   let memory = Cpu.memory cpu in
@@ -259,13 +267,10 @@ type segment = Bytes of string | Range of int * int
    memory into the scratch staging area, reading through the MPU *)
 let run_copy t cpu ~src ~len =
   let core = Core.create cpu ~pc:t.copy_entry ~sp:(t.scratch_addr + scratch_bytes) in
-  (match t.sampler with None -> () | Some s -> Sampler.attach s core);
   Core.set_reg core 1 src;
   Core.set_reg core 2 (t.scratch_addr + stage_off);
   Core.set_reg core 8 len;
-  match Core.run ~max_steps:100_000 core with
-  | Core.Halted, _ -> ()
-  | state, _ -> failwith (Format.asprintf "Sha1_asm: copy %a" Core.pp_state state)
+  run t core "copy"
 
 let digest_segments t cpu segments =
   let memory = Cpu.memory cpu in
@@ -331,10 +336,14 @@ let hmac_key_pads key =
   (xor_with 0x36, xor_with 0x5c)
 
 let hmac_segments t cpu ~key segments =
-  let key = if String.length key > 64 then digest t cpu key else key in
-  let ipad, opad = hmac_key_pads key in
-  let inner = digest_segments t cpu (Bytes ipad :: segments) in
-  digest_segments t cpu [ Bytes opad; Bytes inner ]
+  match
+    let key = if String.length key > 64 then digest t cpu key else key in
+    let ipad, opad = hmac_key_pads key in
+    let inner = digest_segments t cpu (Bytes ipad :: segments) in
+    digest_segments t cpu [ Bytes opad; Bytes inner ]
+  with
+  | report -> Ok report
+  | exception Trapped trap -> Error trap
 
 let hmac t cpu ~key message =
   let block_size = 64 in

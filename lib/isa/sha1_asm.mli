@@ -34,9 +34,13 @@ val code_size_bytes : t -> int
 val entry : t -> int
 (** The routine's entry point, e.g. for {!Core.allow_entries}. *)
 
+exception Trapped of Core.trap
+(** A trap of the core stops the routine where it stands: its scratch
+    then holds whatever the routine had staged. *)
+
 val digest : t -> Ra_mcu.Cpu.t -> string -> string
 (** Full SHA-1 of a message, compressions executed on a fresh core over
-    the given CPU. @raise Failure if the core traps (e.g. the EA-MPU
+    the given CPU. @raise Trapped if the core traps (e.g. the EA-MPU
     denies the routine its scratch — a misconfiguration). *)
 
 type segment =
@@ -45,18 +49,19 @@ type segment =
                           interpreted copy routine — every byte crosses
                           the EA-MPU attributed to this code's region *)
 
-val digest_segments : t -> Ra_mcu.Cpu.t -> segment list -> string
-(** SHA-1 over the concatenation of the segments. [Range] bytes never
+val hmac_segments :
+  t -> Ra_mcu.Cpu.t -> key:string -> segment list -> (string, Core.trap) result
+(** HMAC-SHA1 over the concatenation of the segments; bit-identical to
+    [Ra_crypto.Hmac.mac sha1 ~key (concatenation)]. [Range] bytes never
     enter host code before being staged by the interpreted [copy]
     routine, so a rule protecting the range is honoured or faulted
-    exactly as for any other software. *)
-
-val hmac_segments : t -> Ra_mcu.Cpu.t -> key:string -> segment list -> string
-(** HMAC-SHA1 with the same segment semantics; bit-identical to
-    [Ra_crypto.Hmac.mac sha1 ~key (concatenation)]. *)
+    exactly as for any other software. A trap is returned as [Error];
+    the scratch may then hold the key's pads, and the caller must clear
+    it. *)
 
 val hmac : t -> Ra_mcu.Cpu.t -> key:string -> string -> string
-(** HMAC-SHA1 with both inner and outer hashes on the core. *)
+(** HMAC-SHA1 with both inner and outer hashes on the core.
+    @raise Trapped as {!digest}. *)
 
 val last_run_cycles : t -> int64
 (** Cycles the most recent compression consumed (for the Table-1

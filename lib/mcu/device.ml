@@ -52,29 +52,32 @@ type t = {
   genesis : genesis;
 }
 
+(* The memory map by RAM size, one per domain: region records are
+   immutable, so the devices of a fleet share one list of them. *)
+let memory_map =
+  Ra_crypto.Memo.per_domain ~capacity:1 ~equal:Int.equal (fun ram_size ->
+      let open Region in
+      [
+        make ~name:region_boot ~base:base_rom_boot ~size:4096 ~kind:Rom;
+        make ~name:region_attest ~base:base_rom_attest ~size:8192 ~kind:Rom;
+        make ~name:region_clock ~base:base_rom_clock ~size:1024 ~kind:Rom;
+        make ~name:"rom_key" ~base:base_rom_key ~size:64 ~kind:Rom;
+        make ~name:region_app ~base:base_flash_app ~size:65536 ~kind:Flash;
+        make ~name:"nvram" ~base:base_nvram ~size:256 ~kind:Flash;
+        make ~name:"ram" ~base:base_ram ~size:ram_size ~kind:Ram;
+        make ~name:"idt" ~base:base_idt ~size:256 ~kind:Ram;
+        make ~name:"irq_ctrl" ~base:base_irq_ctrl ~size:16 ~kind:Mmio;
+        make ~name:"clock_msb" ~base:base_clock_msb ~size:8 ~kind:Ram;
+        make ~name:"actuator" ~base:base_actuator ~size:16 ~kind:Mmio;
+        make ~name:"anchor_scratch" ~base:base_anchor_scratch ~size:512 ~kind:Ram;
+      ])
+
 let rec create ?(ram_size = 512 * 1024) ?(clock_impl = Clock_none)
     ?(key_location = Key_in_rom) ?energy ?(rom_images = []) ?(attest_app_flash = false)
     ~key () =
   if String.length key = 0 || String.length key > 64 then
     invalid_arg "Device.create: key must be 1..64 bytes";
-  let open Region in
-  let regions =
-    [
-      make ~name:region_boot ~base:base_rom_boot ~size:4096 ~kind:Rom;
-      make ~name:region_attest ~base:base_rom_attest ~size:8192 ~kind:Rom;
-      make ~name:region_clock ~base:base_rom_clock ~size:1024 ~kind:Rom;
-      make ~name:"rom_key" ~base:base_rom_key ~size:64 ~kind:Rom;
-      make ~name:region_app ~base:base_flash_app ~size:65536 ~kind:Flash;
-      make ~name:"nvram" ~base:base_nvram ~size:256 ~kind:Flash;
-      make ~name:"ram" ~base:base_ram ~size:ram_size ~kind:Ram;
-      make ~name:"idt" ~base:base_idt ~size:256 ~kind:Ram;
-      make ~name:"irq_ctrl" ~base:base_irq_ctrl ~size:16 ~kind:Mmio;
-      make ~name:"clock_msb" ~base:base_clock_msb ~size:8 ~kind:Ram;
-      make ~name:"actuator" ~base:base_actuator ~size:16 ~kind:Mmio;
-      make ~name:"anchor_scratch" ~base:base_anchor_scratch ~size:512 ~kind:Ram;
-    ]
-  in
-  let memory = Memory.create regions in
+  let memory = Memory.create (memory_map ram_size) in
   let mpu = Ea_mpu.create ~capacity:8 in
   let cpu = Cpu.create memory mpu ~clock_hz:Timing.siskiyou_hz in
   let interrupt =
@@ -250,8 +253,8 @@ let ram_image =
   Ra_crypto.Memo.per_domain ~capacity:1 ~equal:( = ) (fun (seed, size) ->
       Ra_crypto.Prng.bytes (Ra_crypto.Prng.create seed) size)
 
-let fill_ram_deterministic t ~seed =
-  Memory.write_bytes t.memory base_ram (ram_image (seed, t.ram_size))
+let pristine_ram t ~seed = ram_image (seed, t.ram_size)
+let fill_ram_deterministic t ~seed = Memory.write_bytes t.memory base_ram (pristine_ram t ~seed)
 
 let idle t ~seconds = Cpu.idle_seconds t.cpu seconds
 

@@ -121,6 +121,10 @@ val fill_ram_deterministic : t -> seed:int64 -> unit
     (seed, RAM size) that holds one RAM image per domain, so the worlds
     of a fleet draw it once. *)
 
+val pristine_ram : t -> seed:int64 -> string
+(** The image {!fill_ram_deterministic} writes: the memo's own string,
+    so a holder of it keeps no copy of its own. *)
+
 val idle : t -> seconds:float -> unit
 (** Let wall-clock time pass with the CPU asleep: clock ticks advance,
     sleep energy is charged. *)

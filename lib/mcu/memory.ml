@@ -8,16 +8,20 @@ exception Bus_fault of string
    domain's pool. The first write that changes a shared page's bytes
    swaps in a private copy; a write that leaves them as they are keeps
    the page shared. No page buffer ever leaves this module and nothing
-   writes a shared page, so any domain may read one concurrently. *)
+   writes a shared page, so any domain may read one concurrently. A
+   region's page table (page array and ownership bits) is shared the
+   same way: a shared table has [unowned] for bits, and the first write
+   that must own a page copies the table first. *)
 let page_bits = 10
 let page_size = 1 lsl page_bits
 let page_mask = page_size - 1
 let zero_page = Bytes.make page_size '\x00'
+let unowned = Bytes.create 0
 
 type mapped = {
   region : Region.t;
-  pages : Bytes.t array;
-  owned : Bytes.t; (* bit [i] set: page [i] is this memory's own *)
+  mutable pages : Bytes.t array;
+  mutable owned : Bytes.t; (* bit [i] set: page [i] is this memory's own *)
 }
 
 type t = {
@@ -66,14 +70,20 @@ let locate_writable t addr =
     raise (Bus_fault (Printf.sprintf "ROM write at 0x%06x (%s)" addr m.region.Region.name));
   m
 
-let owns m i = Char.code (Bytes.unsafe_get m.owned (i lsr 3)) land (1 lsl (i land 7)) <> 0
+let owns m i =
+  m.owned != unowned
+  && Char.code (Bytes.unsafe_get m.owned (i lsr 3)) land (1 lsl (i land 7)) <> 0
 
-(* Page [i] of [m] as its own, copied from the shared page on first use. *)
+(* Page [i] of [m] as its own, copied from the shared page on first use,
+   after the table itself if that is shared. *)
 let own_page m i =
-  let p = m.pages.(i) in
-  if owns m i then p
+  if owns m i then m.pages.(i)
   else begin
-    let p = Bytes.sub p 0 (min page_size (m.region.Region.size - (i lsl page_bits))) in
+    if m.owned == unowned then begin
+      m.pages <- Array.copy m.pages;
+      m.owned <- Bytes.make ((Array.length m.pages + 7) lsr 3) '\x00'
+    end;
+    let p = Bytes.sub m.pages.(i) 0 (min page_size (m.region.Region.size - (i lsl page_bits))) in
     m.pages.(i) <- p;
     Bytes.set m.owned (i lsr 3)
       (Char.unsafe_chr (Char.code (Bytes.get m.owned (i lsr 3)) lor (1 lsl (i land 7))));
@@ -183,24 +193,31 @@ let write_u64 t addr v =
   write_u32 t addr (Int64.to_int (Int64.logand v 0xFFFFFFFFL));
   write_u32 t (addr + 4) (Int64.to_int (Int64.logand (Int64.shift_right_logical v 32) 0xFFFFFFFFL))
 
-(* The pages [share] sealed on this domain, by address, at most one per
-   address: a sealed page equal to the one held here is swapped for it,
-   and any other page takes its place. *)
-let pool : (int, Bytes.t) Hashtbl.t Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> Hashtbl.create 64)
+(* The pages and page tables [share] sealed on this domain, by address,
+   at most one of each per address: a sealed page or table equal to the
+   one held here is swapped for it, and any other takes its place. *)
+let pool : ((int, Bytes.t) Hashtbl.t * (int, Bytes.t array) Hashtbl.t) Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> (Hashtbl.create 64, Hashtbl.create 16))
+
+let same_pages a b = Array.length a = Array.length b && Array.for_all2 ( == ) a b
 
 let share t =
-  let pool = Domain.DLS.get pool in
+  let pages, tables = Domain.DLS.get pool in
   List.iter
     (fun m ->
-      Array.iteri
-        (fun i p ->
-          if owns m i then begin
-            let addr = m.region.Region.base + (i lsl page_bits) in
-            match Hashtbl.find_opt pool addr with
-            | Some q when Bytes.equal p q -> m.pages.(i) <- q
-            | Some _ | None -> Hashtbl.replace pool addr p
-          end)
-        m.pages;
-      Bytes.fill m.owned 0 (Bytes.length m.owned) '\x00')
+      if m.owned != unowned then begin
+        Array.iteri
+          (fun i p ->
+            if owns m i then begin
+              let addr = m.region.Region.base + (i lsl page_bits) in
+              match Hashtbl.find_opt pages addr with
+              | Some q when Bytes.equal p q -> m.pages.(i) <- q
+              | Some _ | None -> Hashtbl.replace pages addr p
+            end)
+          m.pages;
+        (match Hashtbl.find_opt tables m.region.Region.base with
+        | Some q when same_pages m.pages q -> m.pages <- q
+        | Some _ | None -> Hashtbl.replace tables m.region.Region.base m.pages);
+        m.owned <- unowned
+      end)
     t.mapped

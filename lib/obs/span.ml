@@ -56,6 +56,26 @@ let enter t ?(labels = []) name =
   t.stack <- sp :: t.stack;
   sp
 
+(* Histogram handles by span name, one table per domain, each with the
+   registry and histogram it was got for: a registered handle never
+   changes, so an exit finds its handle here instead of taking the
+   registry's lock. A handle is kept only while its family is under the
+   series cap, so an over-cap exit still counts its drop. *)
+let handles : (string, Registry.t * string * Registry.Histogram.t) Hashtbl.t Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> Hashtbl.create 16)
+
+let handle registry histogram name =
+  let cache = Domain.DLS.get handles in
+  match Hashtbl.find cache name with
+  | r, h, handle when r == registry && String.equal h histogram -> handle
+  | _ | (exception Not_found) ->
+    let handle = Registry.Histogram.get ~registry ~labels:[ ("span", name) ] histogram in
+    if Registry.series_count registry histogram < Registry.series_limit registry then begin
+      if Hashtbl.length cache >= 1024 then Hashtbl.reset cache;
+      Hashtbl.replace cache name (registry, histogram, handle)
+    end;
+    handle
+
 let exit t ?(labels = []) sp =
   let stop = t.clock () in
   t.stack <- List.filter (fun o -> o.o_id <> sp.o_id) t.stack;
@@ -74,10 +94,9 @@ let exit t ?(labels = []) sp =
   (match t.registry with
   | None -> t.log <- f :: t.log
   | Some registry ->
-    let h =
-      Registry.Histogram.get ~registry ~labels:[ ("span", sp.o_name) ] t.histogram
-    in
-    Registry.Histogram.observe h ((stop -. sp.o_start) *. 1000.0));
+    Registry.Histogram.observe
+      (handle registry t.histogram sp.o_name)
+      ((stop -. sp.o_start) *. 1000.0));
   match t.callback with None -> () | Some cb -> cb f
 
 let with_span t ?labels name f =

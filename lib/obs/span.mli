@@ -41,7 +41,9 @@ val create :
     of [histogram] in [registry] (and hands it to the {!on_finish}
     hook): its {!finished} stays [[]], so a long-lived session pays no
     heap per span. [histogram] defaults to ["ra_span_ms"]; [registry]
-    defaults to {!Registry.default}. *)
+    defaults to {!Registry.default}. An exit finds its histogram handle
+    in a per-domain cache, so it takes the registry's lock only the
+    first time a domain closes a span of that name. *)
 
 val no_registry : clock:(unit -> float) -> unit -> t
 (** A context that keeps every finished span in its {!finished} list and

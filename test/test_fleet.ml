@@ -228,6 +228,27 @@ let test_member_construction_after_ecdsa () =
     Alcotest.failf "building a member after four signatures allocates %.0f minor words (bound %.0f)"
       words bound
 
+(* The heap a member keeps for itself: live words after a full major
+   collection, per member of a 200-member fleet, after one warm-up world
+   has filled this domain's memos. A member shares its verifier's
+   reference image with the RAM-fill memo, keeps no DRBG working context
+   or pad block, and holds the page tables and region records of its
+   genesis only by reference. Owning them, a member held 7,200 B. *)
+let test_member_unique_heap () =
+  let members = 200 in
+  ignore (Sys.opaque_identity (Session.create ~ram_size:1024 ()));
+  let live () =
+    Gc.full_major ();
+    (Gc.stat ()).Gc.live_words
+  in
+  let before = live () in
+  let fleet =
+    Fleet.create ~ram_size:1024 ~names:(List.init members (Printf.sprintf "m%03d")) ()
+  in
+  let bytes = (live () - before) * (Sys.word_size / 8) / members in
+  ignore (Sys.opaque_identity fleet);
+  if bytes > 4_608 then Alcotest.failf "a member holds %d B of its own (> 4.5 KiB)" bytes
+
 let tests =
   [
     Alcotest.test_case "creation" `Quick test_creation;
@@ -252,4 +273,6 @@ let tests =
     Alcotest.test_case
       "member construction after four ECDSA instantiations allocates < 1,750 minor words"
       `Quick test_member_construction_after_ecdsa;
+    Alcotest.test_case "a member holds <= 4,608 B of its own after create" `Quick
+      test_member_unique_heap;
   ]

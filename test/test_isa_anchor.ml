@@ -11,7 +11,12 @@ module Simtime = Ra_net.Simtime
 
 let sym_key = "K_attest_0123456789." (* 20 bytes *)
 
-let make ?(protect = true) () =
+(* [deny_attested] adds one rule before the lock that keeps rom_attest
+   out of the first 64 B of attested RAM, as a trustlet whose private
+   data lies there would, or a roaming adversary who programs the rule
+   before the table is locked: the interpreted copy traps on the first
+   attested byte, so no reference image can be measured either. *)
+let make ?(protect = true) ?(deny_attested = false) () =
   let blob = Auth.prover_key_blob ~sym_key ~public:None in
   let device =
     Device.create ~ram_size:2048
@@ -31,18 +36,28 @@ let make ?(protect = true) () =
         read_by = Ea_mpu.Code_in [ Device.region_attest ];
         write_by = Ea_mpu.Code_in [ Device.region_attest ];
       };
+    if deny_attested then
+      Ea_mpu.program (Device.mpu device)
+        {
+          Ea_mpu.rule_name = "app_private";
+          data_base = Device.attested_base device;
+          data_size = 64;
+          read_by = Ea_mpu.Code_in [ Device.region_app ];
+          write_by = Ea_mpu.Code_in [ Device.region_app ];
+        };
     Ea_mpu.lock (Device.mpu device)
   end;
   let anchor =
     Isa_anchor.install device ~scheme:(Some Timing.Auth_hmac_sha1)
       ~policy:Freshness.Counter
   in
+  let reference_image = if deny_attested then "" else Isa_anchor.measure_memory anchor in
   let verifier =
     match
       Verifier.of_config
         (Verifier.Config.v ~scheme:Timing.Auth_hmac_sha1
            ~freshness_kind:Verifier.Fk_counter ~sym_key ~time:(Simtime.create ())
-           ~reference_image:(Isa_anchor.measure_memory anchor) ())
+           ~reference_image ())
     with
     | Ok v -> v
     | Error msg -> Alcotest.fail msg
@@ -144,6 +159,44 @@ let test_install_requires_rom_image () =
         (Isa_anchor.install bare ~scheme:(Some Timing.Auth_hmac_sha1)
            ~policy:Freshness.Counter))
 
+(* A trap mid-measurement is an anchor exit like any other: it must end
+   in a verdict, never an exception. *)
+let test_trap_fails_closed () =
+  let device, anchor, verifier = make ~deny_attested:true () in
+  match Isa_anchor.handle_request anchor (Verifier.make_request verifier) with
+  | Error (Verdict.Fault { fault_addr; fault_code }) ->
+    Alcotest.(check int) "at the denied address" (Device.attested_base device) fault_addr;
+    Alcotest.(check string) "by the anchor's code" Device.region_attest fault_code
+  | Ok _ -> Alcotest.fail "a trapped measurement produced a report"
+  | Error e -> Alcotest.failf "wrong reject: %a" Verdict.pp e
+
+(* The routine stages K xor ipad in its scratch before it copies the
+   first attested byte. Whatever the trap's outcome, no 16-byte window
+   of either pad may be left there for the next code to read. *)
+let test_trap_leaves_no_pads () =
+  let device, anchor, verifier = make ~deny_attested:true () in
+  (try ignore (Isa_anchor.handle_request anchor (Verifier.make_request verifier))
+   with Failure _ -> ());
+  let scratch =
+    Memory.read_bytes (Device.memory device) (Device.anchor_scratch_addr device)
+      Ra_isa.Sha1_asm.scratch_bytes
+  in
+  let key = Auth.blob_sym_key (Auth.prover_key_blob ~sym_key ~public:None) in
+  let key = key ^ String.make (64 - String.length key) '\x00' in
+  let holds window =
+    let n = String.length window in
+    let rec at i = i + n <= String.length scratch && (String.sub scratch i n = window || at (i + 1)) in
+    at 0
+  in
+  List.iter
+    (fun (name, x) ->
+      let pad = String.map (fun c -> Char.chr (Char.code c lxor x)) key in
+      for i = 0 to 64 - 16 do
+        if holds (String.sub pad i 16) then
+          Alcotest.failf "the scratch holds bytes %d-%d of %s" i (i + 15) name
+      done)
+    [ ("K xor ipad", 0x36); ("K xor opad", 0x5c) ]
+
 let tests =
   [
     Alcotest.test_case "end-to-end trusted" `Quick test_end_to_end_trusted;
@@ -154,4 +207,7 @@ let tests =
     Alcotest.test_case "interpreted cost visible" `Quick test_interpreted_cost_visible;
     Alcotest.test_case "scratch protected" `Quick test_scratch_protected_from_malware;
     Alcotest.test_case "install requires ROM image" `Quick test_install_requires_rom_image;
+    Alcotest.test_case "a trap mid-measurement is a Fault" `Quick test_trap_fails_closed;
+    Alcotest.test_case "a trap leaves no HMAC pad in the scratch" `Quick
+      test_trap_leaves_no_pads;
   ]

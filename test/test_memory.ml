@@ -312,6 +312,68 @@ let qcheck_shared_pages_copy_on_write =
            w
       && image_of (Memory.read_bytes (fst (build g0))) = genesis0)
 
+(* Fleet members share their genesis pages and page tables. A write to
+   one member's flash, nvram and RAM, on this domain or on another, must
+   land in copies of its own: no other member, no fleet built later on
+   this domain and no member swept on a second shard's domain sees it. *)
+let test_member_writes_stay_private () =
+  let module Fleet = Ra_core.Fleet in
+  let names = List.init 6 (Printf.sprintf "w%d") in
+  let fleet = Fleet.create ~ram_size:1024 ~names () in
+  let device fleet name = Ra_core.Session.device (Fleet.member_session (Fleet.find fleet name)) in
+  (* every region's bytes; [~sweep] leaves out the counter a sweep writes *)
+  let image ?(sweep = false) fleet name =
+    let d = device fleet name in
+    let m = Device.memory d in
+    List.map
+      (fun r ->
+        let s = Memory.read_bytes m r.Region.base r.Region.size in
+        if sweep && Region.contains r (Device.counter_addr d) then
+          String.sub s 8 (String.length s - 8)
+        else s)
+      (Memory.regions m)
+  in
+  let genesis = image fleet "w0" in
+  let spots d =
+    let flash = Memory.region_named (Device.memory d) Device.region_app in
+    [ Device.attested_base d + 100; Device.counter_addr d + 0x40; flash.Region.base + 0x200 ]
+  in
+  let implant name tag =
+    let d = device fleet name in
+    List.iter (fun addr -> Memory.write_bytes (Device.memory d) addr tag) (spots d)
+  in
+  let holds name tag =
+    let d = device fleet name in
+    List.for_all
+      (fun addr -> Memory.read_bytes (Device.memory d) addr (String.length tag) = tag)
+      (spots d)
+  in
+  implant "w1" "HERE";
+  Domain.join (Domain.spawn (fun () -> implant "w4" "THERE"));
+  let writers = [ ("w1", "HERE"); ("w4", "THERE") ] in
+  let bystanders = List.filter (fun n -> not (List.mem_assoc n writers)) names in
+  List.iter
+    (fun n -> Alcotest.(check bool) (n ^ " holds its genesis") true (image fleet n = genesis))
+    bystanders;
+  let later = Fleet.create ~ram_size:1024 ~names:[ "z0" ] () in
+  Alcotest.(check bool) "a fleet built later holds the genesis" true (image later "z0" = genesis);
+  (* a sweep writes every member's counter, half of them on a helper domain *)
+  let unswept = image ~sweep:true fleet "w0" in
+  Fleet.advance fleet ~seconds:1.0;
+  ignore (Fleet.sweep ~engine:(`Shards 2) fleet);
+  Alcotest.(check bool) "the sweep wrote w0's counter" true (image fleet "w0" <> genesis);
+  List.iter
+    (fun n ->
+      Alcotest.(check bool) (n ^ " swept holds the rest of its genesis") true
+        (image ~sweep:true fleet n = unswept))
+    bystanders;
+  List.iter
+    (fun (n, tag) -> Alcotest.(check bool) (n ^ " keeps its own bytes") true (holds n tag))
+    writers;
+  let after = Fleet.create ~ram_size:1024 ~names:[ "y0" ] () in
+  Alcotest.(check bool) "a fleet built after the sweep holds the genesis" true
+    (image after "y0" = genesis)
+
 let tests =
   [
     Alcotest.test_case "region basics" `Quick test_region_basics;
@@ -324,4 +386,6 @@ let tests =
     QCheck_alcotest.to_alcotest qcheck_u64_roundtrip;
     QCheck_alcotest.to_alcotest qcheck_paged_matches_flat;
     QCheck_alcotest.to_alcotest qcheck_shared_pages_copy_on_write;
+    Alcotest.test_case "member writes stay private across members and domains" `Quick
+      test_member_writes_stay_private;
   ]

@@ -177,6 +177,36 @@ let test_with_span_exception () =
       (List.assoc_opt "outcome" f.Span.f_labels)
   | _ -> Alcotest.fail "expected one finished span"
 
+(* Exits find their histogram handle in a per-domain cache. Across two
+   registries each span lands in its own, and a span family over its
+   series cap still counts a drop at every exit, as when each exit
+   asked the registry. *)
+let test_span_handles_per_registry () =
+  let exits registry name n =
+    let ctx = Span.create ~registry ~clock:(fun () -> 0.0) () in
+    for _ = 1 to n do
+      Span.exit ctx (Span.enter ctx name)
+    done
+  in
+  let a = Registry.create () and b = Registry.create () in
+  exits a "cached" 2;
+  exits b "cached" 3;
+  exits a "cached" 1;
+  let count r =
+    Registry.Histogram.count
+      (Registry.Histogram.get ~registry:r ~labels:[ ("span", "cached") ] "ra_span_ms")
+  in
+  Alcotest.(check (pair int int)) "each registry observed its own exits" (3, 3) (count a, count b);
+  let capped = Registry.create () in
+  Registry.set_series_limit capped 1;
+  exits capped "first" 1;
+  exits capped "over" 3;
+  let dropped =
+    Registry.Counter.get ~registry:capped ~labels:[ ("metric", "ra_span_ms") ]
+      Registry.dropped_series_name
+  in
+  Alcotest.(check int) "a drop counted per over-cap exit" 3 (Registry.Counter.value dropped)
+
 (* --- JSON + JSONL sinks --- *)
 
 let test_json_roundtrip () =
@@ -487,4 +517,6 @@ let tests =
     Alcotest.test_case "registry totals equal at shards 1 and 3" `Quick
       test_registry_totals_shard_invariant;
     Alcotest.test_case "fleet metric families fed" `Quick test_fleet_metric_families;
+    Alcotest.test_case "span handles per registry, drops per exit" `Quick
+      test_span_handles_per_registry;
   ]

@@ -206,37 +206,56 @@ let test_fresh_ram_fill_allocation () =
       words
 
 (* Instantiations over a small pool of inputs, so that most of them hit
-   the per-domain memo, with every DRBG kept alive: each step makes one
-   more, then reseeds and draws from one of them. Each must stay equal to
-   its oracle twin whatever the others did. *)
+   the per-domain memo, some made without it ([create_secret]), with
+   every DRBG kept alive: each step makes one more, then reseeds and
+   draws from one of them. All of them run their HMACs in their domain's
+   one scratch, and each must stay equal to its oracle twin whatever the
+   others did. *)
 let drbg_pool =
   [| ("s", None); ("s", Some "p"); ("t", None); ("t", Some "p"); ("u", Some "q"); ("", None) |]
 
+let drbg_steps =
+  QCheck.(
+    small_list
+      (quad
+         (int_bound (Array.length drbg_pool - 1))
+         bool
+         (option (string_of_size Gen.(0 -- 20)))
+         (int_bound 40)))
+
+let drbg_steps_match_oracle steps =
+  let live = ref [] in
+  let step_ok (i, secret, entropy, n) =
+    let seed, personalization = drbg_pool.(i) in
+    let d =
+      if secret then
+        Drbg.create_secret ~personalization:(Option.value ~default:"" personalization) ~seed
+      else Drbg.create ?personalization ~seed ()
+    in
+    live := (d, Drbg_oracle.create ?personalization ~seed ()) :: !live;
+    let d, o = List.nth !live (n mod List.length !live) in
+    Option.iter
+      (fun e ->
+        Drbg.reseed d e;
+        Drbg_oracle.reseed o e)
+      entropy;
+    Drbg.generate d n = Drbg_oracle.generate o n
+  in
+  List.for_all step_ok steps
+  && List.for_all (fun (d, o) -> Drbg.generate d 16 = Drbg_oracle.generate o 16) !live
+
 let qcheck_drbg_memo =
   QCheck.Test.make ~name:"drbg memo = oracle: interleaved instantiations" ~count:100
-    QCheck.(
-      small_list
-        (triple
-           (int_bound (Array.length drbg_pool - 1))
-           (option (string_of_size Gen.(0 -- 20)))
-           (int_bound 40)))
-    (fun steps ->
-      let live = ref [] in
-      let step_ok (i, entropy, n) =
-        let seed, personalization = drbg_pool.(i) in
-        live :=
-          (Drbg.create ?personalization ~seed (), Drbg_oracle.create ?personalization ~seed ())
-          :: !live;
-        let d, o = List.nth !live (n mod List.length !live) in
-        Option.iter
-          (fun e ->
-            Drbg.reseed d e;
-            Drbg_oracle.reseed o e)
-          entropy;
-        Drbg.generate d n = Drbg_oracle.generate o n
-      in
-      List.for_all step_ok steps
-      && List.for_all (fun (d, o) -> Drbg.generate d 16 = Drbg_oracle.generate o 16) !live)
+    drbg_steps drbg_steps_match_oracle
+
+(* The same on two domains at once, each drawing through its own scratch. *)
+let qcheck_drbg_two_domains =
+  QCheck.Test.make ~name:"drbg = oracle: states drawn on two domains at once" ~count:20
+    (QCheck.pair drbg_steps drbg_steps)
+    (fun (mine, theirs) ->
+      let other = Domain.spawn (fun () -> drbg_steps_match_oracle theirs) in
+      let ok = drbg_steps_match_oracle mine in
+      Domain.join other && ok)
 
 (* RAM fills interleaved over (seed, size) pairs, each twice in a row
    so that the second hits the one-image memo, and a seed returning at
@@ -257,6 +276,41 @@ let test_ram_fill_memo () =
                 (Ra_mcu.Device.attested_base d) size))
       done)
     fills
+
+(* The scratch is wiped before every call returns, so after a draw from
+   a state whose seed holds a secret it holds nothing of that state: it
+   is byte-for-byte the scratch of a domain that never drew, and no
+   8-byte window of any K the state went through, of either of its pads,
+   or of V is found in it. *)
+let test_drbg_scratch_wiped () =
+  let unused = Domain.join (Domain.spawn Drbg.scratch_residue) in
+  let seed = "private key 0x5eed, in clear" and personalization = "nonce" in
+  let d = Drbg.create_secret ~personalization ~seed in
+  let o = Drbg_oracle.create ~personalization ~seed () in
+  let k0 = o.Drbg_oracle.k in
+  Alcotest.(check string) "draw = oracle" (Drbg_oracle.generate o 16) (Drbg.generate d 16);
+  let residue = Drbg.scratch_residue () in
+  Alcotest.(check bool) "the scratch is that of a domain that never drew" true (residue = unused);
+  let holds window =
+    let n = String.length window in
+    let rec at i = i + n <= String.length residue && (String.sub residue i n = window || at (i + 1)) in
+    at 0
+  in
+  let block k = k ^ String.make (64 - String.length k) '\x00' in
+  let xor x s = String.map (fun c -> Char.chr (Char.code c lxor x)) s in
+  List.iter
+    (fun (name, secret) ->
+      for i = 0 to String.length secret - 8 do
+        if holds (String.sub secret i 8) then
+          Alcotest.failf "the scratch holds bytes %d-%d of %s" i (i + 7) name
+      done)
+    [
+      ("the instantiated K", k0);
+      ("the K after the draw", o.Drbg_oracle.k);
+      ("K xor ipad", String.sub (xor 0x36 (block o.Drbg_oracle.k)) 0 32);
+      ("K xor opad", String.sub (xor 0x5c (block o.Drbg_oracle.k)) 0 32);
+      ("V", o.Drbg_oracle.v);
+    ]
 
 let qcheck_prng_int_bounds =
   QCheck.Test.make ~name:"prng: int respects bounds" ~count:500
@@ -306,4 +360,7 @@ let tests =
       test_fresh_ram_fill_allocation;
     QCheck_alcotest.to_alcotest qcheck_drbg_memo;
     Alcotest.test_case "ram fill memo = Prng stream" `Quick test_ram_fill_memo;
+    QCheck_alcotest.to_alcotest qcheck_drbg_two_domains;
+    Alcotest.test_case "drbg: a secret draw leaves nothing in the scratch" `Quick
+      test_drbg_scratch_wiped;
   ]
