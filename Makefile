@@ -36,9 +36,36 @@ examples:
 clean:
 	dune clean
 
-# the four sizes ROADMAP tracks
+# Exported vals without a caller, in one awk pass over every source
+# file: for each word, the first module (path without .ml/.mli) that
+# names it, and whether a second module does too. A lib/ .mli val whose
+# name no second module names as a whole word has no caller.
+define callerless_awk
+{ m = FILENAME; sub(/\.mli?$$/, "", m) }
+FILENAME ~ /^lib\/.*\.mli$$/ && /^ *val / {
+  v = $$0; sub(/^ *val +/, "", v); sub(/[^A-Za-z0-9_].*/, "", v)
+  if (v != "") vals[m "." v] = v
+}
+{
+  n = split($$0, w, /[^A-Za-z0-9_]+/)
+  for (i = 1; i <= n; i++)
+    if (w[i] in home) { if (home[w[i]] != m) shared[w[i]] = 1 }
+    else if (w[i] != "") home[w[i]] = m
+}
+END {
+  for (k in vals) if (!(vals[k] in shared)) {
+    sub(/.*\//, "", k); print toupper(substr(k, 1, 1)) substr(k, 2)
+  }
+}
+endef
+export callerless_awk
+
+# the four sizes ROADMAP tracks, then the exported vals without a caller
 loc:
 	@echo "lib/ .ml+.mli lines: $$(find lib -name '*.ml' -o -name '*.mli' | xargs cat | wc -l)"
 	@echo "lib/ .mli vals:      $$(find lib -name '*.mli' | xargs grep -h '^ *val ' | wc -l)"
 	@echo "bin/ra_cli.ml:       $$(wc -l < bin/ra_cli.ml)"
 	@echo "bench/main.ml:       $$(wc -l < bench/main.ml)"
+	@names=$$(find lib bin bench examples test -name '*.ml' -o -name '*.mli' \
+	  | xargs awk "$$callerless_awk" | sort); \
+	  echo "caller-less vals:    $$(echo "$$names" | grep -c .) $$(echo $$names)"

@@ -786,7 +786,7 @@ let run_session n rounds records loss seed =
   (* one pristine world for the wire story *)
   let s = Session.create ~ram_size:4096 () in
   Session.advance_time s ~seconds:1.0;
-  let r = Secure_session.run_r ~records s in
+  let r = Secure_session.run ~records s in
   Printf.printf
     "\nsingle pristine session: %s, %d transmissions, %.3f s, %d wire frames\n"
     (Verdict.label r.Session.r_verdict)

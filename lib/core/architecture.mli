@@ -13,9 +13,10 @@
     - {!trustlite_sw_clock} (Fig. 1b): same, with the SW-clock
       (Clock_LSB interrupt + Code_clock-maintained Clock_MSB) and the
       IDT/irq-control rules that protect it.
-    - {!tytan_like}: TrustLite-base plus an interruptible trust anchor
-      (modeled by leaving interrupts enabled during attestation; the
-      distinction matters for real-time co-existence, not security).
+    - the TyTAN-like spec (in {!all_specs}): TrustLite-base plus an
+      interruptible trust anchor (modeled by leaving interrupts enabled
+      during attestation; the distinction matters for real-time
+      co-existence, not security).
 
     [build] returns a *booted* prover; secure boot measures the
     application image before installing rules, so a tampered image
@@ -50,7 +51,6 @@ val unprotected : spec
 val smart_like : spec
 val trustlite_base : spec
 val trustlite_sw_clock : spec
-val tytan_like : spec
 
 val all_specs : spec list
 

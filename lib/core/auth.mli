@@ -11,11 +11,6 @@
 
 type scheme = Ra_mcu.Timing.auth_scheme
 
-val scheme_label : scheme -> string
-(** Stable lower-snake-case name used as the [scheme] metric label
-    (["hmac_sha1"], ["aes128_cbc_mac"], ["speck64_cbc_mac"],
-    ["ecdsa_verify"]). *)
-
 type verifier_secret =
   | Vs_symmetric of string (* shared K_attest *)
   | Vs_ecdsa of Ra_crypto.Ecdsa.keypair

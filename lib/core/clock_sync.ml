@@ -11,6 +11,7 @@ type reject =
 
 type t = { device : Device.t }
 
+(* NVRAM byte offsets of the sync counter and clock-offset cells *)
 let sync_counter_offset = 8
 let offset_offset = 16
 

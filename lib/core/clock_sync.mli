@@ -21,7 +21,6 @@ type reject =
 
 type t
 
-val sync_counter_offset : int (* byte offset of the sync counter cell in NVRAM *)
 val offset_offset : int (* byte offset of the clock-offset cell *)
 
 val rule_protect_sync_state : Ra_mcu.Device.t -> Ra_mcu.Ea_mpu.rule

@@ -6,11 +6,6 @@ module Timing = Ra_mcu.Timing
 type feature = F_nonces | F_counter | F_timestamps
 type attack = A_replay | A_reorder | A_delay
 
-let feature_name = function
-  | F_nonces -> "nonces"
-  | F_counter -> "counter"
-  | F_timestamps -> "timestamps"
-
 let attack_name = function
   | A_replay -> "replay"
   | A_reorder -> "reorder"

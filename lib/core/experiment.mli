@@ -15,7 +15,6 @@
 type feature = F_nonces | F_counter | F_timestamps
 type attack = A_replay | A_reorder | A_delay
 
-val feature_name : feature -> string
 val attack_name : attack -> string
 
 val table2_cell : feature -> attack -> bool

@@ -42,6 +42,7 @@ let sweep_latency =
   Ra_obs.Registry.Histogram.get ~buckets:sweep_latency_buckets
     "ra_fleet_sweep_latency_ms"
 
+(* wider than the sweep buckets: backed-off rounds take tens of seconds *)
 let chaos_latency_buckets =
   [|
     1.0; 5.0; 10.0; 25.0; 50.0; 100.0; 250.0; 500.0; 1000.0; 2500.0; 5000.0;
@@ -61,26 +62,17 @@ module Mc = struct
       "ra_chaos_round_time_ms"
 end
 
-(* Where sweep and chaos rounds report their observations. [sweep_one]
-   reports straight into the shared registry (atomic handles, safe from
-   any domain); the engine gives each shard an {!Ra_obs.Arena} sink so
-   the per-round hot path touches only domain-local memory, and the
-   coordinator merges arenas in shard order — same totals, same
-   registry families, deterministic merge. *)
+(* Where sweep and chaos rounds report their observations: the engine
+   gives each shard an {!Ra_obs.Arena} sink, so the per-round hot path
+   touches only domain-local memory, and the coordinator merges arenas
+   in shard order — same totals, same registry families, deterministic
+   merge. *)
 type obs = {
   o_sweep_ms : float -> unit;
   o_chaos_ms : float -> unit;
   o_converged : unit -> unit;
   o_timed_out : unit -> unit;
 }
-
-let global_obs =
-  {
-    o_sweep_ms = Ra_obs.Registry.Histogram.observe sweep_latency;
-    o_chaos_ms = Ra_obs.Registry.Histogram.observe Mc.time;
-    o_converged = (fun () -> Ra_obs.Registry.Counter.inc Mc.converged);
-    o_timed_out = (fun () -> Ra_obs.Registry.Counter.inc Mc.timed_out);
-  }
 
 let arena_obs arena =
   let module A = Ra_obs.Arena in
@@ -171,7 +163,6 @@ let enable_forensics ?capacity t =
     t.forensics <- Some f;
     f
 
-let disable_forensics t = t.forensics <- None
 let forensics t = t.forensics
 
 let capsules t =
@@ -197,8 +188,6 @@ let sweep_member obs m =
   m.sweeps <- m.sweeps + 1;
   m.history <- (after, verdict) :: m.history;
   verdict
-
-let sweep_one t name = sweep_member global_obs (find t name)
 
 (* Index-based stagger offsets. Member i (0-based, of n) is swept after
    i+1 stagger steps and ends the sweep with n steps total; the offsets
@@ -752,8 +741,8 @@ let convergence_pct cell =
 
 (* ---- streaming sweeps: million-device fleets in bounded memory ---- *)
 
-(* A materialised session is ~88 KB (dominated by the device's flash
-   image), so a 1M-member [t] would need ~88 GB. The streaming sweep
+(* A 1M-member [t] holds a million materialised members, each the
+   [member_resident_bytes] row of BENCH_hotpath.json. The streaming sweep
    holds ONE live session per shard at a time: create member i's world,
    run it through [sweep_slot] like any swept member, fold the outcome
    into per-shard tallies and an order-independent fingerprint,

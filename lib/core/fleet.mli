@@ -39,9 +39,6 @@ val find : t -> string -> member
 val advance : t -> seconds:float -> unit
 (** Let time pass everywhere. *)
 
-val sweep_one : t -> string -> Verdict.t option
-(** Attest one device now and update its ledger. *)
-
 val sweep :
   ?engine:[ `Shards of int ] ->
   ?tracks:Ra_obs.Profiler.Track.t array ->
@@ -108,10 +105,6 @@ val workload_label : workload -> string
 val workload_of_label : string -> workload option
 (** Total inverse of {!workload_label}. *)
 
-val chaos_latency_buckets : float array
-(** Buckets of [ra_chaos_round_time_ms] — wider than the sweep-latency
-    buckets, since backed-off rounds legitimately take tens of seconds. *)
-
 val classify_verdict : Verdict.t -> health
 (** Unified-verdict analogue of the sweep classifier: [Trusted] is
     healthy; wrong state, invalid responses and anchor faults are
@@ -172,15 +165,10 @@ val enable_forensics : ?capacity:int -> t -> Ra_obs.Forensics.t
 (** Attach a capsule ring ([capacity] capsules, default 256) if none is
     attached yet; returns the ring (idempotent). *)
 
-val disable_forensics : t -> unit
 val forensics : t -> Ra_obs.Forensics.t option
 
 val capsules : t -> Ra_obs.Forensics.capsule list
 (** Captured capsules, oldest first; empty when forensics is off. *)
-
-val config_digest : t -> string
-(** Hex digest of the fleet's world recipe (spec name, RAM size) — the
-    replay-target guard embedded in every capsule. *)
 
 type replay = {
   rp_verdict : Verdict.t;
@@ -217,10 +205,11 @@ val annotate_exemplars : t -> int
 
 (** {2 Streaming sweeps}
 
-    A materialised member world costs ~15 KiB of host heap at 1 KiB of
-    RAM (its session and the memory pages its device wrote; blank pages
-    share one zero page, see {!Ra_mcu.Memory}), so a million-member {!t}
-    would need ~15 GB. The
+    A materialised member world keeps its session and the memory pages
+    its device wrote (every other page is shared, see {!Ra_mcu.Memory});
+    the [member_resident_bytes] row of [BENCH_hotpath.json] records its
+    host heap at 1 KiB of RAM, after create and after one chaos round,
+    and a million-member {!t} holds a million of them. The
     streaming sweep keeps {e one} live session per shard at a time:
     create member [i]'s world, run it through exactly the staggered
     slot {!sweep} runs, on the same engine, fold the outcome into per-shard tallies and
@@ -363,8 +352,6 @@ type snapshot = {
   s_chaos : chaos_cell list; (* last chaos grid, empty before any sweep *)
   s_slo : Ra_obs.Slo.check list; (* = slo_watch with the default policy *)
 }
-
-val sweep_latency_buckets : float array
 
 val health_snapshot : ?registry:Ra_obs.Registry.t -> t -> snapshot
 (** Build the fleet health snapshot and mirror it into gauges:

@@ -51,10 +51,6 @@ val init :
 
 val policy : state -> policy
 
-val prover_now_ms : state -> int64
-(** The prover's own idea of wall-clock time, read from its (attackable)
-    on-device clock. 0 for clock-less devices. *)
-
 val check_and_update : state -> Message.freshness_field -> (unit, reject) result
 (** Evaluate a request's freshness field and, on acceptance, persist the
     new state (counter / last timestamp / nonce history). Must be called

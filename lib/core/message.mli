@@ -66,9 +66,6 @@ val response_body : attresp -> string
 
 val freshness_bytes : freshness_field -> string
 
-val pp_freshness : Format.formatter -> freshness_field -> unit
-val pp_tag : Format.formatter -> auth_tag -> unit
-val pp_attreq : Format.formatter -> attreq -> unit
 val pp_wire : Format.formatter -> wire -> unit
 
 val wire_to_bytes : wire -> string

@@ -21,14 +21,11 @@ val shared : unit -> t
 (** The process-wide pool the fleet engines share. Its helpers are
     joined automatically at process exit. *)
 
-val max_helpers : int
-(** Upper bound on helpers per batch (63): keeps a runaway shard count
-    inside the runtime's 128-domain budget. *)
-
 val run : t -> helpers:int -> (unit -> unit) -> unit
 (** [run t ~helpers job] executes [job ()] on the calling domain and on
-    [helpers] pool domains (clamped to [0 .. max_helpers]; [0] degrades
-    to a plain call), returning once all participants finish. The first
+    [helpers] pool domains (clamped to [0 .. 63], inside the runtime's
+    128-domain budget; [0] degrades to a plain call), returning once all
+    participants finish. The first
     exception raised by any participant is re-raised on the caller
     (caller's own exception wins), after all participants have quiesced.
     @raise Invalid_argument when the pool is already running a batch. *)

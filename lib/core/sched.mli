@@ -39,11 +39,6 @@ type metrics
 (** A metrics sink: where the scheduler reports scheduled/fired counts,
     queue depth and member lag. *)
 
-val global_metrics : metrics
-(** The default sink — the precreated atomic handles on the shared
-    registry ([ra_sched_events_total], [ra_sched_queue_depth],
-    [ra_sched_lag_seconds]). *)
-
 val arena_metrics : Ra_obs.Arena.t -> metrics
 (** A sink buffering into [arena] with no atomics: the per-event hot
     path touches only domain-local memory, and the same metric families
@@ -57,7 +52,9 @@ val create :
   unit ->
   t
 (** Empty queue with the shared clock at [start] (default 0), reporting
-    into [metrics] (default {!global_metrics}). With [track], every
+    into [metrics] (default: the shared registry's atomic handles
+    [ra_sched_events_total], [ra_sched_queue_depth] and
+    [ra_sched_lag_seconds]). With [track], every
     schedule/fire also appends a [(sim_time, depth)] point to it —
     the raw series behind a Perfetto [ra_sched_queue_depth] counter
     track; per-shard tracks merge deterministically via

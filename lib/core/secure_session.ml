@@ -609,5 +609,5 @@ let round_begin ?(policy = Retry.default) ?(records = 4) ?(window_bits = 128) t 
       | Established _ -> stream 1
       | Connecting _ | Closed -> timed_out n)
 
-let run_r ?policy ?records ?window_bits t =
+let run ?policy ?records ?window_bits t =
   Session.drive_round (round_begin ?policy ?records ?window_bits t)

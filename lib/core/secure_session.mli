@@ -124,11 +124,6 @@ val confirmed : responder -> bool
 
 val responder_session_up : responder -> bool
 
-val teardown_initiator : initiator -> unit
-val teardown_responder : responder -> unit
-(** Detach the endpoint's channel handle (idempotent) and drop session
-    state. *)
-
 (** {2 The session round machine}
 
     One "round" = one full session lifecycle: a handshake phase, then
@@ -150,7 +145,7 @@ val round_begin :
     [Timed_out]. [r_attempts] counts {e transmissions} across all
     phases. *)
 
-val run_r :
+val run :
   ?policy:Retry.policy ->
   ?records:int ->
   ?window_bits:int ->

@@ -144,11 +144,6 @@ module Batch : sig
   val verify : Verifier.t -> Message.attresp array -> Verdict.t array
   (** {!Verifier.check_reports}: one key context for the whole batch. *)
 
-  val report_blocks : body_len:int -> image_len:int -> int
-  (** SHA-1 blocks one batched report check hashes (inner stream over
-      body+image, plus the outer finalization); the unbatched path adds
-      {!key_blocks} on top. Backs the simulated [sc_block_s] cost. *)
-
   val key_blocks : int
   (** Extra blocks for a per-report key-context derivation (= 2: the
       ipad and opad compressions the midstate cache amortizes away). *)

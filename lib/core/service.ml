@@ -53,6 +53,8 @@ module M = struct
     | _ -> fault
 end
 
+(* the service's own freshness cell in NVRAM, disjoint from attestation's
+   counter (+0) and clock-sync's cells (+8, +16) *)
 let service_cell_offset = 24
 
 let rule_protect_service_state device =

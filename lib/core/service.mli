@@ -41,10 +41,6 @@ val rejected : stats -> Verdict.reason -> int
 
 type t
 
-val service_cell_offset : int
-(** NVRAM byte offset of the service's own freshness cell (disjoint from
-    attestation's and clock-sync's cells). *)
-
 val rule_protect_service_state : Ra_mcu.Device.t -> Ra_mcu.Ea_mpu.rule
 
 val install :

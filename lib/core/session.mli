@@ -22,7 +22,15 @@ val create :
     the matching key blob and the prover's actual memory image as
     reference. When that image is the pristine RAM fill, the reference
     is the RAM-fill memo's own string ({!Ra_mcu.Device.pristine_ram}),
-    so the worlds of a fleet share one copy of it. *)
+    so the worlds of a fleet share one copy of it.
+
+    {!Service} and {!Clock_sync} are installed after secure boot has
+    locked the EA-MPU, so the protection rule each module exports is
+    never programmed: of the NVRAM cells, only the attestation counter
+    (offset +0) is protected. App code can write the clock-sync cells
+    (+8, +16) and the service's freshness cell (+24), and after
+    rewinding the service cell, a recorded [Secure_erase] request
+    replays and runs again. *)
 
 val time : t -> Ra_net.Simtime.t
 val trace : t -> Ra_net.Trace.t

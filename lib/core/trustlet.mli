@@ -34,9 +34,6 @@ val register : t -> spec -> unit
 
 val registered : t -> spec list
 
-val rule_of : spec -> Ra_mcu.Ea_mpu.rule
-(** The EA-MPU rule [register] programs. *)
-
 val bind_core : t -> Ra_isa.Core.t -> unit
 (** Install every trustlet's entry points as the core's allowed entries
     (§6.2 entry-point limiting) — call per interpreted core. *)

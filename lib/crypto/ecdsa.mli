@@ -14,8 +14,6 @@ type signature = { r : Bignum.t; s : Bignum.t }
 val generate_keypair : Ec.curve -> seed:string -> keypair
 (** Deterministic key generation from a seed (simulation-friendly). *)
 
-val public_of_secret : Ec.curve -> Bignum.t -> Ec.point
-
 val sign : Ec.curve -> secret:Bignum.t -> string -> signature
 (** Sign the SHA-1 digest of the message. *)
 

@@ -10,13 +10,11 @@ val make : Bignum.t -> field
     is the caller's responsibility (we only use published curve constants). *)
 
 val modulus : field -> Bignum.t
-val reduce : field -> Bignum.t -> Bignum.t
 val add : field -> Bignum.t -> Bignum.t -> Bignum.t
 val sub : field -> Bignum.t -> Bignum.t -> Bignum.t
 val neg : field -> Bignum.t -> Bignum.t
 val mul : field -> Bignum.t -> Bignum.t -> Bignum.t
 val sqr : field -> Bignum.t -> Bignum.t
-val pow : field -> Bignum.t -> Bignum.t -> Bignum.t
 
 val inv : field -> Bignum.t -> Bignum.t
 (** Multiplicative inverse by Fermat's little theorem.

@@ -18,11 +18,6 @@ type t = {
 val siskiyou_peak : t
 (** The bare core: 5528 registers, 14361 LUTs, no rules. *)
 
-val ea_mpu_base_registers : int (* 278 *)
-val ea_mpu_base_luts : int (* 417 *)
-val ea_mpu_registers_per_rule : int (* 116 *)
-val ea_mpu_luts_per_rule : int (* 182 *)
-
 val ea_mpu_registers : rules:int -> int
 (** [278 + 116 * rules]. *)
 

@@ -20,6 +20,7 @@ let synthesize components =
       + Component.ea_mpu_luts ~rules + direct_lut;
   }
 
+(* the attestation-capable system with no prover-side DoS protection (§6.3) *)
 let baseline_components = [ Component.mpu_lockdown; Component.attest_key ]
 let baseline = synthesize baseline_components
 

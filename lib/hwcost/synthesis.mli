@@ -16,10 +16,6 @@ val synthesize : Component.t list -> totals
 (** Core and EA-MPU base are implicit; pass only the protection
     components (lockdown, key, counter, clock, …). *)
 
-val baseline_components : Component.t list
-(** Lockdown + Attest-Key — the attestation-capable system with no
-    prover-side DoS protection (§6.3). *)
-
 val baseline : totals
 (** 6038 registers, 15142 LUTs, 2 rules. *)
 
@@ -33,8 +29,9 @@ type overhead = {
 }
 
 val overhead : name:string -> Component.t list -> overhead
-(** Cost of adding components on top of {!baseline_components}; the
-    percentages are relative to the baseline totals, matching §6.3. *)
+(** Cost of adding components on top of the baseline (Lockdown +
+    Attest-Key); the percentages are relative to the baseline totals,
+    matching §6.3. *)
 
 val upgrade_64bit_clock : overhead
 (** Counter rule + 64-bit clock: +180 reg (2.98 %), +246 LUT (1.62 %). *)

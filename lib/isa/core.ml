@@ -65,8 +65,6 @@ let allow_entries t ~region addrs = Hashtbl.replace t.entries region addrs
 
 let region_of t addr = Memory.region_of_addr (Cpu.memory t.cpu) addr
 
-let current_region t = Option.map (fun r -> r.Region.name) (region_of t t.pc)
-
 (* instruction fetch is a hardware bus read, not an MPU-mediated data
    access; word index i addresses bytes 2i, 2i+1 *)
 let fetch_word t i =

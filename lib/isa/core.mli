@@ -47,9 +47,6 @@ val allow_entries : t -> region:string -> int list -> unit
 (** Declare the only addresses at which control may enter [region] from
     outside it. Regions never registered are unconstrained. *)
 
-val current_region : t -> string option
-(** Region the PC currently points into. *)
-
 type hook = {
   h_period : int;
       (** Sampling period in cycles (>= 1). The core accumulates each
@@ -92,5 +89,4 @@ val run : ?max_steps:int -> t -> state * int
 (** Step until halt or trap (or [max_steps], default 1_000_000, returning
     [Running]); also returns the number of instructions executed. *)
 
-val pp_trap : Format.formatter -> trap -> unit
 val pp_state : Format.formatter -> state -> unit

@@ -178,7 +178,6 @@ let counter_addr _ = base_nvram
 let clock_msb_addr _ = base_clock_msb
 let idt_base _ = base_idt
 let idt_size t = Interrupt.idt_size t.interrupt
-let irq_ctrl_addr _ = base_irq_ctrl
 let attested_base _ = base_ram
 let attested_len t = t.ram_size
 

@@ -58,7 +58,6 @@ val counter_addr : t -> int
 val clock_msb_addr : t -> int
 val idt_base : t -> int
 val idt_size : t -> int
-val irq_ctrl_addr : t -> int
 val attested_base : t -> int
 val attested_len : t -> int
 (** Base/length of the attested RAM (the paper's 512 KB figure). *)
@@ -73,7 +72,6 @@ val attested_total_len : t -> int
 
 (** {2 Code identities (region names used as EA-MPU subjects)} *)
 
-val region_boot : string
 val region_attest : string
 val region_clock : string
 val region_app : string

@@ -1,7 +1,7 @@
 let default_capacity_joules = 2340.0 (* CR2032: ~225 mAh x 2.9 V *)
 let default_active_nj_per_cycle = 0.5
 let default_sleep_microwatt = 2.0
-let default_radio_uj_per_byte = 2.0
+let default_radio_uj_per_byte = 2.0 (* 802.15.4-class radio: ~90 mW at 250 kbit/s *)
 
 type t = {
   capacity : float;

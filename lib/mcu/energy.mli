@@ -18,13 +18,6 @@ val create :
   unit ->
   t
 
-val default_capacity_joules : float
-val default_active_nj_per_cycle : float
-val default_sleep_microwatt : float
-
-val default_radio_uj_per_byte : float
-(** ~2 µJ/byte: an 802.15.4-class radio (~90 mW at 250 kbit/s). *)
-
 val consume_cycles : t -> int64 -> unit
 (** Charge active energy for executed cycles. *)
 

@@ -49,7 +49,6 @@ let speck64_cbc_cycles ?(include_key_expansion = true) ~bytes_len ~direction () 
   block_cipher_cycles ~key_exp_ms:speck64_key_expansion_ms ~per_block_ms ~block_size:8
     ~include_key_expansion ~bytes_len
 
-let ecdsa_sign_cycles = cycles_of_ms ecdsa_sign_ms
 let ecdsa_verify_cycles = cycles_of_ms ecdsa_verify_ms
 
 let memory_mac_cycles ~bytes_len = hmac_sha1_cycles ~bytes_len

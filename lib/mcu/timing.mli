@@ -31,13 +31,6 @@ val ecdsa_verify_ms : float (* 170.907 *)
 val hmac_sha1_cycles : bytes_len:int -> int64
 (** Fixed cost + one block cost per started 64-byte block. *)
 
-val aes128_cbc_cycles : ?include_key_expansion:bool -> bytes_len:int -> direction:[ `Encrypt | `Decrypt ] -> unit -> int64
-
-val speck64_cbc_cycles : ?include_key_expansion:bool -> bytes_len:int -> direction:[ `Encrypt | `Decrypt ] -> unit -> int64
-
-val ecdsa_sign_cycles : int64
-val ecdsa_verify_cycles : int64
-
 val memory_mac_cycles : bytes_len:int -> int64
 (** §3.1: SHA1-HMAC over the prover's writable memory. For the paper's
     512 KB this is ≈ 754 ms at 24 MHz. *)

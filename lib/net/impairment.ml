@@ -171,17 +171,3 @@ let decide t ~dir =
   | Corrupt _ -> M.count dir "corrupt"
   | Delay _ -> M.count dir "delay");
   action
-
-let action_label = function
-  | Pass -> "pass"
-  | Drop -> "drop"
-  | Duplicate -> "duplicate"
-  | Reorder -> "reorder"
-  | Corrupt _ -> "corrupt"
-  | Delay _ -> "delay"
-
-let pp_action fmt = function
-  | Delay s -> Format.fprintf fmt "delay(%.3fs)" s
-  | Corrupt { salt } -> Format.fprintf fmt "corrupt(salt=%d)" salt
-  | (Pass | Drop | Duplicate | Reorder) as a ->
-    Format.pp_print_string fmt (action_label a)

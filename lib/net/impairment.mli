@@ -85,12 +85,3 @@ val decide : t -> dir:direction -> action
     advancing that direction's deterministic stream (and its
     Gilbert–Elliott state, if any). Each non-[Pass] action increments
     [ra_channel_impairments_total{kind=...,dir=...}]. *)
-
-val action_label : action -> string
-(** ["pass"], ["drop"], ["duplicate"], ["reorder"], ["corrupt"],
-    ["delay"]. *)
-
-val direction_label : direction -> string
-(** ["to_prover"] / ["to_verifier"]. *)
-
-val pp_action : Format.formatter -> action -> unit

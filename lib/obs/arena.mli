@@ -26,10 +26,6 @@ val flush : t -> unit
     reset the local accumulators (registration order; gauges keep
     last-write-wins in that order). *)
 
-val on_flush : t -> (unit -> unit) -> unit
-(** Register an extra flush action (for merges that do not fit the three
-    instrument shapes). Actions run in registration order. *)
-
 type arena := t
 
 module Counter : sig

@@ -163,9 +163,6 @@ val render_diagnosis : diagnosis list -> string
 
 (** {1 SLO exemplar wiring} *)
 
-val exemplar_id : capsule -> string option
-(** ["<name>/<trace id>"] when the capsule carries a trace id. *)
-
 val annotate_exemplars : histogram:Registry.Histogram.t -> capsule list -> int
 (** Stamp each capsule that carries a trace id into [histogram] as the
     exemplar of the bucket its round time (milliseconds) falls in —

@@ -13,12 +13,6 @@
     [absorb] is a plain sum — so a merged fleet profile is byte-identical
     at every shard count. *)
 
-val clean_frame : string -> string
-(** Sanitize a frame name for the folded-stack format, where [';'] and
-    [' '] are structural: [';'] becomes [','], [' '] becomes ['_'], and
-    control bytes (including newlines) become ['?']. Empty frames become
-    ["?"]. Idempotent. *)
-
 (** {1 PC-sample accumulator} *)
 
 module Pc : sig
@@ -32,7 +26,10 @@ module Pc : sig
   val add : t -> frames:string list -> cycles:int64 -> unit
   (** Record one sample: [frames] is root-first (the folded-stack
       order); [cycles] is the whole-cycle weight attributed to it.
-      Frames are sanitized with {!clean_frame} on entry. *)
+      Frames are sanitized on entry, since [';'] and [' '] are
+      structural in the folded-stack format: [';'] becomes [','],
+      [' '] becomes ['_'], control bytes become ['?'], and an empty
+      frame becomes ["?"]. *)
 
   val absorb : t -> t -> unit
   (** [absorb dst src] adds every stack of [src] into [dst]. [src] is

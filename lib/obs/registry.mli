@@ -83,9 +83,6 @@ type exemplar = {
 module Histogram : sig
   type t
 
-  val default_buckets : float array
-  (** Upper bounds in milliseconds, 0.005 .. 2500 (log-ish spacing). *)
-
   val get :
     ?registry:registry -> ?labels:labels -> ?buckets:float array -> string -> t
   (** [buckets] must be strictly increasing; it is fixed by the first

@@ -77,7 +77,6 @@ let create ?(capacity = 64) ?(max_events = 4096) ~device ~clock () =
 let device t = t.device
 let recorder t = t.recorder
 let rounds t = Recorder.to_list t.recorder
-let round_open t = t.cur <> None
 let root_span_name = "attest.round"
 
 let sort_events evs =

@@ -56,8 +56,6 @@ val recorder : t -> round Recorder.t
 val rounds : t -> round list
 (** Sealed rounds still in the ring, oldest first. *)
 
-val round_open : t -> bool
-
 val current_trace_id : t -> int option
 
 val root_span_name : string
@@ -93,7 +91,5 @@ val end_round : t -> verdict:string -> attempts:int -> unit
     Used by {!Export.rounds_jsonl}; [round_of_json (round_to_json r) = Some r]
     for rounds with finite timestamps. *)
 
-val event_to_json : event -> Json.t
-val event_of_json : Json.t -> event option
 val round_to_json : round -> Json.t
 val round_of_json : Json.t -> round option

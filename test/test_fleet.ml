@@ -46,12 +46,12 @@ let test_health_recovers () =
     Ra_mcu.Memory.read_bytes (Device.memory device) (Device.attested_base device) 7
   in
   Cpu.store_bytes (Device.cpu device) (Device.attested_base device) "IMPLANT";
-  let _ = Fleet.sweep_one fleet "c" in
+  let _ = Fleet.sweep fleet in
   Alcotest.(check bool) "flagged" true (Fleet.member_health victim = Fleet.Compromised);
   (* remediation restores the image; the next sweep clears the flag *)
   Cpu.store_bytes (Device.cpu device) (Device.attested_base device) original;
   Fleet.advance fleet ~seconds:1.0;
-  let _ = Fleet.sweep_one fleet "c" in
+  let _ = Fleet.sweep fleet in
   Alcotest.(check bool) "healthy again" true (Fleet.member_health victim = Fleet.Healthy);
   Alcotest.(check int) "two sweeps recorded" 2 (Fleet.sweeps_of victim)
 

@@ -109,8 +109,8 @@ let qcheck_sha1_distinct =
       Bytes.set b 0 (Char.chr (Char.code (Bytes.get b 0) lxor 1));
       Sha1.digest (Bytes.to_string b) <> Sha1.digest s)
 
-(* ---- the straight-line kernels against the tail-recursive ones kept in
-   sha1_oracle.ml and sha256_oracle.ml ---- *)
+(* ---- the straight-line kernels against the reference kernels in
+   test/oracle/: the seed SHA-1 and the tail-recursive SHA-256 ---- *)
 
 module type Kernel = sig
   type ctx

@@ -65,13 +65,18 @@ let test_verify_with () =
   Alcotest.(check bool) "accepts" true (Hmac.verify_with kc ~msg:"msg" ~tag);
   Alcotest.(check bool) "rejects" false (Hmac.verify_with kc ~msg:"msG" ~tag)
 
+(* both paths also equal the textbook HMACs in test/oracle/, which derive
+   and concatenate the pads per message: the seed SHA-1's and the DRBG
+   reference's over the tail-recursive SHA-256 *)
 let qcheck_keyed_equiv =
   QCheck.Test.make ~name:"hmac: mac_with (key k) = mac ~key:k" ~count:200
     QCheck.(pair (string_of_size Gen.(0 -- 100)) (string_of_size Gen.(0 -- 200)))
     (fun (key, msg) ->
-      Hmac.mac_with (Hmac.key Hmac.sha1 ~key) msg = Hmac.mac Hmac.sha1 ~key msg
-      && Hmac.mac_with (Hmac.key Hmac.sha256 ~key) msg
-         = Hmac.mac Hmac.sha256 ~key msg)
+      let sha1 = Hmac.mac Hmac.sha1 ~key msg and sha256 = Hmac.mac Hmac.sha256 ~key msg in
+      Hmac.mac_with (Hmac.key Hmac.sha1 ~key) msg = sha1
+      && sha1 = Sha1_oracle.hmac ~key msg
+      && Hmac.mac_with (Hmac.key Hmac.sha256 ~key) msg = sha256
+      && sha256 = Drbg_oracle.hmac ~key msg)
 
 let qcheck_mac_parts =
   QCheck.Test.make ~name:"hmac: mac_parts = mac of concatenation" ~count:200

@@ -332,6 +332,23 @@ let qcheck_prng_bytes_len =
     QCheck.(pair int64 (int_range 0 100))
     (fun (seed, n) -> String.length (Prng.bytes (Prng.create seed) n) = n)
 
+(* [Prng] against the boxed generator in test/oracle/, draw for draw:
+   random seeds and the edges of [int64], each driving one generator
+   through [next_int64] draws interleaved with [bytes] draws of 0-4 KiB *)
+let qcheck_prng_oracle =
+  QCheck.Test.make ~name:"prng = oracle" ~count:200
+    QCheck.(
+      pair
+        (choose [ int64; oneofl [ 0L; -1L; Int64.min_int; Int64.max_int ] ])
+        (small_list (option (int_bound 4096))))
+    (fun (seed, steps) ->
+      let p = Prng.create seed and o = Prng_oracle.create seed in
+      List.for_all
+        (function
+          | None -> Prng.next_int64 p = Prng_oracle.next_int64 o
+          | Some n -> Prng.bytes p n = Prng_oracle.bytes o n)
+        steps)
+
 let tests =
   [
     Alcotest.test_case "drbg deterministic" `Quick test_drbg_deterministic;
@@ -363,4 +380,5 @@ let tests =
     QCheck_alcotest.to_alcotest qcheck_drbg_two_domains;
     Alcotest.test_case "drbg: a secret draw leaves nothing in the scratch" `Quick
       test_drbg_scratch_wiped;
+    QCheck_alcotest.to_alcotest qcheck_prng_oracle;
   ]

@@ -140,7 +140,7 @@ let qcheck_window_matches_model =
 
 let test_pristine_session_round () =
   let s = make () in
-  let r = SS.run_r ~records:3 s in
+  let r = SS.run ~records:3 s in
   (match r.Session.r_verdict with
   | Verdict.Trusted -> ()
   | v -> Alcotest.failf "expected trusted, got %a" Verdict.pp v);
@@ -150,7 +150,7 @@ let test_pristine_session_round () =
 
 let test_zero_records_session () =
   let s = make () in
-  let r = SS.run_r ~records:0 s in
+  let r = SS.run ~records:0 s in
   (match r.Session.r_verdict with
   | Verdict.Trusted -> ()
   | v -> Alcotest.failf "expected trusted, got %a" Verdict.pp v);
@@ -159,7 +159,7 @@ let test_zero_records_session () =
 let test_deterministic_transcripts () =
   let run () =
     let s = make () in
-    let r = SS.run_r ~records:2 s in
+    let r = SS.run ~records:2 s in
     (r.Session.r_verdict, r.Session.r_attempts, frames_from s ~pos:0)
   in
   let v1, a1, t1 = run () in
@@ -382,7 +382,7 @@ let test_refused_on_untrusted_report () =
     (Ra_mcu.Device.memory device)
     (Ra_mcu.Device.attested_base device)
     0xEE;
-  let r = SS.run_r ~records:3 s in
+  let r = SS.run ~records:3 s in
   (match r.Session.r_verdict with
   | Verdict.Untrusted_state -> ()
   | v -> Alcotest.failf "expected untrusted_state, got %a" Verdict.pp v);
@@ -401,7 +401,7 @@ let test_survives_duplication_and_reorder () =
     { Impairment.loss = Impairment.Iid 0.0; duplicate = 0.35; reorder = 0.35;
       corrupt = 0.0; delay = 0.0; delay_s = 0.0 }
     ~seed:11L;
-  let r = SS.run_r ~records:5 s in
+  let r = SS.run ~records:5 s in
   (match r.Session.r_verdict with
   | Verdict.Trusted -> ()
   | v -> Alcotest.failf "expected trusted under dup/reorder, got %a" Verdict.pp v)
@@ -409,7 +409,7 @@ let test_survives_duplication_and_reorder () =
 let test_converges_under_20pct_loss () =
   let s = make () in
   impaired s (Impairment.lossy 0.2) ~seed:3L;
-  let r = SS.run_r ~records:4 s in
+  let r = SS.run ~records:4 s in
   (match r.Session.r_verdict with
   | Verdict.Trusted -> ()
   | v -> Alcotest.failf "expected trusted under 20%% loss, got %a" Verdict.pp v);
@@ -418,7 +418,7 @@ let test_converges_under_20pct_loss () =
 let test_all_frames_lost_times_out () =
   let s = make () in
   impaired s (Impairment.lossy 1.0) ~seed:5L;
-  let r = SS.run_r ~policy:Retry.impatient ~records:2 s in
+  let r = SS.run ~policy:Retry.impatient ~records:2 s in
   match r.Session.r_verdict with
   | Verdict.Timed_out { attempts; _ } ->
     Alcotest.(check int) "every attempt transmitted" attempts r.Session.r_attempts
@@ -443,13 +443,13 @@ let wire_bytes s =
 let test_tracing_profiling_wire_neutral () =
   let bare =
     let s = make () in
-    ignore (SS.run_r ~records:3 s);
+    ignore (SS.run ~records:3 s);
     frames_from s ~pos:0
   in
   let s = make () in
   ignore (Session.enable_tracing s);
   let p = Session.enable_profiling s in
-  ignore (SS.run_r ~records:3 s);
+  ignore (SS.run ~records:3 s);
   Alcotest.(check (list string)) "transcripts byte-identical" bare (frames_from s ~pos:0);
   (* the prover sends or receives every frame on a pristine wire, and the
      profile prices every one of them *)
