@@ -49,7 +49,7 @@ let () =
         (Verifier.Config.v ~scheme:Timing.Auth_hmac_sha1
            ~freshness_kind:Verifier.Fk_counter ~sym_key
            ~time:(Ra_net.Simtime.create ())
-           ~reference_image:(Isa_anchor.measure_memory anchor) ())
+           ~reference_image:(Code_attest.measure_memory device) ())
     with
     | Ok v -> v
     | Error msg -> failwith msg

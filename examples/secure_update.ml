@@ -33,16 +33,16 @@ let () =
   | Ok ack ->
     Printf.printf "sync accepted, ack valid: %b\n"
       (Clock_sync.check_sync_ack ~sym_key ~counter:1L ack)
-  | Error e -> Format.printf "sync rejected: %a@." Clock_sync.pp_reject e);
+  | Error e -> Format.printf "sync rejected: %a@." Verdict.pp e);
   Printf.printf "after sync:  prover wall-time %Ld ms (offset %Ld ms)\n"
     (Clock_sync.now_ms sync) (Clock_sync.offset_ms sync);
   (* replaying the recorded sync later must fail *)
   Simtime.advance_by time 60.0;
   (match Clock_sync.handle sync sync_req with
-  | Error (Clock_sync.Sync_stale_counter _) ->
+  | Error (Verdict.Not_fresh (Verdict.Stale_counter _)) ->
     Printf.printf "replayed sync request: rejected (stale counter) -- no rollback vector\n"
   | Ok _ -> Printf.printf "BUG: replayed sync accepted\n"
-  | Error e -> Format.printf "replayed sync rejected: %a@." Clock_sync.pp_reject e);
+  | Error e -> Format.printf "replayed sync rejected: %a@." Verdict.pp e);
 
   (* --- generalized services (future work 3) --- *)
   Printf.printf "\n== authenticated secure services ==\n";

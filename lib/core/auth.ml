@@ -55,13 +55,10 @@ let keyed =
   C.Memo.per_domain ~capacity:4 ~equal:String.equal (fun sym_key ->
       C.Hmac.key C.Hmac.sha1 ~key:sym_key)
 
-let tag_request ?hmac_keyed scheme secret ~body =
+let tag_request scheme secret ~body =
   match scheme with
   | Timing.Auth_hmac_sha1 ->
-    let kc =
-      match hmac_keyed with Some kc -> kc | None -> keyed (sym_of_secret secret)
-    in
-    Message.Tag_hmac_sha1 (C.Hmac.mac_with kc body)
+    Message.Tag_hmac_sha1 (C.Hmac.mac_with (keyed (sym_of_secret secret)) body)
   | Timing.Auth_aes128_cbc_mac ->
     let key = C.Aes.expand (cipher_key (sym_of_secret secret)) in
     Message.Tag_aes_cbc_mac (C.Block_mode.cbc_mac (C.Block_mode.aes key) body)
@@ -102,13 +99,10 @@ let count_verification scheme ok =
   let ok_c, fail_c = List.assoc scheme verification_counters in
   Ra_obs.Registry.Counter.inc (if ok then ok_c else fail_c)
 
-let verify_request_raw ?hmac_keyed scheme ~key_blob ~body tag =
+let verify_request_raw scheme ~key_blob ~body tag =
   match (scheme, tag) with
   | Timing.Auth_hmac_sha1, Message.Tag_hmac_sha1 t ->
-    let kc =
-      match hmac_keyed with Some kc -> kc | None -> keyed (blob_sym_key key_blob)
-    in
-    C.Hmac.verify_with kc ~msg:body ~tag:t
+    C.Hmac.verify_with (keyed (blob_sym_key key_blob)) ~msg:body ~tag:t
   | Timing.Auth_aes128_cbc_mac, Message.Tag_aes_cbc_mac t ->
     let key = C.Aes.expand (cipher_key (blob_sym_key key_blob)) in
     C.Block_mode.cbc_mac_verify (C.Block_mode.aes key) ~msg:body ~tag:t
@@ -126,8 +120,8 @@ let verify_request_raw ?hmac_keyed scheme ~key_blob ~body tag =
       | Message.Tag_speck_cbc_mac _ | Message.Tag_ecdsa _ ) ) ->
     false
 
-let verify_request ?hmac_keyed scheme ~key_blob ~body tag =
-  let ok = verify_request_raw ?hmac_keyed scheme ~key_blob ~body tag in
+let verify_request scheme ~key_blob ~body tag =
+  let ok = verify_request_raw scheme ~key_blob ~body tag in
   count_verification scheme ok;
   ok
 

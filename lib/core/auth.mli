@@ -31,9 +31,9 @@ val point_of_bytes : string -> Ra_crypto.Ec.point option
 
 val keyed : string -> Ra_crypto.Hmac.key_ctx
 (** Precomputed HMAC-SHA1 midstates for a long-lived K_attest
-    ({!Ra_crypto.Hmac.key}). Passing them as [?hmac_keyed] below skips
-    the per-message ipad/opad hashing — the "fixed" part of Table 1's
-    SHA1-HMAC cost.
+    ({!Ra_crypto.Hmac.key}). The HMAC-SHA1 scheme below MACs with them,
+    which skips the per-message ipad/opad hashing — the "fixed" part of
+    Table 1's SHA1-HMAC cost.
 
     The contexts come from a per-domain memo ({!Ra_crypto.Memo.per_domain},
     four entries) keyed by the key bytes, and are shared: the verifier
@@ -44,26 +44,14 @@ val keyed : string -> Ra_crypto.Hmac.key_ctx
     It saves host time only: modelled cycles and MPU-mediated reads are
     unchanged. *)
 
-val tag_request :
-  ?hmac_keyed:Ra_crypto.Hmac.key_ctx ->
-  scheme ->
-  verifier_secret ->
-  body:string ->
-  Message.auth_tag
-(** Compute the tag the verifier attaches. [?hmac_keyed] (used only by the
-    HMAC-SHA1 scheme) must match the secret's K_attest.
+val tag_request : scheme -> verifier_secret -> body:string -> Message.auth_tag
+(** Compute the tag the verifier attaches.
     @raise Invalid_argument on a scheme/secret mismatch. *)
 
 val verify_request :
-  ?hmac_keyed:Ra_crypto.Hmac.key_ctx ->
-  scheme ->
-  key_blob:string ->
-  body:string ->
-  Message.auth_tag ->
-  bool
+  scheme -> key_blob:string -> body:string -> Message.auth_tag -> bool
 (** The prover-side check, given the raw key blob read from protected
-    storage. Wrong-scheme tags verify as [false]. [?hmac_keyed] must match
-    the blob's K_attest when given. *)
+    storage. Wrong-scheme tags verify as [false]. *)
 
 val response_report : sym_key:string -> body:string -> memory_image:string -> string
 (** The attestation report: HMAC-SHA1 under K_attest over the response

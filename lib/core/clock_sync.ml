@@ -4,12 +4,11 @@ module Clock = Ra_mcu.Clock
 module Ea_mpu = Ra_mcu.Ea_mpu
 module C = Ra_crypto
 
-type reject =
-  | Sync_bad_auth
-  | Sync_stale_counter of { got : int64; stored : int64 }
-  | Sync_no_clock
-
-type t = { device : Device.t }
+type t = {
+  device : Device.t;
+  clock : Clock.t;
+  counter : Freshness.state; (* Counter policy on the sync-counter cell *)
+}
 
 (* NVRAM byte offsets of the sync counter and clock-offset cells *)
 let sync_counter_offset = 8
@@ -40,19 +39,31 @@ module M = struct
   let ok = result "ok"
   let bad_auth = result "bad_auth"
   let stale_counter = result "stale_counter"
-  let no_clock = result "no_clock"
+
+  (* a fault is a broken configuration: its series appears only once one
+     happens *)
+  let of_result = function
+    | Ok _ -> ok
+    | Error Verdict.Bad_auth -> bad_auth
+    | Error (Verdict.Not_fresh _) -> stale_counter
+    | Error _ -> result "fault"
 end
 
-let install device = { device }
+let install device =
+  match Device.clock device with
+  | None -> invalid_arg "Clock_sync.install: the device has no clock"
+  | Some clock ->
+    {
+      device;
+      clock;
+      counter =
+        Freshness.init ~cell_addr:(Device.counter_addr device + sync_counter_offset)
+          device Freshness.Counter;
+    }
 
 let cpu t = Device.cpu t.device
-let sync_counter_addr t = Device.counter_addr t.device + sync_counter_offset
 let offset_addr t = Device.counter_addr t.device + offset_offset
-
-let raw_clock_ms t =
-  match Device.clock t.device with
-  | None -> None
-  | Some clock -> Some (Int64.of_float (Clock.seconds clock *. 1000.0))
+let clock_ms t = Int64.of_float (Clock.seconds t.clock *. 1000.0)
 
 (* The offset is stored as a biased unsigned value so the cell is a plain
    u64: stored = offset + 2^62. *)
@@ -67,54 +78,40 @@ let load_offset t =
 let offset_ms = load_offset
 
 let now_ms t =
-  match raw_clock_ms t with
-  | None -> 0L
-  | Some clock_ms -> Int64.add clock_ms (load_offset t)
+  let clock_ms = clock_ms t in
+  Int64.add clock_ms (load_offset t)
 
-let key t =
-  Auth.blob_sym_key
-    (Cpu.load_bytes (cpu t) (Device.key_addr t.device) (Device.key_len t.device))
-
-let handle_raw t wire =
-  match wire with
-  | Message.Sync_request { verifier_time_ms; sync_counter; sync_tag } ->
-    Cpu.with_context (cpu t) Device.region_attest (fun () ->
-        match raw_clock_ms t with
-        | None -> Error Sync_no_clock
-        | Some clock_ms ->
-          Cpu.consume_cycles (cpu t)
-            (Ra_mcu.Timing.request_auth_cycles Ra_mcu.Timing.Auth_hmac_sha1);
-          let body = sync_body ~verifier_time_ms ~sync_counter in
-          let kc = Auth.keyed (key t) in
-          if not (C.Hmac.verify_with kc ~msg:body ~tag:sync_tag) then
-            Error Sync_bad_auth
-          else begin
-            let stored = Cpu.load_u64 (cpu t) (sync_counter_addr t) in
-            if Int64.unsigned_compare sync_counter stored <= 0 then
-              Error (Sync_stale_counter { got = sync_counter; stored })
-            else begin
-              Cpu.store_u64 (cpu t) (sync_counter_addr t) sync_counter;
-              let offset = Int64.sub verifier_time_ms clock_ms in
-              Cpu.store_u64 (cpu t) (offset_addr t) (Int64.add offset bias);
-              let ack_tag =
-                C.Hmac.mac_with kc (ack_body ~acked_counter:sync_counter)
-              in
-              Ok (Message.Sync_response { acked_counter = sync_counter; ack_tag })
-            end
-          end)
-  | Message.Request _ | Message.Response _ | Message.Sync_response _
-  | Message.Service_request _ | Message.Service_ack _ | Message.Hs_init _
-  | Message.Hs_resp _ | Message.Hs_fin _ | Message.Record _ ->
-    Error Sync_bad_auth
+let handle_sync t ~verifier_time_ms ~sync_counter ~sync_tag =
+  Code_attest.protected t.device (fun () ->
+      let clock_ms = clock_ms t in
+      match
+        Code_attest.authenticate t.device ~precomputed_key_schedule:false
+          (Some Ra_mcu.Timing.Auth_hmac_sha1)
+          ~body:(sync_body ~verifier_time_ms ~sync_counter)
+          (Message.Tag_hmac_sha1 sync_tag)
+      with
+      | Error e -> Error e
+      | Ok () ->
+        (match Freshness.check_and_update t.counter (Message.F_counter sync_counter) with
+        | Error e -> Error (Verdict.Not_fresh e)
+        | Ok () ->
+          let offset = Int64.sub verifier_time_ms clock_ms in
+          Cpu.store_u64 (cpu t) (offset_addr t) (Int64.add offset bias);
+          let kc = Auth.keyed (Auth.blob_sym_key (Code_attest.key_blob t.device)) in
+          let ack_tag = C.Hmac.mac_with kc (ack_body ~acked_counter:sync_counter) in
+          Ok (Message.Sync_response { acked_counter = sync_counter; ack_tag })))
 
 let handle t wire =
-  let result = handle_raw t wire in
-  Ra_obs.Registry.Counter.inc
-    (match result with
-    | Ok _ -> M.ok
-    | Error Sync_bad_auth -> M.bad_auth
-    | Error (Sync_stale_counter _) -> M.stale_counter
-    | Error Sync_no_clock -> M.no_clock);
+  let result =
+    match wire with
+    | Message.Sync_request { verifier_time_ms; sync_counter; sync_tag } ->
+      handle_sync t ~verifier_time_ms ~sync_counter ~sync_tag
+    | Message.Request _ | Message.Response _ | Message.Sync_response _
+    | Message.Service_request _ | Message.Service_ack _ | Message.Hs_init _
+    | Message.Hs_resp _ | Message.Hs_fin _ | Message.Record _ ->
+      Error Verdict.Bad_auth
+  in
+  Ra_obs.Registry.Counter.inc (M.of_result result);
   result
 
 let make_sync_request ~sym_key ~time ~counter =
@@ -136,9 +133,3 @@ let check_sync_ack ~sym_key ~counter wire =
   | Message.Service_request _ | Message.Service_ack _ | Message.Hs_init _
   | Message.Hs_resp _ | Message.Hs_fin _ | Message.Record _ ->
     false
-
-let pp_reject fmt = function
-  | Sync_bad_auth -> Format.pp_print_string fmt "sync authentication failed"
-  | Sync_stale_counter { got; stored } ->
-    Format.fprintf fmt "stale sync counter (got %Ld, stored %Ld)" got stored
-  | Sync_no_clock -> Format.pp_print_string fmt "prover has no clock"

@@ -3,21 +3,21 @@
 
     The prover's hardware clock counts from power-on; to compare verifier
     timestamps against it, the prover keeps a signed-magnitude offset
-    [wall_ms = clock_ms + offset] in protected non-volatile memory. The
+    [wall_ms = clock_ms + offset] in non-volatile memory. The
     sync protocol is a one-round authenticated exchange:
 
     verifier → prover: [Sync_request (t_v, c, HMAC(K, t_v ‖ c))]
     prover  → verifier: [Sync_response (c, HMAC(K, c))]
 
-    The sync counter [c] is strictly monotonic and stored in its own
-    protected cell, so recorded sync requests cannot be replayed to drag
-    the prover's clock back — otherwise clock synchronization would be
-    exactly the rollback vector §5 warns about. *)
-
-type reject =
-  | Sync_bad_auth
-  | Sync_stale_counter of { got : int64; stored : int64 }
-  | Sync_no_clock
+    The handler runs {!Code_attest}'s defence sequence: the tag is
+    checked like any HMAC-SHA1 request tag, and [c] like an attestation
+    counter — a {!Freshness.Counter} state (RFC 1982 serial arithmetic)
+    on its own NVRAM cell, so recorded sync requests cannot be replayed
+    to drag the prover's clock back, and a cell parked at all-ones does
+    not stop every later sync. Both cells are protected only where
+    {!rule_protect_sync_state} is programmed before lockdown; no
+    [Session] world programs it (see {!Session.create}), so there app
+    code can rewrite them. *)
 
 type t
 
@@ -28,11 +28,15 @@ val rule_protect_sync_state : Ra_mcu.Device.t -> Ra_mcu.Ea_mpu.rule
 
 val install : Ra_mcu.Device.t -> t
 (** The prover-side endpoint; runs in the trust anchor's context and
-    reads K_attest through the MPU. *)
+    reads K_attest through the MPU.
+    @raise Invalid_argument on a device without a clock, as
+    {!Freshness.init} does for a timestamp policy. *)
 
-val handle : t -> Message.wire -> (Message.wire, reject) result
-(** Process a [Sync_request]; returns the acknowledgement.
-    Non-sync messages are rejected as [Sync_bad_auth]. *)
+val handle : t -> Message.wire -> (Message.wire, Verdict.t) result
+(** Process a [Sync_request]; returns the acknowledgement. Rejects with
+    [Bad_auth] (also for non-sync messages), [Not_fresh] for a counter
+    that is not ahead of the stored one, or [Fault] when the EA-MPU
+    denies the handler an access. *)
 
 val now_ms : t -> int64
 (** Offset-corrected prover wall-clock (for use as a
@@ -46,5 +50,3 @@ val make_sync_request :
   sym_key:string -> time:Ra_net.Simtime.t -> counter:int64 -> Message.wire
 
 val check_sync_ack : sym_key:string -> counter:int64 -> Message.wire -> bool
-
-val pp_reject : Format.formatter -> reject -> unit

@@ -58,17 +58,34 @@ let spans t = t.spans
 
 let cpu t = Device.cpu t.device
 
-let read_key_blob t =
-  Cpu.load_bytes (cpu t) (Device.key_addr t.device) (Device.key_len t.device)
+(* ---- the defence sequence every prover handler runs ---- *)
+
+let key_blob device =
+  Cpu.load_bytes (Device.cpu device) (Device.key_addr device) (Device.key_len device)
+
+let authenticate device ~precomputed_key_schedule scheme ~body tag =
+  match scheme with
+  | None -> Ok () (* unauthenticated baseline: trust anything *)
+  | Some scheme ->
+    Cpu.consume_cycles (Device.cpu device)
+      (Timing.request_auth_cycles ~precomputed_key_schedule scheme);
+    if Auth.verify_request scheme ~key_blob:(key_blob device) ~body tag then Ok ()
+    else Error Verdict.Bad_auth
+
+let protected device body =
+  try Cpu.with_context (Device.cpu device) Device.region_attest body
+  with Cpu.Protection_fault { fault_addr; fault_code; _ } ->
+    Error (Verdict.Fault { fault_addr; fault_code })
 
 (* The attested ranges back to back in [buf], each read through the MPU. *)
-let read_attested_into t buf =
+let read_attested_into device buf =
+  let cpu = Device.cpu device in
   ignore
     (List.fold_left
        (fun pos (base, len) ->
-         Cpu.load_into (cpu t) base buf ~pos ~len;
+         Cpu.load_into cpu base buf ~pos ~len;
          pos + len)
-       0 (Device.attested_ranges t.device))
+       0 (Device.attested_ranges device))
 
 (* The buffer [attest] reads the image into and MACs in place: one per
    domain, of exactly the last image's length, so the anchors of a fleet
@@ -84,30 +101,17 @@ let image_buffer len =
     buf
   end
 
-let measure_memory t =
-  Cpu.with_context (cpu t) Device.region_attest (fun () ->
-      let image = Bytes.create (Device.attested_total_len t.device) in
-      read_attested_into t image;
+let measure_memory device =
+  Cpu.with_context (Device.cpu device) Device.region_attest (fun () ->
+      let image = Bytes.create (Device.attested_total_len device) in
+      read_attested_into device image;
       Bytes.unsafe_to_string image)
-
-let authenticate t (req : Message.attreq) =
-  match t.scheme with
-  | None -> Ok () (* unauthenticated baseline: trust anything *)
-  | Some scheme ->
-    Cpu.consume_cycles (cpu t)
-      (Timing.request_auth_cycles ~precomputed_key_schedule:t.precomputed_key_schedule
-         scheme);
-    let key_blob = read_key_blob t in
-    let body = Message.request_body ~challenge:req.challenge ~freshness:req.freshness in
-    let hmac_keyed = Auth.keyed (Auth.blob_sym_key key_blob) in
-    if Auth.verify_request ~hmac_keyed scheme ~key_blob ~body req.tag then Ok ()
-    else Error Verdict.Bad_auth
 
 let attest t (req : Message.attreq) =
   let len = Device.attested_total_len t.device in
   Cpu.consume_cycles (cpu t) (Timing.memory_mac_cycles ~bytes_len:len);
   let image = image_buffer len in
-  read_attested_into t image;
+  read_attested_into t.device image;
   let resp =
     {
       Message.echo_challenge = req.challenge;
@@ -116,7 +120,7 @@ let attest t (req : Message.attreq) =
     }
   in
   let body = Message.response_body resp in
-  let key = Auth.blob_sym_key (read_key_blob t) in
+  let key = Auth.blob_sym_key (key_blob t.device) in
   (* the string view of the domain's buffer must not outlive this MAC *)
   let report =
     Auth.response_report_keyed ~keyed:(Auth.keyed key) ~body
@@ -133,16 +137,11 @@ let bump_attested t =
   t.stats <-
     { t.stats with attestations_performed = t.stats.attestations_performed + 1 }
 
-(* Run [body] in the anchor's execution context. An EA-MPU denial
-   becomes [Fault], and every outcome is counted in the stats and in
+(* [protected], with every outcome counted in the stats and in
    [ra_attest_requests_total]. *)
 let guarded t body =
   bump_seen t;
-  let result =
-    try Cpu.with_context (cpu t) Device.region_attest body
-    with Cpu.Protection_fault { fault_addr; fault_code; _ } ->
-      Error (Verdict.Fault { fault_addr; fault_code })
-  in
+  let result = protected t.device body in
   (match result with
   | Ok _ ->
     Ra_obs.Registry.Counter.inc M.attested;
@@ -152,10 +151,16 @@ let guarded t body =
     bump_rejected t);
   result
 
-let handle_request t req =
+let handle_request t (req : Message.attreq) =
   guarded t (fun () ->
       Cpu.consume_cycles (cpu t) bookkeeping_cycles;
-      match Ra_obs.Span.with_span t.spans "anchor.auth" (fun () -> authenticate t req) with
+      match
+        Ra_obs.Span.with_span t.spans "anchor.auth" (fun () ->
+            authenticate t.device ~precomputed_key_schedule:t.precomputed_key_schedule
+              t.scheme
+              ~body:(Message.request_body ~challenge:req.challenge ~freshness:req.freshness)
+              req.tag)
+      with
       | Error e -> Error e
       | Ok () ->
         (match

@@ -57,8 +57,41 @@ val handle_channel_request :
     and the protected execution context are unchanged. Rejects only
     with [Fault]. *)
 
-val measure_memory : t -> string
-(** The raw attested-memory image as [Code_attest] reads it, in a fresh
+val measure_memory : Ra_mcu.Device.t -> string
+(** The raw attested-memory image as the anchor reads it, in a fresh
     string (for tests and for provisioning the verifier's reference
     image). A request's MAC covers the same bytes, read into one buffer
-    per domain and hashed in place. *)
+    per domain and hashed in place.
+    @raise Ra_mcu.Cpu.Protection_fault if the EA-MPU denies
+    [rom_attest] an attested range. *)
+
+(** {2 The defence sequence}
+
+    The steps every prover handler runs, in this order: enter the
+    anchor's context ({!protected}), authenticate the request (§4.1,
+    {!authenticate}), check its freshness (§4.2, a {!Freshness} state),
+    and only then do the costly work. {!handle_request}, {!Isa_anchor},
+    {!Service} and {!Clock_sync} call these; each keeps its own cycle
+    charges, spans and metrics around them. *)
+
+val key_blob : Ra_mcu.Device.t -> string
+(** The K_attest blob ({!Auth.prover_key_blob} layout), read through
+    the EA-MPU in the current execution context. *)
+
+val authenticate :
+  Ra_mcu.Device.t ->
+  precomputed_key_schedule:bool ->
+  Ra_mcu.Timing.auth_scheme option ->
+  body:string ->
+  Message.auth_tag ->
+  (unit, Verdict.t) result
+(** Charge the scheme's Table-1 verification cycles, then verify the
+    tag over [body] against {!key_blob}: [Bad_auth] on a mismatch.
+    [None], the unauthenticated baseline, accepts without charging or
+    reading the key. *)
+
+val protected :
+  Ra_mcu.Device.t -> (unit -> ('a, Verdict.t) result) -> ('a, Verdict.t) result
+(** Run a handler body in the [rom_attest] execution context. An EA-MPU
+    denial of any of its accesses ends it as [Fault] at the denied
+    address, never as an exception. *)

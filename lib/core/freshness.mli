@@ -43,9 +43,11 @@ type state
 val init :
   ?cell_addr:int -> ?now_ms_fn:(unit -> int64) -> Ra_mcu.Device.t -> policy -> state
 (** [cell_addr] overrides where the 8-byte freshness cell lives (several
-    services can coexist, each with its own cell — see [Service]);
-    [now_ms_fn] overrides the prover's time source (used by [Clock_sync]
-    to supply an offset-corrected clock).
+    services can coexist, each with its own cell — see [Service] and
+    [Clock_sync]);
+    [now_ms_fn] overrides the prover's time source ([Ablation] supplies
+    the prover's time directly, to isolate the window decision from
+    clock drift).
     @raise Invalid_argument for a timestamp policy on a clock-less device
     when no [now_ms_fn] is given. *)
 

@@ -35,16 +35,6 @@ let install device ~scheme ~policy =
 
 let cpu t = Device.cpu t.device
 
-let read_key_blob t =
-  Cpu.load_bytes (cpu t) (Device.key_addr t.device) (Device.key_len t.device)
-
-let measure_memory t =
-  Cpu.with_context (cpu t) Device.region_attest (fun () ->
-      String.concat ""
-        (List.map
-           (fun (base, len) -> Cpu.load_bytes (cpu t) base len)
-           (Device.attested_ranges t.device)))
-
 let last_mac_cycles t = t.mac_cycles
 let sha t = t.sha
 
@@ -63,7 +53,7 @@ let attest t (req : Message.attreq) =
     { Message.echo_challenge = req.challenge; echo_freshness = req.freshness; report = "" }
   in
   let body = Message.response_body resp in
-  let key = Auth.blob_sym_key (read_key_blob t) in
+  let key = Auth.blob_sym_key (Code_attest.key_blob t.device) in
   let segments =
     Sha1_asm.Bytes body
     :: List.map (fun (base, len) -> Sha1_asm.Range (base, len)) (Device.attested_ranges t.device)
@@ -80,24 +70,15 @@ let attest t (req : Message.attreq) =
       (String.make Sha1_asm.scratch_bytes '\x00');
     Error (fault_of_trap trap)
 
-let authenticate t (req : Message.attreq) =
-  match t.scheme with
-  | None -> Ok ()
-  | Some scheme ->
-    Cpu.consume_cycles (cpu t) (Timing.request_auth_cycles scheme);
-    let key_blob = read_key_blob t in
-    let body = Message.request_body ~challenge:req.challenge ~freshness:req.freshness in
-    if Auth.verify_request scheme ~key_blob ~body req.tag then Ok ()
-    else Error Verdict.Bad_auth
-
-let handle_request t req =
-  try
-    Cpu.with_context (cpu t) Device.region_attest (fun () ->
-        match authenticate t req with
-        | Error e -> Error e
-        | Ok () ->
-          (match Freshness.check_and_update t.freshness req.Message.freshness with
-          | Error e -> Error (Verdict.Not_fresh e)
-          | Ok () -> attest t req))
-  with Cpu.Protection_fault { fault_addr; fault_code; _ } ->
-    Error (Verdict.Fault { fault_addr; fault_code })
+let handle_request t (req : Message.attreq) =
+  Code_attest.protected t.device (fun () ->
+      match
+        Code_attest.authenticate t.device ~precomputed_key_schedule:false t.scheme
+          ~body:(Message.request_body ~challenge:req.challenge ~freshness:req.freshness)
+          req.tag
+      with
+      | Error e -> Error e
+      | Ok () ->
+        (match Freshness.check_and_update t.freshness req.freshness with
+        | Error e -> Error (Verdict.Not_fresh e)
+        | Ok () -> attest t req))

@@ -38,15 +38,13 @@ val install :
     routine would execute garbage). *)
 
 val handle_request : t -> Message.attreq -> (Message.attresp, Verdict.t) result
-(** The checks and rejects of {!Code_attest.handle_request}; the
-    report is computed by interpreted code. A trap of that code (an
-    EA-MPU rule that keeps [rom_attest] out of attested memory, say)
-    fails closed: the outcome is [Fault], and the routine's scratch,
-    which may hold the key's HMAC pads, is zeroed first. *)
-
-val measure_memory : t -> string
-(** The attested image (for provisioning the verifier), read through the
-    interpreted copy path. *)
+(** {!Code_attest}'s defence sequence ({!Code_attest.protected},
+    {!Code_attest.authenticate}, then freshness), with the checks and
+    rejects of {!Code_attest.handle_request}; the report is computed by
+    interpreted code. A trap of that code (an EA-MPU rule that keeps
+    [rom_attest] out of attested memory, say) fails closed: the outcome
+    is [Fault], and the routine's scratch, which may hold the key's HMAC
+    pads, is zeroed first. *)
 
 val last_mac_cycles : t -> int64
 (** Cycles the most recent interpreted measurement consumed. *)

@@ -109,8 +109,6 @@ let make_request ~sym_key ~scheme ~freshness command =
 
 let cpu t = Device.cpu t.device
 
-let key_blob t = Cpu.load_bytes (cpu t) (Device.key_addr t.device) (Device.key_len t.device)
-
 (* Modeled costs of the service bodies: a RAM write per erased byte and a
    flash word program (slow: 20 cycles/word here) per 4 image bytes. *)
 let erase_cycles len = Int64.of_int (2 * len)
@@ -148,23 +146,20 @@ let handle t req =
     Cpu.consume_cycles (cpu t) 200L;
     let authenticated =
       match t.scheme with
-      | None -> true
-      | Some scheme ->
+      | None -> Ok ()
+      | Some _ ->
         Ra_obs.Span.with_span t.spans "service.auth" (fun () ->
-            Cpu.consume_cycles (cpu t) (Timing.request_auth_cycles scheme);
-            let blob = key_blob t in
-            Auth.verify_request
-              ~hmac_keyed:(Auth.keyed (Auth.blob_sym_key blob))
-              scheme ~key_blob:blob
+            Code_attest.authenticate t.device ~precomputed_key_schedule:false t.scheme
               ~body:(request_body req.command req.freshness)
               req.tag)
     in
-    if not authenticated then Error Verdict.Bad_auth
-    else
-      match
-        Ra_obs.Span.with_span t.spans "service.freshness" (fun () ->
-            Freshness.check_and_update t.freshness req.freshness)
-      with
+    match authenticated with
+    | Error e -> Error e
+    | Ok () ->
+      (match
+         Ra_obs.Span.with_span t.spans "service.freshness" (fun () ->
+             Freshness.check_and_update t.freshness req.freshness)
+       with
       | Error e -> Error (Verdict.Not_fresh e)
       | Ok () ->
         let result =
@@ -173,18 +168,14 @@ let handle t req =
             "service.execute"
             (fun () -> execute t req.command)
         in
-        let key = Auth.blob_sym_key (key_blob t) in
+        let key = Auth.blob_sym_key (Code_attest.key_blob t.device) in
         Ok
           {
             acked_command = command_name req.command;
             ack_report = C.Hmac.mac_parts (Auth.keyed key) [ "ACK"; result ];
-          }
+          })
   in
-  let result =
-    try Cpu.with_context (cpu t) Device.region_attest run
-    with Cpu.Protection_fault { fault_addr; fault_code; _ } ->
-      Error (Verdict.Fault { fault_addr; fault_code })
-  in
+  let result = Code_attest.protected t.device run in
   (match result with
   | Ok _ ->
     Ra_obs.Registry.Counter.inc M.invocations;

@@ -70,8 +70,8 @@ val make_request :
 (** Verifier-side construction (symmetric schemes). *)
 
 val handle : t -> request -> (ack, Verdict.t) result
-(** Authenticate, check freshness, then execute the command body with
-    its modeled cycle cost (erase: one write per byte; update: one flash
+(** Authenticate, check freshness ({!Code_attest}'s defence sequence),
+    then execute the command body with its modeled cycle cost (erase: one write per byte; update: one flash
     word program per 4 bytes; ping: bookkeeping only). Rejects with
     [Bad_auth], [Not_fresh] or, when the EA-MPU denies the handler an
     access, [Fault]. *)

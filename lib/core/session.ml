@@ -85,7 +85,7 @@ let create ?(spec = Architecture.trustlite_base) ?(sym_key = default_sym_key)
   in
   (* a pristine RAM measures as the RAM-fill memo's image: the verifier
      holds that string, not a copy per world *)
-  let image = Code_attest.measure_memory prover.anchor in
+  let image = Code_attest.measure_memory prover.Architecture.device in
   let pristine = Device.pristine_ram prover.Architecture.device ~seed:ram_seed in
   Verifier.set_reference_image verifier (if String.equal image pristine then pristine else image);
   let clock_sync =

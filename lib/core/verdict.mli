@@ -3,17 +3,20 @@
     The prover's defence is one sequence — authenticate the request,
     check its freshness, run the costly body under the EA-MPU — and {!t}
     names every way it can end, plus the verifier's report check and a
-    round that never resolved. [Code_attest], [Isa_anchor], [Service],
-    [Verifier] and the retry engine all build a {!t} at the point of
-    failure; none keeps an outcome type of its own.
+    round that never resolved. The sequence's steps live in
+    [Code_attest] ([protected], [authenticate], [key_blob]), and every
+    prover handler runs them: [Code_attest], [Isa_anchor], [Service] and
+    [Clock_sync]. They, [Verifier] and the retry engine all build a {!t}
+    at the point of failure; none keeps an outcome type of its own.
 
     Depends on nothing above the obs layer, so every core module
     (including {!Freshness}, whose reject type is re-exported from here)
     can use it without cycles. *)
 
-(** Why a freshness check failed — shared by the attestation anchor, the
-    service envelope and the clock-sync handler. [Freshness.reject] is an
-    equation for this type. *)
+(** Why a freshness check failed. Every prover handler checks freshness
+    through a [Freshness] state (the anchors' counter_R cell, the
+    service's cell, the clock-sync counter's cell), and
+    [Freshness.reject] is an equation for this type. *)
 type freshness_reject =
   | Missing_field  (** request lacks the field the policy needs *)
   | Wrong_field  (** field of another policy's type *)

@@ -108,7 +108,7 @@ let make_request t =
         | Some kp -> Auth.Vs_ecdsa kp
         | None -> Auth.Vs_symmetric t.sym_key
       in
-      Auth.tag_request ~hmac_keyed:t.keyed scheme secret ~body
+      Auth.tag_request scheme secret ~body
   in
   { Message.challenge; freshness; tag }
 

@@ -115,12 +115,12 @@ let test_deterministic_reference_image () =
   let p1 = Architecture.build ~ram_seed:5L ~ram_size:4096 ~key_blob Architecture.trustlite_base in
   let p2 = Architecture.build ~ram_seed:5L ~ram_size:4096 ~key_blob Architecture.trustlite_base in
   Alcotest.(check bool) "identical measurements" true
-    (Code_attest.measure_memory p1.Architecture.anchor
-    = Code_attest.measure_memory p2.Architecture.anchor);
+    (Code_attest.measure_memory p1.Architecture.device
+    = Code_attest.measure_memory p2.Architecture.device);
   let p3 = Architecture.build ~ram_seed:6L ~ram_size:4096 ~key_blob Architecture.trustlite_base in
   Alcotest.(check bool) "different seed differs" true
-    (Code_attest.measure_memory p1.Architecture.anchor
-    <> Code_attest.measure_memory p3.Architecture.anchor)
+    (Code_attest.measure_memory p1.Architecture.device
+    <> Code_attest.measure_memory p3.Architecture.device)
 
 let tests =
   [

@@ -25,7 +25,7 @@ let test_sync_corrects_offset () =
   (match Clock_sync.handle sync req with
   | Ok ack -> Alcotest.(check bool) "ack verifies" true
       (Clock_sync.check_sync_ack ~sym_key ~counter:1L ack)
-  | Error e -> Alcotest.failf "sync failed: %a" Clock_sync.pp_reject e);
+  | Error e -> Alcotest.failf "sync failed: %a" Verdict.pp e);
   Alcotest.(check int64) "offset ≈ 100s" 100_000L (Clock_sync.offset_ms sync);
   Alcotest.(check bool) "now tracks verifier" true
     (Int64.abs (Int64.sub (Clock_sync.now_ms sync) 102_000L) < 100L)
@@ -36,12 +36,12 @@ let test_sync_replay_rejected () =
   let req = Clock_sync.make_sync_request ~sym_key ~time ~counter:1L in
   (match Clock_sync.handle sync req with
   | Ok _ -> ()
-  | Error e -> Alcotest.failf "first sync failed: %a" Clock_sync.pp_reject e);
+  | Error e -> Alcotest.failf "first sync failed: %a" Verdict.pp e);
   (* a recorded sync request replayed later must not drag the clock back *)
   (match Clock_sync.handle sync req with
-  | Error (Clock_sync.Sync_stale_counter { got = 1L; stored = 1L }) -> ()
+  | Error (Verdict.Not_fresh (Verdict.Stale_counter { got = 1L; stored = 1L })) -> ()
   | Ok _ -> Alcotest.fail "replayed sync accepted"
-  | Error e -> Alcotest.failf "wrong reject: %a" Clock_sync.pp_reject e)
+  | Error e -> Alcotest.failf "wrong reject: %a" Verdict.pp e)
 
 let test_sync_bad_tag_rejected () =
   let _, sync, time = make () in
@@ -51,9 +51,9 @@ let test_sync_bad_tag_rejected () =
     | _ -> assert false
   in
   (match Clock_sync.handle sync req with
-  | Error Clock_sync.Sync_bad_auth -> ()
+  | Error Verdict.Bad_auth -> ()
   | Ok _ -> Alcotest.fail "forged sync accepted"
-  | Error e -> Alcotest.failf "wrong reject: %a" Clock_sync.pp_reject e)
+  | Error e -> Alcotest.failf "wrong reject: %a" Verdict.pp e)
 
 let test_sync_counter_must_increase () =
   let _, sync, time = make () in
@@ -73,7 +73,7 @@ let test_offset_protected_by_rule () =
   Simtime.advance_to time 30.0;
   (match Clock_sync.handle sync (Clock_sync.make_sync_request ~sym_key ~time ~counter:1L) with
   | Ok _ -> ()
-  | Error e -> Alcotest.failf "trusted path blocked: %a" Clock_sync.pp_reject e);
+  | Error e -> Alcotest.failf "trusted path blocked: %a" Verdict.pp e);
   (* malware cannot overwrite the offset cell *)
   let offset_addr = Device.counter_addr device + Clock_sync.offset_offset in
   (try
@@ -82,13 +82,12 @@ let test_offset_protected_by_rule () =
    with Ra_mcu.Cpu.Protection_fault _ -> ())
 
 let test_no_clock_rejected () =
+  (* a clock-less device has nothing to synchronize: install refuses it,
+     as Freshness.init refuses a timestamp policy *)
   let device = Device.create ~ram_size:1024 ~key:blob () in
-  let sync = Clock_sync.install device in
-  let time = Simtime.create () in
-  (match Clock_sync.handle sync (Clock_sync.make_sync_request ~sym_key ~time ~counter:1L) with
-  | Error Clock_sync.Sync_no_clock -> ()
-  | Ok _ -> Alcotest.fail "clock-less sync accepted"
-  | Error e -> Alcotest.failf "wrong reject: %a" Clock_sync.pp_reject e)
+  match Clock_sync.install device with
+  | _ -> Alcotest.fail "clock sync installed on a clock-less device"
+  | exception Invalid_argument _ -> ()
 
 let tests =
   [

@@ -51,7 +51,7 @@ let make ?(protect = true) ?(deny_attested = false) () =
     Isa_anchor.install device ~scheme:(Some Timing.Auth_hmac_sha1)
       ~policy:Freshness.Counter
   in
-  let reference_image = if deny_attested then "" else Isa_anchor.measure_memory anchor in
+  let reference_image = if deny_attested then "" else Code_attest.measure_memory device in
   let verifier =
     match
       Verifier.of_config
@@ -74,14 +74,14 @@ let test_end_to_end_trusted () =
   | Error e -> Alcotest.failf "rejected: %a" Verdict.pp e
 
 let test_report_equals_host_crypto () =
-  let _, anchor, verifier = make () in
+  let device, anchor, verifier = make () in
   let req = Verifier.make_request verifier in
   match Isa_anchor.handle_request anchor req with
   | Ok resp ->
     let expected =
       Auth.response_report ~sym_key
         ~body:(Message.response_body resp)
-        ~memory_image:(Isa_anchor.measure_memory anchor)
+        ~memory_image:(Code_attest.measure_memory device)
     in
     Alcotest.(check string) "bit-identical to Hmac.mac"
       (Ra_crypto.Hexutil.to_hex expected)

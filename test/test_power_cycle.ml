@@ -83,7 +83,7 @@ let test_clock_sync_restores_operation () =
   let sync = Clock_sync.install d in
   (match Clock_sync.handle sync (Clock_sync.make_sync_request ~sym_key ~time ~counter:1L) with
   | Ok _ -> ()
-  | Error e -> Alcotest.failf "pre-reboot sync failed: %a" Clock_sync.pp_reject e);
+  | Error e -> Alcotest.failf "pre-reboot sync failed: %a" Verdict.pp e);
   (* reboot at t=120; clock restarts, but the sync counter survived NVM *)
   Ra_net.Simtime.advance_to time 120.0;
   let d' = Device.power_cycle d in
@@ -108,7 +108,7 @@ let test_clock_sync_restores_operation () =
   (* fresh sync with counter 2 resynchronizes *)
   (match Clock_sync.handle sync' (Clock_sync.make_sync_request ~sym_key ~time ~counter:2L) with
   | Ok _ -> ()
-  | Error e -> Alcotest.failf "post-reboot sync failed: %a" Clock_sync.pp_reject e);
+  | Error e -> Alcotest.failf "post-reboot sync failed: %a" Verdict.pp e);
   Alcotest.(check bool) "prover wall time restored" true
     (Int64.abs (Int64.sub (Clock_sync.now_ms sync') 120_000L) < 200L);
   (* and the counter-1 replay (correctly formed) is still rejected *)
@@ -119,9 +119,9 @@ let test_clock_sync_restores_operation () =
       ~counter:1L
   in
   (match Clock_sync.handle sync' old_style with
-  | Error (Clock_sync.Sync_stale_counter _) -> ()
+  | Error (Verdict.Not_fresh (Verdict.Stale_counter _)) -> ()
   | Ok _ -> Alcotest.fail "pre-reboot sync replay accepted after reboot"
-  | Error e -> Alcotest.failf "unexpected reject: %a" Clock_sync.pp_reject e)
+  | Error e -> Alcotest.failf "unexpected reject: %a" Verdict.pp e)
 
 let test_ram_nonce_history_is_lost_conceptually () =
   (* the nonce history lives in RAM-backed state: after a reboot it is

@@ -200,7 +200,7 @@ let test_code_update_with_flash_attestation () =
   | None -> Alcotest.fail "no response");
   (* verifier learns the new good state; next sweep is green again *)
   Verifier.set_reference_image (Session.verifier s)
-    (Code_attest.measure_memory (Session.anchor s));
+    (Code_attest.measure_memory (Session.device s));
   (match Session.attest_round s with
   | Some Verdict.Trusted -> ()
   | Some v -> Alcotest.failf "expected trusted after re-provisioning, got %a"
@@ -300,6 +300,23 @@ let test_anchor_fault_on_misconfigured_rules () =
   | Error (Verdict.Fault _) -> ()
   | Ok _ | Error _ -> Alcotest.fail "expected anchor fault")
 
+(* The sync-counter cell (NVRAM +8) has no rule in a Session world, so
+   app code can park it at all ones. The sync counter is checked under
+   RFC 1982 serial arithmetic, as the attestation counter is, so the
+   verifier's next counter lies in the forward half-window of 2^64 - 1
+   and every later sync still goes through. *)
+let test_sync_after_counter_cell_set_to_all_ones () =
+  let s = small_session () in
+  let d = Session.device s in
+  Cpu.with_context (Device.cpu d) Device.region_app (fun () ->
+      Cpu.store_u64 (Device.cpu d) (Device.counter_addr d + 8) (-1L));
+  for i = 1 to 3 do
+    Session.advance_time s ~seconds:10.0;
+    Alcotest.(check bool) (Printf.sprintf "sync %d succeeds" i) true (Session.sync_round s)
+  done;
+  Alcotest.(check bool) "prover wall time tracks verifier" true
+    (Int64.abs (Int64.sub (Session.prover_wall_ms s) 30_000L) < 1_000L)
+
 (* ---- the image buffer the anchor MACs in place ---- *)
 
 let fresh_session ?spec ?ram_seed ram_size = Session.create ?spec ?ram_seed ~ram_size ()
@@ -318,7 +335,7 @@ let check_report what s =
     let expected =
       Auth.response_report ~sym_key:(Session.sym_key s)
         ~body:(Message.response_body { resp with Message.report = "" })
-        ~memory_image:(Code_attest.measure_memory (Session.anchor s))
+        ~memory_image:(Code_attest.measure_memory (Session.device s))
     in
     Alcotest.(check string) what (Ra_crypto.Hexutil.to_hex expected)
       (Ra_crypto.Hexutil.to_hex resp.Message.report);
@@ -378,7 +395,7 @@ let test_image_read_fault () =
   | Error v -> Alcotest.failf "expected Fault, got %a" Verdict.pp v
   | Ok _ -> Alcotest.fail "anchor read flash only application code may read");
   Alcotest.(check bool) "one fault recorded" true (Cpu.faults cpu = fault :: faults);
-  (match Code_attest.measure_memory (Session.anchor s) with
+  (match Code_attest.measure_memory (Session.device s) with
   | _ -> Alcotest.fail "measure_memory read flash only application code may read"
   | exception Cpu.Protection_fault f ->
     Alcotest.(check bool) "measure_memory faults the same" true (f = fault));
@@ -414,4 +431,6 @@ let tests =
     Alcotest.test_case "sync round without clock" `Quick test_sync_round_without_clock;
     Alcotest.test_case "anchor fault on misconfiguration" `Quick
       test_anchor_fault_on_misconfigured_rules;
+    Alcotest.test_case "sync after the counter cell is all ones" `Quick
+      test_sync_after_counter_cell_set_to_all_ones;
   ]

@@ -187,6 +187,106 @@ let test_handler_conversions () =
   Alcotest.(check int) "service tally" 1
     (Service.rejected (Service.stats (Session.service s)) Verdict.Reason.Fault)
 
+(* Every prover handler runs Code_attest's defence sequence, so a rule
+   on an unlocked MPU that denies rom_attest a cell the handler needs --
+   the K_attest read, or an NVRAM cell it writes on acceptance -- ends
+   the request as [Fault] at that cell, never as an exception. *)
+let test_denied_cell_is_fault () =
+  let module Device = Ra_mcu.Device in
+  let module Ea_mpu = Ra_mcu.Ea_mpu in
+  let sym_key = "K_attest_0123456789." in
+  let scheme = Some Ra_mcu.Timing.Auth_hmac_sha1 in
+  let freshness = Message.F_counter 1L in
+  let attreq =
+    let challenge = String.make 16 'c' in
+    {
+      Message.challenge;
+      freshness;
+      tag =
+        Auth.tag_request Ra_mcu.Timing.Auth_hmac_sha1 (Auth.Vs_symmetric sym_key)
+          ~body:(Message.request_body ~challenge ~freshness);
+    }
+  in
+  let ok_unit r = Result.map ignore r in
+  let code_attest device =
+    let a = Code_attest.install device ~scheme ~policy:Freshness.Counter () in
+    ok_unit (Code_attest.handle_request a attreq)
+  in
+  let isa_anchor device =
+    let a = Isa_anchor.install device ~scheme ~policy:Freshness.Counter in
+    ok_unit (Isa_anchor.handle_request a attreq)
+  in
+  let service device =
+    let svc = Service.install device ~scheme ~policy:Freshness.Counter in
+    ok_unit
+      (Service.handle svc (Service.make_request ~sym_key ~scheme ~freshness Service.Ping))
+  in
+  let clock_sync device =
+    let sync = Clock_sync.install device in
+    let time = Ra_net.Simtime.create ~start:10.0 () in
+    ok_unit (Clock_sync.handle sync (Clock_sync.make_sync_request ~sym_key ~time ~counter:1L))
+  in
+  (* the key is denied to reads, an NVRAM cell (offset from counter_R)
+     to writes *)
+  let key = `Key and nvram off = `Nvram off in
+  let table =
+    [
+      ("Code_attest", code_attest, [ key; nvram 0 ]);
+      ("Isa_anchor", isa_anchor, [ key; nvram 0 ]);
+      ("Service", service, [ key; nvram 24 ]);
+      ("Clock_sync", clock_sync, [ key; nvram 8; nvram 16 ]);
+    ]
+  in
+  List.iter
+    (fun (name, handle, cells) ->
+      List.iter
+        (fun cell ->
+          let device =
+            Device.create ~ram_size:2048
+              ~clock_impl:(Device.Clock_hw { width = 64; divider_log2 = 0 })
+              ~rom_images:[ (Device.region_attest, Isa_anchor.rom_image ()) ]
+              ~key:(Auth.prover_key_blob ~sym_key ~public:None)
+              ()
+          in
+          let addr, rule =
+            match cell with
+            | `Key ->
+              ( Device.key_addr device,
+                {
+                  Ea_mpu.rule_name = "deny_key";
+                  data_base = Device.key_addr device;
+                  data_size = Device.key_len device;
+                  read_by = Ea_mpu.Nobody;
+                  write_by = Ea_mpu.Nobody;
+                } )
+            | `Nvram off ->
+              let addr = Device.counter_addr device + off in
+              ( addr,
+                {
+                  Ea_mpu.rule_name = "deny_cell";
+                  data_base = addr;
+                  data_size = 8;
+                  read_by = Ea_mpu.Anyone;
+                  write_by = Ea_mpu.Nobody;
+                } )
+          in
+          Ea_mpu.program (Device.mpu device) rule;
+          let what = Printf.sprintf "%s, %s denied" name rule.Ea_mpu.rule_name in
+          let cpu = Device.cpu device in
+          let context = Ra_mcu.Cpu.context cpu in
+          (match handle device with
+          | Error (Verdict.Fault { fault_addr; fault_code }) ->
+            Alcotest.(check int) (what ^ ": at the cell") addr fault_addr;
+            Alcotest.(check string) (what ^ ": in the anchor") Device.region_attest
+              fault_code
+          | Error v -> Alcotest.failf "%s: expected Fault, got %a" what Verdict.pp v
+          | Ok () -> Alcotest.failf "%s: accepted" what
+          | exception e -> Alcotest.failf "%s: raised %s" what (Printexc.to_string e));
+          Alcotest.(check string) (what ^ ": context restored") context
+            (Ra_mcu.Cpu.context cpu))
+        cells)
+    table
+
 let tests =
   [
     QCheck_alcotest.to_alcotest prop_json_roundtrip;
@@ -196,4 +296,6 @@ let tests =
     Alcotest.test_case "labels stable" `Quick test_labels_stable;
     Alcotest.test_case "freshness alias" `Quick test_freshness_alias;
     Alcotest.test_case "handler conversions" `Quick test_handler_conversions;
+    Alcotest.test_case "every handler faults on a denied cell" `Quick
+      test_denied_cell_is_fault;
   ]
