@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain dune underneath.
 
-.PHONY: all build test bench smoke examples docs clean loc
+.PHONY: all build test bench smoke examples docs clean loc digests
 
 all: build
 
@@ -23,6 +23,17 @@ smoke:
 	BENCH_SMOKE=1 dune exec bench/main.exe -- table1 table2 table3 overhead clocks lattice hotpath obs-overhead chaos trace sched prof server forensics session
 	dune exec bin/ra_cli.exe -- profile --folded profile.folded --out profile.perfetto.json
 	dune exec bin/ra_cli.exe -- replay --diagnosis diagnosis.jsonl --perfetto replay.perfetto.json
+
+# every BENCHMARK.json workload once at full size and the default seed
+# (a few seconds each): run.sh reports "correct":true only when no
+# operation failed and the simulated outputs hash to the digest pinned in
+# bench/e2e/ra_bench.ml. dune runtest checks the smoke-size digests only.
+digests:
+	@for w in $$(sed -n 's/.*{"name": "\([^"]*\)", "why".*/\1/p' BENCHMARK.json); do \
+	  line=$$(bash bench/e2e/run.sh --workload $$w --seconds 0.01 | tail -n 1); \
+	  echo "$$w: $$line"; \
+	  case "$$line" in *'"correct":true'*) ;; *) echo "$$w: digest or operations wrong" >&2; exit 1 ;; esac; \
+	done
 
 examples:
 	dune exec examples/quickstart.exe

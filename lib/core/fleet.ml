@@ -610,11 +610,7 @@ type replay = {
 let replay_capsule t (cap : Ra_obs.Forensics.capsule) =
   let open Ra_obs.Forensics in
   let n_cells = List.length cap.cap_losses * List.length cap.cap_policies in
-  if cap.cap_kind = Deadline_miss then
-    Error
-      "deadline-miss capsules record an open-loop server queue; not replayable \
-       standalone"
-  else if cap.cap_config <> config_digest t then
+  if cap.cap_config <> config_digest t then
     Error "capsule was captured on a different fleet configuration"
   else if cap.cap_prior_sweeps <> 0 then
     Error "member had pre-sweep history; fresh-session replay is unsound"

@@ -193,9 +193,9 @@ val replay_capsule : t -> Ra_obs.Forensics.capsule -> (replay, string) result
     is compared byte-for-byte. The fast-forward runs the sweep's own
     member round driver, so replay cannot drift from capture. [Error]
     explains why a capsule cannot be
-    replayed against this fleet (deadline-miss kind, config mismatch,
-    pre-sweep member history, out-of-range indices, or an impairment
-    seed that does not re-derive — a tampered capsule). *)
+    replayed against this fleet (config mismatch, pre-sweep member
+    history, out-of-range indices, or an impairment seed that does not
+    re-derive — a tampered capsule). *)
 
 val annotate_exemplars : t -> int
 (** Stamp the captured capsules into [ra_chaos_round_time_ms] as bucket

@@ -1,8 +1,6 @@
 module Simtime = Ra_net.Simtime
 module Trace = Ra_net.Trace
 module Channel = Ra_net.Channel
-module Device = Ra_mcu.Device
-module Cpu = Ra_mcu.Cpu
 module C = Ra_crypto
 
 (* ---- RFC 6479-style sliding anti-replay window ----------------------- *)
@@ -242,29 +240,6 @@ type responder = {
   mutable r_closed : bool;
 }
 
-let responder_send r wire =
-  let bytes = Message.wire_to_bytes wire in
-  Session.prover_radio r.r_session ~bytes:(String.length bytes);
-  Channel.send (Session.channel r.r_session) ~src:Channel.Prover_side bytes
-
-(* Run the trust anchor under the modeled CPU and keep the shared wall
-   clock in lock-step with the consumed cycles — same discipline as the
-   plain prover handler in [Session.create]. *)
-let anchored session name f =
-  let trace = Session.trace session in
-  Trace.causal_span trace ~cat:"secure" name (fun () ->
-      let cpu = Device.cpu (Session.device session) in
-      let before = Cpu.elapsed_seconds cpu in
-      let span = Ra_obs.Span.enter (Trace.spans trace) name in
-      let result = f () in
-      let spent = Cpu.elapsed_seconds cpu -. before in
-      Simtime.advance_by (Session.time session) spent;
-      let result_label =
-        match result with Ok _ -> "attested" | Error v -> Verdict.label v
-      in
-      Ra_obs.Span.exit (Trace.spans trace) ~labels:[ ("result", result_label) ] span;
-      result)
-
 let responder_stats r = r.r_stats
 let confirmed r = r.r_confirmed
 let responder_session_up r = r.r_peer <> None
@@ -305,7 +280,8 @@ let listen ?(window_bits = 128) session =
              Hs_init dies in the anchor's freshness cell, before any
              session state exists. *)
           match
-            anchored session "secure.hs.attest" (fun () ->
+            Session.prover_step session ~cat:"secure" ~ok:"attested" "secure.hs.attest"
+              (fun () ->
                 Code_attest.handle_request (Session.anchor session) hs_req)
           with
           | Error _ -> ()
@@ -325,7 +301,7 @@ let listen ?(window_bits = 128) session =
             r.r_peer <- Some (derive_peer ~sym_key ~th ~bits:r.r_bits `Responder);
             r.r_confirmed <- false;
             r.r_closed <- false;
-            responder_send r full)
+            Session.prover_send session full)
         | Some (Message.Hs_fin { fin_tag }) -> (
           match r.r_peer with
           | None -> ()
@@ -352,11 +328,13 @@ let listen ?(window_bits = 128) session =
               match opened with
               | Msg (Message.Request req) -> (
                 match
-                  anchored session "secure.record.attest" (fun () ->
+                  Session.prover_step session ~cat:"secure" ~ok:"attested"
+                    "secure.record.attest" (fun () ->
                       Code_attest.handle_channel_request (Session.anchor session) req)
                 with
                 | Ok resp ->
-                  responder_send r (seal peer (inner_msg (Message.Response resp)))
+                  Session.prover_send session
+                    (seal peer (inner_msg (Message.Response resp)))
                 | Error _ -> ())
               | Close ->
                 (* acknowledge, then detach — from {e inside} this very
@@ -364,7 +342,7 @@ let listen ?(window_bits = 128) session =
                    (frame never re-dispatched, later frames fall through
                    to the handler below) is what makes this teardown
                    shape safe *)
-                responder_send r (seal peer inner_close_ack);
+                Session.prover_send session (seal peer inner_close_ack);
                 r.r_closed <- true;
                 teardown_responder r
               | Close_ack | Msg _ -> ())))

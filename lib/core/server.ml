@@ -48,8 +48,6 @@ type t = {
   admission : pending Admission.t;
   counters : (string, int64) Hashtbl.t; (* last counter accepted as Trusted *)
   record : bool;
-  capture : bool; (* record a forensic capsule per deadline miss *)
-  mutable capsules_rev : Ra_obs.Forensics.capsule list;
   mutable chunk : outcome array; (* the newest chunk of the outcome log *)
   mutable fill : int; (* outcomes in [chunk] *)
   mutable full : outcome array list; (* the log's older chunks, newest first *)
@@ -91,7 +89,7 @@ module Batch = struct
   let verify verifier resps = Verifier.check_reports verifier resps
 end
 
-let create ?(record_outcomes = false) ?(capture = false) ~sched cfg =
+let create ?(record_outcomes = false) ~sched cfg =
   if cfg.sc_batch < 1 then Error "Server.create: batch must be >= 1"
   else if cfg.sc_linger_s < 0.0 then Error "Server.create: linger must be >= 0"
   else if cfg.sc_block_s <= 0.0 then Error "Server.create: block time must be > 0"
@@ -111,8 +109,6 @@ let create ?(record_outcomes = false) ?(capture = false) ~sched cfg =
             admission;
             counters = Hashtbl.create 64;
             record = record_outcomes;
-            capture;
-            capsules_rev = [];
             chunk = [||];
             fill = 0;
             full = [];
@@ -196,14 +192,7 @@ let flush t =
     List.iter
       (fun p ->
         reject t ~device:p.p_device ~tag:p.p_tag ~arrived:p.p_arrived ~done_:start
-          Verdict.Reason.Timed_out;
-        if t.capture then
-          t.capsules_rev <-
-            Ra_obs.Forensics.deadline_miss ~device:p.p_device ~tag:p.p_tag
-              ~arrived:p.p_arrived ~done_:start
-              ~verdict:
-                (Ra_obs.Json.Str (Verdict.Reason.label Verdict.Reason.Timed_out))
-            :: t.capsules_rev)
+          Verdict.Reason.Timed_out)
       expired;
     if fresh <> [] then begin
       let arr = Array.of_list fresh in
@@ -335,8 +324,6 @@ let outcomes t =
   if t.fill > 0 then t.listed <- t.listed @ unchunk t [];
   t.listed
 
-let capsules t = List.rev t.capsules_rev
-
 let publish ?registry t =
   let inc ?labels name by =
     if by > 0 then Registry.Counter.inc ~by (Registry.Counter.get ?registry ?labels name)
@@ -402,10 +389,10 @@ module Load = struct
   let impair_root seed = Int64.lognot seed
   let junk_root seed = Int64.add seed 0x5eed_f00dL
 
-  let run_shard cfg traffic ~record_outcomes ~capture (range : Shard.range) =
+  let run_shard cfg traffic ~record_outcomes (range : Shard.range) =
     let sched = Sched.create () in
     let server =
-      match create ~record_outcomes ~capture ~sched cfg with
+      match create ~record_outcomes ~sched cfg with
       | Ok s -> s
       | Error msg -> invalid_arg ("Server.Load.run: " ^ msg)
     in
@@ -507,7 +494,7 @@ module Load = struct
     done;
     server
 
-  let run ?(engine = `Shards 1) ?(record_outcomes = false) ?forensics cfg traffic =
+  let run ?(engine = `Shards 1) ?(record_outcomes = false) cfg traffic =
     (match create ~sched:(Sched.create ()) cfg with
     | Ok _ -> ()
     | Error msg -> invalid_arg ("Server.Load.run: " ^ msg));
@@ -517,23 +504,13 @@ module Load = struct
     let members = traffic.tr_devices + traffic.tr_flood_sources in
     let parts = Shard.partition ~members ~shards in
     let servers = Array.make shards None in
-    let capture = Option.is_some forensics in
     Shard.run ~shards (fun s ->
-        servers.(s) <- Some (run_shard cfg traffic ~record_outcomes ~capture parts.(s)));
+        servers.(s) <- Some (run_shard cfg traffic ~record_outcomes parts.(s)));
     let servers =
       Array.map
         (function Some s -> s | None -> assert false (* Shard.run ran every shard *))
         servers
     in
-    (* capsules buffered per shard during the run, merged into the ring
-       in shard order on the coordinator — the Recorder is not
-       thread-safe, and shard order makes the stream deterministic *)
-    (match forensics with
-    | None -> ()
-    | Some f ->
-      Array.iter
-        (fun s -> List.iter (Ra_obs.Forensics.capture f) (capsules s))
-        servers);
     let per_shard = Array.map stats servers in
     let sum f = Array.fold_left (fun acc s -> acc + f s) 0 per_shard in
     let counts = Array.make Verdict.Reason.count 0 in

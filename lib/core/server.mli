@@ -12,8 +12,8 @@
       so drops under attack are attributed to [rate_limited] /
       [queue_full] — never to verification starvation ([timed_out]).
     - {b Batched verification}: queued reports are drained in batches
-      of up to [sc_batch]; one precomputed HMAC key context (PR 1's
-      midstate cache, held by the {!Verifier}) serves the whole batch,
+      of up to [sc_batch]; one precomputed HMAC key context (the
+      ipad/opad midstates, held by the {!Verifier}) serves the whole batch,
       so per-report cost drops by the two pad compressions an
       unbatched server pays per report ({!Batch} exposes both paths;
       the bench gates the ratio).
@@ -26,7 +26,10 @@
 
     Rejections on this side of the wire use the same {!Verdict.reason}
     vocabulary (and Prometheus [reason] label values) as the
-    prover-side {!Service} stats. *)
+    prover-side {!Service} stats. A report that waits in the queue past
+    [sc_deadline_s] is counted as [timed_out] in {!stats} and, with
+    [~record_outcomes:true], kept as an {!outcome}; the server keeps no
+    other record of it. *)
 
 type config = {
   sc_verifier : Verifier.Config.t;  (** the only way to configure the verifier *)
@@ -65,7 +68,6 @@ type t
 
 val create :
   ?record_outcomes:bool ->
-  ?capture:bool ->
   sched:Sched.t ->
   config ->
   (t, string) result
@@ -78,9 +80,7 @@ val create :
     completion time) and one pointer in a 1,024-entry chunk of the log;
     rejections for one reason share one [Error] value, and the first
     recorded outcome allocates the first chunk. Without it a request
-    leaves nothing behind. With [capture] (default false) every
-    deadline-missed request additionally records a
-    {!Ra_obs.Forensics.Deadline_miss} capsule — see {!capsules}. *)
+    leaves nothing behind. *)
 
 val register_device : t -> string -> unit
 (** Known-class admission (private token bucket) + a freshness slot for
@@ -118,12 +118,6 @@ val outcomes : t -> outcome list
     The first call builds the list from the log's chunks (one list cell,
     24 B, per outcome) and lets go of the chunks; later calls return the
     same list, extended by any outcome recorded since. *)
-
-val capsules : t -> Ra_obs.Forensics.capsule list
-(** Deadline-miss capsules, chronological; empty unless created with
-    [~capture:true]. Buffered on the server itself (not pushed into a
-    shared ring) so sharded runs stay race-free — {!Load.run} merges
-    them in shard order. *)
 
 val publish : ?registry:Ra_obs.Registry.t -> t -> unit
 (** Push the server's totals into the metric registry:
@@ -190,7 +184,6 @@ module Load : sig
   val run :
     ?engine:[ `Shards of int ] ->
     ?record_outcomes:bool ->
-    ?forensics:Ra_obs.Forensics.t ->
     config ->
     traffic ->
     report * outcome list
@@ -206,8 +199,6 @@ module Load : sig
       outcomes in chronological order and the shards in shard order,
       built once from the shard servers' logs (about 88 B per outcome on
       a 64-bit host).
-      With [forensics], every shard server captures deadline-miss
-      capsules, merged into the given ring in shard order after the run.
       @raise Invalid_argument on an invalid [config] or [shards < 1]. *)
 
   val slo_watch :

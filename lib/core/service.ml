@@ -107,16 +107,63 @@ let make_request ~sym_key ~scheme ~freshness command =
   in
   { command; freshness; tag }
 
+(* What a command's acknowledgement reports once its body has run; the
+   verifier expects exactly this for the command it sent. *)
+let result_of = function
+  | Ping -> "pong"
+  | Secure_erase -> "erased"
+  | Code_update { image } -> "updated to " ^ C.Hexutil.to_hex (C.Sha256.digest image)
+
+(* What the acknowledgement's HMAC covers: the command, the request's
+   freshness field and the result, so an ack answers one request only *)
+let ack_parts command freshness =
+  [
+    "ACK";
+    command_name command;
+    "|";
+    Message.freshness_bytes freshness;
+    result_of command;
+  ]
+
+let check_ack ~sym_key req wire =
+  match wire with
+  | Message.Service_ack { acked_command; ack_report } ->
+    String.equal acked_command (command_name req.command)
+    && C.Hmac.verify_with (Auth.keyed sym_key)
+         ~msg:(String.concat "" (ack_parts req.command req.freshness))
+         ~tag:ack_report
+  | Message.Request _ | Message.Response _ | Message.Sync_request _
+  | Message.Sync_response _ | Message.Service_request _ | Message.Hs_init _
+  | Message.Hs_resp _ | Message.Hs_fin _ | Message.Record _ ->
+    false
+
 let cpu t = Device.cpu t.device
+let app_region t = Ra_mcu.Memory.region_named (Device.memory t.device) Device.region_app
 
 (* Modeled costs of the service bodies: a RAM write per erased byte and a
    flash word program (slow: 20 cycles/word here) per 4 image bytes. *)
 let erase_cycles len = Int64.of_int (2 * len)
 let update_cycles len = Int64.of_int (20 * ((len + 3) / 4))
 
+(* An image longer than the app region would run into the NVRAM cells
+   behind it: the request faults at the region's end before any write,
+   its freshness cell included. *)
+let fits t = function
+  | Code_update { image } ->
+    let region = app_region t in
+    if String.length image <= region.Ra_mcu.Region.size then Ok ()
+    else
+      Error
+        (Verdict.Fault
+           {
+             fault_addr = region.Ra_mcu.Region.base + region.Ra_mcu.Region.size;
+             fault_code = Device.region_attest;
+           })
+  | Secure_erase | Ping -> Ok ()
+
 let execute t command =
   match command with
-  | Ping -> "pong"
+  | Ping -> ()
   | Secure_erase ->
     let base = Device.attested_base t.device in
     let len = Device.attested_len t.device in
@@ -130,21 +177,16 @@ let execute t command =
         wipe (off + n)
       end
     in
-    wipe 0;
-    "erased"
+    wipe 0
   | Code_update { image } ->
-    let region = Ra_mcu.Memory.region_named (Device.memory t.device) Device.region_app in
-    if String.length image > region.Ra_mcu.Region.size then "image too large"
-    else begin
-      Cpu.consume_cycles (cpu t) (update_cycles (String.length image));
-      Cpu.store_bytes (cpu t) region.Ra_mcu.Region.base image;
-      "updated to " ^ C.Hexutil.to_hex (C.Sha256.digest image)
-    end
+    Cpu.consume_cycles (cpu t) (update_cycles (String.length image));
+    Cpu.store_bytes (cpu t) (app_region t).Ra_mcu.Region.base image
 
 let handle t req =
+  let ( let* ) = Result.bind in
   let run () =
     Cpu.consume_cycles (cpu t) 200L;
-    let authenticated =
+    let* () =
       match t.scheme with
       | None -> Ok ()
       | Some _ ->
@@ -153,27 +195,22 @@ let handle t req =
               ~body:(request_body req.command req.freshness)
               req.tag)
     in
-    match authenticated with
-    | Error e -> Error e
-    | Ok () ->
-      (match
-         Ra_obs.Span.with_span t.spans "service.freshness" (fun () ->
-             Freshness.check_and_update t.freshness req.freshness)
-       with
-      | Error e -> Error (Verdict.Not_fresh e)
-      | Ok () ->
-        let result =
-          Ra_obs.Span.with_span t.spans
-            ~labels:[ ("command", command_name req.command) ]
-            "service.execute"
-            (fun () -> execute t req.command)
-        in
-        let key = Auth.blob_sym_key (Code_attest.key_blob t.device) in
-        Ok
-          {
-            acked_command = command_name req.command;
-            ack_report = C.Hmac.mac_parts (Auth.keyed key) [ "ACK"; result ];
-          })
+    let* () = fits t req.command in
+    let* () =
+      Ra_obs.Span.with_span t.spans "service.freshness" (fun () ->
+          Freshness.check_and_update t.freshness req.freshness)
+      |> Result.map_error (fun e -> Verdict.Not_fresh e)
+    in
+    Ra_obs.Span.with_span t.spans
+      ~labels:[ ("command", command_name req.command) ]
+      "service.execute"
+      (fun () -> execute t req.command);
+    let key = Auth.blob_sym_key (Code_attest.key_blob t.device) in
+    Ok
+      {
+        acked_command = command_name req.command;
+        ack_report = C.Hmac.mac_parts (Auth.keyed key) (ack_parts req.command req.freshness);
+      }
   in
   let result = Code_attest.protected t.device run in
   (match result with

@@ -22,7 +22,9 @@ type request = {
 
 type ack = {
   acked_command : string; (* name echo *)
-  ack_report : string; (* HMAC under K_attest over the result *)
+  ack_report : string;
+      (* HMAC under K_attest over the command, the request's freshness
+         field and the result; see {!check_ack} *)
 }
 
 type stats = {
@@ -71,10 +73,20 @@ val make_request :
 
 val handle : t -> request -> (ack, Verdict.t) result
 (** Authenticate, check freshness ({!Code_attest}'s defence sequence),
-    then execute the command body with its modeled cycle cost (erase: one write per byte; update: one flash
-    word program per 4 bytes; ping: bookkeeping only). Rejects with
-    [Bad_auth], [Not_fresh] or, when the EA-MPU denies the handler an
-    access, [Fault]. *)
+    then execute the command body with its modeled cycle cost (erase:
+    one write per byte; update: one flash word program per 4 bytes; ping:
+    bookkeeping only). Rejects with [Bad_auth], [Not_fresh] or, when the
+    EA-MPU denies the handler an access, [Fault]. A [Code_update] image
+    longer than the app region is a [Fault] at the region's end, raised
+    after authentication and before the freshness cell or the region is
+    written. *)
+
+val check_ack : sym_key:string -> request -> Message.wire -> bool
+(** Verifier side: [true] iff the frame is a [Service_ack] for [request]'s
+    command whose report is
+    [HMAC-SHA1(sym_key, "ACK" ‖ name ‖ "|" ‖ freshness ‖ result)], with
+    the request's freshness field and the result the command must have:
+    ["pong"], ["erased"] or ["updated to <hex SHA-256 of the image>"]. *)
 
 val request_to_wire : request -> Message.wire
 (** Serialize for the channel (frame type [V]). *)

@@ -20,7 +20,8 @@ type t = {
   mutable sync_counter : int64;
   mutable sync_acks : int;
   mutable service_counter : int64;
-  mutable service_acks : string list;
+  mutable service_request : Service.request option; (* the open round's *)
+  mutable service_acks : int;
   mutable profiler : Ra_obs.Profiler.t option;
   mutable profile_device : string;
   mutable in_flight : bool; (* a retry round is awaiting its verdict *)
@@ -60,6 +61,29 @@ let prover_radio t ~bytes =
   | Some _ ->
     profile_phase t "radio" ~cycles:0L
       ~nj:(float_of_int bytes *. Ra_mcu.Energy.radio_uj_per_byte energy *. 1e3)
+
+let prover_send t wire =
+  let frame = Message.wire_to_bytes wire in
+  prover_radio t ~bytes:(String.length frame);
+  Channel.send t.channel ~src:Channel.Prover_side frame
+
+let prover_step t ~cat ~ok ?reply name handle =
+  Trace.causal_span t.trace ~cat name (fun () ->
+      let cpu = Device.cpu t.prover.Architecture.device in
+      let before = Cpu.elapsed_seconds cpu in
+      (* the span closes after Simtime catches up with the consumed
+         cycles, so its duration equals the handler's simulated work *)
+      let span = Ra_obs.Span.enter (Trace.spans t.trace) name in
+      let result = handle () in
+      Simtime.advance_by t.time (Cpu.elapsed_seconds cpu -. before);
+      let label = match result with Ok _ -> ok | Error v -> Verdict.label v in
+      Ra_obs.Span.exit (Trace.spans t.trace) ~labels:[ ("result", label) ] span;
+      (match reply with
+      | None -> ()
+      | Some reply ->
+        Trace.causal_instant t.trace ~cat ~labels:[ ("result", label) ] "prover.result";
+        Result.iter (fun v -> prover_send t (reply v)) result);
+      result)
 
 let create ?(spec = Architecture.trustlite_base) ?(sym_key = default_sym_key)
     ?(ram_seed = 42L) ?ram_size () =
@@ -117,7 +141,8 @@ let create ?(spec = Architecture.trustlite_base) ?(sym_key = default_sym_key)
       sync_counter = 0L;
       sync_acks = 0;
       service_counter = 0L;
-      service_acks = [];
+      service_request = None;
+      service_acks = 0;
       profiler = None;
       profile_device = "prover";
       in_flight = false;
@@ -139,47 +164,25 @@ let create ?(spec = Architecture.trustlite_base) ?(sym_key = default_sym_key)
       | Some wire ->
       match wire with
       | Message.Request req ->
-        Trace.causal_span trace ~cat:"prover" "prover.attest" (fun () ->
-        let cpu = Device.cpu prover.Architecture.device in
-        let before = Cpu.elapsed_seconds cpu in
-        (* the span closes after Simtime catches up with the consumed
-           cycles, so its duration equals the anchor's simulated work *)
-        let span = Ra_obs.Span.enter (Trace.spans trace) "prover.attest" in
-        let result = Code_attest.handle_request prover.Architecture.anchor req in
-        let spent = Cpu.elapsed_seconds cpu -. before in
-        Simtime.advance_by time spent;
-        let result_label =
-          match result with Ok _ -> "attested" | Error v -> Verdict.label v
-        in
-        Ra_obs.Span.exit (Trace.spans trace)
-          ~labels:[ ("result", result_label) ]
-          span;
-        Trace.causal_instant trace ~cat:"prover"
-          ~labels:[ ("result", result_label) ]
-          "prover.result";
-        match result with
-        | Ok resp ->
-          let reply = Message.wire_to_bytes (Message.Response resp) in
-          prover_radio t ~bytes:(String.length reply);
-          Channel.send channel ~src:Channel.Prover_side reply
-        | Error _ -> ())
+        ignore
+          (prover_step t ~cat:"prover" ~ok:"attested" "prover.attest"
+             ~reply:(fun resp -> Message.Response resp)
+             (fun () -> Code_attest.handle_request prover.Architecture.anchor req))
       | Message.Sync_request _ as sync_req ->
-        (match t.clock_sync with
-        | None -> ()
-        | Some sync ->
-          (match Clock_sync.handle sync sync_req with
-          | Ok ack ->
-            Channel.send channel ~src:Channel.Prover_side (Message.wire_to_bytes ack)
-          | Error _ -> ()))
+        Option.iter
+          (fun sync ->
+            ignore
+              (prover_step t ~cat:"prover" ~ok:"synced" "prover.sync" ~reply:Fun.id
+                 (fun () -> Clock_sync.handle sync sync_req)))
+          t.clock_sync
       | Message.Service_request _ as svc_frame ->
-        (match Service.request_of_wire svc_frame with
-        | None -> ()
-        | Some svc_req ->
-          (match Service.handle t.service svc_req with
-          | Ok ack ->
-            Channel.send channel ~src:Channel.Prover_side
-              (Message.wire_to_bytes (Service.ack_to_wire ack))
-          | Error _ -> ()))
+        Option.iter
+          (fun svc_req ->
+            ignore
+              (prover_step t ~cat:"prover" ~ok:"executed" "prover.service"
+                 ~reply:Service.ack_to_wire
+                 (fun () -> Service.handle t.service svc_req)))
+          (Service.request_of_wire svc_frame)
       | Message.Sync_response _ | Message.Response _ | Message.Service_ack _
       | Message.Hs_init _ | Message.Hs_resp _ | Message.Hs_fin _
       | Message.Record _ ->
@@ -211,8 +214,12 @@ let create ?(spec = Architecture.trustlite_base) ?(sym_key = default_sym_key)
       | Message.Sync_response _ as ack ->
         if Clock_sync.check_sync_ack ~sym_key:t.sym_key ~counter:t.sync_counter ack then
           t.sync_acks <- t.sync_acks + 1
-      | Message.Service_ack { acked_command; _ } ->
-        t.service_acks <- acked_command :: t.service_acks
+      | Message.Service_ack _ as ack ->
+        (match t.service_request with
+        | Some req when Service.check_ack ~sym_key:t.sym_key req ack ->
+          t.service_request <- None;
+          t.service_acks <- t.service_acks + 1
+        | Some _ | None -> ())
       | Message.Request _ | Message.Sync_request _ | Message.Service_request _
       | Message.Hs_init _ | Message.Hs_resp _ | Message.Hs_fin _
       | Message.Record _ ->
@@ -340,12 +347,14 @@ let service_round t command =
           ~freshness:(Message.F_counter t.service_counter)
           command
       in
-      let before = List.length t.service_acks in
+      let before = t.service_acks in
+      t.service_request <- Some req;
       Channel.send t.channel ~src:Channel.Verifier_side
         (Message.wire_to_bytes (Service.request_to_wire req));
       let _ = deliver_next_to_prover t in
-      drain t (fun () -> List.length t.service_acks > before);
-      List.length t.service_acks > before)
+      drain t (fun () -> t.service_acks > before);
+      t.service_request <- None;
+      t.service_acks > before)
 
 let prover_wall_ms t =
   match t.clock_sync with None -> 0L | Some sync -> Clock_sync.now_ms sync

@@ -1,7 +1,9 @@
 (** Wiring of one verifier and one prover over a Dolev-Yao channel, with
-    simulated time kept consistent: while the prover's trust anchor
-    burns cycles, the shared wall clock advances by the same amount, so
-    timestamps, delays and battery drain all line up.
+    simulated time kept consistent: every prover handler — attestation,
+    clock sync, the service layer and {!Secure_session}'s responder —
+    runs as one {!prover_step}, so while it burns cycles the shared wall
+    clock advances by the same amount, and timestamps, delays and
+    battery drain all line up.
 
     The channel delivers nothing by itself — call {!attest_round} for a
     benign exchange (the "adversary" forwards promptly) or drive the
@@ -184,9 +186,11 @@ val sync_round : t -> bool
 
 val service_round : t -> Service.command -> bool
 (** One authenticated service invocation (future-work item 3) over the
-    channel: secure erase, code update or ping; [true] on a received
-    acknowledgement. The service layer uses its own freshness cell with
-    a counter policy and the session's symmetric key. *)
+    channel: secure erase, code update or ping; [true] once the verifier
+    receives an acknowledgement that {!Service.check_ack} accepts for
+    this round's request (a forged ack, or one recorded from an earlier
+    round, does not count). The service layer uses its own freshness
+    cell with a counter policy and the session's symmetric key. *)
 
 val prover_wall_ms : t -> int64
 (** The prover's offset-corrected wall-clock (0 without a clock). *)
@@ -240,9 +244,30 @@ val profiling : t -> Ra_obs.Profiler.t option
 
 val prover_radio : t -> bytes:int -> unit
 (** Charge the prover's battery for [bytes] of radio traffic and, when
-    profiling is on, record the matching [radio] sample. The plain
-    prover handler and {!Secure_session}'s responder make every radio
-    charge through this. *)
+    profiling is on, record the matching [radio] sample. Every radio
+    charge of the prover goes through this: on each received frame, and
+    through {!prover_send} on each sent one. *)
+
+val prover_send : t -> Message.wire -> unit
+(** Charge the radio for the frame's bytes and send it prover→verifier. *)
+
+val prover_step :
+  t ->
+  cat:string ->
+  ok:string ->
+  ?reply:('a -> Message.wire) ->
+  string ->
+  (unit -> ('a, Verdict.t) result) ->
+  ('a, Verdict.t) result
+(** [prover_step t ~cat ~ok name handle] runs one prover handler inside a
+    causal span (category [cat]) and a registry span, both named [name]:
+    [handle] runs on the device CPU, {!time} advances by the cycles it
+    consumed, and then the registry span closes with label [result] —
+    [ok] or the verdict's label — so its duration is the handler's
+    simulated work. With [reply], the step then records a
+    [prover.result] instant and, on [Ok], sends the reply through
+    {!prover_send}, both inside the causal span; without it the caller
+    answers after the span has closed. *)
 
 val advance_time : t -> seconds:float -> unit
 (** Let wall-clock time pass for everyone: the network clock and the

@@ -21,14 +21,13 @@ module Config = struct
     scheme : Timing.auth_scheme option;
     freshness_kind : freshness_kind;
     sym_key : string;
-    ecdsa_seed : string;
     time : Simtime.t;
     reference_image : string;
   }
 
-  let v ?scheme ?(freshness_kind = Fk_nonce) ?(ecdsa_seed = "verifier")
-      ?(reference_image = "") ~sym_key ~time () =
-    { scheme; freshness_kind; sym_key; ecdsa_seed; time; reference_image }
+  let v ?scheme ?(freshness_kind = Fk_nonce) ?(reference_image = "") ~sym_key ~time
+      () =
+    { scheme; freshness_kind; sym_key; time; reference_image }
 end
 
 let of_config (cfg : Config.t) =
@@ -36,12 +35,11 @@ let of_config (cfg : Config.t) =
     Error
       (Printf.sprintf "sym_key must be %d bytes (got %d)" Auth.k_attest_len
          (String.length cfg.Config.sym_key))
-  else if cfg.Config.ecdsa_seed = "" then Error "ecdsa_seed must be non-empty"
   else begin
     let ecdsa =
       match cfg.Config.scheme with
       | Some Timing.Auth_ecdsa_verify ->
-        Some (C.Ecdsa.generate_keypair C.Ec.secp160r1 ~seed:cfg.Config.ecdsa_seed)
+        Some (C.Ecdsa.generate_keypair C.Ec.secp160r1 ~seed:"verifier")
       | Some
           ( Timing.Auth_hmac_sha1 | Timing.Auth_aes128_cbc_mac
           | Timing.Auth_speck64_cbc_mac )

@@ -18,8 +18,6 @@ module Config : sig
         (** request-authentication scheme; [None] = unauthenticated *)
     freshness_kind : freshness_kind;
     sym_key : string;  (** 20-byte K_attest shared with the prover *)
-    ecdsa_seed : string;
-        (** deterministic seed for the [Auth_ecdsa_verify] keypair *)
     time : Ra_net.Simtime.t;
     reference_image : string;  (** known-good prover memory *)
   }
@@ -27,19 +25,19 @@ module Config : sig
   val v :
     ?scheme:Ra_mcu.Timing.auth_scheme ->
     ?freshness_kind:freshness_kind ->
-    ?ecdsa_seed:string ->
     ?reference_image:string ->
     sym_key:string ->
     time:Ra_net.Simtime.t ->
     unit ->
     t
   (** Record builder with the common defaults: no scheme, [Fk_nonce],
-      seed ["verifier"], empty reference image. *)
+      empty reference image. *)
 end
 
 val of_config : Config.t -> (t, string) result
 (** Validate and build. [Error] (not an exception) on a [sym_key] that is
-    not exactly [Auth.k_attest_len] bytes or an empty [ecdsa_seed]. *)
+    not exactly [Auth.k_attest_len] bytes. An [Auth_ecdsa_verify]
+    verifier derives its keypair from the fixed seed ["verifier"]. *)
 
 val prover_key_blob : t -> string
 (** The blob to provision into the prover's protected key storage. *)

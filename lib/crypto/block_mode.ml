@@ -1,77 +1,11 @@
-type cipher = {
-  block_size : int;
-  encrypt : string -> string;
-  decrypt : string -> string;
-}
+type cipher = { block_size : int; encrypt : string -> string }
 
-let aes k =
-  {
-    block_size = Aes.block_size;
-    encrypt = Aes.encrypt_block k;
-    decrypt = Aes.decrypt_block k;
-  }
-
-let speck k =
-  {
-    block_size = Speck.block_size;
-    encrypt = Speck.encrypt_block k;
-    decrypt = Speck.decrypt_block k;
-  }
-
-let simon k =
-  {
-    block_size = Simon.block_size;
-    encrypt = Simon.encrypt_block k;
-    decrypt = Simon.decrypt_block k;
-  }
+let aes k = { block_size = Aes.block_size; encrypt = Aes.encrypt_block k }
+let speck k = { block_size = Speck.block_size; encrypt = Speck.encrypt_block k }
 
 let pad_pkcs7 block_size s =
   let pad = block_size - (String.length s mod block_size) in
   s ^ String.make pad (Char.chr pad)
-
-let unpad_pkcs7 s =
-  let n = String.length s in
-  if n = 0 then None
-  else
-    let pad = Char.code s.[n - 1] in
-    if pad = 0 || pad > n then None
-    else
-      let ok = ref true in
-      for i = n - pad to n - 1 do
-        if Char.code s.[i] <> pad then ok := false
-      done;
-      if !ok then Some (String.sub s 0 (n - pad)) else None
-
-let cbc_encrypt c ~iv pt =
-  if String.length iv <> c.block_size then invalid_arg "Block_mode.cbc_encrypt: iv";
-  let padded = pad_pkcs7 c.block_size pt in
-  let blocks = Hexutil.chunks c.block_size padded in
-  let buf = Buffer.create (String.length padded) in
-  let _last =
-    List.fold_left
-      (fun prev block ->
-        let ct = c.encrypt (Hexutil.xor prev block) in
-        Buffer.add_string buf ct;
-        ct)
-      iv blocks
-  in
-  Buffer.contents buf
-
-let cbc_decrypt c ~iv ct =
-  if String.length iv <> c.block_size then invalid_arg "Block_mode.cbc_decrypt: iv";
-  if String.length ct = 0 || String.length ct mod c.block_size <> 0 then None
-  else begin
-    let blocks = Hexutil.chunks c.block_size ct in
-    let buf = Buffer.create (String.length ct) in
-    let _last =
-      List.fold_left
-        (fun prev block ->
-          Buffer.add_string buf (Hexutil.xor prev (c.decrypt block));
-          block)
-        iv blocks
-    in
-    unpad_pkcs7 (Buffer.contents buf)
-  end
 
 let ctr_crypt c ~nonce s =
   let nlen = c.block_size - 8 in

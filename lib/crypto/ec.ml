@@ -111,31 +111,3 @@ let equal c p q =
   | None, None -> true
   | Some (x1, y1), Some (x2, y2) -> B.equal x1 x2 && B.equal y1 y2
   | None, Some _ | Some _, None -> false
-
-let coord_bytes c = c.key_bytes - 1
-
-let compress c pt =
-  match to_affine c pt with
-  | None -> invalid_arg "Ec.compress: point at infinity"
-  | Some (x, y) ->
-    let parity = if B.is_odd y then '\x03' else '\x02' in
-    String.make 1 parity ^ B.to_bytes_be ~pad:(coord_bytes c) x
-
-let decompress c s =
-  if String.length s <> coord_bytes c + 1 then None
-  else
-    match s.[0] with
-    | '\x02' | '\x03' ->
-      let want_odd = s.[0] = '\x03' in
-      let x = B.of_bytes_be (String.sub s 1 (coord_bytes c)) in
-      let f = c.field in
-      if B.compare x (Fp.modulus f) >= 0 then None
-      else begin
-        let rhs = Fp.add f (Fp.add f (Fp.mul f (Fp.sqr f x) x) (Fp.mul f c.a x)) c.b in
-        match Fp.sqrt f rhs with
-        | None -> None
-        | Some y ->
-          let y = if B.is_odd y = want_odd then y else Fp.neg f y in
-          Some (of_affine c (x, y))
-      end
-    | _ -> None

@@ -40,12 +40,3 @@ val mul : curve -> Bignum.t -> point -> point
 (** Scalar multiplication, double-and-add. *)
 
 val equal : curve -> point -> point -> bool
-
-val compress : curve -> point -> string
-(** SEC1 compressed encoding: one parity byte (0x02/0x03) followed by the
-    x coordinate (20 bytes for secp160r1).
-    @raise Invalid_argument for the point at infinity. *)
-
-val decompress : curve -> string -> point option
-(** Inverse of {!compress}; [None] on bad length, bad prefix, or an x
-    with no curve point. *)

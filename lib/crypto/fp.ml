@@ -3,7 +3,6 @@ module B = Bignum
 type field = { p : B.t; p_minus_2 : B.t }
 
 let make p = { p; p_minus_2 = B.sub p B.two }
-let modulus f = f.p
 let reduce f a = B.rem a f.p
 
 let add f a b =
@@ -30,10 +29,3 @@ let inv f a =
   let a = reduce f a in
   if B.is_zero a then raise Division_by_zero;
   pow f a f.p_minus_2
-
-let sqrt f a =
-  if B.to_int (B.rem f.p (B.of_int 4)) <> 3 then
-    invalid_arg "Fp.sqrt: modulus not congruent to 3 mod 4";
-  let a = reduce f a in
-  let candidate = pow f a (B.shift_right (B.add f.p B.one) 2) in
-  if B.equal (sqr f candidate) a then Some candidate else None

@@ -90,67 +90,6 @@ let render_prometheus registry =
 let labels_obj labels =
   Json.Obj (List.map (fun (k, v) -> (k, Json.Str v)) labels)
 
-let metrics_jsonl registry =
-  let rows = Registry.snapshot registry in
-  let buf = Buffer.create 1024 in
-  List.iter
-    (fun (name, labels, sample) ->
-      let base =
-        [
-          ("metric", Json.Str name);
-          ("type", Json.Str (sample_type sample));
-          ("labels", labels_obj labels);
-        ]
-      in
-      let value_fields =
-        match sample with
-        | Registry.Counter_sample v -> [ ("value", Json.Num (float_of_int v)) ]
-        | Registry.Gauge_sample v -> [ ("value", Json.Num v) ]
-        | Registry.Histogram_sample { hs_sum; hs_count; hs_buckets; hs_exemplars }
-          ->
-          [
-            ("sum", Json.Num hs_sum);
-            ("count", Json.Num (float_of_int hs_count));
-            ( "buckets",
-              Json.Arr
-                (List.map
-                   (fun (bound, n) ->
-                     Json.Obj
-                       [
-                         ( "le",
-                           if bound = infinity then Json.Str "+Inf"
-                           else Json.Num bound );
-                         ("count", Json.Num (float_of_int n));
-                       ])
-                   hs_buckets) );
-          ]
-          @
-          (* absent (not empty) when no exemplars were set, keeping
-             exemplar-free lines byte-identical to the old format *)
-          (if hs_exemplars = [] then []
-           else
-             [
-               ( "exemplars",
-                 Json.Arr
-                   (List.map
-                      (fun (bound, e) ->
-                        Json.Obj
-                          [
-                            ( "le",
-                              if bound = infinity then Json.Str "+Inf"
-                              else Json.Num bound );
-                            ("value", Json.Num e.Registry.ex_value);
-                            ("trace_id", Json.Str e.Registry.ex_trace_id);
-                            ("at_s", Json.Num e.Registry.ex_at);
-                          ])
-                      hs_exemplars) );
-             ])
-      in
-      Buffer.add_string buf (Json.to_string (Json.Obj (base @ value_fields)));
-      Buffer.add_char buf '\n')
-    rows;
-  Buffer.contents buf
-
 let spans_jsonl ctx =
   let buf = Buffer.create 1024 in
   List.iter
@@ -316,65 +255,6 @@ let perfetto ?(counters = []) ?(phases = []) rounds =
 
 let perfetto_string ?counters ?phases rounds =
   Json.to_string (perfetto ?counters ?phases rounds)
-
-(* ---- Profiles: JSONL sink ---------------------------------------------- *)
-
-let profile_jsonl (p : Profiler.t) =
-  let buf = Buffer.create 1024 in
-  let line obj =
-    Buffer.add_string buf (Json.to_string obj);
-    Buffer.add_char buf '\n'
-  in
-  List.iter
-    (fun (frames, cycles, samples) ->
-      line
-        (Json.Obj
-           [
-             ("kind", Json.Str "stack");
-             ("frames", Json.Arr (List.map (fun f -> Json.Str f) frames));
-             ("cycles", Json.Num (Int64.to_float cycles));
-             ("samples", Json.Num (float_of_int samples));
-           ]))
-    (Profiler.Pc.rows p.Profiler.pc);
-  List.iter
-    (fun (phase, (cycles, nj, n)) ->
-      line
-        (Json.Obj
-           [
-             ("kind", Json.Str "phase_total");
-             ("phase", Json.Str phase);
-             ("cycles", Json.Num (Int64.to_float cycles));
-             ("nj", Json.Num nj);
-             ("samples", Json.Num (float_of_int n));
-           ]))
-    (Profiler.Phases.totals p.Profiler.phases);
-  List.iter
-    (fun (ps : Profiler.phase_sample) ->
-      line
-        (Json.Obj
-           [
-             ("kind", Json.Str "phase_sample");
-             ("at_s", Json.Num ps.Profiler.ps_at);
-             ( "trace_id",
-               match ps.Profiler.ps_trace_id with
-               | None -> Json.Null
-               | Some id -> Json.Num (float_of_int id) );
-             ("device", Json.Str ps.Profiler.ps_device);
-             ("phase", Json.Str ps.Profiler.ps_phase);
-             ("cycles", Json.Num (Int64.to_float ps.Profiler.ps_cycles));
-             ("nj", Json.Num ps.Profiler.ps_nj);
-           ]))
-    (Profiler.Phases.samples p.Profiler.phases);
-  Buffer.contents buf
-
-let rounds_jsonl rounds =
-  let buf = Buffer.create 1024 in
-  List.iter
-    (fun rd ->
-      Buffer.add_string buf (Json.to_string (Trace.round_to_json rd));
-      Buffer.add_char buf '\n')
-    rounds;
-  Buffer.contents buf
 
 let parse_jsonl text =
   let lines = String.split_on_char '\n' text in

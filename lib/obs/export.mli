@@ -1,5 +1,6 @@
-(** Sinks: Prometheus text exposition and JSONL export for metrics and
-    spans, plus a line-oriented parser used by the round-trip tests. *)
+(** Sinks: Prometheus text exposition for metrics, JSONL export for
+    spans with the line-oriented parser that reads it back, and
+    Chrome/Perfetto trace-event JSON for causal rounds. *)
 
 val render_prometheus : Registry.t -> string
 (** Prometheus text exposition format, version 0.0.4: one [# TYPE] line
@@ -9,13 +10,6 @@ val render_prometheus : Registry.t -> string
     Buckets carrying an {!Registry.exemplar} get the OpenMetrics suffix
     [# {trace_id="..."} value timestamp]; exemplar-free output is
     byte-identical to the pre-exemplar exposition. *)
-
-val metrics_jsonl : Registry.t -> string
-(** One JSON object per line:
-    [{"metric": name, "type": "counter"|"gauge"|"histogram",
-      "labels": {...}, ...value fields...}]. Histogram lines carry
-    ["sum"], ["count"] and ["buckets"] (le/count pairs; the overflow
-    bound is the string ["+Inf"]). *)
 
 val spans_jsonl : Span.t -> string
 (** One JSON object per finished span, chronological:
@@ -52,12 +46,3 @@ val perfetto_string :
   ?phases:Profiler.phase_sample list ->
   Trace.round list ->
   string
-
-val profile_jsonl : Profiler.t -> string
-(** One JSON object per line, in three deterministic groups: ["stack"]
-    rows (sorted folded stacks with cycle/sample weights), then
-    ["phase_total"] rows (sorted by phase), then ["phase_sample"] rows
-    (ring order, oldest first). *)
-
-val rounds_jsonl : Trace.round list -> string
-(** One {!Trace.round_to_json} object per line, in the given order. *)

@@ -6,7 +6,7 @@ type retry_policy = {
   cp_jitter : float;
 }
 
-type kind = Failure | Slowest | Deadline_miss
+type kind = Failure | Slowest
 
 type capsule = {
   cap_kind : kind;
@@ -34,43 +34,12 @@ type capsule = {
   cap_config : string;
 }
 
-let kind_label = function
-  | Failure -> "failure"
-  | Slowest -> "slowest"
-  | Deadline_miss -> "deadline_miss"
+let kind_label = function Failure -> "failure" | Slowest -> "slowest"
 
 let kind_of_label = function
   | "failure" -> Some Failure
   | "slowest" -> Some Slowest
-  | "deadline_miss" -> Some Deadline_miss
   | _ -> None
-
-let deadline_miss ~device ~tag ~arrived ~done_ ~verdict =
-  {
-    cap_kind = Deadline_miss;
-    cap_member = tag;
-    cap_name = Option.value ~default:"?" device;
-    cap_sweep_seed = 0L;
-    cap_losses = [];
-    cap_policies = [];
-    cap_rounds_per_member = 0;
-    cap_cell = 0;
-    cap_loss = 0.0;
-    cap_policy = "deadline";
-    cap_round = 0;
-    cap_workload = "attest";
-    cap_imp_seed = 0L;
-    cap_prior_sweeps = 0;
-    cap_started_at = arrived;
-    cap_elapsed_s = done_ -. arrived;
-    cap_attempts = 1;
-    cap_verdict = verdict;
-    cap_reason = "timed_out";
-    cap_trace_id = None;
-    cap_phase = None;
-    cap_wire_digest = "";
-    cap_config = "";
-  }
 
 (* --- capture ring --- *)
 
@@ -283,15 +252,10 @@ type diagnosis = {
 }
 
 let signature_of c =
-  let sig_impairment =
-    match c.cap_kind with
-    | Deadline_miss -> "deadline"
-    | Failure | Slowest ->
-      Printf.sprintf "loss=%.0f%% policy=%s" (100.0 *. c.cap_loss) c.cap_policy
-  in
   {
     sig_reason = c.cap_reason;
-    sig_impairment;
+    sig_impairment =
+      Printf.sprintf "loss=%.0f%% policy=%s" (100.0 *. c.cap_loss) c.cap_policy;
     sig_phase = Option.value ~default:"-" c.cap_phase;
   }
 
@@ -304,14 +268,7 @@ let compare_signature a b =
   | c -> c
 
 let triage caps =
-  let caps =
-    List.filter
-      (fun c ->
-        match c.cap_kind with
-        | Failure | Deadline_miss -> true
-        | Slowest -> false)
-      caps
-  in
+  let caps = List.filter (fun c -> c.cap_kind = Failure) caps in
   let total = List.length caps in
   if total = 0 then []
   else begin

@@ -2,9 +2,8 @@
     exemplar wiring.
 
     A {e replay capsule} is a self-contained record of one interesting
-    attestation round — a round that ended non-trusted, the slowest
-    converged round of a chaos cell, or a server-side deadline miss. It
-    carries everything the fleet layer needs to re-execute exactly that
+    chaos-sweep round — a round that ended non-trusted, or the slowest
+    converged round of a chaos cell. It carries everything the fleet layer needs to re-execute exactly that
     round standalone ([Ra_core.Fleet.replay_capsule]): the sweep seed,
     the full cell grid, the member's position (its impairment seed is the
     pure function [Impairment.derive_seed ~root ~index] of them), the
@@ -40,11 +39,10 @@ type retry_policy = {
 type kind =
   | Failure  (** a chaos round that ended non-trusted *)
   | Slowest  (** the slowest converged round of a chaos cell *)
-  | Deadline_miss  (** a server request expired in the queue *)
 
 type capsule = {
   cap_kind : kind;
-  cap_member : int;  (** member index in the sweep (request tag for servers) *)
+  cap_member : int;  (** member index in the sweep *)
   cap_name : string;  (** member/device name *)
   cap_sweep_seed : int64;  (** the [chaos_sweep ~seed] root *)
   cap_losses : float list;  (** the sweep's loss grid, outer axis *)
@@ -80,20 +78,7 @@ type capsule = {
 }
 
 val kind_label : kind -> string
-(** ["failure"] / ["slowest"] / ["deadline_miss"]. *)
-
-val deadline_miss :
-  device:string option ->
-  tag:int ->
-  arrived:float ->
-  done_:float ->
-  verdict:Json.t ->
-  capsule
-(** The server-side capsule: a request that expired in the admission
-    queue before verification. Not replayable standalone (no positional
-    seed reconstructs an open-loop arrival process mid-run) — it exists
-    for triage and exemplars, with [cap_policy = "deadline"] as its
-    impairment pattern. *)
+(** ["failure"] / ["slowest"]. *)
 
 (** {1 Capture ring} *)
 
@@ -147,13 +132,12 @@ type diagnosis = {
   dg_example : capsule;  (** first-captured representative *)
 }
 
-val signature_of : capsule -> signature
-
 val triage : capsule list -> diagnosis list
-(** Bucket the {!Failure} and {!Deadline_miss} capsules ([Slowest]
-    capsules are latency exemplars, not failures) by {!signature_of} and
-    rank: highest count first, ties in signature order. Deterministic in
-    the capsule list. *)
+(** Bucket the {!Failure} capsules ([Slowest] capsules are latency
+    exemplars, not failures) by {!signature} — the verdict reason, the
+    cell's loss and policy, and the dominant phase — and rank: highest
+    count first, ties in signature order. Deterministic in the capsule
+    list. *)
 
 val diagnosis_jsonl : diagnosis list -> string
 (** One JSON object per diagnosis row, rank order. *)

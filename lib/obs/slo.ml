@@ -54,21 +54,6 @@ let evaluate ~scope obj ~observed =
 
 let breaches checks = List.filter (fun c -> not c.ck_ok) checks
 
-let cmp_label = function At_most -> "at_most" | At_least -> "at_least"
-
-let check_to_json c =
-  Json.Obj
-    [
-      ("objective", Json.Str c.ck_objective.slo_name);
-      ("comparison", Json.Str (cmp_label c.ck_objective.slo_cmp));
-      ("limit", Json.Num c.ck_objective.slo_limit);
-      ("unit", Json.Str c.ck_objective.slo_unit);
-      ("scope", Json.Str c.ck_scope);
-      ("observed", Json.Num c.ck_observed);
-      ("ok", Json.Bool c.ck_ok);
-      ("margin", Json.Num (margin c.ck_objective ~observed:c.ck_observed));
-    ]
-
 let pp_check fmt c =
   Format.fprintf fmt "%s [%s]: observed %g %s limit %g%s%s -> %s"
     c.ck_objective.slo_name c.ck_scope c.ck_observed

@@ -42,5 +42,4 @@ val evaluate : scope:string -> objective -> observed:float -> check
 val breaches : check list -> check list
 (** The failing subset, in order. *)
 
-val check_to_json : check -> Json.t
 val pp_check : Format.formatter -> check -> unit

@@ -253,116 +253,3 @@ let end_round t ~verdict ~attempts =
   | Some r ->
     t.cur <- None;
     seal t r ~verdict ~attempts
-
-(* ---- JSON round-trip -------------------------------------------------- *)
-
-let kind_label = function Span_event -> "span" | Instant_event -> "instant"
-let kind_of_label = function
-  | "span" -> Some Span_event
-  | "instant" -> Some Instant_event
-  | _ -> None
-
-let labels_to_json labels =
-  Json.Obj (List.map (fun (k, v) -> (k, Json.Str v)) labels)
-
-let event_to_json ev =
-  Json.Obj
-    [
-      ("id", Json.Num (float_of_int ev.ev_id));
-      ( "parent",
-        match ev.ev_parent with
-        | None -> Json.Null
-        | Some p -> Json.Num (float_of_int p) );
-      ("name", Json.Str ev.ev_name);
-      ("cat", Json.Str ev.ev_cat);
-      ("kind", Json.Str (kind_label ev.ev_kind));
-      ("start", Json.Num ev.ev_start);
-      ("stop", Json.Num ev.ev_stop);
-      ("labels", labels_to_json ev.ev_labels);
-    ]
-
-let round_to_json rd =
-  Json.Obj
-    [
-      ("trace_id", Json.Num (float_of_int rd.rd_trace_id));
-      ("device", Json.Str rd.rd_device);
-      ("start", Json.Num rd.rd_start);
-      ("stop", Json.Num rd.rd_stop);
-      ("verdict", Json.Str rd.rd_verdict);
-      ("attempts", Json.Num (float_of_int rd.rd_attempts));
-      ("dropped", Json.Num (float_of_int rd.rd_dropped));
-      ("events", Json.Arr (List.map event_to_json rd.rd_events));
-    ]
-
-let ( let* ) = Option.bind
-
-let labels_of_json j =
-  match j with
-  | Some (Json.Obj fields) ->
-    List.fold_left
-      (fun acc (k, v) ->
-        let* acc = acc in
-        match v with Json.Str s -> Some ((k, s) :: acc) | _ -> None)
-      (Some []) fields
-    |> Option.map List.rev
-  | _ -> None
-
-let event_of_json j =
-  let m k = Json.member k j in
-  let* id = Option.bind (m "id") Json.as_float in
-  let* parent =
-    match m "parent" with
-    | Some Json.Null -> Some None
-    | Some (Json.Num p) -> Some (Some (int_of_float p))
-    | _ -> None
-  in
-  let* name = Option.bind (m "name") Json.as_string in
-  let* cat = Option.bind (m "cat") Json.as_string in
-  let* kind = Option.bind (Option.bind (m "kind") Json.as_string) kind_of_label in
-  let* start = Option.bind (m "start") Json.as_float in
-  let* stop = Option.bind (m "stop") Json.as_float in
-  let* labels = labels_of_json (m "labels") in
-  Some
-    {
-      ev_id = int_of_float id;
-      ev_parent = parent;
-      ev_name = name;
-      ev_cat = cat;
-      ev_kind = kind;
-      ev_start = start;
-      ev_stop = stop;
-      ev_labels = labels;
-    }
-
-let round_of_json j =
-  let m k = Json.member k j in
-  let* trace_id = Option.bind (m "trace_id") Json.as_float in
-  let* device = Option.bind (m "device") Json.as_string in
-  let* start = Option.bind (m "start") Json.as_float in
-  let* stop = Option.bind (m "stop") Json.as_float in
-  let* verdict = Option.bind (m "verdict") Json.as_string in
-  let* attempts = Option.bind (m "attempts") Json.as_float in
-  let* dropped = Option.bind (m "dropped") Json.as_float in
-  let* events =
-    match m "events" with
-    | Some (Json.Arr evs) ->
-      List.fold_left
-        (fun acc ev ->
-          let* acc = acc in
-          let* ev = event_of_json ev in
-          Some (ev :: acc))
-        (Some []) evs
-      |> Option.map List.rev
-    | _ -> None
-  in
-  Some
-    {
-      rd_trace_id = int_of_float trace_id;
-      rd_device = device;
-      rd_start = start;
-      rd_stop = stop;
-      rd_verdict = verdict;
-      rd_attempts = int_of_float attempts;
-      rd_dropped = int_of_float dropped;
-      rd_events = events;
-    }

@@ -3,8 +3,7 @@
     A tracer mints one monotonically-increasing trace id per round and
     collects a tree of timed events (spans and instants) under it. Sealed
     rounds land in a bounded {!Recorder} ring — the per-device "flight
-    recorder" — and can be exported via {!Export.perfetto} /
-    {!Export.rounds_jsonl}.
+    recorder" — and can be exported via {!Export.perfetto}.
 
     Recording only {e reads} the supplied clock: it never advances
     simulated time and never draws randomness, so enabling tracing cannot
@@ -85,11 +84,3 @@ val end_round : t -> verdict:string -> attempts:int -> unit
 (** Seal the open round: closes any spans still open at the round's stop
     time, sorts events and pushes the round into the ring. No-op when no
     round is open. *)
-
-(** {2 JSON round-trip}
-
-    Used by {!Export.rounds_jsonl}; [round_of_json (round_to_json r) = Some r]
-    for rounds with finite timestamps. *)
-
-val round_to_json : round -> Json.t
-val round_of_json : Json.t -> round option

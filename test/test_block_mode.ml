@@ -10,43 +10,7 @@ let test_pkcs7 () =
   Alcotest.(check string) "pads to block" "ab\x02\x02" (Block_mode.pad_pkcs7 4 "ab");
   Alcotest.(check string)
     "full block when aligned" "abcd\x04\x04\x04\x04"
-    (Block_mode.pad_pkcs7 4 "abcd");
-  Alcotest.(check (option string)) "unpad" (Some "ab")
-    (Block_mode.unpad_pkcs7 "ab\x02\x02");
-  Alcotest.(check (option string)) "bad padding value" None
-    (Block_mode.unpad_pkcs7 "ab\x02\x03");
-  Alcotest.(check (option string)) "zero padding byte" None
-    (Block_mode.unpad_pkcs7 "abc\x00");
-  Alcotest.(check (option string)) "empty" None (Block_mode.unpad_pkcs7 "")
-
-let test_cbc_nist_vector () =
-  (* SP 800-38A F.2.1: first CBC block (padding only affects later blocks) *)
-  let c = Block_mode.aes (Aes.expand (unhex "2b7e151628aed2a6abf7158809cf4f3c")) in
-  let iv = unhex "000102030405060708090a0b0c0d0e0f" in
-  let ct = Block_mode.cbc_encrypt c ~iv (unhex "6bc1bee22e409f96e93d7e117393172a") in
-  Alcotest.(check string) "first ct block" "7649abac8119b246cee98e9b12e9197d"
-    (hex (String.sub ct 0 16))
-
-let test_cbc_roundtrip_basic () =
-  let c = aes_cipher () in
-  let iv = String.make 16 'i' in
-  let pt = "the quick brown fox" in
-  Alcotest.(check (option string)) "roundtrip" (Some pt)
-    (Block_mode.cbc_decrypt c ~iv (Block_mode.cbc_encrypt c ~iv pt));
-  Alcotest.(check (option string)) "wrong iv corrupts" None
-    (* first-block corruption usually breaks padding; if padding survives
-       the plaintext differs — accept either by checking inequality *)
-    (match Block_mode.cbc_decrypt c ~iv:(String.make 16 'j')
-             (Block_mode.cbc_encrypt c ~iv pt) with
-     | Some p when p = pt -> Some p
-     | Some _ | None -> None)
-
-let test_cbc_rejects_bad_ct () =
-  let c = aes_cipher () in
-  let iv = String.make 16 'i' in
-  Alcotest.(check (option string)) "empty ct" None (Block_mode.cbc_decrypt c ~iv "");
-  Alcotest.(check (option string)) "ragged ct" None
-    (Block_mode.cbc_decrypt c ~iv (String.make 17 'x'))
+    (Block_mode.pad_pkcs7 4 "abcd")
 
 let test_cbc_mac_properties () =
   let c = aes_cipher () in
@@ -60,20 +24,6 @@ let test_cbc_mac_properties () =
      mac(m1) is reused as the IV-equivalent state for m1 || m2 *)
   Alcotest.(check bool) "length-distinct" true
     (Block_mode.cbc_mac c "aa" <> Block_mode.cbc_mac c "aa\x00")
-
-let qcheck_cbc_roundtrip_aes =
-  QCheck.Test.make ~name:"cbc(aes): decrypt . encrypt = id" ~count:100
-    QCheck.(pair (string_of_size Gen.(return 16)) (string_of_size Gen.(0 -- 200)))
-    (fun (iv, pt) ->
-      let c = aes_cipher () in
-      Block_mode.cbc_decrypt c ~iv (Block_mode.cbc_encrypt c ~iv pt) = Some pt)
-
-let qcheck_cbc_roundtrip_speck =
-  QCheck.Test.make ~name:"cbc(speck): decrypt . encrypt = id" ~count:100
-    QCheck.(pair (string_of_size Gen.(return 8)) (string_of_size Gen.(0 -- 100)))
-    (fun (iv, pt) ->
-      let c = speck_cipher () in
-      Block_mode.cbc_decrypt c ~iv (Block_mode.cbc_encrypt c ~iv pt) = Some pt)
 
 let qcheck_cbc_mac_msg_sensitivity =
   QCheck.Test.make ~name:"cbc-mac: distinct messages, distinct tags" ~count:100
@@ -126,12 +76,7 @@ let qcheck_ctr_speck_involution =
 let tests =
   [
     Alcotest.test_case "pkcs7" `Quick test_pkcs7;
-    Alcotest.test_case "cbc NIST vector" `Quick test_cbc_nist_vector;
-    Alcotest.test_case "cbc roundtrip" `Quick test_cbc_roundtrip_basic;
-    Alcotest.test_case "cbc rejects bad ct" `Quick test_cbc_rejects_bad_ct;
     Alcotest.test_case "cbc-mac" `Quick test_cbc_mac_properties;
-    QCheck_alcotest.to_alcotest qcheck_cbc_roundtrip_aes;
-    QCheck_alcotest.to_alcotest qcheck_cbc_roundtrip_speck;
     QCheck_alcotest.to_alcotest qcheck_cbc_mac_msg_sensitivity;
     Alcotest.test_case "ctr basics" `Quick test_ctr_basics;
     Alcotest.test_case "ctr keystream positional" `Quick

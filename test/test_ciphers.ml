@@ -44,21 +44,6 @@ let test_speck_vector () =
   check "encrypt" "8b024e4548a56f8c" (hex ct);
   check "decrypt" (hex pt) (hex (Speck.decrypt_block key ct))
 
-let test_simon_vector () =
-  (* Simon64/128 test vector from the SIMON & SPECK paper appendix *)
-  let key = Simon.expand (unhex "0001020308090a0b1011121318191a1b") in
-  let pt = unhex "756e64206c696b65" in
-  let ct = Simon.encrypt_block key pt in
-  check "encrypt" "7aa0dfb920fcc844" (hex ct);
-  check "decrypt" (hex pt) (hex (Simon.decrypt_block key ct))
-
-let test_simon_bad_lengths () =
-  Alcotest.check_raises "short key" (Invalid_argument "Simon.expand: need 16 bytes")
-    (fun () -> ignore (Simon.expand "short"));
-  let key = Simon.expand (String.make 16 'k') in
-  Alcotest.check_raises "bad block" (Invalid_argument "Simon.encrypt_block") (fun () ->
-      ignore (Simon.encrypt_block key "bad"))
-
 let test_speck_bad_lengths () =
   Alcotest.check_raises "short key" (Invalid_argument "Speck.expand: need 16 bytes")
     (fun () -> ignore (Speck.expand "short"));
@@ -72,13 +57,6 @@ let qcheck_aes_roundtrip =
     (fun (k, pt) ->
       let key = Aes.expand k in
       Aes.decrypt_block key (Aes.encrypt_block key pt) = pt)
-
-let qcheck_simon_roundtrip =
-  QCheck.Test.make ~name:"simon: decrypt . encrypt = id" ~count:200
-    QCheck.(pair (string_of_size Gen.(return 16)) (string_of_size Gen.(return 8)))
-    (fun (k, pt) ->
-      let key = Simon.expand k in
-      Simon.decrypt_block key (Simon.encrypt_block key pt) = pt)
 
 let qcheck_speck_roundtrip =
   QCheck.Test.make ~name:"speck: decrypt . encrypt = id" ~count:200
@@ -104,10 +82,7 @@ let tests =
     Alcotest.test_case "AES bad lengths" `Quick test_aes_bad_lengths;
     Alcotest.test_case "Speck 64/128 vector" `Quick test_speck_vector;
     Alcotest.test_case "Speck bad lengths" `Quick test_speck_bad_lengths;
-    Alcotest.test_case "Simon 64/128 vector" `Quick test_simon_vector;
-    Alcotest.test_case "Simon bad lengths" `Quick test_simon_bad_lengths;
     QCheck_alcotest.to_alcotest qcheck_aes_roundtrip;
     QCheck_alcotest.to_alcotest qcheck_speck_roundtrip;
-    QCheck_alcotest.to_alcotest qcheck_simon_roundtrip;
     QCheck_alcotest.to_alcotest qcheck_aes_key_avalanche;
   ]

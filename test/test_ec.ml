@@ -46,49 +46,6 @@ let qcheck_scalar_assoc =
       let rhs = Ec.mul curve (B.of_int (a * b)) (g ()) in
       Ec.equal curve lhs rhs)
 
-let test_point_compression () =
-  let pt = Ec.mul curve (B.of_int 12345) (g ()) in
-  let compressed = Ec.compress curve pt in
-  Alcotest.(check int) "21 bytes" 21 (String.length compressed);
-  (match Ec.decompress curve compressed with
-  | Some decoded -> Alcotest.(check bool) "roundtrip" true (Ec.equal curve decoded pt)
-  | None -> Alcotest.fail "decompress failed");
-  (* negated point has the other parity byte *)
-  let neg_compressed = Ec.compress curve (Ec.neg curve pt) in
-  Alcotest.(check bool) "parity differs" true (compressed.[0] <> neg_compressed.[0]);
-  Alcotest.(check string) "x identical" (String.sub compressed 1 20)
-    (String.sub neg_compressed 1 20);
-  Alcotest.(check bool) "bad prefix rejected" true
-    (Ec.decompress curve ("\x05" ^ String.sub compressed 1 20) = None);
-  Alcotest.(check bool) "bad length rejected" true (Ec.decompress curve "\x02" = None);
-  Alcotest.check_raises "infinity" (Invalid_argument "Ec.compress: point at infinity")
-    (fun () -> ignore (Ec.compress curve Ec.infinity))
-
-let qcheck_compression_roundtrip =
-  QCheck.Test.make ~name:"ec: decompress . compress = id" ~count:10
-    QCheck.(int_range 2 1_000_000)
-    (fun k ->
-      let pt = Ec.mul curve (B.of_int k) (g ()) in
-      match Ec.decompress curve (Ec.compress curve pt) with
-      | Some decoded -> Ec.equal curve decoded pt
-      | None -> false)
-
-let test_fp_sqrt () =
-  let f = curve.Ec.field in
-  let a = B.of_int 123456789 in
-  let sq = Ra_crypto.Fp.sqr f a in
-  (match Ra_crypto.Fp.sqrt f sq with
-  | Some root -> Alcotest.(check bool) "root squares back" true
-      (B.equal (Ra_crypto.Fp.sqr f root) sq)
-  | None -> Alcotest.fail "square must have a root");
-  (* roughly half of field elements are non-residues; find one *)
-  let rec non_residue v =
-    match Ra_crypto.Fp.sqrt f (B.of_int v) with
-    | None -> v
-    | Some _ -> non_residue (v + 1)
-  in
-  Alcotest.(check bool) "non-residue detected" true (non_residue 2 > 0)
-
 let test_ecdsa_roundtrip () =
   let kp = Ecdsa.generate_keypair curve ~seed:"test-device" in
   let signature = Ecdsa.sign curve ~secret:kp.Ecdsa.secret "attest me" in
@@ -143,9 +100,6 @@ let tests =
     Alcotest.test_case "curve parameters" `Quick test_curve_parameters;
     Alcotest.test_case "group laws" `Quick test_group_laws;
     Alcotest.test_case "of_affine validates" `Quick test_of_affine_validates;
-    Alcotest.test_case "point compression" `Quick test_point_compression;
-    Alcotest.test_case "fp sqrt" `Quick test_fp_sqrt;
-    QCheck_alcotest.to_alcotest qcheck_compression_roundtrip;
     Alcotest.test_case "ecdsa roundtrip" `Quick test_ecdsa_roundtrip;
     Alcotest.test_case "ecdsa deterministic nonces" `Quick test_ecdsa_deterministic;
     Alcotest.test_case "ecdsa wire format" `Quick test_ecdsa_wire;

@@ -74,7 +74,7 @@ let capsule_gen =
       str
       (triple (int_range 1 16) fl fl)
   in
-  let kind = oneofl [ F.Failure; F.Slowest; F.Deadline_miss ] in
+  let kind = oneofl [ F.Failure; F.Slowest ] in
   map
     (fun ((kind, member, name, seed), (losses, policies, cell, round), (f1, f2), (attempts, trace, phase, digest)) ->
       {
@@ -208,10 +208,7 @@ let test_replay_guards () =
   expect_error "foreign config" { cap with F.cap_config = "bogus" };
   expect_error "pre-sweep history" { cap with F.cap_prior_sweeps = 3 };
   expect_error "cell out of range" { cap with F.cap_cell = 99 };
-  expect_error "round out of range" { cap with F.cap_round = 99 };
-  expect_error "deadline miss"
-    (F.deadline_miss ~device:(Some "d") ~tag:1 ~arrived:0.0 ~done_:3.0
-       ~verdict:(Ra_obs.Json.Str "timed_out"))
+  expect_error "round out of range" { cap with F.cap_round = 99 }
 
 (* capture, tracing and profiling must be wire-neutral: same fingerprint
    and grid with and without them, for both workloads *)
@@ -287,44 +284,6 @@ let test_exemplars () =
     (contains text "# {trace_id=");
   Ra_obs.Registry.reset Ra_obs.Registry.default
 
-(* ---- server deadline-miss capsules ------------------------------------ *)
-
-let test_server_deadline_capsules () =
-  let sym_key = String.make 20 'k' in
-  let image = String.make 64 '\x5a' in
-  let cfg =
-    Server.default_config
-      {
-        Verifier.Config.scheme = None;
-        freshness_kind = Verifier.Fk_counter;
-        sym_key;
-        ecdsa_seed = "seed";
-        time = Ra_net.Simtime.create ();
-        reference_image = image;
-      }
-  in
-  (* starve the single verification unit so the queue blows the deadline *)
-  let cfg = { cfg with Server.sc_deadline_s = 0.001; sc_block_s = 0.01 } in
-  let ring = F.create () in
-  let traffic =
-    { Server.Load.default_traffic with tr_devices = 8; tr_rate = 4.0;
-      tr_horizon_s = 5.0 }
-  in
-  let report, _ = Server.Load.run ~forensics:ring cfg traffic in
-  ignore report;
-  let caps = F.capsules ring in
-  Alcotest.(check bool) "deadline misses captured" true (caps <> []);
-  List.iter
-    (fun c ->
-      Alcotest.(check bool) "kind is deadline_miss" true
-        (c.F.cap_kind = F.Deadline_miss);
-      Alcotest.(check string) "impairment signature" "deadline"
-        (F.signature_of c).F.sig_impairment)
-    caps;
-  (* triage folds server capsules in with fleet failures *)
-  Alcotest.(check bool) "triage accepts server capsules" true
-    (F.triage caps <> [])
-
 (* ---- dominant phase --------------------------------------------------- *)
 
 let test_dominant_phase () =
@@ -360,7 +319,5 @@ let tests =
     Alcotest.test_case "capture is wire-neutral" `Quick test_capture_wire_neutral;
     Alcotest.test_case "triage ranks signatures" `Quick test_triage;
     Alcotest.test_case "exemplars reach breached buckets" `Quick test_exemplars;
-    Alcotest.test_case "server deadline-miss capsules" `Quick
-      test_server_deadline_capsules;
     Alcotest.test_case "dominant phase attribution" `Quick test_dominant_phase;
   ]

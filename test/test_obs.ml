@@ -230,38 +230,6 @@ let test_json_roundtrip () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "trailing garbage accepted"
 
-let test_metrics_jsonl_roundtrip () =
-  let r = fresh () in
-  Registry.Counter.inc ~by:3
-    (Registry.Counter.get ~registry:r ~labels:[ ("k", "v") ] "reqs_total");
-  Registry.Histogram.observe
-    (Registry.Histogram.get ~registry:r ~buckets:[| 1.0 |] "ms")
-    0.5;
-  match Export.parse_jsonl (Export.metrics_jsonl r) with
-  | Error e -> Alcotest.failf "metrics jsonl unparseable: %s" e
-  | Ok lines ->
-    Alcotest.(check int) "one line per series" 2 (List.length lines);
-    let counter =
-      List.find
-        (fun l -> Json.member "metric" l = Some (Json.Str "reqs_total"))
-        lines
-    in
-    Alcotest.(check (option (float 0.0))) "value" (Some 3.0)
-      (Option.bind (Json.member "value" counter) Json.as_float);
-    Alcotest.(check (option string)) "labels" (Some "v")
-      (Option.bind
-         (Option.bind (Json.member "labels" counter) (Json.member "k"))
-         Json.as_string);
-    let histo =
-      List.find (fun l -> Json.member "metric" l = Some (Json.Str "ms")) lines
-    in
-    (* the overflow bucket's bound is the string "+Inf", not null *)
-    (match Json.member "buckets" histo with
-    | Some (Json.Arr bs) ->
-      Alcotest.(check bool) "+Inf bound encoded" true
-        (List.exists (fun b -> Json.member "le" b = Some (Json.Str "+Inf")) bs)
-    | _ -> Alcotest.fail "histogram line without buckets")
-
 let test_spans_jsonl_roundtrip () =
   let now = ref 0.0 in
   let ctx = Span.no_registry ~clock:(fun () -> !now) () in
@@ -319,9 +287,11 @@ let test_hostile_names_escaped () =
     (Ra_net.Trace.contains_substring ~needle:"we\\\"ird\\\\name" text);
   Alcotest.(check bool) "no raw control bytes in exposition" true
     (String.for_all (fun c -> c = '\n' || Char.code c >= 0x20) text);
-  (* JSONL: the hostile value must round-trip exactly *)
-  (match Export.parse_jsonl (Export.metrics_jsonl r) with
-  | Error e -> Alcotest.failf "metrics jsonl unparseable: %s" e
+  (* span JSONL: the hostile label value must round-trip exactly *)
+  let ctx = Span.no_registry ~clock:(fun () -> 0.0) () in
+  Span.with_span ctx ~labels:[ ("name", hostile) ] "sym" ignore;
+  (match Export.parse_jsonl (Export.spans_jsonl ctx) with
+  | Error e -> Alcotest.failf "spans jsonl unparseable: %s" e
   | Ok [ line ] ->
     Alcotest.(check (option string)) "label round-trips" (Some hostile)
       (Option.bind
@@ -508,8 +478,6 @@ let tests =
       test_span_nesting_over_simtime;
     Alcotest.test_case "with_span on exception" `Quick test_with_span_exception;
     Alcotest.test_case "json round-trip" `Quick test_json_roundtrip;
-    Alcotest.test_case "metrics jsonl round-trip" `Quick
-      test_metrics_jsonl_roundtrip;
     Alcotest.test_case "spans jsonl round-trip" `Quick test_spans_jsonl_roundtrip;
     Alcotest.test_case "prometheus exposition" `Quick test_prometheus_exposition;
     Alcotest.test_case "hostile names escaped" `Quick test_hostile_names_escaped;

@@ -233,7 +233,7 @@ let test_fleet_profile_shard_invariant () =
   in
   let export k =
     let p = Fleet.profile (fst (profiled k)) in
-    (Profiler.folded p, Ra_obs.Export.profile_jsonl p)
+    (Profiler.folded p, Profiler.Phases.samples p.Profiler.phases)
   in
   let fleet, depth = profiled 1 in
   let base = export 1 in
@@ -331,42 +331,6 @@ let test_perfetto_counter_track () =
          && Ra_obs.Json.member "pid" ev = Some (Ra_obs.Json.Num 0.0))
        evs)
 
-let test_profile_jsonl_roundtrip () =
-  let p = Profiler.create () in
-  Profiler.Pc.add p.Profiler.pc ~frames:[ "rom"; "we\"ird\\name" ] ~cycles:5L;
-  Profiler.Phases.record p.Profiler.phases
-    {
-      Profiler.ps_at = 1.5;
-      ps_trace_id = Some 3;
-      ps_device = "dev \"quoted\"";
-      ps_phase = "mac";
-      ps_cycles = 100L;
-      ps_nj = 50.0;
-    };
-  match Ra_obs.Export.parse_jsonl (Ra_obs.Export.profile_jsonl p) with
-  | Error e -> Alcotest.failf "profile jsonl unparseable: %s" e
-  | Ok lines ->
-    Alcotest.(check int) "stack + total + sample lines" 3 (List.length lines);
-    let stack =
-      List.find
-        (fun l -> Ra_obs.Json.member "kind" l = Some (Ra_obs.Json.Str "stack"))
-        lines
-    in
-    (match Ra_obs.Json.member "frames" stack with
-    | Some (Ra_obs.Json.Arr [ Ra_obs.Json.Str "rom"; Ra_obs.Json.Str f ]) ->
-      Alcotest.(check string) "hostile frame survives the round-trip"
-        "we\"ird\\name" f
-    | _ -> Alcotest.fail "stack line lost its frames");
-    let sample =
-      List.find
-        (fun l ->
-          Ra_obs.Json.member "kind" l = Some (Ra_obs.Json.Str "phase_sample"))
-        lines
-    in
-    Alcotest.(check (option string)) "hostile device name survives"
-      (Some "dev \"quoted\"")
-      (Option.bind (Ra_obs.Json.member "device" sample) Ra_obs.Json.as_string)
-
 let tests =
   [
     Alcotest.test_case "pc folded sorted+sanitized" `Quick
@@ -387,6 +351,4 @@ let tests =
     Alcotest.test_case "track merge grouping-invariant" `Quick
       test_track_merge_grouping_invariant;
     Alcotest.test_case "perfetto counter track" `Quick test_perfetto_counter_track;
-    Alcotest.test_case "profile jsonl round-trip" `Quick
-      test_profile_jsonl_roundtrip;
   ]

@@ -103,11 +103,45 @@ let test_unauthenticated_service_is_dosable () =
   (* the expensive body ran on a completely unauthenticated request *)
   Alcotest.(check bool) "erase cost incurred" true (Int64.compare spent 2000L > 0)
 
+(* flash_app ends where the NVRAM freshness cells begin: an image one
+   byte too long faults at the region's end before anything is written,
+   the service's freshness cell included, and is neither acknowledged nor
+   counted as an invocation. *)
+let test_oversized_update_faults () =
+  let s = Session.create ~ram_size:4096 () in
+  let device = Session.device s in
+  let region = Memory.region_named (Device.memory device) Device.region_app in
+  let base = region.Ra_mcu.Region.base and size = region.Ra_mcu.Region.size in
+  let app () = Memory.read_bytes (Device.memory device) base size in
+  let before = app () in
+  let image = String.make (size + 1) '\xaa' in
+  Alcotest.(check bool) "not acknowledged" false
+    (Session.service_round s (Service.Code_update { image }));
+  let stats = Service.stats (Session.service s) in
+  Alcotest.(check int) "not invoked" 0 stats.Service.invocations;
+  Alcotest.(check int) "counted as a fault" 1 (Service.rejected stats Verdict.Reason.Fault);
+  Alcotest.(check bool) "app code unchanged" true (String.equal before (app ()));
+  let _, svc = make () in
+  (match
+     Service.handle svc
+       (req ~scheme:(Some Timing.Auth_hmac_sha1) ~counter:1L
+          (Service.Code_update { image }))
+   with
+  | Error (Verdict.Fault { fault_addr; fault_code }) ->
+    Alcotest.(check int) "faults at the region's end" (base + size) fault_addr;
+    Alcotest.(check string) "in the anchor's context" Device.region_attest fault_code
+  | Error v -> Alcotest.failf "expected Fault, got %s" (Verdict.label v)
+  | Ok _ -> Alcotest.fail "oversized image acknowledged");
+  match Service.handle svc (req ~scheme:(Some Timing.Auth_hmac_sha1) ~counter:1L Service.Ping) with
+  | Ok _ -> ()
+  | Error v -> Alcotest.failf "the fault advanced the freshness cell: %s" (Verdict.label v)
+
 let tests =
   [
     Alcotest.test_case "ping" `Quick test_ping;
     Alcotest.test_case "secure erase" `Quick test_secure_erase_wipes_ram;
     Alcotest.test_case "code update" `Quick test_code_update_installs;
+    Alcotest.test_case "oversized code update faults" `Quick test_oversized_update_faults;
     Alcotest.test_case "bad auth rejected" `Quick test_bad_auth_rejected;
     Alcotest.test_case "replay rejected" `Quick test_replay_rejected;
     Alcotest.test_case "tag binds command" `Quick test_tag_binds_command;

@@ -120,6 +120,62 @@ let test_service_round_over_channel () =
     Alcotest.(check int) "service replay rejected" (before + 1) (not_fresh ())
   | [] -> Alcotest.fail "no erase frame recorded")
 
+(* Every prover step advances Simtime by the cycles its handler burned,
+   so the device CPU never leads the verifier's clock: not after an
+   attestation, a 64 KiB erase or a clock sync. *)
+let test_steps_keep_simtime_with_cpu () =
+  let s = Session.create ~ram_size:65536 () in
+  Session.advance_time s ~seconds:1.0;
+  let gap () =
+    Ra_mcu.Cpu.elapsed_seconds (Device.cpu (Session.device s))
+    -. Ra_net.Simtime.now (Session.time s)
+  in
+  let start = gap () in
+  let check label ok =
+    Alcotest.(check bool) (label ^ " succeeds") true ok;
+    Alcotest.(check (float 1e-9)) (label ^ ": CPU clock stays with Simtime") start (gap ())
+  in
+  check "attest" (Session.attest_round s <> None);
+  check "secure erase" (Session.service_round s Service.Secure_erase);
+  check "sync" (Session.sync_round s);
+  check "ping" (Session.service_round s Service.Ping)
+
+(* The verifier counts a service acknowledgement only when its HMAC
+   answers the round's own request. A prover that faults on every request
+   (a rule denies it the key) sends no ack, so a forged ack, or a genuine
+   one recorded from an earlier round, must not complete a round. *)
+let test_service_acks_checked () =
+  let s = Session.create ~spec:Architecture.unprotected ~ram_size:1024 () in
+  let channel = Session.channel s in
+  let mark = Channel.transcript_length channel in
+  Alcotest.(check bool) "genuine ping acknowledged" true (Session.service_round s Service.Ping);
+  let recorded =
+    List.filter_map
+      (fun { Channel.src; payload; _ } ->
+        match src with Channel.Prover_side -> Some payload | Channel.Verifier_side -> None)
+      (Channel.transcript_from channel ~pos:mark)
+  in
+  Alcotest.(check int) "one ack on the wire" 1 (List.length recorded);
+  let device = Session.device s in
+  Ra_mcu.Ea_mpu.program (Device.mpu device)
+    {
+      Ra_mcu.Ea_mpu.rule_name = "deny_key";
+      data_base = Device.key_addr device;
+      data_size = Device.key_len device;
+      read_by = Ra_mcu.Ea_mpu.Nobody;
+      write_by = Ra_mcu.Ea_mpu.Nobody;
+    };
+  Alcotest.(check bool) "faulting prover: no ack" false
+    (Session.service_round s Service.Ping);
+  let queue frame = Channel.send channel ~src:Channel.Prover_side frame in
+  queue
+    (Message.wire_to_bytes
+       (Message.Service_ack { acked_command = "ping"; ack_report = "forged" }));
+  Alcotest.(check bool) "forged ack refused" false (Session.service_round s Service.Ping);
+  List.iter queue recorded;
+  Alcotest.(check bool) "recorded ack of an earlier round refused" false
+    (Session.service_round s Service.Ping)
+
 let test_custom_sym_key () =
   let s = Session.create ~spec:spec_counter ~sym_key:(String.make 20 'z') ~ram_size:2048 () in
   match Session.attest_round s with
@@ -266,4 +322,7 @@ let tests =
       test_retained_heap_per_round_lossy;
     Alcotest.test_case "1 KiB round allocates < 2,000 minor words" `Quick
       test_round_minor_words;
+    Alcotest.test_case "prover steps keep Simtime with the CPU" `Quick
+      test_steps_keep_simtime_with_cpu;
+    Alcotest.test_case "service acks are checked" `Quick test_service_acks_checked;
   ]
