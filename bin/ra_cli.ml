@@ -637,7 +637,6 @@ let prof_cmd =
 (* ---- replay ---- *)
 
 let run_replay n rounds loss seed diagnosis_out capsules_out perfetto_out =
-  let module Forensics = Ra_obs.Forensics in
   let losses = [ 0.0; loss ] in
   let policies = [ ("no-retry", Retry.no_retry); ("default", Retry.default) ] in
   (* one capturing fleet: forensics + tracing + profiling, then the
@@ -689,7 +688,7 @@ let run_replay n rounds loss seed diagnosis_out capsules_out perfetto_out =
         (Forensics.kind_label c.Forensics.cap_kind)
         c.Forensics.cap_name c.Forensics.cap_cell
         (100.0 *. c.Forensics.cap_loss)
-        c.Forensics.cap_policy c.Forensics.cap_round c.Forensics.cap_reason;
+        c.Forensics.cap_policy c.Forensics.cap_round (Verdict.label c.Forensics.cap_verdict);
       match Fleet.replay_capsule fleet c with
       | Error msg ->
         Printf.printf "replay failed: %s\n" msg;

@@ -55,7 +55,10 @@ let () =
         ~freshness:(Message.F_counter counter) command
     in
     match Service.handle svc req with
-    | Ok ack -> Printf.printf "%-14s -> ok\n" ack.Service.acked_command
+    | Ok (Message.Service_ack { acked_command; _ }) ->
+      Printf.printf "%-14s -> ok\n" acked_command
+    | Ok wire -> Format.printf "BUG: %s answered with %a@." (Service.command_name command)
+                   Message.pp_wire wire
     | Error e -> Format.printf "%-14s -> rejected: %a@." (Service.command_name command)
                    Verdict.pp e
   in

@@ -34,9 +34,6 @@ val all_configs : config list
 val predict : config -> exposure
 (** What the paper's argument says must happen. *)
 
-val observe : config -> exposure
-(** What the simulated roaming adversary actually achieves. *)
-
 val exhaustive_check : unit -> (config * exposure * exposure * bool) list
 (** For every config: (config, predicted, observed, agreement). *)
 

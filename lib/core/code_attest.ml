@@ -50,9 +50,7 @@ let install device ~scheme ~policy ?(precomputed_key_schedule = false) () =
     stats = { requests_seen = 0; requests_rejected = 0; attestations_performed = 0 };
   }
 
-let device t = t.device
 let freshness t = t.freshness
-let scheme t = t.scheme
 let stats t = t.stats
 let spans t = t.spans
 

@@ -30,9 +30,7 @@ val install :
 (** [scheme = None] models the unauthenticated baseline: every request —
     genuine or bogus — triggers a full attestation. *)
 
-val device : t -> Ra_mcu.Device.t
 val freshness : t -> Freshness.state
-val scheme : t -> Ra_mcu.Timing.auth_scheme option
 val stats : t -> stats
 
 val spans : t -> Ra_obs.Span.t

@@ -25,7 +25,7 @@ type t = {
   spec : Architecture.spec; (* every member's world recipe *)
   ram_size : int option;
   mutable last_chaos : chaos_cell list; (* most recent chaos_sweep grid *)
-  mutable forensics : Ra_obs.Forensics.t option; (* capsule ring when capturing *)
+  mutable forensics : Forensics.t option; (* capsule ring when capturing *)
 }
 
 let member_name m = m.name
@@ -62,11 +62,11 @@ module Mc = struct
       "ra_chaos_round_time_ms"
 end
 
-(* Where sweep and chaos rounds report their observations: the engine
-   gives each shard an {!Ra_obs.Arena} sink, so the per-round hot path
-   touches only domain-local memory, and the coordinator merges arenas
-   in shard order — same totals, same registry families, deterministic
-   merge. *)
+(* Where sweep and chaos rounds report their observations: the shard
+   engine gives each shard an {!Ra_obs.Arena} sink, so the per-round hot
+   path touches only domain-local memory, and the coordinator merges
+   arenas in shard order — same totals, same registry families,
+   deterministic merge. *)
 type obs = {
   o_sweep_ms : float -> unit;
   o_chaos_ms : float -> unit;
@@ -159,14 +159,11 @@ let enable_forensics ?capacity t =
   match t.forensics with
   | Some f -> f
   | None ->
-    let f = Ra_obs.Forensics.create ?capacity () in
+    let f = Forensics.create ?capacity () in
     t.forensics <- Some f;
     f
 
-let forensics t = t.forensics
-
-let capsules t =
-  match t.forensics with None -> [] | Some f -> Ra_obs.Forensics.capsules f
+let capsules t = match t.forensics with None -> [] | Some f -> Forensics.capsules f
 
 let classify_verdict = function
   | Verdict.Trusted -> Healthy
@@ -200,32 +197,6 @@ let sweep_member obs m =
 let pre_offset i = float_of_int (i + 1) *. stagger_seconds
 let post_offset ~n i = (float_of_int n *. stagger_seconds) -. pre_offset i
 
-(* The fleet engine. Members split into [shards] contiguous ranges
-   ({!Shard.partition}); each shard runs on the persistent domain pool
-   with its own {!Sched} timeline and its own metrics arena, and
-   [schedule] puts the shard's member range on that timeline. Shard
-   bodies touch no shared mutable state except their disjoint slices of
-   per-member results, so the merge is deterministic: callers read
-   results back in member order, and the arenas flush in shard order
-   after every shard quiesced. *)
-let run_engine ~who ?tracks ~shards ~members schedule =
-  if shards < 1 then invalid_arg (who ^ ": shards must be >= 1");
-  (match tracks with
-  | Some arr when Array.length arr <> shards ->
-    invalid_arg (who ^ ": tracks array must have one track per shard")
-  | Some _ | None -> ());
-  let parts = Shard.partition ~members ~shards in
-  let arenas = Array.init shards (fun _ -> Ra_obs.Arena.create ()) in
-  Shard.run ~shards (fun s ->
-      let arena = arenas.(s) in
-      let track = Option.map (fun arr -> arr.(s)) tracks in
-      let sched = Sched.create ~metrics:(Sched.arena_metrics arena) ?track () in
-      let { Shard.sh_lo; sh_hi } = parts.(s) in
-      schedule ~shard:s (arena_obs arena) sched ~lo:sh_lo ~hi:sh_hi;
-      let (_ : int) = Sched.run sched in
-      ());
-  Array.iter Ra_obs.Arena.flush arenas
-
 (* One member's share of a sweep, run as its event at [pre_offset i]:
    advance its private clock to its staggered slot, attest, then advance
    it past everyone else's slots so the whole fleet exits the sweep at
@@ -240,17 +211,22 @@ let sweep_slot obs sched ~n i m =
   Session.advance_time m.session ~seconds:(post_offset ~n i);
   verdict
 
+(* Every fleet engine is {!Shard.run}: shard bodies touch no shared
+   mutable state except their disjoint slices of per-member results, so
+   callers read results back in member order. *)
 let sweep ?(engine = `Shards 1) ?tracks t =
   let (`Shards shards) = engine in
   let members = Array.of_list t.members in
   let n = Array.length members in
   let results = Array.make n None in
-  run_engine ~who:"Fleet.sweep" ?tracks ~shards ~members:n
-    (fun ~shard:_ obs sched ~lo ~hi ->
+  Shard.run ~who:"Fleet.sweep" ?tracks ~shards ~members:n
+    (fun ~shard:_ arena sched ~lo ~hi ->
+      let obs = arena_obs arena in
       for i = lo to hi - 1 do
         Sched.at sched ~at:(pre_offset i) (fun () ->
             results.(i) <- Some (sweep_slot obs sched ~n i members.(i)))
-      done);
+      done)
+  |> ignore;
   List.mapi
     (fun i m ->
       match results.(i) with Some verdict -> (m.name, verdict) | None -> assert false)
@@ -279,21 +255,7 @@ type chaos_acc = {
    one full secure-session lifecycle (handshake + [n] streamed records +
    close). Both yield a [Session.round], so every consumer downstream —
    accumulators, ledgers, capsules — is workload-agnostic. *)
-type workload = [ `Attest | `Session of int ]
-
-let workload_label = function
-  | `Attest -> "attest"
-  | `Session n -> Printf.sprintf "session:%d" n
-
-let workload_of_label s =
-  if String.equal s "attest" then Some `Attest
-  else
-    match String.index_opt s ':' with
-    | Some i when String.equal (String.sub s 0 i) "session" -> (
-      match int_of_string_opt (String.sub s (i + 1) (String.length s - i - 1)) with
-      | Some n when n >= 0 -> Some (`Session n)
-      | Some _ | None -> None)
-    | Some _ | None -> None
+type workload = Forensics.workload
 
 let workload_round_begin ~workload ~policy session =
   match workload with
@@ -372,67 +334,25 @@ let chaos_member ?fcap ~workload obs sched m ~imp_seed ~loss ~policy ~rounds ~fi
   in
   schedule_round rounds
 
-(* ---- forensic candidate retention (one cell, one member) ---- *)
+(* A grid whose loss rates all lie in [0, 1]; a NaN is outside too. *)
+let check_losses losses =
+  match List.find_opt (fun l -> not (l >= 0.0 && l <= 1.0)) losses with
+  | Some l -> Error (Printf.sprintf "loss %g outside [0, 1]" l)
+  | None -> Ok ()
 
-(* A candidate round retained during a cell: enough to build a capsule at
-   merge time without copying wire bytes — the digest window is re-read
-   from the member's transcript, which only grows. *)
-type fcand = {
-  fc_round : int; (* 1-based within the cell *)
-  fc_at : float; (* member clock at round start *)
-  fc_verdict : Verdict.t;
-  fc_attempts : int;
-  fc_elapsed : float;
-  fc_trace_id : int option;
-  fc_tstart : int; (* transcript window [tstart, tend) *)
-  fc_tend : int;
-}
-
-type fcand_cell = {
-  mutable fc_fails : fcand list; (* newest first; reversed at merge *)
-  mutable fc_slow : fcand option; (* slowest converged round so far *)
-}
-
-(* The per-round hook a capturing sweep threads into the chaos drivers.
-   Runs on the member's own domain and touches only member-local state
-   (its slot of the candidate array and its own session/tracer), so
-   capture is safe under every engine and changes nothing on the wire. *)
-let fcap_hook fcands i m =
-  match fcands with
-  | None -> None
-  | Some arr ->
-    let cell = { fc_fails = []; fc_slow = None } in
-    arr.(i) <- Some cell;
-    Some
-      (fun ~round ~at ~tstart (r : Session.round) ->
-        let tend = Ra_net.Channel.transcript_length (Session.channel m.session) in
-        let trace_id =
-          match Session.tracing m.session with
-          | None -> None
-          | Some tr -> (
-            match Ra_obs.Recorder.latest (Ra_obs.Trace.recorder tr) with
-            | Some rd -> Some rd.Ra_obs.Trace.rd_trace_id
-            | None -> None)
-        in
-        let cand =
-          {
-            fc_round = round;
-            fc_at = at;
-            fc_verdict = r.Session.r_verdict;
-            fc_attempts = r.Session.r_attempts;
-            fc_elapsed = r.Session.r_elapsed_s;
-            fc_trace_id = trace_id;
-            fc_tstart = tstart;
-            fc_tend = tend;
-          }
-        in
-        match r.Session.r_verdict with
-        | Verdict.Trusted -> (
-          (* keep the strictly slowest converged round; first wins ties *)
-          match cell.fc_slow with
-          | Some s when s.fc_elapsed >= cand.fc_elapsed -> ()
-          | Some _ | None -> cell.fc_slow <- Some cand)
-        | _ -> cell.fc_fails <- cand :: cell.fc_fails)
+(* A capturing sweep's last step for a kept capsule, on the coordinator:
+   the dominant phase of its round and the digest of its transcript
+   window [tstart, tend), both read from the member's own session. *)
+let finish members ((c : Forensics.capsule), tstart, tend) =
+  let session = members.(c.Forensics.cap_member).session in
+  let phase =
+    match (Session.profiling session, c.Forensics.cap_trace_id) with
+    | Some p, Some id ->
+      Forensics.dominant_phase (Ra_obs.Profiler.Phases.samples p.Ra_obs.Profiler.phases)
+        ~trace_id:id
+    | (Some _ | None), _ -> None
+  in
+  { c with cap_phase = phase; cap_wire_digest = window_digest session ~tstart ~tend }
 
 let chaos_sweep ?(seed = 0xC4A05L) ?(rounds_per_member = 10) ?(engine = `Shards 1)
     ?(workload = `Attest) ~losses ~policies t =
@@ -444,6 +364,7 @@ let chaos_sweep ?(seed = 0xC4A05L) ?(rounds_per_member = 10) ?(engine = `Shards 
   | `Session n when n < 0 -> invalid_arg "Fleet.chaos_sweep: negative session records"
   | `Session _ | `Attest -> ());
   List.iter (fun (_, p) -> Retry.validate p) policies;
+  Result.iter_error (fun msg -> invalid_arg ("Fleet.chaos_sweep: " ^ msg)) (check_losses losses);
   let members = Array.of_list t.members in
   let n = Array.length members in
   let seeder = Ra_crypto.Prng.create seed in
@@ -452,21 +373,7 @@ let chaos_sweep ?(seed = 0xC4A05L) ?(rounds_per_member = 10) ?(engine = `Shards 
       (fun loss -> List.map (fun (name, policy) -> (loss, name, policy)) policies)
       losses
   in
-  (* capture context: the sweep parameters every capsule embeds *)
   let prior = Array.map (fun m -> m.sweeps) members in
-  let cap_policies =
-    List.map
-      (fun (name, (p : Retry.policy)) ->
-        ( name,
-          {
-            Ra_obs.Forensics.cp_max_attempts = p.Retry.max_attempts;
-            cp_base_timeout_s = p.Retry.base_timeout_s;
-            cp_multiplier = p.Retry.multiplier;
-            cp_max_timeout_s = p.Retry.max_timeout_s;
-            cp_jitter = p.Retry.jitter;
-          } ))
-      policies
-  in
   let config = config_digest t in
   let run_cell cell_idx (loss, policy_name, policy) =
     (* one root draw per cell; member i's impairment seed is the pure
@@ -476,93 +383,95 @@ let chaos_sweep ?(seed = 0xC4A05L) ?(rounds_per_member = 10) ?(engine = `Shards 
     let root = Ra_crypto.Prng.next_int64 seeder in
     let seed_of i = Ra_net.Impairment.derive_seed ~root ~index:i in
     let results = Array.make n (0, 0, []) in
-    let fcands =
-      match t.forensics with None -> None | Some _ -> Some (Array.make n None)
+    (* Capture keeps, per member, its failure capsules (newest first) and
+       its slowest converged round so far, each with its transcript
+       window. The per-round hook runs on the member's own domain and
+       touches only that member's slots and session, so capture is safe
+       under every engine and changes nothing on the wire; a discarded
+       candidate never pays for a digest. *)
+    let capture =
+      Option.map (fun ring -> (ring, Array.make n [], Array.make n None)) t.forensics
     in
-    run_engine ~who:"Fleet.chaos_sweep" ~shards ~members:n
-      (fun ~shard:_ obs sched ~lo ~hi ->
+    let hook i =
+      Option.map
+        (fun (_, fails, slow) ~round ~at ~tstart (r : Session.round) ->
+          let m = members.(i) in
+          let held kind =
+            let trace_id =
+              match Session.tracing m.session with
+              | None -> None
+              | Some tr ->
+                Option.map
+                  (fun rd -> rd.Ra_obs.Trace.rd_trace_id)
+                  (Ra_obs.Recorder.latest (Ra_obs.Trace.recorder tr))
+            in
+            ( {
+                Forensics.cap_kind = kind;
+                cap_member = i;
+                cap_name = m.name;
+                cap_sweep_seed = seed;
+                cap_losses = losses;
+                cap_policies = policies;
+                cap_rounds_per_member = rounds_per_member;
+                cap_cell = cell_idx;
+                cap_loss = loss;
+                cap_policy = policy_name;
+                cap_round = round;
+                cap_workload = workload;
+                cap_imp_seed = seed_of i;
+                cap_prior_sweeps = prior.(i);
+                cap_started_at = at;
+                cap_elapsed_s = r.Session.r_elapsed_s;
+                cap_attempts = r.Session.r_attempts;
+                cap_verdict = r.Session.r_verdict;
+                cap_trace_id = trace_id;
+                cap_phase = None;
+                cap_wire_digest = "";
+                cap_config = config;
+              },
+              tstart,
+              Ra_net.Channel.transcript_length (Session.channel m.session) )
+          in
+          match (r.Session.r_verdict, slow.(i)) with
+          | Verdict.Trusted, Some ((s : Forensics.capsule), _, _)
+            when s.cap_elapsed_s >= r.Session.r_elapsed_s ->
+            (* the strictly slowest converged round; the first wins ties *)
+            ()
+          | Verdict.Trusted, _ -> slow.(i) <- Some (held Forensics.Slowest)
+          | _ -> fails.(i) <- held Forensics.Failure :: fails.(i))
+        capture
+    in
+    Shard.run ~who:"Fleet.chaos_sweep" ~shards ~members:n
+      (fun ~shard:_ arena sched ~lo ~hi ->
+        let obs = arena_obs arena in
         for i = lo to hi - 1 do
-          chaos_member
-            ?fcap:(fcap_hook fcands i members.(i))
-            ~workload obs sched members.(i) ~imp_seed:(seed_of i) ~loss ~policy
-            ~rounds:rounds_per_member
+          chaos_member ?fcap:(hook i) ~workload obs sched members.(i) ~imp_seed:(seed_of i)
+            ~loss ~policy ~rounds:rounds_per_member
             ~finished:(fun r -> results.(i) <- r)
-        done);
-    (* merge retained candidates into the capsule ring — coordinator
-       only, member-index order, so the capsule stream is identical at
-       every shard count *)
-    (match (t.forensics, fcands) with
-    | Some f, Some arr ->
-      let capsule kind i (c : fcand) =
-        let m = members.(i) in
-        let reason =
-          match Verdict.reason_of c.fc_verdict with
-          | Some r -> Verdict.Reason.label r
-          | None -> Verdict.label c.fc_verdict
+        done)
+    |> ignore;
+    (* merge the kept capsules into the ring — coordinator only, member
+       order, so the capsule stream is identical at every shard count:
+       every failure, then one cell-wide slowest converged round (the
+       latency exemplar; strictly greater wins, so ties keep the
+       earliest member) *)
+    Option.iter
+      (fun (ring, fails, slow) ->
+        let keep h = Forensics.capture ring (finish members h) in
+        Array.iter (fun held -> List.iter keep (List.rev held)) fails;
+        let slowest =
+          Array.fold_left
+            (fun best held ->
+              match (held, best) with
+              | Some ((c : Forensics.capsule), _, _), Some ((b : Forensics.capsule), _, _)
+                when c.cap_elapsed_s <= b.cap_elapsed_s ->
+                best
+              | Some _, _ -> held
+              | None, _ -> best)
+            None slow
         in
-        let phase =
-          match (Session.profiling m.session, c.fc_trace_id) with
-          | Some p, Some id ->
-            Ra_obs.Forensics.dominant_phase
-              (Ra_obs.Profiler.Phases.samples p.Ra_obs.Profiler.phases)
-              ~trace_id:id
-          | (Some _ | None), _ -> None
-        in
-        {
-          Ra_obs.Forensics.cap_kind = kind;
-          cap_member = i;
-          cap_name = m.name;
-          cap_sweep_seed = seed;
-          cap_losses = losses;
-          cap_policies;
-          cap_rounds_per_member = rounds_per_member;
-          cap_cell = cell_idx;
-          cap_loss = loss;
-          cap_policy = policy_name;
-          cap_round = c.fc_round;
-          cap_workload = workload_label workload;
-          cap_imp_seed = seed_of i;
-          cap_prior_sweeps = prior.(i);
-          cap_started_at = c.fc_at;
-          cap_elapsed_s = c.fc_elapsed;
-          cap_attempts = c.fc_attempts;
-          cap_verdict = Verdict.to_json c.fc_verdict;
-          cap_reason = reason;
-          cap_trace_id = c.fc_trace_id;
-          cap_phase = phase;
-          cap_wire_digest =
-            window_digest m.session ~tstart:c.fc_tstart ~tend:c.fc_tend;
-          cap_config = config;
-        }
-      in
-      Array.iteri
-        (fun i slot ->
-          match slot with
-          | None -> ()
-          | Some cell ->
-            List.iter
-              (fun c ->
-                Ra_obs.Forensics.capture f (capsule Ra_obs.Forensics.Failure i c))
-              (List.rev cell.fc_fails))
-        arr;
-      (* one cell-wide slowest-converged capsule — the latency exemplar;
-         strictly-greater wins, so ties keep the earliest member *)
-      let slowest = ref None in
-      Array.iteri
-        (fun i slot ->
-          match slot with
-          | None -> ()
-          | Some cell -> (
-            match (cell.fc_slow, !slowest) with
-            | None, _ -> ()
-            | Some c, Some (_, best) when c.fc_elapsed <= best.fc_elapsed -> ()
-            | Some c, (Some _ | None) -> slowest := Some (i, c)))
-        arr;
-      (match !slowest with
-      | None -> ()
-      | Some (i, c) ->
-        Ra_obs.Forensics.capture f (capsule Ra_obs.Forensics.Slowest i c))
-    | (Some _ | None), _ -> ());
+        Option.iter keep slowest)
+      capture;
     let total = n * rounds_per_member in
     let converged = Array.fold_left (fun acc (c, _, _) -> acc + c) 0 results in
     let attempts = Array.fold_left (fun acc (_, a, _) -> acc + a) 0 results in
@@ -607,8 +516,7 @@ type replay = {
    re-execute the member's full history up to the captured round from a
    fresh session — every PRNG draw happens in the same order — then run
    the captured round with tracing and profiling forced on. *)
-let replay_capsule t (cap : Ra_obs.Forensics.capsule) =
-  let open Ra_obs.Forensics in
+let replay_capsule t (cap : Forensics.capsule) =
   let n_cells = List.length cap.cap_losses * List.length cap.cap_policies in
   if cap.cap_config <> config_digest t then
     Error "capsule was captured on a different fleet configuration"
@@ -620,29 +528,15 @@ let replay_capsule t (cap : Ra_obs.Forensics.capsule) =
     Error "capsule round index is outside rounds_per_member"
   else if cap.cap_member < 0 then Error "negative member index"
   else
-    match workload_of_label cap.cap_workload with
-    | None -> Error ("unknown capsule workload: " ^ cap.cap_workload)
-    | Some workload ->
-  begin
-    let policies =
-      List.map
-        (fun (name, p) ->
-          ( name,
-            {
-              Retry.max_attempts = p.cp_max_attempts;
-              base_timeout_s = p.cp_base_timeout_s;
-              multiplier = p.cp_multiplier;
-              max_timeout_s = p.cp_max_timeout_s;
-              jitter = p.cp_jitter;
-            } ))
-        cap.cap_policies
-    in
-    match List.iter (fun (_, p) -> Retry.validate p) policies with
+    match check_losses cap.cap_losses with
+    | Error msg -> Error ("capsule " ^ msg)
+    | Ok () -> (
+    match List.iter (fun (_, p) -> Retry.validate p) cap.cap_policies with
     | exception Invalid_argument msg -> Error ("capsule retry policy: " ^ msg)
     | () ->
       let cells =
         List.concat_map
-          (fun loss -> List.map (fun (_, policy) -> (loss, policy)) policies)
+          (fun loss -> List.map (fun (_, policy) -> (loss, policy)) cap.cap_policies)
           cap.cap_losses
       in
       let seeder = Ra_crypto.Prng.create cap.cap_sweep_seed in
@@ -668,7 +562,7 @@ let replay_capsule t (cap : Ra_obs.Forensics.capsule) =
           let loss, policy = cells.(ci) in
           let arena = Ra_obs.Arena.create () in
           let sched = Sched.create ~metrics:(Sched.arena_metrics arena) () in
-          chaos_member ?fcap ~workload (arena_obs arena) sched m
+          chaos_member ?fcap ~workload:cap.cap_workload (arena_obs arena) sched m
             ~imp_seed:
               (Ra_net.Impairment.derive_seed ~root:roots.(ci) ~index:cap.cap_member)
             ~loss ~policy ~rounds ~finished:ignore;
@@ -703,7 +597,7 @@ let replay_capsule t (cap : Ra_obs.Forensics.capsule) =
         let at, r, digest = Option.get !captured in
         let rp_match =
           String.equal digest cap.cap_wire_digest
-          && Verdict.to_json r.Session.r_verdict = cap.cap_verdict
+          && r.Session.r_verdict = cap.cap_verdict
           && r.Session.r_attempts = cap.cap_attempts
           && r.Session.r_elapsed_s = cap.cap_elapsed_s
           && at = cap.cap_started_at
@@ -720,15 +614,13 @@ let replay_capsule t (cap : Ra_obs.Forensics.capsule) =
               Ra_obs.Recorder.latest (Ra_obs.Trace.recorder tracer);
             rp_profile = Some profiler;
           }
-      end
-  end
+      end)
 
 let annotate_exemplars t =
   match t.forensics with
   | None -> 0
   | Some f ->
-    Ra_obs.Forensics.annotate_exemplars ~histogram:Mc.time
-      (Ra_obs.Forensics.capsules f)
+    Forensics.annotate_exemplars ~histogram:Mc.time (Forensics.capsules f)
 
 let last_chaos t = t.last_chaos
 
@@ -802,8 +694,9 @@ let stream_sweep ?(spec = Architecture.trustlite_base) ?ram_size ?(shards = 1) ~
   let compromised = Array.make shards 0 in
   let unresponsive = Array.make shards 0 in
   let fingers = Array.make shards zero_digest in
-  run_engine ~who:"Fleet.stream_sweep" ~shards ~members
-    (fun ~shard:s obs sched ~lo ~hi ->
+  Shard.run ~who:"Fleet.stream_sweep" ~shards ~members
+    (fun ~shard:s arena sched ~lo ~hi ->
+      let obs = arena_obs arena in
       (* member i's event creates its world, runs the sweep slot, folds
          the outcome in and only then schedules member i+1 — the queue
          never holds more than one member *)
@@ -821,7 +714,8 @@ let stream_sweep ?(spec = Architecture.trustlite_base) ?ram_size ?(shards = 1) ~
                   (session_digest ~name:m.name ~verdict m.session);
               slot (i + 1))
       in
-      slot lo);
+      slot lo)
+  |> ignore;
   let sum a = Array.fold_left ( + ) 0 a in
   {
     st_members = members;
@@ -842,8 +736,6 @@ let enable_tracing ?capacity ?max_events t =
         (Session.enable_tracing ?capacity ?max_events ~device:m.name m.session))
     t.members
 
-let disable_tracing t = List.iter (fun m -> Session.disable_tracing m.session) t.members
-
 let recent_rounds t =
   List.concat_map
     (fun m ->
@@ -859,9 +751,6 @@ let enable_profiling ?capacity t =
     (fun m ->
       ignore (Session.enable_profiling ?capacity ~device:m.name m.session))
     t.members
-
-let disable_profiling t =
-  List.iter (fun m -> Session.disable_profiling m.session) t.members
 
 (* Fleet-wide profile: the member profiles absorbed in member-index order
    into one accumulator, whose ring is sized to the surviving sample

@@ -6,7 +6,12 @@
     health ledger derived from attestation verdicts, and staggered sweep
     scheduling so a large fleet does not synchronize its 754 ms
     attestation bursts (which would turn the *verifier's own schedule*
-    into the §3.1 availability problem). *)
+    into the §3.1 availability problem).
+
+    Every sweep — plain, chaos and streaming — runs on the one shard
+    engine, {!Shard.run}, which {!Server.Load.run} uses too: one event
+    timeline and one metrics arena per shard, arenas flushed in shard
+    order. *)
 
 type health =
   | Healthy (* latest sweep: trusted *)
@@ -53,7 +58,7 @@ val sweep :
     accumulated rounding drift at 10k+ members.
 
     The fleet engine: [`Shards k] (default [`Shards 1]) partitions the
-    members into [k] contiguous ranges ({!Shard.partition}) and runs each
+    members into [k] contiguous ranges ({!Shard.run}) and runs each
     range as events on its own {!Sched} timeline, on the persistent
     domain pool, with its own buffered metrics arena. The merge is
     deterministic — results are read back in member order and the arenas
@@ -91,19 +96,13 @@ type chaos_cell = {
   c_p99_s : float;
 }
 
-type workload = [ `Attest | `Session of int ]
+type workload = Forensics.workload
 (** What one chaos "round" executes. [`Attest] is the classic one-shot
     retry round ({!Session.round_begin}); [`Session n] is one full
     secure-session lifecycle — attested handshake, [n] streamed
     encrypt-then-MAC attestation records, best-effort close
     ({!Secure_session.round_begin}). Both produce a {!Session.round},
     so accumulators, ledgers and capsules are workload-agnostic. *)
-
-val workload_label : workload -> string
-(** ["attest"] or ["session:<n>"] — the form capsules embed. *)
-
-val workload_of_label : string -> workload option
-(** Total inverse of {!workload_label}. *)
 
 val classify_verdict : Verdict.t -> health
 (** Unified-verdict analogue of the sweep classifier: [Trusted] is
@@ -139,8 +138,9 @@ val chaos_sweep :
     whatever else shares that timeline, so the grid, ledgers,
     transcripts, member clocks and metric totals are identical at every
     [`Shards k] (default [`Shards 1]).
-    @raise Invalid_argument on an empty grid, an invalid policy, or
-    [`Shards k] with [k < 1]. *)
+    @raise Invalid_argument before any round runs on an empty grid, an
+    invalid policy, a loss outside [\[0, 1\]], or [`Shards k] with
+    [k < 1]. *)
 
 val last_chaos : t -> chaos_cell list
 (** The grid from the most recent {!chaos_sweep} (empty before any). *)
@@ -151,7 +151,7 @@ val convergence_pct : chaos_cell -> float
 (** {2 Failure forensics}
 
     With forensics enabled, every chaos sweep records {e replay
-    capsules} (see {!Ra_obs.Forensics}) into a bounded ring next to the
+    capsules} (see {!Forensics}) into a bounded ring next to the
     flight recorder: one [Failure] capsule per round that ends
     non-[Trusted], plus one [Slowest] capsule per cell — the slowest
     converged round, the latency-SLO exemplar. Capture is out-of-band:
@@ -161,13 +161,11 @@ val convergence_pct : chaos_cell -> float
     are member-local; the coordinator merges them in member-index order
     after each cell). *)
 
-val enable_forensics : ?capacity:int -> t -> Ra_obs.Forensics.t
+val enable_forensics : ?capacity:int -> t -> Forensics.t
 (** Attach a capsule ring ([capacity] capsules, default 256) if none is
     attached yet; returns the ring (idempotent). *)
 
-val forensics : t -> Ra_obs.Forensics.t option
-
-val capsules : t -> Ra_obs.Forensics.capsule list
+val capsules : t -> Forensics.capsule list
 (** Captured capsules, oldest first; empty when forensics is off. *)
 
 type replay = {
@@ -183,7 +181,7 @@ type replay = {
   rp_profile : Ra_obs.Profiler.t option;  (** its cycle/energy profile *)
 }
 
-val replay_capsule : t -> Ra_obs.Forensics.capsule -> (replay, string) result
+val replay_capsule : t -> Forensics.capsule -> (replay, string) result
 (** Re-execute exactly the captured round in a fresh session, with
     tracing and profiling forced on (both are out-of-band, so forcing
     them cannot perturb the outcome). The capsule pins the sweep seed,
@@ -192,14 +190,14 @@ val replay_capsule : t -> Ra_obs.Forensics.capsule -> (replay, string) result
     first so every PRNG draw lines up, then the captured round runs and
     is compared byte-for-byte. The fast-forward runs the sweep's own
     member round driver, so replay cannot drift from capture. [Error]
-    explains why a capsule cannot be
-    replayed against this fleet (config mismatch, pre-sweep member
-    history, out-of-range indices, or an impairment seed that does not
+    explains why a capsule cannot be replayed against this fleet (config
+    mismatch, pre-sweep member history, out-of-range indices, a loss or
+    retry policy no sweep accepts, or an impairment seed that does not
     re-derive — a tampered capsule). *)
 
 val annotate_exemplars : t -> int
 (** Stamp the captured capsules into [ra_chaos_round_time_ms] as bucket
-    exemplars ({!Ra_obs.Forensics.annotate_exemplars}); returns how many
+    exemplars ({!Forensics.annotate_exemplars}); returns how many
     carried a trace id and were stamped. Requires tracing to have been
     on during the sweep for non-zero effect. *)
 
@@ -265,8 +263,6 @@ val enable_tracing : ?capacity:int -> ?max_events:int -> t -> unit
 (** Enable per-member flight recorders; the member name becomes the
     Perfetto process name. *)
 
-val disable_tracing : t -> unit
-
 val recent_rounds : t -> Ra_obs.Trace.round list
 (** Sealed rounds still held in the members' rings, member order then
     oldest first. Empty when tracing was never enabled. *)
@@ -281,8 +277,6 @@ val recent_rounds : t -> Ra_obs.Trace.round list
 val enable_profiling : ?capacity:int -> t -> unit
 (** Attach a fresh profile to every member; the member name tags its
     phase samples (and becomes the Perfetto process name). *)
-
-val disable_profiling : t -> unit
 
 val profile : t -> Ra_obs.Profiler.t
 (** Merge the members' profiles, absorbed in member-index order into one

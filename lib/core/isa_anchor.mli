@@ -24,10 +24,6 @@ val rom_image : unit -> string
     [(Ra_mcu.Device.region_attest, rom_image ())] in [rom_images].
     The routine is position-assembled for the standard device map. *)
 
-val scratch_addr : Ra_mcu.Device.t -> int
-(** Where the routine's working memory lives: the top
-    [Ra_isa.Sha1_asm.scratch_bytes] of attested RAM. *)
-
 val install :
   Ra_mcu.Device.t ->
   scheme:Ra_mcu.Timing.auth_scheme option ->

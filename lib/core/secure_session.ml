@@ -379,7 +379,6 @@ let initiator_stats i = i.i_stats
 let verdict_count i = i.i_verdict_count
 let session_verdicts i = List.rev i.i_verdicts
 let established i = match i.i_state with Established _ -> true | _ -> false
-let refused i = match i.i_state with Refused v -> Some v | _ -> None
 let closed i = match i.i_state with Closed -> true | _ -> false
 let close_acked i = i.i_close_acked
 

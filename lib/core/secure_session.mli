@@ -107,7 +107,6 @@ val close_begin : initiator -> bool
     acks and detaches; the ack flips {!close_acked}. *)
 
 val established : initiator -> bool
-val refused : initiator -> Verdict.t option
 val closed : initiator -> bool
 val close_acked : initiator -> bool
 val verdict_count : initiator -> int

@@ -389,8 +389,12 @@ module Load = struct
   let impair_root seed = Int64.lognot seed
   let junk_root seed = Int64.add seed 0x5eed_f00dL
 
-  let run_shard cfg traffic ~record_outcomes (range : Shard.range) =
-    let sched = Sched.create () in
+  (* One shard's server on the shard's timeline, with sources [lo, hi)
+     armed on it. The linger chain drains the queue before the timeline
+     runs dry: a report is admitted only by [submit], which arms a flush
+     whenever the queue is non-empty, and every flush re-arms while
+     reports remain. *)
+  let serve cfg traffic ~record_outcomes sched ~lo ~hi =
     let server =
       match create ~record_outcomes ~sched cfg with
       | Ok s -> s
@@ -399,7 +403,7 @@ module Load = struct
     let keyed = Auth.keyed cfg.sc_verifier.Verifier.Config.sym_key in
     let image = cfg.sc_verifier.Verifier.Config.reference_image in
     let horizon = traffic.tr_horizon_s in
-    for i = range.Shard.sh_lo to range.Shard.sh_hi - 1 do
+    for i = lo to hi - 1 do
       if i < traffic.tr_devices then register_device server (device_name i)
     done;
     let source i =
@@ -483,33 +487,19 @@ module Load = struct
       in
       arm ()
     in
-    for i = range.Shard.sh_lo to range.Shard.sh_hi - 1 do
+    for i = lo to hi - 1 do
       source i
-    done;
-    ignore (Sched.run sched);
-    (* the linger chain drains the queue before the heap empties, but a
-       final sweep costs nothing and guarantees it *)
-    while Admission.depth server.admission > 0 do
-      flush server
     done;
     server
 
   let run ?(engine = `Shards 1) ?(record_outcomes = false) cfg traffic =
-    (match create ~sched:(Sched.create ()) cfg with
-    | Ok _ -> ()
-    | Error msg -> invalid_arg ("Server.Load.run: " ^ msg));
     if traffic.tr_devices < 0 || traffic.tr_flood_sources < 0 then
       invalid_arg "Server.Load.run: negative source count";
     let (`Shards shards) = engine in
-    let members = traffic.tr_devices + traffic.tr_flood_sources in
-    let parts = Shard.partition ~members ~shards in
-    let servers = Array.make shards None in
-    Shard.run ~shards (fun s ->
-        servers.(s) <- Some (run_shard cfg traffic ~record_outcomes parts.(s)));
     let servers =
-      Array.map
-        (function Some s -> s | None -> assert false (* Shard.run ran every shard *))
-        servers
+      Shard.run ~who:"Server.Load.run" ~shards
+        ~members:(traffic.tr_devices + traffic.tr_flood_sources)
+        (fun ~shard:_ _ sched ~lo ~hi -> serve cfg traffic ~record_outcomes sched ~lo ~hi)
     in
     let per_shard = Array.map stats servers in
     let sum f = Array.fold_left (fun acc s -> acc + f s) 0 per_shard in

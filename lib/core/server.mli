@@ -22,7 +22,8 @@
       proportional to the SHA-1 blocks it hashes ([sc_block_s] per
       64-byte block), so queueing, latency percentiles and deadlines
       are all properties of the discrete-event schedule — deterministic
-      and shardable ({!Load.run} [~engine:(`Shards k)]).
+      and shardable: {!Load.run} [~engine:(`Shards k)] runs its sources
+      on {!Shard.run}, the engine {!Fleet}'s sweeps run on.
 
     Rejections on this side of the wire use the same {!Verdict.reason}
     vocabulary (and Prometheus [reason] label values) as the
@@ -189,17 +190,19 @@ module Load : sig
     report * outcome list
   (** Drive the traffic through server instance(s) on a discrete-event
       timeline. [`Shards k] (default [`Shards 1]) partitions the sources
-      over [k] independent server instances run on {!Pool.shared}:
-      positional seeds make each source's arrival stream identical under
-      any shard count (and, as long as triage never saturates, each
-      device's admission/verdict sequence too); the merged report sums
-      tallies and pools latency samples in shard order, and each shard's
-      totals are published into the default metric registry. Outcomes
-      are empty unless [record_outcomes]: one list, each shard's
-      outcomes in chronological order and the shards in shard order,
-      built once from the shard servers' logs (about 88 B per outcome on
-      a 64-bit host).
-      @raise Invalid_argument on an invalid [config] or [shards < 1]. *)
+      over [k] independent server instances on the shard engine
+      ({!Shard.run}): positional seeds make each source's arrival stream
+      identical under any shard count (and, as long as triage never
+      saturates, each device's admission/verdict sequence too); the
+      merged report sums tallies and pools latency samples in shard
+      order, each shard's scheduler metrics ([ra_sched_*]) flush from
+      its arena in shard order, and each shard's totals are published
+      into the default metric registry. Outcomes are empty unless
+      [record_outcomes]: one list, each shard's outcomes in
+      chronological order and the shards in shard order, built once from
+      the shard servers' logs (about 88 B per outcome on a 64-bit host).
+      @raise Invalid_argument on an invalid [config], a negative source
+      count or [shards < 1]. *)
 
   val slo_watch :
     ?max_p99_ms:float -> ?min_goodput_rps:float -> report -> Ra_obs.Slo.check list

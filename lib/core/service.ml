@@ -15,8 +15,6 @@ type request = {
   tag : Message.auth_tag;
 }
 
-type ack = { acked_command : string; ack_report : string }
-
 type stats = { invocations : int; breakdown : (Verdict.reason * int) list }
 
 let rejections s = List.fold_left (fun acc (_, n) -> acc + n) 0 s.breakdown
@@ -207,10 +205,12 @@ let handle t req =
       (fun () -> execute t req.command);
     let key = Auth.blob_sym_key (Code_attest.key_blob t.device) in
     Ok
-      {
-        acked_command = command_name req.command;
-        ack_report = C.Hmac.mac_parts (Auth.keyed key) (ack_parts req.command req.freshness);
-      }
+      (Message.Service_ack
+         {
+           acked_command = command_name req.command;
+           ack_report =
+             C.Hmac.mac_parts (Auth.keyed key) (ack_parts req.command req.freshness);
+         })
   in
   let result = Code_attest.protected t.device run in
   (match result with
@@ -253,6 +253,3 @@ let request_of_wire = function
   | Message.Sync_response _ | Message.Service_ack _ | Message.Hs_init _
   | Message.Hs_resp _ | Message.Hs_fin _ | Message.Record _ ->
     None
-
-let ack_to_wire ack =
-  Message.Service_ack { acked_command = ack.acked_command; ack_report = ack.ack_report }

@@ -20,13 +20,6 @@ type request = {
   tag : Message.auth_tag;
 }
 
-type ack = {
-  acked_command : string; (* name echo *)
-  ack_report : string;
-      (* HMAC under K_attest over the command, the request's freshness
-         field and the result; see {!check_ack} *)
-}
-
 type stats = {
   invocations : int; (* accepted and executed *)
   breakdown : (Verdict.reason * int) list;
@@ -60,9 +53,6 @@ val spans : t -> Ra_obs.Span.t
 
 val command_name : command -> string
 
-val request_body : command -> Message.freshness_field -> string
-(** What the request tag covers. *)
-
 val make_request :
   sym_key:string ->
   scheme:Ra_mcu.Timing.auth_scheme option ->
@@ -71,11 +61,14 @@ val make_request :
   request
 (** Verifier-side construction (symmetric schemes). *)
 
-val handle : t -> request -> (ack, Verdict.t) result
+val handle : t -> request -> (Message.wire, Verdict.t) result
 (** Authenticate, check freshness ({!Code_attest}'s defence sequence),
     then execute the command body with its modeled cycle cost (erase:
     one write per byte; update: one flash word program per 4 bytes; ping:
-    bookkeeping only). Rejects with [Bad_auth], [Not_fresh] or, when the
+    bookkeeping only), and answer with the [Service_ack] frame: the
+    command's name and an HMAC under K_attest over the command, the
+    request's freshness field and the result ({!check_ack}). Rejects
+    with [Bad_auth], [Not_fresh] or, when the
     EA-MPU denies the handler an access, [Fault]. A [Code_update] image
     longer than the app region is a [Fault] at the region's end, raised
     after authentication and before the freshness cell or the region is
@@ -93,5 +86,3 @@ val request_to_wire : request -> Message.wire
 
 val request_of_wire : Message.wire -> request option
 (** [None] for non-service frames or unknown command names. *)
-
-val ack_to_wire : ack -> Message.wire

@@ -180,7 +180,7 @@ let create ?(spec = Architecture.trustlite_base) ?(sym_key = default_sym_key)
           (fun svc_req ->
             ignore
               (prover_step t ~cat:"prover" ~ok:"executed" "prover.service"
-                 ~reply:Service.ack_to_wire
+                 ~reply:Fun.id
                  (fun () -> Service.handle t.service svc_req)))
           (Service.request_of_wire svc_frame)
       | Message.Sync_response _ | Message.Response _ | Message.Service_ack _
@@ -285,7 +285,6 @@ let time t = t.time
 let trace t = t.trace
 let channel t = t.channel
 let verifier t = t.verifier
-let prover t = t.prover
 let anchor t = t.prover.Architecture.anchor
 let device t = t.prover.Architecture.device
 let service t = t.service
@@ -310,51 +309,55 @@ let deliver_next_to_prover t = Channel.forward_next t.channel ~dst:Channel.Prove
 let deliver_next_to_verifier t =
   Channel.forward_next t.channel ~dst:Channel.Verifier_side
 
-(* Drain the prover->verifier direction until [answered] holds or the
-   wire is empty — under a DoS flood a benign response queues behind the
-   attacker's junk. *)
-let rec drain t answered =
-  if (not (answered ())) && deliver_next_to_verifier t then drain t answered
+(* A one-shot round under the registry span [name]: [send] puts one
+   request on the wire, the prover handles the next frame, then the
+   prover->verifier direction drains until [count] moves or the wire is
+   empty — under a DoS flood a benign reply queues behind the attacker's
+   junk. True when [count] moved. *)
+let one_shot t ?labels name ~count send =
+  Trace.with_span t.trace ?labels name (fun () ->
+      let before = count () in
+      send ();
+      let _ = deliver_next_to_prover t in
+      let rec drain () =
+        if count () = before && deliver_next_to_verifier t then drain ()
+      in
+      drain ();
+      count () > before)
 
 let attest_round t =
-  Trace.with_span t.trace "attest.round" (fun () ->
-      let before = t.verdict_count in
-      let _req = send_request t in
-      let _ = deliver_next_to_prover t in
-      drain t (fun () -> t.verdict_count > before);
-      if t.verdict_count > before then Some (snd (List.nth t.verdicts 0)) else None)
+  if one_shot t "attest.round" ~count:(fun () -> t.verdict_count) (fun () ->
+         ignore (send_request t))
+  then Some (snd (List.hd t.verdicts))
+  else None
 
 let sync_round t =
-  Trace.with_span t.trace "sync.round" (fun () ->
+  one_shot t "sync.round" ~count:(fun () -> t.sync_acks) (fun () ->
       t.sync_counter <- Int64.add t.sync_counter 1L;
-      let req = Clock_sync.make_sync_request ~sym_key:t.sym_key ~time:t.time
-          ~counter:t.sync_counter
-      in
-      let before = t.sync_acks in
-      Channel.send t.channel ~src:Channel.Verifier_side (Message.wire_to_bytes req);
-      let _ = deliver_next_to_prover t in
-      drain t (fun () -> t.sync_acks > before);
-      t.sync_acks > before)
+      Channel.send t.channel ~src:Channel.Verifier_side
+        (Message.wire_to_bytes
+           (Clock_sync.make_sync_request ~sym_key:t.sym_key ~time:t.time
+              ~counter:t.sync_counter)))
 
 let service_round t command =
-  Trace.with_span t.trace
-    ~labels:[ ("command", Service.command_name command) ]
-    "service.round"
-    (fun () ->
-      t.service_counter <- Int64.add t.service_counter 1L;
-      let req =
-        Service.make_request ~sym_key:t.sym_key ~scheme:(Verifier.scheme t.verifier)
-          ~freshness:(Message.F_counter t.service_counter)
-          command
-      in
-      let before = t.service_acks in
-      t.service_request <- Some req;
-      Channel.send t.channel ~src:Channel.Verifier_side
-        (Message.wire_to_bytes (Service.request_to_wire req));
-      let _ = deliver_next_to_prover t in
-      drain t (fun () -> t.service_acks > before);
-      t.service_request <- None;
-      t.service_acks > before)
+  let acked =
+    one_shot t
+      ~labels:[ ("command", Service.command_name command) ]
+      "service.round"
+      ~count:(fun () -> t.service_acks)
+      (fun () ->
+        t.service_counter <- Int64.add t.service_counter 1L;
+        let req =
+          Service.make_request ~sym_key:t.sym_key ~scheme:(Verifier.scheme t.verifier)
+            ~freshness:(Message.F_counter t.service_counter)
+            command
+        in
+        t.service_request <- Some req;
+        Channel.send t.channel ~src:Channel.Verifier_side
+          (Message.wire_to_bytes (Service.request_to_wire req)))
+  in
+  t.service_request <- None;
+  acked
 
 let prover_wall_ms t =
   match t.clock_sync with None -> 0L | Some sync -> Clock_sync.now_ms sync
@@ -400,8 +403,6 @@ let enable_profiling ?capacity ?(device = "prover") t =
   t.profile_device <- device;
   t.profiler <- Some p;
   p
-
-let disable_profiling t = t.profiler <- None
 
 (* The round is a resumable machine: it runs until it either has a
    verdict or needs simulated time to pass, and in the latter case it

@@ -42,7 +42,6 @@ val channel : t -> string Ra_net.Channel.t
     malformed frames (paying the radio cost). *)
 
 val verifier : t -> Verifier.t
-val prover : t -> Architecture.prover
 val anchor : t -> Code_attest.t
 val device : t -> Ra_mcu.Device.t
 val service : t -> Service.t
@@ -239,7 +238,6 @@ val enable_profiling : ?capacity:int -> ?device:string -> t -> Ra_obs.Profiler.t
     phase-sample ring, default 1024). [device] (default ["prover"])
     tags the samples. Replaces any previous profile. *)
 
-val disable_profiling : t -> unit
 val profiling : t -> Ra_obs.Profiler.t option
 
 val prover_radio : t -> bytes:int -> unit

@@ -70,8 +70,6 @@ module Reason = struct
     | Rate_limited -> "rate_limited"
     | Queue_full -> "queue_full"
     | Bad_record -> "bad_record"
-
-  let pp fmt r = Format.pp_print_string fmt (label r)
 end
 
 type reason = Reason.t
@@ -91,7 +89,6 @@ module Tally = struct
   let create () = Array.make Reason.count 0
   let add t r = t.(Reason.index r) <- t.(Reason.index r) + 1
   let get t r = t.(Reason.index r)
-  let total t = Array.fold_left ( + ) 0 t
 
   let to_list t =
     List.filter_map

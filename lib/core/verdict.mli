@@ -82,8 +82,6 @@ module Reason : sig
 
   val label : t -> string
   (** The lower-snake metric label ({!Verdict.label} is built on it). *)
-
-  val pp : Format.formatter -> t -> unit
 end
 
 type reason = Reason.t
@@ -98,8 +96,6 @@ module Tally : sig
 
   val create : unit -> t
   val add : t -> reason -> unit
-  val get : t -> reason -> int
-  val total : t -> int
 
   val to_list : t -> (reason * int) list
   (** Non-zero entries in {!Reason.all} order. *)

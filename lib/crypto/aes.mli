@@ -10,9 +10,6 @@ type key
 val block_size : int
 (** 16 bytes. *)
 
-val key_size : int
-(** 16 bytes. *)
-
 val expand : string -> key
 (** [expand k] expands a 16-byte key.
     @raise Invalid_argument if [k] is not 16 bytes. *)

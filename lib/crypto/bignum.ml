@@ -212,5 +212,3 @@ let to_hex a =
     if String.length s > 1 && s.[0] = '0' then String.sub s 1 (String.length s - 1)
     else s
   end
-
-let pp fmt a = Format.fprintf fmt "0x%s" (to_hex a)

@@ -51,5 +51,3 @@ val test_bit : t -> int -> bool
 
 val is_even : t -> bool
 val is_odd : t -> bool
-
-val pp : Format.formatter -> t -> unit

@@ -9,9 +9,6 @@ type key
 val block_size : int
 (** 8 bytes. *)
 
-val key_size : int
-(** 16 bytes. *)
-
 val expand : string -> key
 (** @raise Invalid_argument if the key is not 16 bytes. *)
 

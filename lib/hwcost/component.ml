@@ -28,7 +28,3 @@ let sw_clock = make "SW-clock" 2 0 0
 let clock_nbit ~width =
   if width <= 0 then invalid_arg "Component.clock_nbit: width must be positive";
   make (Printf.sprintf "%d bit clock" width) 0 width width
-
-let pp fmt c =
-  Format.fprintf fmt "%s: %d rule(s), %d reg, %d LUT" c.component_name c.mpu_rules
-    c.direct_registers c.direct_luts

@@ -45,5 +45,3 @@ val sw_clock : t
 
 val clock_nbit : width:int -> t
 (** Generalization used by the clock-width sweep bench. *)
-
-val pp : Format.formatter -> t -> unit

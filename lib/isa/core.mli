@@ -82,9 +82,6 @@ val set_sample_credit : t -> int -> unit
     carry a partial period across the short-lived cores a routine like
     [Sha1_asm] creates per run. *)
 
-val step : t -> state
-(** Execute one instruction. *)
-
 val run : ?max_steps:int -> t -> state * int
 (** Step until halt or trap (or [max_steps], default 1_000_000, returning
     [Running]); also returns the number of instructions executed. *)

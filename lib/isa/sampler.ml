@@ -46,8 +46,6 @@ let create ?(period = default_period) ~memory profile =
     cur_core = None;
   }
 
-let period t = t.s_period
-
 let add_program t (program : Asm.program) =
   let syms =
     List.sort (fun (_, a) (_, b) -> compare a b) program.Asm.labels

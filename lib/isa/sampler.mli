@@ -43,5 +43,3 @@ val attach : t -> Core.t -> unit
 val flush : t -> unit
 (** Attribute any remaining cycle credit to the last sampled stack.
     Call once at the end of a measured run to make attribution exact. *)
-
-val period : t -> int

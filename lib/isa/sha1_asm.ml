@@ -203,9 +203,7 @@ let install memory ~origin ~scratch_addr =
   t
 
 let code_size_bytes t = t.code_size
-let entry t = t.origin
 let last_run_cycles t = t.last_cycles
-let program t = t.program
 
 let set_sampler t sampler =
   (match sampler with

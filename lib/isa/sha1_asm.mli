@@ -31,9 +31,6 @@ val code_bytes : origin:int -> scratch_addr:int -> string
 
 val code_size_bytes : t -> int
 
-val entry : t -> int
-(** The routine's entry point, e.g. for {!Core.allow_entries}. *)
-
 exception Trapped of Core.trap
 (** A trap of the core stops the routine where it stands: its scratch
     then holds whatever the routine had staged. *)
@@ -66,10 +63,6 @@ val hmac : t -> Ra_mcu.Cpu.t -> key:string -> string -> string
 val last_run_cycles : t -> int64
 (** Cycles the most recent compression consumed (for the Table-1
     comparison). *)
-
-val program : t -> Asm.program
-(** The assembled routine — e.g. to register its labels as profiler
-    symbols. *)
 
 val set_sampler : t -> Sampler.t option -> unit
 (** Attach a PC sampler to every core this routine spins up (compression

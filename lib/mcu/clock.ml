@@ -87,8 +87,6 @@ let seconds t = Int64.to_float (ticks t) *. resolution_seconds t
 
 let msb_addr t = Option.map (fun sw -> sw.msb_addr) t.sw
 let lsb_width t = Option.map (fun sw -> sw.lsb_width) t.sw
-let handler_entry t = Option.map (fun sw -> sw.handler_entry) t.sw
-let timer_vector t = Option.map (fun sw -> sw.timer_vector) t.sw
 
 let wraparound_seconds ~hz ~width ~divider_log2 =
   2.0 ** float_of_int (width + divider_log2) /. float_of_int hz

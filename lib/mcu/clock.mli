@@ -53,8 +53,6 @@ val seconds : t -> float
 val resolution_seconds : t -> float
 val msb_addr : t -> int option
 val lsb_width : t -> int option
-val handler_entry : t -> int option
-val timer_vector : t -> int option
 
 val wraparound_seconds : hz:int -> width:int -> divider_log2:int -> float
 (** Lifetime before a counter of [width] bits with the given divider

@@ -176,7 +176,6 @@ let key_addr t = t.key_addr
 let key_len t = t.key_len
 let counter_addr _ = base_nvram
 let clock_msb_addr _ = base_clock_msb
-let idt_base _ = base_idt
 let idt_size t = Interrupt.idt_size t.interrupt
 let attested_base _ = base_ram
 let attested_len t = t.ram_size

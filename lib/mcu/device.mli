@@ -56,7 +56,6 @@ val counter_addr : t -> int
 (** 64-bit monotonic request counter in non-volatile memory. *)
 
 val clock_msb_addr : t -> int
-val idt_base : t -> int
 val idt_size : t -> int
 val attested_base : t -> int
 val attested_len : t -> int

@@ -34,9 +34,7 @@ let create cpu ~idt_base ~vectors ~ctrl_addr =
     stats = { delivered = 0; lost_no_handler = 0; suppressed_disabled = 0 };
   }
 
-let idt_base t = t.idt_base
 let idt_size t = 4 * t.vectors
-let ctrl_addr t = t.ctrl_addr
 
 let register_handler t ~entry_addr ~code_region ~handler =
   Hashtbl.replace t.registry entry_addr { code_region; handler }

@@ -26,11 +26,8 @@ val create : Cpu.t -> idt_base:int -> vectors:int -> ctrl_addr:int -> t
 (** [ctrl_addr] holds the enable bits; bit 0 = global enable. The boot
     code must call {!enable_all_raw} (or software must set the bit). *)
 
-val idt_base : t -> int
 val idt_size : t -> int
 (** Bytes occupied by the IDT ([4 * vectors]). *)
-
-val ctrl_addr : t -> int
 
 val register_handler :
   t -> entry_addr:int -> code_region:string -> handler:(unit -> unit) -> unit

@@ -68,9 +68,6 @@ let create time trace =
     mangle = None;
   }
 
-let time t = t.time
-let trace t = t.trace
-
 (* ---- endpoints ---- *)
 
 module Endpoint = struct
@@ -234,8 +231,6 @@ let has_pending t ~src =
 let set_impairment t ?mangle imp =
   t.impairment <- imp;
   t.mangle <- mangle
-
-let impairment t = t.impairment
 
 let mangle_string s ~salt =
   let len = String.length s in

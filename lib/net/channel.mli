@@ -20,9 +20,6 @@ type 'msg t
 
 val create : Simtime.t -> Trace.t -> 'msg t
 
-val time : 'msg t -> Simtime.t
-val trace : 'msg t -> Trace.t
-
 (** {2 Endpoints}
 
     Receivers are attached as explicit handles. The newest attached
@@ -106,8 +103,6 @@ val set_impairment :
     message representation; when omitted, corrupt decisions drop the
     message instead (the receiver cannot be handed a frame nobody can
     flip a byte of). *)
-
-val impairment : 'msg t -> Impairment.t option
 
 val mangle_string : string -> salt:int -> string
 (** XOR one salt-chosen byte with a salt-derived non-zero mask — the

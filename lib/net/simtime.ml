@@ -17,6 +17,4 @@ let deadline t ~after =
   if after < 0.0 then invalid_arg "Simtime.deadline: negative delay";
   t.now +. after
 
-let expired t d = t.now >= d
-
 let remaining t d = Float.max 0.0 (d -. t.now)

@@ -27,7 +27,5 @@ val deadline : t -> after:float -> deadline
 (** The instant [after] seconds from now.
     @raise Invalid_argument on a negative delay. *)
 
-val expired : t -> deadline -> bool
-
 val remaining : t -> deadline -> float
 (** Seconds until the deadline; 0 once it has passed. *)

@@ -41,7 +41,6 @@ module Counter = struct
     c
 
   let inc ?(by = 1) c = c.n <- c.n + by
-  let value c = c.n
 end
 
 module Gauge = struct

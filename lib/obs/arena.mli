@@ -35,8 +35,6 @@ module Counter : sig
   (** A local accumulator that {!flush} adds onto the registry counter. *)
 
   val inc : ?by:int -> t -> unit
-  val value : t -> int
-  (** Buffered (unflushed) value. *)
 end
 
 module Gauge : sig

@@ -29,7 +29,6 @@ module Pc = struct
   type t = { tbl : (string, cell) Hashtbl.t }
 
   let create () = { tbl = Hashtbl.create 64 }
-  let clear t = Hashtbl.reset t.tbl
 
   let key_of frames = String.concat ";" frames
 

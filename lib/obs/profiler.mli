@@ -21,7 +21,6 @@ module Pc : sig
       per shard and merge with {!absorb}. *)
 
   val create : unit -> t
-  val clear : t -> unit
 
   val add : t -> frames:string list -> cycles:int64 -> unit
   (** Record one sample: [frames] is root-first (the folded-stack
@@ -85,9 +84,6 @@ module Phases : sig
       (the ring is a {!Recorder}, so wraparound drops oldest-first and
       counts evictions). *)
 
-  val create : ?capacity:int -> unit -> t
-  (** [capacity] bounds the sample ring (default 1024). *)
-
   val record : t -> phase_sample -> unit
   val samples : t -> phase_sample list
 
@@ -98,10 +94,6 @@ module Phases : sig
 
   val totals : t -> (string * (int64 * float * int)) list
   (** [phase -> (cycles, nanojoules, samples)], sorted by phase name. *)
-
-  val absorb : t -> t -> unit
-  (** Adds [src] totals into [dst] and appends [src]'s sample ring in
-      order (oldest first). *)
 end
 
 (** {1 Counter tracks} *)

@@ -74,7 +74,6 @@ let create ?(capacity = 64) ?(max_events = 4096) ~device ~clock () =
     cur = None;
   }
 
-let device t = t.device
 let recorder t = t.recorder
 let rounds t = Recorder.to_list t.recorder
 let root_span_name = "attest.round"

@@ -48,8 +48,6 @@ val create :
     dropped and counted in [rd_dropped]. [clock] is typically
     [Simtime.now] so event times share the protocol timeline. *)
 
-val device : t -> string
-
 val recorder : t -> round Recorder.t
 
 val rounds : t -> round list

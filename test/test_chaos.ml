@@ -229,6 +229,27 @@ let test_chaos_sweep_validation () =
         ~policies:[ ("bad", { Retry.default with max_attempts = 0 }) ]
         fleet)
 
+(* a loss outside [0, 1] anywhere in the grid stops the sweep before its
+   first cell: no member is swept and the previous grid stays *)
+let test_chaos_sweep_bad_loss_runs_nothing () =
+  let fleet = Fleet.create ~ram_size:1024 ~names:[ "a"; "b" ] () in
+  let policies = [ ("default", Retry.default) ] in
+  let grid = Fleet.chaos_sweep ~rounds_per_member:2 ~losses:[ 0.0 ] ~policies fleet in
+  let refused =
+    match Fleet.chaos_sweep ~rounds_per_member:2 ~losses:[ 0.0; 1.5 ] ~policies fleet with
+    | _ -> None
+    | exception Invalid_argument msg -> Some msg
+  in
+  List.iter
+    (fun m ->
+      Alcotest.(check int)
+        (Fleet.member_name m ^ " swept only by the valid sweep")
+        2 (Fleet.sweeps_of m))
+    (Fleet.members fleet);
+  Alcotest.(check bool) "previous grid kept" true (Fleet.last_chaos fleet = grid);
+  Alcotest.(check (option string)) "refused up front"
+    (Some "Fleet.chaos_sweep: loss 1.5 outside [0, 1]") refused
+
 let tests =
   [
     Alcotest.test_case "retry timeout math" `Quick test_retry_timeout_math;
@@ -246,4 +267,6 @@ let tests =
     Alcotest.test_case "classify verdict" `Quick test_classify_verdict;
     Alcotest.test_case "chaos sweep validation" `Quick
       test_chaos_sweep_validation;
+    Alcotest.test_case "bad loss grid runs nothing" `Quick
+      test_chaos_sweep_bad_loss_runs_nothing;
   ]

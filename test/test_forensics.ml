@@ -1,5 +1,5 @@
 open Ra_core
-module F = Ra_obs.Forensics
+module F = Forensics
 
 (* ---- capsule JSON round-trip ------------------------------------------ *)
 
@@ -14,11 +14,11 @@ let sample_capsule =
       [
         ( "default",
           {
-            F.cp_max_attempts = 8;
-            cp_base_timeout_s = 0.5;
-            cp_multiplier = 2.0;
-            cp_max_timeout_s = 30.0;
-            cp_jitter = 0.1;
+            Retry.max_attempts = 8;
+            base_timeout_s = 0.5;
+            multiplier = 2.0;
+            max_timeout_s = 30.0;
+            jitter = 0.1;
           } );
       ];
     cap_rounds_per_member = 10;
@@ -26,14 +26,13 @@ let sample_capsule =
     cap_loss = 0.25;
     cap_policy = "default";
     cap_round = 7;
-    cap_workload = "attest";
+    cap_workload = `Attest;
     cap_imp_seed = -123456789L;
     cap_prior_sweeps = 0;
     cap_started_at = 42.5;
     cap_elapsed_s = 1.75;
     cap_attempts = 3;
-    cap_verdict = Verdict.to_json Verdict.Trusted;
-    cap_reason = "trusted";
+    cap_verdict = Verdict.Trusted;
     cap_trace_id = Some 17;
     cap_phase = Some "mac";
     cap_wire_digest = "deadbeef";
@@ -65,18 +64,33 @@ let capsule_gen =
       (fun name (a, b, c) ->
         ( name,
           {
-            F.cp_max_attempts = a;
-            cp_base_timeout_s = b;
-            cp_multiplier = c;
-            cp_max_timeout_s = b +. c;
-            cp_jitter = 0.5;
+            Retry.max_attempts = a;
+            base_timeout_s = b;
+            multiplier = c;
+            max_timeout_s = b +. c;
+            jitter = 0.5;
           } ))
       str
       (triple (int_range 1 16) fl fl)
   in
   let kind = oneofl [ F.Failure; F.Slowest ] in
+  let verdict =
+    oneof
+      [
+        oneofl
+          Verdict.
+            [
+              Trusted;
+              Untrusted_state;
+              Bad_auth;
+              Not_fresh Replayed_nonce;
+              Timed_out { attempts = 3; waited_s = 1.75 };
+            ];
+        map (fun code -> Verdict.Fault { fault_addr = 0x20000; fault_code = code }) str;
+      ]
+  in
   map
-    (fun ((kind, member, name, seed), (losses, policies, cell, round), (f1, f2), (attempts, trace, phase, digest)) ->
+    (fun ((kind, member, name, seed), (losses, policies, cell, round), (f1, f2, verdict), (attempts, trace, phase, digest)) ->
       {
         F.cap_kind = kind;
         cap_member = member;
@@ -89,14 +103,13 @@ let capsule_gen =
         cap_loss = (match losses with l :: _ -> l | [] -> 0.0);
         cap_policy = (match policies with (n, _) :: _ -> n | [] -> "p");
         cap_round = round;
-        cap_workload = (if round mod 2 = 0 then "attest" else Printf.sprintf "session:%d" round);
+        cap_workload = (if round mod 2 = 0 then `Attest else `Session round);
         cap_imp_seed = Int64.mul seed 0x9E3779B97F4A7C15L;
         cap_prior_sweeps = 0;
         cap_started_at = f1;
         cap_elapsed_s = f2;
         cap_attempts = attempts;
-        cap_verdict = Ra_obs.Json.Str name;
-        cap_reason = "timed_out";
+        cap_verdict = verdict;
         cap_trace_id = trace;
         cap_phase = phase;
         cap_wire_digest = digest;
@@ -106,7 +119,7 @@ let capsule_gen =
        (quad kind (int_range 0 10000) str i64)
        (quad (list_size (int_range 0 4) fl) (list_size (int_range 0 3) policy)
           (int_range 0 20) (int_range 1 20))
-       (pair fl fl)
+       (triple fl fl verdict)
        (quad (int_range 1 64) (opt (int_range 0 1000)) (opt str) str))
 
 let qcheck_json_roundtrip =
@@ -229,7 +242,7 @@ let test_capture_wire_neutral () =
   List.iter
     (fun workload ->
       Alcotest.(check bool)
-        (Fleet.workload_label workload ^ ": fingerprint and grid unchanged by capture")
+        (F.workload_label workload ^ ": fingerprint and grid unchanged by capture")
         true
         (run ~workload false = run ~workload true))
     [ `Attest; `Session 2 ]
@@ -304,6 +317,15 @@ let test_dominant_phase () =
   Alcotest.(check (option string)) "foreign trace ignored" None
     (F.dominant_phase [ s ~trace:2 "mac" 5 ] ~trace_id:1)
 
+(* a capsule whose loss grid no sweep accepts is refused, not raised on *)
+let test_replay_bad_loss_refused () =
+  let fleet = capturing_fleet () in
+  sweep fleet;
+  let cap = List.hd (Fleet.capsules fleet) in
+  match Fleet.replay_capsule fleet { cap with F.cap_losses = [ 1.5; 0.4 ] } with
+  | Error msg -> Alcotest.(check string) "reason" "capsule loss 1.5 outside [0, 1]" msg
+  | Ok _ -> Alcotest.fail "replayed a capsule with loss 1.5"
+
 let tests =
   [
     Alcotest.test_case "capsule JSON round-trip (fixed)" `Quick
@@ -320,4 +342,6 @@ let tests =
     Alcotest.test_case "triage ranks signatures" `Quick test_triage;
     Alcotest.test_case "exemplars reach breached buckets" `Quick test_exemplars;
     Alcotest.test_case "dominant phase attribution" `Quick test_dominant_phase;
+    Alcotest.test_case "replay refuses a loss outside [0, 1]" `Quick
+      test_replay_bad_loss_refused;
   ]

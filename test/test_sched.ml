@@ -287,7 +287,7 @@ let check_chaos ~workload () =
       in
       Alcotest.(check bool)
         (Printf.sprintf "%s chaos state identical at %d shards"
-           (Fleet.workload_label workload) shards)
+           (Forensics.workload_label workload) shards)
         true (engine = oracle))
     shard_counts
 

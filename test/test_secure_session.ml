@@ -542,7 +542,7 @@ let pinned_sweep_digest ~workload ~shards =
           feed payload)
         (Channel.transcript (Session.channel s)))
     (Fleet.members t);
-  feed (Ra_obs.Forensics.capsules_jsonl (Fleet.capsules t));
+  feed (Forensics.capsules_jsonl (Fleet.capsules t));
   Ra_crypto.Hexutil.to_hex (Ra_crypto.Sha1.finalize ctx)
 
 let test_pinned_sweep_digests () =
@@ -551,7 +551,7 @@ let test_pinned_sweep_digests () =
       List.iter
         (fun shards ->
           Alcotest.(check string)
-            (Printf.sprintf "%s at %d shards" (Fleet.workload_label workload) shards)
+            (Printf.sprintf "%s at %d shards" (Forensics.workload_label workload) shards)
             expected
             (pinned_sweep_digest ~workload ~shards))
         [ 1; 3 ])
@@ -574,17 +574,17 @@ let test_chaos_sweep_session_workload () =
     cells
 
 let test_workload_labels () =
-  Alcotest.(check string) "attest label" "attest" (Fleet.workload_label `Attest);
-  Alcotest.(check string) "session label" "session:4" (Fleet.workload_label (`Session 4));
-  (match Fleet.workload_of_label "session:4" with
+  Alcotest.(check string) "attest label" "attest" (Forensics.workload_label `Attest);
+  Alcotest.(check string) "session label" "session:4" (Forensics.workload_label (`Session 4));
+  (match Forensics.workload_of_label "session:4" with
   | Some (`Session 4) -> ()
   | _ -> Alcotest.fail "session:4 should parse");
-  (match Fleet.workload_of_label "attest" with
+  (match Forensics.workload_of_label "attest" with
   | Some `Attest -> ()
   | _ -> Alcotest.fail "attest should parse");
-  Alcotest.(check bool) "garbage refused" true (Fleet.workload_of_label "session:" = None);
+  Alcotest.(check bool) "garbage refused" true (Forensics.workload_of_label "session:" = None);
   Alcotest.(check bool) "negative refused" true
-    (Fleet.workload_of_label "session:-1" = None)
+    (Forensics.workload_of_label "session:-1" = None)
 
 let tests =
   [

@@ -17,7 +17,9 @@ let req ?(key = sym_key) ~scheme ~counter command =
 let test_ping () =
   let _, svc = make () in
   (match Service.handle svc (req ~scheme:(Some Timing.Auth_hmac_sha1) ~counter:1L Service.Ping) with
-  | Ok ack -> Alcotest.(check string) "echo" "ping" ack.Service.acked_command
+  | Ok (Message.Service_ack { acked_command; _ }) ->
+    Alcotest.(check string) "echo" "ping" acked_command
+  | Ok wire -> Alcotest.failf "ping answered with %a" Message.pp_wire wire
   | Error e -> Alcotest.failf "ping rejected: %a" Verdict.pp e)
 
 let test_secure_erase_wipes_ram () =
