@@ -53,10 +53,10 @@ clean:
 # lib/ .mli val M.v (M.Sub.v inside a nested signature) is called when a
 # file other than M's own .ml/.mli names it as M.v (after an optional
 # Ra_* library prefix), through a module alias (module X = ...M, then
-# X.v), or as a bare v in a file that opens M (open M, let open M in,
-# M.( ... )). Module names are matched without their library, so a name
-# two libraries share (Trace) counts a caller of either as a caller of
-# both.
+# X.v; or module C = Ra_crypto, then C.M.v), or as a bare v in a file
+# that opens M (open M, let open M in, M.( ... )). Module names are
+# matched without their library, so a name two libraries share (Trace)
+# counts a caller of either as a caller of both.
 define callerless_awk
 # the line with comments and string literals blanked; depth (comment
 # nesting) and str (inside "..." or {|...|}) carry across lines
@@ -132,7 +132,7 @@ END {
     split(r, rs, SUBSEP); f = rs[1]; p = rs[2]
     if (p ~ /^[A-Z]/) {
       p = unlib(p); h = p; sub(/\..*/, "", h)
-      if ((f, h) in alias) p = alias[f, h] substr(p, length(h) + 1)
+      if ((f, h) in alias) p = unlib(alias[f, h] substr(p, length(h) + 1))
       called[f, p] = 1
     }
     n = split(opens[f], os, " ")

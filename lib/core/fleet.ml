@@ -4,8 +4,7 @@ type member = {
   name : string;
   session : Session.t;
   mutable health : health;
-  mutable sweeps : int;
-  mutable history : (float * Verdict.t option) list; (* newest first *)
+  history : Verdict.t option Verdict.Log.t; (* one entry per sweep *)
 }
 
 type chaos_cell = {
@@ -31,8 +30,8 @@ type t = {
 let member_name m = m.name
 let member_session m = m.session
 let member_health m = m.health
-let sweeps_of m = m.sweeps
-let member_history m = List.rev m.history
+let sweeps_of m = Verdict.Log.length m.history
+let member_history m = Verdict.Log.to_list m.history
 
 let sweep_latency_buckets =
   [| 1.0; 5.0; 10.0; 25.0; 50.0; 100.0; 250.0; 500.0; 750.0; 1000.0; 2500.0 |]
@@ -90,8 +89,8 @@ let arena_obs arena =
 let stagger_seconds = 1.0
 
 let new_member ~spec ?ram_size name =
-  { name; session = Session.create ~spec ?ram_size (); health = Unknown; sweeps = 0;
-    history = [] }
+  { name; session = Session.create ~spec ?ram_size (); health = Unknown;
+    history = Verdict.Log.create () }
 
 let create ?(spec = Architecture.trustlite_base) ?ram_size ~names () =
   if names = [] then invalid_arg "Fleet.create: no members";
@@ -118,13 +117,13 @@ let advance t ~seconds =
 
 (* ---- forensic capture plumbing ---- *)
 
-(* One wire frame's contribution to a digest — shared between the
-   whole-transcript [session_digest] and the per-round [window_digest],
-   so a replayed round window can be checked against a capture made by
-   either. *)
-let feed_frames ctx frames =
-  List.iter
-    (fun { Ra_net.Channel.sent_at; src; payload } ->
+(* The wire frames in [\[lo, hi)] of a session's transcript, each as its
+   contribution to a digest — shared between the whole-transcript
+   [session_digest] and the per-round [window_digest], so a replayed
+   round window can be checked against a capture made by either. *)
+let feed_frames ctx session ~lo ~hi =
+  Ra_net.Channel.fold_range (Session.channel session) ~lo ~hi
+    (fun () sent_at src payload ->
       Ra_crypto.Sha1.feed ctx
         (Printf.sprintf "|%h|%s|%d|" sent_at
            (match src with
@@ -132,18 +131,13 @@ let feed_frames ctx frames =
            | Ra_net.Channel.Prover_side -> "p")
            (String.length payload));
       Ra_crypto.Sha1.feed ctx payload)
-    frames
+    ()
 
 (* Hex SHA-1 over the transcript entries in [\[tstart, tend)] — the wire
    activity of exactly one round, byte-for-byte. *)
 let window_digest session ~tstart ~tend =
-  let frames =
-    List.filteri
-      (fun i _ -> i < tend - tstart)
-      (Ra_net.Channel.transcript_from (Session.channel session) ~pos:tstart)
-  in
   let ctx = Ra_crypto.Sha1.init () in
-  feed_frames ctx frames;
+  feed_frames ctx session ~lo:tstart ~hi:tend;
   Ra_crypto.Hexutil.to_hex (Ra_crypto.Sha1.finalize ctx)
 
 (* The replay-target guard a capsule carries: a fleet with a different
@@ -182,8 +176,7 @@ let sweep_member obs m =
   let after = Ra_net.Simtime.now time in
   obs.o_sweep_ms ((after -. before) *. 1000.0);
   m.health <- classify verdict;
-  m.sweeps <- m.sweeps + 1;
-  m.history <- (after, verdict) :: m.history;
+  Verdict.Log.add m.history after verdict;
   verdict
 
 (* Index-based stagger offsets. Member i (0-based, of n) is swept after
@@ -235,10 +228,12 @@ let sweep ?(engine = `Shards 1) ?tracks t =
 (* ---- chaos sweeps: convergence under an impaired wire ---- *)
 
 (* history entries keep the closed-loop verdict where one exists so the
-   pre-chaos ledger format (and the fingerprint's tag set) is unchanged *)
+   pre-chaos ledger format (and the fingerprint's tag set) is unchanged;
+   each of the three is one constant [Some] that every entry shares *)
 let ledger_verdict = function
-  | (Verdict.Trusted | Verdict.Untrusted_state | Verdict.Invalid_response) as v ->
-    Some v
+  | Verdict.Trusted -> Some Verdict.Trusted
+  | Verdict.Untrusted_state -> Some Verdict.Untrusted_state
+  | Verdict.Invalid_response -> Some Verdict.Invalid_response
   | Verdict.Bad_auth | Verdict.Not_fresh _ | Verdict.Fault _ | Verdict.Timed_out _ ->
     None
 
@@ -283,9 +278,7 @@ let chaos_record obs m acc ~at (r : Session.round) =
     acc.ca_converged <- acc.ca_converged + 1;
     acc.ca_durations <- r.Session.r_elapsed_s :: acc.ca_durations);
   m.health <- classify_verdict r.Session.r_verdict;
-  m.sweeps <- m.sweeps + 1;
-  m.history <-
-    (at +. r.Session.r_elapsed_s, ledger_verdict r.Session.r_verdict) :: m.history
+  Verdict.Log.add m.history (at +. r.Session.r_elapsed_s) (ledger_verdict r.Session.r_verdict)
 
 (* Run one member through one (loss, policy) cell on its shard's
    timeline: install its private seeded impairment, run [rounds] rounds
@@ -299,40 +292,49 @@ let chaos_record obs m acc ~at (r : Session.round) =
    from thousands of members interleaves in deterministic (time,
    insertion) order. [resume] performs the [advance_time] itself, so the
    member sees the same operations whatever else shares its timeline.
-   Touches only the member's own world. *)
+   Touches only the member's own world.
+
+   The member's cell state (impairment, tallies, round closures) is
+   built by its first event, not when the cell is set up: the cell sets
+   up every member before any runs, so state built then outlives minor
+   collections and is promoted, while a member whose rounds end within
+   their first event now leaves it all in the minor heap. *)
 let chaos_member ?fcap ~workload obs sched m ~imp_seed ~loss ~policy ~rounds ~finished =
   let session = m.session in
-  chaos_install session ~imp_seed ~loss;
-  let acc = { ca_converged = 0; ca_attempts = 0; ca_durations = [] } in
   let member_now () = Ra_net.Simtime.now (Session.time session) in
-  let rec schedule_round rounds_left =
-    Sched.at sched
-      ~at:(member_now () +. stagger_seconds)
-      (fun () ->
-        Session.advance_time session ~seconds:stagger_seconds;
-        let at = member_now () in
-        let tstart = Ra_net.Channel.transcript_length (Session.channel session) in
-        drive rounds_left ~at ~tstart (workload_round_begin ~workload ~policy session);
-        Sched.observe_lag sched ~member_now:(member_now ()))
-  and drive rounds_left ~at ~tstart = function
-    | Session.Round_done r ->
-      chaos_record obs m acc ~at r;
-      (match fcap with
-      | None -> ()
-      | Some f -> f ~round:(rounds - rounds_left + 1) ~at ~tstart r);
-      if rounds_left > 1 then schedule_round (rounds_left - 1)
-      else begin
-        Session.set_impairment session None;
-        finished (acc.ca_converged, acc.ca_attempts, acc.ca_durations)
-      end
-    | Session.Round_wait { wait_s; resume } ->
-      Sched.at sched
-        ~at:(member_now () +. wait_s)
-        (fun () ->
-          drive rounds_left ~at ~tstart (resume ());
-          Sched.observe_lag sched ~member_now:(member_now ()))
+  let first () =
+    chaos_install session ~imp_seed ~loss;
+    let acc = { ca_converged = 0; ca_attempts = 0; ca_durations = [] } in
+    let rec round rounds_left =
+      Session.advance_time session ~seconds:stagger_seconds;
+      let at = member_now () in
+      let tstart = Ra_net.Channel.transcript_length (Session.channel session) in
+      drive rounds_left ~at ~tstart (workload_round_begin ~workload ~policy session);
+      Sched.observe_lag sched ~member_now:(member_now ())
+    and drive rounds_left ~at ~tstart = function
+      | Session.Round_done r ->
+        chaos_record obs m acc ~at r;
+        (match fcap with
+        | None -> ()
+        | Some f -> f ~round:(rounds - rounds_left + 1) ~at ~tstart r);
+        if rounds_left > 1 then
+          Sched.at sched
+            ~at:(member_now () +. stagger_seconds)
+            (fun () -> round (rounds_left - 1))
+        else begin
+          Session.set_impairment session None;
+          finished (acc.ca_converged, acc.ca_attempts, acc.ca_durations)
+        end
+      | Session.Round_wait { wait_s; resume } ->
+        Sched.at sched
+          ~at:(member_now () +. wait_s)
+          (fun () ->
+            drive rounds_left ~at ~tstart (resume ());
+            Sched.observe_lag sched ~member_now:(member_now ()))
+    in
+    round rounds
   in
-  schedule_round rounds
+  Sched.at sched ~at:(member_now () +. stagger_seconds) first
 
 (* A grid whose loss rates all lie in [0, 1]; a NaN is outside too. *)
 let check_losses losses =
@@ -341,18 +343,12 @@ let check_losses losses =
   | None -> Ok ()
 
 (* A capturing sweep's last step for a kept capsule, on the coordinator:
-   the dominant phase of its round and the digest of its transcript
-   window [tstart, tend), both read from the member's own session. *)
+   the digest of its transcript window [tstart, tend), read from the
+   member's own session. The transcript is complete, so the window is
+   still there after the member's later rounds. *)
 let finish members ((c : Forensics.capsule), tstart, tend) =
   let session = members.(c.Forensics.cap_member).session in
-  let phase =
-    match (Session.profiling session, c.Forensics.cap_trace_id) with
-    | Some p, Some id ->
-      Forensics.dominant_phase (Ra_obs.Profiler.Phases.samples p.Ra_obs.Profiler.phases)
-        ~trace_id:id
-    | (Some _ | None), _ -> None
-  in
-  { c with cap_phase = phase; cap_wire_digest = window_digest session ~tstart ~tend }
+  { c with cap_wire_digest = window_digest session ~tstart ~tend }
 
 let chaos_sweep ?(seed = 0xC4A05L) ?(rounds_per_member = 10) ?(engine = `Shards 1)
     ?(workload = `Attest) ~losses ~policies t =
@@ -373,7 +369,7 @@ let chaos_sweep ?(seed = 0xC4A05L) ?(rounds_per_member = 10) ?(engine = `Shards 
       (fun loss -> List.map (fun (name, policy) -> (loss, name, policy)) policies)
       losses
   in
-  let prior = Array.map (fun m -> m.sweeps) members in
+  let prior = Array.map sweeps_of members in
   let config = config_digest t in
   let run_cell cell_idx (loss, policy_name, policy) =
     (* one root draw per cell; member i's impairment seed is the pure
@@ -388,7 +384,9 @@ let chaos_sweep ?(seed = 0xC4A05L) ?(rounds_per_member = 10) ?(engine = `Shards 
        window. The per-round hook runs on the member's own domain and
        touches only that member's slots and session, so capture is safe
        under every engine and changes nothing on the wire; a discarded
-       candidate never pays for a digest. *)
+       candidate never pays for a digest. The dominant phase is read
+       here, while the member's profile ring still holds the round: its
+       later rounds may evict the samples before the cell merges. *)
     let capture =
       Option.map (fun ring -> (ring, Array.make n [], Array.make n None)) t.forensics
     in
@@ -404,6 +402,14 @@ let chaos_sweep ?(seed = 0xC4A05L) ?(rounds_per_member = 10) ?(engine = `Shards 
                 Option.map
                   (fun rd -> rd.Ra_obs.Trace.rd_trace_id)
                   (Ra_obs.Recorder.latest (Ra_obs.Trace.recorder tr))
+            in
+            let phase =
+              match (Session.profiling m.session, trace_id) with
+              | Some p, Some id ->
+                Forensics.dominant_phase
+                  (Ra_obs.Profiler.Phases.samples p.Ra_obs.Profiler.phases)
+                  ~trace_id:id
+              | (Some _ | None), _ -> None
             in
             ( {
                 Forensics.cap_kind = kind;
@@ -425,7 +431,7 @@ let chaos_sweep ?(seed = 0xC4A05L) ?(rounds_per_member = 10) ?(engine = `Shards 
                 cap_attempts = r.Session.r_attempts;
                 cap_verdict = r.Session.r_verdict;
                 cap_trace_id = trace_id;
-                cap_phase = None;
+                cap_phase = phase;
                 cap_wire_digest = "";
                 cap_config = config;
               },
@@ -655,12 +661,14 @@ let session_digest ~name ~verdict session =
   Ra_crypto.Sha1.feed ctx (verdict_tag verdict);
   Ra_crypto.Sha1.feed ctx
     (Printf.sprintf "%h" (Ra_net.Simtime.now (Session.time session)));
-  feed_frames ctx (Ra_net.Channel.transcript (Session.channel session));
+  feed_frames ctx session ~lo:0
+    ~hi:(Ra_net.Channel.transcript_length (Session.channel session));
   Ra_crypto.Sha1.finalize ctx
 
 let zero_digest = String.make Ra_crypto.Sha1.digest_size '\000'
 
-let last_verdict m = match m.history with [] -> None | (_, v) :: _ -> v
+let last_verdict m =
+  if Verdict.Log.length m.history = 0 then None else Verdict.Log.last m.history
 
 (* XOR of per-member digests over a materialised fleet — comparable
    against [stream_sweep]'s fingerprint when both ran the same sweep. *)
@@ -814,7 +822,7 @@ let slo_watch ?(policy = default_slo_policy) t =
             match verdict with
             | Some Verdict.Trusted -> (total + 1, rejected)
             | Some _ | None -> (total + 1, rejected + 1))
-          acc m.history)
+          acc (member_history m))
       (0, 0) t.members
   in
   let ledger_checks =
@@ -830,7 +838,7 @@ let slo_watch ?(policy = default_slo_policy) t =
   in
   cell_checks @ ledger_checks
 
-let summary t = List.map (fun m -> (m.name, m.health, m.sweeps)) t.members
+let summary t = List.map (fun m -> (m.name, m.health, sweeps_of m)) t.members
 
 let compromised t =
   List.filter_map
@@ -886,7 +894,7 @@ let health_snapshot ?(registry = Ra_obs.Registry.default) t =
         {
           r_name = m.name;
           r_health = m.health;
-          r_sweeps = m.sweeps;
+          r_sweeps = sweeps_of m;
           r_history = member_history m;
           r_service_stats = Service.stats (Session.service m.session);
           r_anchor_stats = Code_attest.stats (Session.anchor m.session);

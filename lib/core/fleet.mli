@@ -25,9 +25,13 @@ val member_name : member -> string
 val member_session : member -> Session.t
 val member_health : member -> health
 val sweeps_of : member -> int
+(** Entries in the member's ledger, O(1). *)
 
 val member_history : member -> (float * Verdict.t option) list
-(** Every sweep's (simulated completion time, verdict), chronological. *)
+(** Every sweep's (simulated completion time, verdict), chronological.
+    The ledger keeps every entry in a {!Verdict.Log}, at 16 B an entry:
+    a chaos round's verdict is [None] or one of three [Some] constants
+    that every entry shares. The list is built on each call. *)
 
 type t
 

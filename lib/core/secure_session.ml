@@ -370,14 +370,13 @@ type initiator = {
   i_pending : (string, Message.attreq) Hashtbl.t; (* challenge -> request *)
   mutable i_handle : string Channel.Endpoint.handle option;
   mutable i_state : istate;
-  mutable i_verdicts : (float * Verdict.t) list; (* newest first *)
-  mutable i_verdict_count : int;
+  i_verdicts : Verdict.t Verdict.Log.t;
   mutable i_close_acked : bool;
 }
 
 let initiator_stats i = i.i_stats
-let verdict_count i = i.i_verdict_count
-let session_verdicts i = List.rev i.i_verdicts
+let verdict_count i = Verdict.Log.length i.i_verdicts
+let session_verdicts i = Verdict.Log.to_list i.i_verdicts
 let established i = match i.i_state with Established _ -> true | _ -> false
 let closed i = match i.i_state with Closed -> true | _ -> false
 let close_acked i = i.i_close_acked
@@ -406,8 +405,7 @@ let connect ?(window_bits = 128) session =
       i_pending = Hashtbl.create 8;
       i_handle = None;
       i_state = Closed;
-      i_verdicts = [];
-      i_verdict_count = 0;
+      i_verdicts = Verdict.Log.create ();
       i_close_acked = false;
     }
   in
@@ -476,9 +474,7 @@ let connect ?(window_bits = 128) session =
                     Trace.causal_span trace ~cat:"secure" "secure.check" (fun () ->
                         Verifier.check_response verifier ~request:req resp)
                   in
-                  i.i_verdicts <-
-                    (Simtime.now (Session.time session), verdict) :: i.i_verdicts;
-                  i.i_verdict_count <- i.i_verdict_count + 1;
+                  Verdict.Log.add i.i_verdicts (Simtime.now (Session.time session)) verdict;
                   Trace.causal_instant trace ~cat:"secure"
                     ~labels:[ ("verdict", Verdict.label verdict) ]
                     "secure.verdict")
@@ -560,20 +556,19 @@ let round_begin ?(policy = Retry.default) ?(records = 4) ?(window_bits = 128) t 
   let rec stream r =
     if r > records then close Verdict.Trusted
     else begin
-      let before = initiator.i_verdict_count in
+      let before = verdict_count initiator in
       Session.Machine.phase m
         ~phase:(Printf.sprintf "record %d/%d" r records)
         ~send:(flight (fun () -> ignore (request_round initiator)))
-        ~done_:(fun () -> initiator.i_verdict_count > before)
+        ~done_:(fun () -> verdict_count initiator > before)
         ~give_up:timed_out
         ~next:(fun _ ->
-          match initiator.i_verdicts with
-          | (_, Verdict.Trusted) :: _ -> stream (r + 1)
-          | (_, v) :: _ ->
+          match Verdict.Log.last initiator.i_verdicts with
+          | Verdict.Trusted -> stream (r + 1)
+          | v ->
             (* a non-trusted in-session verdict decides the whole round:
                the session's device state is what it is *)
-            close v
-          | [] -> stream (r + 1))
+            close v)
     end
   in
   Session.Machine.phase m ~phase:"handshake"

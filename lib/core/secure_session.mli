@@ -112,7 +112,10 @@ val close_acked : initiator -> bool
 val verdict_count : initiator -> int
 
 val session_verdicts : initiator -> (float * Verdict.t) list
-(** Every in-session round verdict with its time, chronological. *)
+(** Every in-session round verdict with its time, chronological. The
+    initiator keeps them all in a {!Verdict.Log} (16 B an entry), and
+    {!verdict_count} reads its count in O(1); the list is built on each
+    call. *)
 
 val initiator_stats : initiator -> stats
 val responder_stats : responder -> stats

@@ -14,8 +14,7 @@ type t = {
   service : Service.t;
   sym_key : string;
   pending : (string, Message.attreq) Hashtbl.t; (* challenge -> request *)
-  mutable verdicts : (float * Verdict.t) list; (* newest first *)
-  mutable verdict_count : int; (* = List.length verdicts, O(1) *)
+  verdicts : Verdict.t Verdict.Log.t;
   retry_prng : Ra_crypto.Prng.t; (* jitter draws for the retry engine *)
   mutable sync_counter : int64;
   mutable sync_acks : int;
@@ -135,8 +134,7 @@ let create ?(spec = Architecture.trustlite_base) ?(sym_key = default_sym_key)
       service;
       sym_key;
       pending = Hashtbl.create 8;
-      verdicts = [];
-      verdict_count = 0;
+      verdicts = Verdict.Log.create ();
       retry_prng = Ra_crypto.Prng.create 0x5e551017L;
       sync_counter = 0L;
       sync_acks = 0;
@@ -206,8 +204,7 @@ let create ?(spec = Architecture.trustlite_base) ?(sym_key = default_sym_key)
             Trace.causal_span trace ~cat:"verifier" "verifier.check" (fun () ->
                 Verifier.check_response verifier ~request:req resp)
           in
-          t.verdicts <- (Simtime.now time, verdict) :: t.verdicts;
-          t.verdict_count <- t.verdict_count + 1;
+          Verdict.Log.add t.verdicts (Simtime.now time) verdict;
           Trace.causal_instant trace ~cat:"verifier"
             ~labels:[ ("verdict", Verdict.label verdict) ]
             "verifier.verdict")
@@ -289,7 +286,7 @@ let anchor t = t.prover.Architecture.anchor
 let device t = t.prover.Architecture.device
 let service t = t.service
 let sym_key t = t.sym_key
-let verdicts t = List.rev t.verdicts
+let verdicts t = Verdict.Log.to_list t.verdicts
 
 let send_request t =
   let req = Verifier.make_request t.verifier in
@@ -326,9 +323,9 @@ let one_shot t ?labels name ~count send =
       count () > before)
 
 let attest_round t =
-  if one_shot t "attest.round" ~count:(fun () -> t.verdict_count) (fun () ->
+  if one_shot t "attest.round" ~count:(fun () -> Verdict.Log.length t.verdicts) (fun () ->
          ignore (send_request t))
-  then Some (snd (List.hd t.verdicts))
+  then Some (Verdict.Log.last t.verdicts)
   else None
 
 let sync_round t =
@@ -566,18 +563,18 @@ let round_begin ?(policy = Retry.default) t =
   let m =
     Machine.start ~policy ~prng:t.retry_prng ~root:"attest.round" ~count:count_round t
   in
-  let before = t.verdict_count in
+  let before = Verdict.Log.length t.verdicts in
   Machine.phase m ~phase:"attest"
     ~send:(fun () ->
       t.round_challenges <- (send_request t).Message.challenge :: t.round_challenges)
-    ~done_:(fun () -> t.verdict_count > before)
+    ~done_:(fun () -> Verdict.Log.length t.verdicts > before)
     ~give_up:(fun n ->
       retire_challenges t;
       Machine.finish m ~attempts:n
         (Verdict.Timed_out { attempts = n; waited_s = Machine.elapsed m }))
     ~next:(fun n ->
       retire_challenges t;
-      Machine.finish m ~attempts:n (snd (List.hd t.verdicts)))
+      Machine.finish m ~attempts:n (Verdict.Log.last t.verdicts))
 
 let rec drive_round = function
   | Round_done r -> r

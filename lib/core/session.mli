@@ -49,7 +49,8 @@ val sym_key : t -> string
 
 val verdicts : t -> (float * Verdict.t) list
 (** Every response verdict the verifier reached, with its time,
-    chronological order. *)
+    chronological order. The session keeps them all in a
+    {!Verdict.Log} (16 B an entry); the list is built on each call. *)
 
 val send_request : t -> Message.attreq
 (** Verifier builds and sends a request (lands on the wire only). Its

@@ -100,6 +100,59 @@ end
 
 let label v = match reason_of v with None -> "trusted" | Some r -> Reason.label r
 
+(* Two columns, in blocks of 128 entries laid out as [Ra_net.Channel]'s
+   transcript: the first block starts at four slots and doubles, later
+   blocks are added whole, so no column is a large heap block or is
+   copied once full. An entry costs an unboxed float and one value slot;
+   a list entry would cost a cons, a tuple and a boxed float (64 B). *)
+module Log = struct
+  type 'a block = { times : Float.Array.t; values : 'a array }
+  type 'a t = { mutable blocks : 'a block array; mutable len : int }
+
+  let block_bits = 7
+  let offset i = i land ((1 lsl block_bits) - 1)
+  let block_of t i = t.blocks.(i lsr block_bits)
+  let value t i = (block_of t i).values.(offset i)
+  let new_block cap v = { times = Float.Array.create cap; values = Array.make cap v }
+  let create () = { blocks = [||]; len = 0 }
+
+  let add t at v =
+    let n = t.len in
+    let b = n lsr block_bits and off = offset n in
+    if off = 0 then begin
+      let fresh = new_block (if b = 0 then 4 else 1 lsl block_bits) v in
+      if b = Array.length t.blocks then begin
+        let blocks = Array.make (max 1 (2 * b)) fresh in
+        Array.blit t.blocks 0 blocks 0 b;
+        t.blocks <- blocks
+      end;
+      t.blocks.(b) <- fresh
+    end
+    else if off = Array.length t.blocks.(b).values then begin
+      let full = t.blocks.(b) and grown = new_block (2 * off) v in
+      Float.Array.blit full.times 0 grown.times 0 off;
+      Array.blit full.values 0 grown.values 0 off;
+      t.blocks.(b) <- grown
+    end;
+    let blk = t.blocks.(b) in
+    Float.Array.set blk.times off at;
+    blk.values.(off) <- v;
+    t.len <- n + 1
+
+  let length t = t.len
+
+  let last t =
+    if t.len = 0 then invalid_arg "Verdict.Log.last: empty log";
+    value t (t.len - 1)
+
+  let to_list t =
+    let rec build i acc =
+      if i < 0 then acc
+      else build (i - 1) ((Float.Array.get (block_of t i).times (offset i), value t i) :: acc)
+    in
+    build (t.len - 1) []
+end
+
 let freshness_label = function
   | Missing_field -> "missing_field"
   | Wrong_field -> "wrong_field"

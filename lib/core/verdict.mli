@@ -101,6 +101,35 @@ module Tally : sig
   (** Non-zero entries in {!Reason.all} order. *)
 end
 
+(** {2 Timed logs}
+
+    The ledgers that keep every verdict with its time — a session's
+    response verdicts, a secure session's in-session verdicts, a fleet
+    member's sweep history — are logs of this one kind. Every entry stays
+    (benchmarks count them, digests hash them, the fleet oracle compares
+    them in full), so an entry is an unboxed float and one value slot and
+    allocates nothing else. The two columns grow in blocks of 128
+    entries, so no column is a large heap block or is copied once a
+    block is full. *)
+module Log : sig
+  type 'a t
+
+  val create : unit -> 'a t
+
+  val add : 'a t -> float -> 'a -> unit
+  (** [add t at v] appends [v] at time [at]. *)
+
+  val length : 'a t -> int
+  (** O(1). *)
+
+  val last : 'a t -> 'a
+  (** The newest value, O(1).
+      @raise Invalid_argument on an empty log. *)
+
+  val to_list : 'a t -> (float * 'a) list
+  (** Every entry, chronological, built on each call. *)
+end
+
 val freshness_label : freshness_reject -> string
 (** The label set {!Freshness} has always exported ([missing_field],
     [stale_counter], ...). *)

@@ -4,17 +4,21 @@
 
    Every verifier challenge is a draw, so a draw allocates only its
    result, and a state holds only what its next call needs: V and the
-   SHA-256 midstates after K xor ipad and K xor opad. K changes only
-   inside [update], which re-absorbs both pads into them. The HMACs run
-   in place in a per-domain scratch: each blits a midstate into [work],
-   feeds it and finalizes into V or into [key], where the new K is
-   padded before its pads are absorbed. Every call wipes the scratch
-   before it returns, so nothing of a state outlives it there. *)
+   SHA-256 chaining words after K xor ipad and K xor opad, eight bare
+   words each. Every fleet member keeps a state, and a full context per
+   midstate would add a schedule ring and a block buffer (328 B in all)
+   that nothing reads between calls. K changes only inside [update],
+   which re-absorbs both pads in [work] and saves their chaining words.
+   The HMACs run in place in a per-domain scratch: each resumes a
+   midstate in [work], feeds it and finalizes into V or into [key],
+   where the new K is padded before its pads are absorbed. Every call
+   wipes the scratch before it returns, so nothing of a state outlives
+   it there. *)
 
 type t = {
   v : Bytes.t; (* V, 32 bytes *)
-  inner : Sha256.ctx;
-  outer : Sha256.ctx;
+  inner : int array; (* chaining words after K xor ipad *)
+  outer : int array; (* chaining words after K xor opad *)
 }
 
 type scratch = {
@@ -41,30 +45,32 @@ let out_len = Sha256.digest_size
    [out]. The inner digest passes through [out] too: [work] has copied it
    before [out] is written again. *)
 let start t s =
-  Sha256.blit t.inner s.work;
+  Sha256.resume s.work t.inner;
   Sha256.feed_bytes s.work t.v ~pos:0 ~len:out_len
 
 let finish t s out =
   Sha256.finalize_into s.work out;
-  Sha256.blit t.outer s.work;
+  Sha256.resume s.work t.outer;
   Sha256.feed_bytes s.work out ~pos:0 ~len:out_len;
   Sha256.finalize_into s.work out
 
-(* xor the block [b] with [x] and absorb it into [ctx] from scratch *)
-let absorb_pad ctx b x =
+(* xor the block in [s.key] with [x], absorb it into [s.work] from
+   scratch and save the chaining words in [h] *)
+let absorb_pad s h x =
   for i = 0 to Sha256.block_size - 1 do
-    Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor x))
+    Bytes.set s.key i (Char.chr (Char.code (Bytes.get s.key i) lxor x))
   done;
-  Sha256.reset ctx;
-  Sha256.feed_bytes ctx b ~pos:0 ~len:Sha256.block_size
+  Sha256.reset s.work;
+  Sha256.feed_bytes s.work s.key ~pos:0 ~len:Sha256.block_size;
+  Sha256.midstate s.work h
 
 (* Absorb the pads of the K in [s.key]: K zero-padded to a block, xored
    with ipad, then with ipad xor opad. This overwrites K, which nothing
    reads before the next HMAC writes a new one. *)
 let rekey t s =
   Bytes.fill s.key out_len (Sha256.block_size - out_len) '\x00';
-  absorb_pad t.inner s.key 0x36;
-  absorb_pad t.outer s.key (0x36 lxor 0x5c)
+  absorb_pad s t.inner 0x36;
+  absorb_pad s t.outer (0x36 lxor 0x5c)
 
 (* V = HMAC_K(V) *)
 let step_v t s =
@@ -85,7 +91,7 @@ let update t s provided =
   if String.length provided > 0 then step_k t s "\x01" provided
 
 let instantiate material =
-  let t = { v = Bytes.make out_len '\x01'; inner = Sha256.init (); outer = Sha256.init () } in
+  let t = { v = Bytes.make out_len '\x01'; inner = Array.make 8 0; outer = Array.make 8 0 } in
   let s = Domain.DLS.get scratch in
   Bytes.fill s.key 0 out_len '\x00';
   rekey t s;
@@ -101,7 +107,7 @@ let instantiated = Memo.per_domain ~capacity:4 ~equal:String.equal instantiate
 
 let create ?(personalization = "") ~seed () =
   let s = instantiated (seed ^ personalization) in
-  { v = Bytes.copy s.v; inner = Sha256.copy s.inner; outer = Sha256.copy s.outer }
+  { v = Bytes.copy s.v; inner = Array.copy s.inner; outer = Array.copy s.outer }
 
 let create_secret ~personalization ~seed = instantiate (seed ^ personalization)
 

@@ -5,10 +5,11 @@
     stream, so every experiment in this repository is replayable. *)
 
 type t
-(** V and the SHA-256 midstates of K's two HMAC pads: what the next call
-    needs, and nothing else. The HMACs run in a scratch that each domain
-    keeps for itself (K's pad block and a working hash context), and
-    every call wipes it before it returns. *)
+(** V and the SHA-256 midstates of K's two HMAC pads, each as eight bare
+    chaining words: what the next call needs, and nothing else (224 B on
+    a 64-bit host). The HMACs run in a scratch that each domain keeps for
+    itself (K's pad block and a working hash context), and every call
+    wipes it before it returns. *)
 
 val create : ?personalization:string -> seed:string -> unit -> t
 (** Instantiate with entropy [seed] (any length). The instantiated state

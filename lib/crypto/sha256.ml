@@ -19,8 +19,9 @@
      new [e] and each new schedule word are masked, and every value that
      is rotated, or that ch and maj combine, is one of these or a
      chaining word.
-   [reset], [blit] and [finalize_into] let {!Drbg} run HMAC in contexts
-   it owns, without allocating. DESIGN.md §5 "Unboxed hash kernels" has
+   [reset], [midstate], [resume] and [finalize_into] let {!Drbg} run HMAC
+   in a context it owns, without allocating, from pad midstates kept as
+   eight bare words. DESIGN.md §5 "Unboxed hash kernels" has
    the measurements and the variants that lost. *)
 
 external get32u : Bytes.t -> int -> int32 = "%caml_bytes_get32u"
@@ -46,16 +47,20 @@ type ctx = {
   mutable total : int; (* bytes absorbed *)
 }
 
+(* the initial chaining words; only ever read *)
+let iv =
+  [| 0x6a09e667; 0xbb67ae85; 0x3c6ef372; 0xa54ff53a; 0x510e527f; 0x9b05688c; 0x1f83d9ab; 0x5be0cd19 |]
+
 let init () =
   {
-    h0 = 0x6a09e667;
-    h1 = 0xbb67ae85;
-    h2 = 0x3c6ef372;
-    h3 = 0xa54ff53a;
-    h4 = 0x510e527f;
-    h5 = 0x9b05688c;
-    h6 = 0x1f83d9ab;
-    h7 = 0x5be0cd19;
+    h0 = iv.(0);
+    h1 = iv.(1);
+    h2 = iv.(2);
+    h3 = iv.(3);
+    h4 = iv.(4);
+    h5 = iv.(5);
+    h6 = iv.(6);
+    h7 = iv.(7);
     ring = Bytes.create 128;
     buf = Bytes.create block_size;
     buf_len = 0;
@@ -67,22 +72,34 @@ let init () =
    same: the original and the copy may hash in two domains at once. *)
 let copy t = { t with ring = Bytes.create 128; buf = Bytes.copy t.buf }
 
-let blit src dst =
-  dst.h0 <- src.h0;
-  dst.h1 <- src.h1;
-  dst.h2 <- src.h2;
-  dst.h3 <- src.h3;
-  dst.h4 <- src.h4;
-  dst.h5 <- src.h5;
-  dst.h6 <- src.h6;
-  dst.h7 <- src.h7;
-  Bytes.blit src.buf 0 dst.buf 0 src.buf_len;
-  dst.buf_len <- src.buf_len;
-  dst.total <- src.total
+(* After exactly one block the buffer is empty and the byte count is
+   known, so the eight chaining words are the whole state. *)
+let midstate t h =
+  if t.total <> block_size then invalid_arg "Sha256.midstate";
+  h.(0) <- t.h0;
+  h.(1) <- t.h1;
+  h.(2) <- t.h2;
+  h.(3) <- t.h3;
+  h.(4) <- t.h4;
+  h.(5) <- t.h5;
+  h.(6) <- t.h6;
+  h.(7) <- t.h7
 
-(* the initial state; only ever read *)
-let iv = init ()
-let reset t = blit iv t
+let resume t h =
+  t.h0 <- h.(0);
+  t.h1 <- h.(1);
+  t.h2 <- h.(2);
+  t.h3 <- h.(3);
+  t.h4 <- h.(4);
+  t.h5 <- h.(5);
+  t.h6 <- h.(6);
+  t.h7 <- h.(7);
+  t.buf_len <- 0;
+  t.total <- block_size
+
+let reset t =
+  resume t iv;
+  t.total <- 0
 
 let wipe t =
   Bytes.fill t.ring 0 128 '\x00';

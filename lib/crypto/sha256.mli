@@ -22,9 +22,18 @@ val wipe : ctx -> unit
     the last compression left behind: the context then holds nothing of
     what it hashed. *)
 
-val blit : ctx -> ctx -> unit
-(** [blit src dst] makes [dst] a copy of [src]'s midstate, in place: what
-    {!copy} does, without allocating. *)
+val midstate : ctx -> int array -> unit
+(** [midstate t h] writes the eight chaining words of [t] into [h]. [t]
+    must have absorbed exactly one block, as an HMAC key pad is: its
+    state is then those words alone, and {!resume} continues it.
+    @raise Invalid_argument unless [t] has absorbed exactly {!block_size}
+    bytes, or if [h] has fewer than 8 slots. *)
+
+val resume : ctx -> int array -> unit
+(** [resume t h] puts [t], in place, in the state of a context that has
+    absorbed one block and was left with the chaining words [h] — the
+    inverse of {!midstate}, without allocating.
+    @raise Invalid_argument if [h] has fewer than 8 slots. *)
 
 val feed : ctx -> string -> unit
 
@@ -35,7 +44,7 @@ val feed_bytes : ctx -> Bytes.t -> pos:int -> len:int -> unit
 
 val finalize : ctx -> string
 (** 32-byte digest; the context must not be reused until {!reset} or
-    {!blit} overwrites it. *)
+    {!resume} overwrites it. *)
 
 val finalize_into : ctx -> Bytes.t -> unit
 (** [finalize_into t out] is {!finalize} writing the digest into the first

@@ -55,7 +55,15 @@ val send : 'msg t -> src:side -> 'msg -> unit
     nobody. Delivery is a separate, adversary-controlled step. *)
 
 val transcript : 'msg t -> 'msg sent list
-(** Everything ever sent, in order — the eavesdropper's notebook. *)
+(** Everything ever sent, in order — the eavesdropper's notebook. The
+    transcript stays complete for the channel's whole life (fingerprints,
+    capsules and replays hash all of it), so a frame is kept in columns
+    at a known cost: its payload, an unboxed float for [sent_at] and one
+    byte for [src], 17 B of slots besides the payload. The columns grow
+    in blocks of 128 frames and are never copied once a block is full.
+    The records of this list are built on each call, at 72 B a frame:
+    read a window with {!fold_range} instead where a list is not
+    needed. *)
 
 val transcript_length : 'msg t -> int
 (** Entries in the transcript, O(1). A [(transcript_length before,
@@ -66,6 +74,12 @@ val transcript_length : 'msg t -> int
 val transcript_from : 'msg t -> pos:int -> 'msg sent list
 (** The transcript suffix starting at entry [pos] (clamped to the valid
     range), in order — the window companion of {!transcript_length}. *)
+
+val fold_range :
+  'msg t -> lo:int -> hi:int -> ('a -> float -> side -> 'msg -> 'a) -> 'a -> 'a
+(** [fold_range t ~lo ~hi f init] folds [f acc sent_at src payload] over
+    the transcript entries [\[lo, hi)] (clamped to the valid range), in
+    order, straight from the columns: no entry or list is built. *)
 
 val undelivered : 'msg t -> 'msg sent list
 (** Sent messages not yet delivered (nor explicitly dropped). *)

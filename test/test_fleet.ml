@@ -233,7 +233,9 @@ let test_member_construction_after_ecdsa () =
    has filled this domain's memos. A member shares its verifier's
    reference image with the RAM-fill memo, keeps no DRBG working context
    or pad block, and holds the page tables and region records of its
-   genesis only by reference. Owning them, a member held 7,200 B. *)
+   genesis only by reference. Owning them, a member held 7,200 B; with
+   full SHA-256 contexts for its DRBG midstates, 4,315 B. The case keeps
+   the name it got at a 4,608 B bound. *)
 let test_member_unique_heap () =
   let members = 200 in
   ignore (Sys.opaque_identity (Session.create ~ram_size:1024 ()));
@@ -247,7 +249,63 @@ let test_member_unique_heap () =
   in
   let bytes = (live () - before) * (Sys.word_size / 8) / members in
   ignore (Sys.opaque_identity fleet);
-  if bytes > 4_608 then Alcotest.failf "a member holds %d B of its own (> 4.5 KiB)" bytes
+  if bytes > 4_224 then Alcotest.failf "a member holds %d B of its own (> 4,224 B)" bytes
+
+(* What a member keeps per chaos sweep at 20% loss: its wire frames,
+   which the transcript keeps whole, plus at most 40 B per frame (the
+   payload string's header and padding, its column slots and their
+   growth slack) and 16 B per verdict and per ledger entry (a float and
+   a value slot).
+   The growth is the mean live-word delta per member and sweep over
+   sweeps 2-5, after a full major collection; sweep 1 pays for the
+   columns' first slots and the member's first NVRAM write. Kept as
+   records, lists and boxed floats, a member grew about 500 B a sweep
+   against a budget of about 320 B. *)
+let test_member_sweep_growth () =
+  let members = 200 and sweeps = 5 in
+  let fleet =
+    Fleet.create ~ram_size:1024 ~names:(List.init members (Printf.sprintf "m%03d")) ()
+  in
+  Fleet.advance fleet ~seconds:1.0;
+  let sweep i =
+    ignore
+      (Fleet.chaos_sweep ~seed:(Int64.of_int i) ~rounds_per_member:1 ~losses:[ 0.2 ]
+         ~policies:[ ("default", Retry.default) ]
+         fleet)
+  in
+  let live () =
+    Gc.full_major ();
+    (Gc.stat ()).Gc.live_words
+  in
+  (* frames, frame bytes and log entries over all members *)
+  let kept () =
+    List.fold_left
+      (fun (frames, bytes, entries) m ->
+        let s = Fleet.member_session m in
+        let wire = Ra_net.Channel.transcript (Session.channel s) in
+        ( frames + List.length wire,
+          List.fold_left
+            (fun acc e -> acc + String.length e.Ra_net.Channel.payload)
+            bytes wire,
+          entries + List.length (Session.verdicts s) + Fleet.sweeps_of m ))
+      (0, 0, 0) (Fleet.members fleet)
+  in
+  sweep 1;
+  let frames0, bytes0, entries0 = kept () in
+  let before = live () in
+  for i = 2 to sweeps do
+    sweep i
+  done;
+  let after = live () in
+  let frames1, bytes1, entries1 = kept () in
+  let per_sweep n = float_of_int n /. float_of_int (members * (sweeps - 1)) in
+  let growth = per_sweep ((after - before) * (Sys.word_size / 8)) in
+  let budget =
+    per_sweep ((bytes1 - bytes0) + (40 * (frames1 - frames0)) + (16 * (entries1 - entries0)))
+  in
+  if growth > budget then
+    Alcotest.failf "a member grows %.0f B per sweep (budget %.0f B for %.2f frames of %.0f B)"
+      growth budget (per_sweep (frames1 - frames0)) (per_sweep (bytes1 - bytes0))
 
 let tests =
   [
@@ -275,4 +333,6 @@ let tests =
       `Quick test_member_construction_after_ecdsa;
     Alcotest.test_case "a member holds <= 4,608 B of its own after create" `Quick
       test_member_unique_heap;
+    Alcotest.test_case "a member grows per sweep by its frames and a fixed cost per entry"
+      `Quick test_member_sweep_growth;
   ]

@@ -326,6 +326,28 @@ let test_replay_bad_loss_refused () =
   | Error msg -> Alcotest.(check string) "reason" "capsule loss 1.5 outside [0, 1]" msg
   | Ok _ -> Alcotest.fail "replayed a capsule with loss 1.5"
 
+(* A profile ring of 16 samples holds about one round of a member, so
+   the member's next rounds evict a kept round's samples before its cell
+   merges. A capsule's phase is read when its round ends; read at the
+   merge, 7 of these 13 failure capsules had none. *)
+let test_phase_survives_eviction () =
+  let fleet = Fleet.create ~ram_size:1024 ~names:[ "dev-0"; "dev-1" ] () in
+  ignore (Fleet.enable_forensics fleet);
+  Fleet.enable_tracing fleet;
+  Fleet.enable_profiling ~capacity:16 fleet;
+  ignore
+    (Fleet.chaos_sweep ~seed:2016L ~rounds_per_member:10 ~losses:[ 0.4 ]
+       ~policies:[ ("none", Retry.no_retry) ]
+       fleet);
+  let failures = List.filter (fun c -> c.F.cap_kind = F.Failure) (Fleet.capsules fleet) in
+  Alcotest.(check bool) "failures captured" true (failures <> []);
+  List.iter
+    (fun c ->
+      if c.F.cap_phase = None then
+        Alcotest.failf "%s round %d: failure capsule without a phase" c.F.cap_name
+          c.F.cap_round)
+    failures
+
 let tests =
   [
     Alcotest.test_case "capsule JSON round-trip (fixed)" `Quick
@@ -344,4 +366,6 @@ let tests =
     Alcotest.test_case "dominant phase attribution" `Quick test_dominant_phase;
     Alcotest.test_case "replay refuses a loss outside [0, 1]" `Quick
       test_replay_bad_loss_refused;
+    Alcotest.test_case "a kept capsule keeps its phase after its ring wraps" `Quick
+      test_phase_survives_eviction;
   ]

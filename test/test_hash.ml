@@ -201,27 +201,40 @@ let test_sha1_blocks_allocate_nothing () =
   if words >= 64. then
     Alcotest.failf "1,024 blocks allocated %.0f minor words (bound 64)" words
 
-(* [blit] forks like [copy], over a context that has hashed something
-   else; the fork finalizes into a longer buffer, whose tail must stay,
-   and is then [reset] and reused *)
-let qcheck_sha256_blit_reset =
-  QCheck.Test.make ~name:"sha256 = oracle: blit forks and reset" ~count:200 fork_inputs
-    (fun (prefix, a, b) ->
+(* [midstate] saves a one-block context as eight bare words and
+   [resume] continues them in a context that has hashed something else,
+   as the DRBG does with its pads; the fork finalizes into a longer
+   buffer, whose tail must stay, and is then [reset] and reused. A
+   context at any other length has no bare midstate. *)
+let qcheck_sha256_resume_reset =
+  QCheck.Test.make ~name:"sha256 = oracle: resume forks and reset" ~count:200
+    QCheck.(
+      quad (string_of_size (Gen.return 64)) (string_of_size Gen.(0 -- 1024))
+        (string_of_size Gen.(0 -- 1024)) (int_range 0 200))
+    (fun (block, a, b, other) ->
       let t = Sha256.init () in
-      Sha256.feed t prefix;
+      Sha256.feed t block;
+      let h = Array.make 8 0 in
+      Sha256.midstate t h;
       let fork = Sha256.init () in
       Sha256.feed fork b;
-      Sha256.blit t fork;
+      Sha256.resume fork h;
       Sha256.feed fork b;
       Sha256.feed t a;
       let out = Bytes.make 40 '\xee' in
       Sha256.finalize_into fork out;
       Sha256.reset fork;
       Sha256.feed fork a;
-      Sha256.finalize t = Sha256_oracle.digest (prefix ^ a)
-      && Bytes.sub_string out 0 32 = Sha256_oracle.digest (prefix ^ b)
+      let elsewhere = Sha256.init () in
+      Sha256.feed elsewhere (String.make (if other = 64 then 65 else other) 'x');
+      Sha256.finalize t = Sha256_oracle.digest (block ^ a)
+      && Bytes.sub_string out 0 32 = Sha256_oracle.digest (block ^ b)
       && Bytes.sub_string out 32 8 = String.make 8 '\xee'
-      && Sha256.finalize fork = Sha256_oracle.digest a)
+      && Sha256.finalize fork = Sha256_oracle.digest a
+      &&
+      match Sha256.midstate elsewhere h with
+      | () -> false
+      | exception Invalid_argument _ -> true)
 
 (* Blocks fed one call at a time, as HMAC feeds them: the byte count is
    an [int] and the round variables stay unboxed, so nothing allocates.
@@ -258,7 +271,7 @@ let tests =
     ]
   @ oracle_tests "sha256" (module Sha256) Sha256_oracle.digest
   @ [
-      QCheck_alcotest.to_alcotest qcheck_sha256_blit_reset;
+      QCheck_alcotest.to_alcotest qcheck_sha256_resume_reset;
       Alcotest.test_case "sha256: full blocks allocate nothing" `Quick
         test_sha256_blocks_allocate_nothing;
     ]

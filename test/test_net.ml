@@ -338,6 +338,63 @@ let test_delivery_labels () =
         (Campaign.run
            { Campaign.default_config with Campaign.devices = 3; days = 2; sweeps_per_day = 2 }))
 
+(* The transcript's columns live in blocks of 128 frames, the first of
+   which doubles from four slots. Whatever the number of blocks, every
+   frame reads back as sent, every window folds over exactly its frames,
+   and the frames left pending are those a reference queue holds. *)
+let prop_transcript_blocks =
+  QCheck.Test.make ~name:"transcript = reference across column blocks" ~count:40
+    QCheck.(pair (list_of_size Gen.(0 -- 1200) (pair (int_bound 9) small_nat)) (pair small_nat small_nat))
+    (fun (ops, (a, b)) ->
+      let time = Simtime.create () in
+      let ch = Channel.create time (Trace.create time) in
+      List.iter
+        (fun side -> ignore (Channel.Endpoint.attach ch side ignore))
+        [ Channel.Verifier_side; Channel.Prover_side ];
+      let rec take src = function
+        | [] -> (false, [])
+        | (e : string Channel.sent) :: rest when e.Channel.src = src -> (true, rest)
+        | e :: rest ->
+          let found, rest = take src rest in
+          (found, e :: rest)
+      in
+      let sent = ref [] and pending = ref [] and agree = ref true in
+      List.iteri
+        (fun i (op, n) ->
+          Simtime.advance_by time (float_of_int n *. 1e-3);
+          let src = if n land 1 = 0 then Channel.Verifier_side else Channel.Prover_side in
+          if op < 6 then begin
+            let e = { Channel.sent_at = Simtime.now time; src; payload = string_of_int i } in
+            Channel.send ch ~src e.Channel.payload;
+            sent := e :: !sent;
+            pending := !pending @ [ e ]
+          end
+          else begin
+            let expected, rest = take src !pending in
+            pending := rest;
+            let got =
+              if op < 8 then
+                Channel.forward_next ch
+                  ~dst:(if src = Channel.Verifier_side then Channel.Prover_side else Channel.Verifier_side)
+              else Channel.drop_next ch ~src
+            in
+            if got <> expected then agree := false
+          end)
+        ops;
+      let sent = List.rev !sent in
+      let len = List.length sent in
+      let lo = a mod (len + 2) and hi = b mod (len + 2) in
+      let window =
+        List.filteri (fun i _ -> i >= lo && i < hi) sent
+        |> List.map (fun (e : string Channel.sent) -> (e.Channel.sent_at, e.Channel.src, e.Channel.payload))
+      in
+      !agree
+      && Channel.transcript_length ch = len
+      && Channel.transcript ch = sent
+      && Channel.transcript_from ch ~pos:lo = List.filteri (fun i _ -> i >= lo) sent
+      && Channel.fold_range ch ~lo ~hi (fun acc at src p -> (at, src, p) :: acc) [] = List.rev window
+      && Channel.undelivered ch = !pending)
+
 let tests =
   [
     Alcotest.test_case "simtime" `Quick test_simtime;
@@ -366,4 +423,5 @@ let tests =
       test_endpoint_detach_below_in_callback;
     Alcotest.test_case "delivery labels of adversarial deliveries" `Quick
       test_delivery_labels;
+    QCheck_alcotest.to_alcotest prop_transcript_blocks;
   ]

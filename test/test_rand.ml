@@ -349,6 +349,14 @@ let qcheck_prng_oracle =
           | Some n -> Prng.bytes p n = Prng_oracle.bytes o n)
         steps)
 
+(* A state is V and two bare 8-word chaining values: 224 B on a 64-bit
+   host, held by every fleet member's verifier. With a full SHA-256
+   context per midstate, schedule ring and block buffer included, it
+   was 736 B. *)
+let test_drbg_state_size () =
+  let bytes = Obj.reachable_words (Obj.repr (Drbg.create ~seed:"size" ())) * (Sys.word_size / 8) in
+  if bytes > 256 then Alcotest.failf "a fresh Drbg.t reaches %d B (bound 256 B)" bytes
+
 let tests =
   [
     Alcotest.test_case "drbg deterministic" `Quick test_drbg_deterministic;
@@ -381,4 +389,5 @@ let tests =
     Alcotest.test_case "drbg: a secret draw leaves nothing in the scratch" `Quick
       test_drbg_scratch_wiped;
     QCheck_alcotest.to_alcotest qcheck_prng_oracle;
+    Alcotest.test_case "drbg: a fresh state holds <= 256 B" `Quick test_drbg_state_size;
   ]

@@ -287,6 +287,23 @@ let test_denied_cell_is_fault () =
         cells)
     table
 
+(* A log's columns live in blocks of 128 entries, the first of which
+   doubles from four slots: across any number of blocks it reads back
+   every entry in order, and its count and newest entry after every
+   add. *)
+let prop_log_blocks =
+  QCheck.Test.make ~name:"log = reference across column blocks" ~count:40
+    QCheck.(list_of_size Gen.(0 -- 1200) (pair (float_bound_inclusive 1e6) small_nat))
+    (fun entries ->
+      let log = Verdict.Log.create () in
+      List.for_all
+        (fun (at, v) ->
+          Verdict.Log.add log at v;
+          Verdict.Log.last log = v)
+        entries
+      && Verdict.Log.length log = List.length entries
+      && Verdict.Log.to_list log = entries)
+
 let tests =
   [
     QCheck_alcotest.to_alcotest prop_json_roundtrip;
@@ -298,4 +315,5 @@ let tests =
     Alcotest.test_case "handler conversions" `Quick test_handler_conversions;
     Alcotest.test_case "every handler faults on a denied cell" `Quick
       test_denied_cell_is_fault;
+    QCheck_alcotest.to_alcotest prop_log_blocks;
   ]
