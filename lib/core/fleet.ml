@@ -237,19 +237,10 @@ let ledger_verdict = function
   | Verdict.Bad_auth | Verdict.Not_fresh _ | Verdict.Fault _ | Verdict.Timed_out _ ->
     None
 
-(* Per-member accumulator for one (loss, policy) cell; both engines feed
-   it through [chaos_record], so the ledgers and metrics a cell produces
-   are independent of which engine ran it. *)
-type chaos_acc = {
-  mutable ca_converged : int;
-  mutable ca_attempts : int;
-  mutable ca_durations : float list;
-}
-
 (* What one chaos "round" executes: the classic one-shot retry round, or
    one full secure-session lifecycle (handshake + [n] streamed records +
    close). Both yield a [Session.round], so every consumer downstream —
-   accumulators, ledgers, capsules — is workload-agnostic. *)
+   tallies, ledgers, capsules — is workload-agnostic. *)
 type workload = Forensics.workload
 
 let workload_round_begin ~workload ~policy session =
@@ -257,84 +248,144 @@ let workload_round_begin ~workload ~policy session =
   | `Attest -> Session.round_begin ~policy session
   | `Session records -> Secure_session.round_begin ~policy ~records session
 
-let chaos_install session ~imp_seed ~loss =
-  let profile =
-    if loss <= 0.0 then Ra_net.Impairment.pristine else Ra_net.Impairment.lossy loss
-  in
-  Session.set_impairment session
-    (Some
-       (Ra_net.Impairment.create ~to_prover:profile ~to_verifier:profile ~seed:imp_seed
-          ()))
+let chaos_profile loss =
+  if loss <= 0.0 then Ra_net.Impairment.pristine else Ra_net.Impairment.lossy loss
 
-(* One completed round's bookkeeping: metrics, cell accumulator, and the
-   member's health ledger. [at] is the member's clock at round start. *)
-let chaos_record obs m acc ~at (r : Session.round) =
-  obs.o_chaos_ms (r.Session.r_elapsed_s *. 1000.0);
-  acc.ca_attempts <- acc.ca_attempts + r.Session.r_attempts;
+(* One shard's share of one (loss, policy) cell: what every member round
+   in it reads, built once, and the shard's tallies, which the
+   coordinator sums in shard order. The converged rounds' durations go
+   into an unboxed column that the merge sorts, so their order within a
+   shard is free. *)
+type chaos_run = {
+  cr_workload : workload;
+  cr_obs : obs;
+  cr_sched : Sched.t;
+  cr_profile : Ra_net.Impairment.profile;
+  cr_policy : Retry.policy;
+  cr_rounds : int;
+  cr_root : int64; (* member i's impairment seed is [derive_seed ~root ~index:i] *)
+  cr_capture : (int -> round:int -> at:float -> tstart:int -> Session.round -> unit) option;
+  mutable cr_converged : int;
+  mutable cr_attempts : int;
+  cr_durations : float array; (* the first [cr_converged] are set *)
+}
+
+let chaos_run ~workload obs sched ~profile ~policy ~rounds ~root ?capture ~members () =
+  {
+    cr_workload = workload;
+    cr_obs = obs;
+    cr_sched = sched;
+    cr_profile = profile;
+    cr_policy = policy;
+    cr_rounds = rounds;
+    cr_root = root;
+    cr_capture = capture;
+    cr_converged = 0;
+    cr_attempts = 0;
+    cr_durations = Array.create_float (members * rounds);
+  }
+
+(* One completed round's bookkeeping: metrics, the shard's tallies, and
+   the member's health ledger. [at] is the member's clock at round
+   start. *)
+let chaos_record run m ~at (r : Session.round) =
+  run.cr_obs.o_chaos_ms (r.Session.r_elapsed_s *. 1000.0);
+  run.cr_attempts <- run.cr_attempts + r.Session.r_attempts;
   (match r.Session.r_verdict with
-  | Verdict.Timed_out _ -> obs.o_timed_out ()
+  | Verdict.Timed_out _ -> run.cr_obs.o_timed_out ()
   | _ ->
-    obs.o_converged ();
-    acc.ca_converged <- acc.ca_converged + 1;
-    acc.ca_durations <- r.Session.r_elapsed_s :: acc.ca_durations);
+    run.cr_obs.o_converged ();
+    run.cr_durations.(run.cr_converged) <- r.Session.r_elapsed_s;
+    run.cr_converged <- run.cr_converged + 1);
   m.health <- classify_verdict r.Session.r_verdict;
   Verdict.Log.add m.history (at +. r.Session.r_elapsed_s) (ledger_verdict r.Session.r_verdict)
 
-(* Run one member through one (loss, policy) cell on its shard's
-   timeline: install its private seeded impairment, run [rounds] rounds
-   of [workload], each [stagger_seconds] after the previous one ended
-   (same advances as [sweep], so timestamp freshness behaves
-   identically), then put the wire back to pristine and report the
-   member's tallies to [finished]. Every [Round_wait] of the round
-   machine becomes an event at the member's own clock plus the wait;
-   a member's event keys are strictly increasing and the heap pops the
-   globally earliest, so the shared timeline is monotone and round work
-   from thousands of members interleaves in deterministic (time,
-   insertion) order. [resume] performs the [advance_time] itself, so the
-   member sees the same operations whatever else shares its timeline.
-   Touches only the member's own world.
+(* A member's state in one cell, built by its first event. A waiting
+   member holds this record, its round's machine and the event that
+   wakes it. *)
+type chaos_member = {
+  cm_run : chaos_run;
+  cm_index : int;
+  cm_member : member;
+  mutable cm_left : int; (* rounds left, the current one included *)
+  mutable cm_at : float; (* the current round's start on the member's clock *)
+  mutable cm_tstart : int; (* the current round's first transcript position *)
+  mutable cm_resume : unit -> Session.step; (* the open wait's *)
+}
 
-   The member's cell state (impairment, tallies, round closures) is
-   built by its first event, not when the cell is set up: the cell sets
-   up every member before any runs, so state built then outlives minor
-   collections and is promoted, while a member whose rounds end within
-   their first event now leaves it all in the minor heap. *)
-let chaos_member ?fcap ~workload obs sched m ~imp_seed ~loss ~policy ~rounds ~finished =
-  let session = m.session in
-  let member_now () = Ra_net.Simtime.now (Session.time session) in
-  let first () =
-    chaos_install session ~imp_seed ~loss;
-    let acc = { ca_converged = 0; ca_attempts = 0; ca_durations = [] } in
-    let rec round rounds_left =
-      Session.advance_time session ~seconds:stagger_seconds;
-      let at = member_now () in
-      let tstart = Ra_net.Channel.transcript_length (Session.channel session) in
-      drive rounds_left ~at ~tstart (workload_round_begin ~workload ~policy session);
-      Sched.observe_lag sched ~member_now:(member_now ())
-    and drive rounds_left ~at ~tstart = function
-      | Session.Round_done r ->
-        chaos_record obs m acc ~at r;
-        (match fcap with
-        | None -> ()
-        | Some f -> f ~round:(rounds - rounds_left + 1) ~at ~tstart r);
-        if rounds_left > 1 then
-          Sched.at sched
-            ~at:(member_now () +. stagger_seconds)
-            (fun () -> round (rounds_left - 1))
-        else begin
-          Session.set_impairment session None;
-          finished (acc.ca_converged, acc.ca_attempts, acc.ca_durations)
-        end
-      | Session.Round_wait { wait_s; resume } ->
-        Sched.at sched
-          ~at:(member_now () +. wait_s)
-          (fun () ->
-            drive rounds_left ~at ~tstart (resume ());
-            Sched.observe_lag sched ~member_now:(member_now ()))
-    in
-    round rounds
-  in
-  Sched.at sched ~at:(member_now () +. stagger_seconds) first
+let member_now m = Ra_net.Simtime.now (Session.time m.session)
+let no_wait () = invalid_arg "Fleet: no open wait"
+
+(* A member's rounds in one cell on its shard's timeline: [rounds]
+   rounds of the cell's workload, each [stagger_seconds] after the
+   previous one ended (same advances as [sweep], so timestamp freshness
+   behaves identically), then the wire goes back to pristine. Every
+   [Round_wait] of the round machine becomes an event at the member's
+   own clock plus the wait; a member's event keys are strictly
+   increasing and the heap pops the globally earliest, so the shared
+   timeline is monotone and round work from thousands of members
+   interleaves in deterministic (time, insertion) order. [resume]
+   performs the [advance_time] itself, so the member sees the same
+   operations whatever else shares its timeline. Touches only the
+   member's own world. The functions are top-level, so a member's events
+   capture only its state record. *)
+let rec chaos_round cm =
+  let session = cm.cm_member.session in
+  Session.advance_time session ~seconds:stagger_seconds;
+  cm.cm_at <- member_now cm.cm_member;
+  cm.cm_tstart <- Ra_net.Channel.transcript_length (Session.channel session);
+  let run = cm.cm_run in
+  chaos_drive cm
+    (workload_round_begin ~workload:run.cr_workload ~policy:run.cr_policy session);
+  Sched.observe_lag run.cr_sched ~member_now:(member_now cm.cm_member)
+
+and chaos_drive cm = function
+  | Session.Round_done r ->
+    let run = cm.cm_run and m = cm.cm_member in
+    chaos_record run m ~at:cm.cm_at r;
+    (match run.cr_capture with
+    | None -> ()
+    | Some f ->
+      f cm.cm_index ~round:(run.cr_rounds - cm.cm_left + 1) ~at:cm.cm_at ~tstart:cm.cm_tstart r);
+    if cm.cm_left > 1 then begin
+      cm.cm_left <- cm.cm_left - 1;
+      Sched.at run.cr_sched ~at:(member_now m +. stagger_seconds) (fun () -> chaos_round cm)
+    end
+    else Session.set_impairment m.session None
+  | Session.Round_wait { wait_s; resume } ->
+    cm.cm_resume <- resume;
+    Sched.at cm.cm_run.cr_sched
+      ~at:(member_now cm.cm_member +. wait_s)
+      (fun () -> chaos_wake cm)
+
+and chaos_wake cm =
+  let resume = cm.cm_resume in
+  cm.cm_resume <- no_wait;
+  chaos_drive cm (resume ());
+  Sched.observe_lag cm.cm_run.cr_sched ~member_now:(member_now cm.cm_member)
+
+(* Member [index]'s first event in a cell: install its private seeded
+   impairment, build its state and start its first round. Nothing of it
+   exists before the event fires: the cell schedules every member before
+   any runs, so state built then would outlive minor collections and be
+   promoted, while a member whose rounds end within their first event
+   leaves it all in the minor heap. *)
+let chaos_start run ~index m =
+  Session.set_impairment m.session
+    (Some
+       (Ra_net.Impairment.create ~to_prover:run.cr_profile ~to_verifier:run.cr_profile
+          ~seed:(Ra_net.Impairment.derive_seed ~root:run.cr_root ~index)
+          ()));
+  chaos_round
+    {
+      cm_run = run;
+      cm_index = index;
+      cm_member = m;
+      cm_left = run.cr_rounds;
+      cm_at = 0.0;
+      cm_tstart = 0;
+      cm_resume = no_wait;
+    }
 
 (* A grid whose loss rates all lie in [0, 1]; a NaN is outside too. *)
 let check_losses losses =
@@ -378,7 +429,7 @@ let chaos_sweep ?(seed = 0xC4A05L) ?(rounds_per_member = 10) ?(engine = `Shards 
        partitioned — at any shard count *)
     let root = Ra_crypto.Prng.next_int64 seeder in
     let seed_of i = Ra_net.Impairment.derive_seed ~root ~index:i in
-    let results = Array.make n (0, 0, []) in
+    let profile = chaos_profile loss in
     (* Capture keeps, per member, its failure capsules (newest first) and
        its slowest converged round so far, each with its transcript
        window. The per-round hook runs on the member's own domain and
@@ -390,9 +441,9 @@ let chaos_sweep ?(seed = 0xC4A05L) ?(rounds_per_member = 10) ?(engine = `Shards 
     let capture =
       Option.map (fun ring -> (ring, Array.make n [], Array.make n None)) t.forensics
     in
-    let hook i =
+    let hook =
       Option.map
-        (fun (_, fails, slow) ~round ~at ~tstart (r : Session.round) ->
+        (fun (_, fails, slow) i ~round ~at ~tstart (r : Session.round) ->
           let m = members.(i) in
           let held kind =
             let trace_id =
@@ -447,15 +498,22 @@ let chaos_sweep ?(seed = 0xC4A05L) ?(rounds_per_member = 10) ?(engine = `Shards 
           | _ -> fails.(i) <- held Forensics.Failure :: fails.(i))
         capture
     in
-    Shard.run ~who:"Fleet.chaos_sweep" ~shards ~members:n
-      (fun ~shard:_ arena sched ~lo ~hi ->
-        let obs = arena_obs arena in
-        for i = lo to hi - 1 do
-          chaos_member ?fcap:(hook i) ~workload obs sched members.(i) ~imp_seed:(seed_of i)
-            ~loss ~policy ~rounds:rounds_per_member
-            ~finished:(fun r -> results.(i) <- r)
-        done)
-    |> ignore;
+    (* each member goes on its shard's timeline as a closure of its
+       index over the shard's one start function, at the instant and in
+       the order it always had *)
+    let runs =
+      Shard.run ~who:"Fleet.chaos_sweep" ~shards ~members:n
+        (fun ~shard:_ arena sched ~lo ~hi ->
+          let run =
+            chaos_run ~workload (arena_obs arena) sched ~profile ~policy
+              ~rounds:rounds_per_member ~root ?capture:hook ~members:(hi - lo) ()
+          in
+          let start i = chaos_start run ~index:i members.(i) in
+          for i = lo to hi - 1 do
+            Sched.at sched ~at:(member_now members.(i) +. stagger_seconds) (fun () -> start i)
+          done;
+          run)
+    in
     (* merge the kept capsules into the ring — coordinator only, member
        order, so the capsule stream is identical at every shard count:
        every failure, then one cell-wide slowest converged round (the
@@ -479,13 +537,16 @@ let chaos_sweep ?(seed = 0xC4A05L) ?(rounds_per_member = 10) ?(engine = `Shards 
         Option.iter keep slowest)
       capture;
     let total = n * rounds_per_member in
-    let converged = Array.fold_left (fun acc (c, _, _) -> acc + c) 0 results in
-    let attempts = Array.fold_left (fun acc (_, a, _) -> acc + a) 0 results in
-    let durations =
-      Array.of_list
-        (Array.fold_left (fun acc (_, _, ds) -> List.rev_append ds acc) [] results)
-    in
-    Array.sort compare durations;
+    let converged = Array.fold_left (fun acc r -> acc + r.cr_converged) 0 runs in
+    let attempts = Array.fold_left (fun acc r -> acc + r.cr_attempts) 0 runs in
+    let durations = Array.create_float converged in
+    ignore
+      (Array.fold_left
+         (fun pos r ->
+           Array.blit r.cr_durations 0 durations pos r.cr_converged;
+           pos + r.cr_converged)
+         0 runs);
+    Array.sort Float.compare durations;
     {
       c_loss = loss;
       c_policy = policy_name;
@@ -564,14 +625,18 @@ let replay_capsule t (cap : Forensics.capsule) =
         (* the sweep's own member round driver on a private timeline; its
            metrics land in a scratch arena that is never flushed, so a
            replay leaves the registry untouched *)
-        let run_cell ?fcap ci ~rounds =
+        let run_cell ?capture ci ~rounds =
           let loss, policy = cells.(ci) in
           let arena = Ra_obs.Arena.create () in
           let sched = Sched.create ~metrics:(Sched.arena_metrics arena) () in
-          chaos_member ?fcap ~workload:cap.cap_workload (arena_obs arena) sched m
-            ~imp_seed:
-              (Ra_net.Impairment.derive_seed ~root:roots.(ci) ~index:cap.cap_member)
-            ~loss ~policy ~rounds ~finished:ignore;
+          let run =
+            chaos_run ~workload:cap.cap_workload (arena_obs arena) sched
+              ~profile:(chaos_profile loss) ~policy ~rounds ~root:roots.(ci) ?capture
+              ~members:1 ()
+          in
+          Sched.at sched
+            ~at:(member_now m +. stagger_seconds)
+            (fun () -> chaos_start run ~index:cap.cap_member m);
           let (_ : int) = Sched.run sched in
           ()
         in
@@ -593,7 +658,7 @@ let replay_capsule t (cap : Forensics.capsule) =
         in
         if cap.cap_round = 1 then observe ();
         run_cell cap.cap_cell ~rounds:cap.cap_round
-          ~fcap:(fun ~round ~at ~tstart r ->
+          ~capture:(fun _ ~round ~at ~tstart r ->
             if round = cap.cap_round - 1 then observe ()
             else if round = cap.cap_round then begin
               let tend = Ra_net.Channel.transcript_length (Session.channel session) in

@@ -142,6 +142,16 @@ val chaos_sweep :
     whatever else shares that timeline, so the grid, ledgers,
     transcripts, member clocks and metric totals are identical at every
     [`Shards k] (default [`Shards 1]).
+
+    A member goes on its shard's timeline as a closure of its index over
+    the shard's one start function, one stagger after its own clock, in
+    index order; the start event installs its impairment (one loss
+    profile per cell) and builds its cell state, so a member whose
+    rounds end within that event promotes none of it. A waiting member
+    holds that state, its round's machine record and the one event that
+    wakes it. The shard's tallies are two counters and an unboxed column
+    of converged durations, and the cell's percentiles sort that column
+    with [Float.compare].
     @raise Invalid_argument before any round runs on an empty grid, an
     invalid policy, a loss outside [\[0, 1\]], or [`Shards k] with
     [k < 1]. *)

@@ -519,25 +519,29 @@ let jitter_seed = 0x5EC5E551L
 
 (* Handshake phase, one phase per streamed record, then a best-effort
    close — each phase is [Session.Machine.phase], so retry, reply
-   windows, waits and tracing are the one-shot round's own machinery. *)
+   windows, waits and tracing are the one-shot round's own machinery.
+   The callbacks close over this round's endpoints; the machine record
+   holds everything else. *)
 let round_begin ?(policy = Retry.default) ?(records = 4) ?(window_bits = 128) t =
   if records < 0 then invalid_arg "Secure_session.round_begin: records < 0";
   let m =
-    Session.Machine.start ~policy ~prng:(C.Prng.create jitter_seed)
-      ~root:"secure.session" ~count:M.count_round t
+    Session.Machine.start ~policy ~prng:(C.Prng.create jitter_seed) ~root:"secure.session" t
   in
+  (* the machine reads a phase label only with a tracer, which it took
+     when the round started *)
+  let traced = Option.is_some (Session.tracing t) in
   let responder = listen ~window_bits t in
   let initiator = connect ~window_bits t in
   (* r_attempts counts transmissions across all phases *)
   let sends = ref 0 in
-  let flight send () =
+  let flight send _ =
     incr sends;
     send ()
   in
   let finish verdict =
     teardown_initiator initiator;
     teardown_responder responder;
-    Session.Machine.finish m ~attempts:!sends verdict
+    Session.Machine.finish m ~count:M.count_round ~attempts:!sends verdict
   in
   let timed_out _ =
     finish
@@ -549,7 +553,7 @@ let round_begin ?(policy = Retry.default) ?(records = 4) ?(window_bits = 128) t 
   let close verdict =
     if close_begin initiator then begin
       incr sends;
-      Session.Machine.pump m (fun () -> initiator.i_close_acked)
+      Session.Machine.pump m (fun _ -> initiator.i_close_acked)
     end;
     finish verdict
   in
@@ -558,9 +562,9 @@ let round_begin ?(policy = Retry.default) ?(records = 4) ?(window_bits = 128) t 
     else begin
       let before = verdict_count initiator in
       Session.Machine.phase m
-        ~phase:(Printf.sprintf "record %d/%d" r records)
+        ~phase:(if traced then Printf.sprintf "record %d/%d" r records else "")
         ~send:(flight (fun () -> ignore (request_round initiator)))
-        ~done_:(fun () -> verdict_count initiator > before)
+        ~done_:(fun _ -> verdict_count initiator > before)
         ~give_up:timed_out
         ~next:(fun _ ->
           match Verdict.Log.last initiator.i_verdicts with
@@ -573,13 +577,13 @@ let round_begin ?(policy = Retry.default) ?(records = 4) ?(window_bits = 128) t 
   in
   Session.Machine.phase m ~phase:"handshake"
     ~send:(flight (fun () -> handshake_send initiator))
-    ~done_:(fun () -> match initiator.i_state with Connecting _ -> false | _ -> true)
+    ~done_:(fun _ -> match initiator.i_state with Connecting _ -> false | _ -> true)
     ~give_up:timed_out
-    ~next:(fun n ->
+    ~next:(fun m ->
       match initiator.i_state with
       | Refused v -> finish v
       | Established _ -> stream 1
-      | Connecting _ | Closed -> timed_out n)
+      | Connecting _ | Closed -> timed_out m)
 
 let run ?policy ?records ?window_bits t =
   Session.drive_round (round_begin ?policy ?records ?window_bits t)

@@ -522,7 +522,7 @@ module Load = struct
     let latencies =
       Array.of_list (List.concat_map (fun s -> s.sv_latencies_ms) (Array.to_list per_shard))
     in
-    Array.sort compare latencies;
+    Array.sort Float.compare latencies;
     let trusted = sum (fun s -> s.sv_trusted) in
     let batches = sum (fun s -> s.sv_batches) in
     let batched = sum (fun s -> s.sv_batched_reports) in

@@ -433,41 +433,82 @@ module Machine = struct
     fun verdict ->
       Ra_obs.Registry.Counter.inc (List.assoc (Verdict.label verdict) handles)
 
+  (* The causal-trace side of a round, built only when a tracer is
+     attached: the current phase's label and the attempt and backoff
+     spans open across a wait. *)
+  type traced = {
+    tracer : Ra_obs.Trace.t;
+    mutable phase : string;
+    mutable attempt_sp : Ra_obs.Trace.span option;
+    mutable backoff_sp : Ra_obs.Trace.span option;
+  }
+
+  (* A round's whole state is this record: a waiting round holds only it,
+     its root span and the resume closure of its open wait. The round
+     started when the root span opened. The current phase's callbacks
+     take the record, so a caller's callbacks can be top-level functions
+     that read [mark] and [attempt]. *)
   type t = {
     session : session;
     policy : Retry.policy;
     prng : Ra_crypto.Prng.t;
-    started : float;
-    tracer : Ra_obs.Trace.t option;
     root : Ra_obs.Span.span;
-    count : Verdict.t -> unit;
+    traced : traced option;
+    mutable mark : int; (* the caller's own: the attest round's verdicts before it *)
+    mutable send : t -> unit;
+    mutable done_ : t -> bool;
+    mutable give_up : t -> step;
+    mutable next : t -> step;
+    mutable attempt : int;
+    mutable rest : float; (* the open wait's seconds *)
+    mutable wait : int; (* the open wait's number, or minus the last one's *)
   }
 
-  let start ~policy ~prng ~root ~count (session : session) =
+  let no_phase (_ : t) = invalid_arg "Session.Machine: no phase"
+
+  let start ~policy ~prng ~root (session : session) =
     Retry.validate policy;
     session.in_flight <- true;
-    let started = Simtime.now session.time in
-    let tracer = Trace.tracer session.trace in
-    Option.iter (fun tr -> ignore (Ra_obs.Trace.begin_round tr)) tracer;
+    let traced =
+      match Trace.tracer session.trace with
+      | None -> None
+      | Some tracer ->
+        ignore (Ra_obs.Trace.begin_round tracer);
+        Some { tracer; phase = ""; attempt_sp = None; backoff_sp = None }
+    in
     (* the machine spans suspensions, so the root span is opened and
        closed by hand *)
     let root = Ra_obs.Span.enter (Trace.spans session.trace) root in
-    { session; policy; prng; started; tracer; root; count }
+    {
+      session;
+      policy;
+      prng;
+      root;
+      traced;
+      mark = 0;
+      send = no_phase;
+      done_ = no_phase;
+      give_up = no_phase;
+      next = no_phase;
+      attempt = 0;
+      rest = 0.0;
+      wait = 0;
+    }
 
-  let elapsed m = Simtime.now m.session.time -. m.started
+  let elapsed m = Simtime.now m.session.time -. Ra_obs.Span.start m.root
 
-  let finish m ~attempts verdict =
+  let finish m ~count ~attempts verdict =
     let t = m.session in
     t.in_flight <- false;
-    m.count verdict;
-    (match m.tracer with
-    | Some tr ->
+    count verdict;
+    (match m.traced with
+    | Some { tracer; _ } ->
       (* the final verdict instant hangs off the round root, after the
          last attempt span has closed *)
       Trace.causal_instant t.trace ~cat:"verdict"
         ~labels:[ ("verdict", Verdict.label verdict) ]
         "verdict";
-      Ra_obs.Trace.end_round tr ~verdict:(Verdict.label verdict) ~attempts
+      Ra_obs.Trace.end_round tracer ~verdict:(Verdict.label verdict) ~attempts
     | None -> ());
     let r = { r_verdict = verdict; r_attempts = attempts; r_elapsed_s = elapsed m } in
     Ra_obs.Span.exit (Trace.spans t.trace) m.root;
@@ -478,76 +519,91 @@ module Machine = struct
      governs how long the device idles once nothing is moving. A step cap
      keeps this total under pathological impairments (reorder
      probability 1 ping-pongs two messages forever). *)
-  let pump m done_ =
+  let rec pump_from m done_ steps =
+    if not (done_ m) then begin
+      let fwd = deliver_next_to_prover m.session in
+      let back = deliver_next_to_verifier m.session in
+      if (not (done_ m)) && (fwd || back) && steps < 100_000 then pump_from m done_ (steps + 1)
+    end
+
+  let pump m done_ = pump_from m done_ 0
+
+  let close ?labels tr = function
+    | Some sp -> Ra_obs.Trace.finish_span tr.tracer ?labels sp
+    | None -> ()
+
+  (* The function a wait's resume closure calls, defined below: reached
+     through this cell, so the closure captures only the record and the
+     wait's number. *)
+  let resume_wait : (t -> int -> step) ref = ref (fun _ _ -> assert false)
+
+  let rec attempt m n =
     let t = m.session in
-    let rec go steps =
-      if not (done_ ()) then begin
-        let fwd = deliver_next_to_prover t in
-        let back = deliver_next_to_verifier t in
-        if (not (done_ ())) && (fwd || back) && steps < 100_000 then go (steps + 1)
+    m.attempt <- n;
+    (* A fresh flight per attempt — never a byte-identical
+       retransmission. The freshness counter/timestamp (or record
+       sequence number) advances with every attempt, so a replay of any
+       earlier transmission stays rejectable and the prover's cell is
+       monotone across the whole retry schedule. *)
+    (match m.traced with
+    | None -> ()
+    | Some tr ->
+      tr.attempt_sp <-
+        Some
+          (Ra_obs.Trace.span tr.tracer ~cat:"retry"
+             ~labels:[ ("attempt", string_of_int n); ("phase", tr.phase) ]
+             "retry.attempt"));
+    m.send m;
+    let window = Retry.timeout_s m.policy ~attempt:n ~u:(Ra_crypto.Prng.float m.prng 1.0) in
+    let deadline = Simtime.deadline t.time ~after:window in
+    pump m m.done_;
+    if m.done_ m then begin
+      Option.iter (fun tr -> close ~labels:[ ("outcome", "done") ] tr tr.attempt_sp) m.traced;
+      m.next m
+    end
+    else begin
+      (* wire is quiet: the device idles away the rest of the reply
+         window (battery drains while it waits) *)
+      let rest = Simtime.remaining t.time deadline in
+      if rest > 0.0 then begin
+        (match m.traced with
+        | None -> ()
+        | Some tr ->
+          tr.backoff_sp <-
+            Some
+              (Ra_obs.Trace.span tr.tracer ~cat:"retry"
+                 ~labels:
+                   [ ("attempt", string_of_int n); ("wait_s", Printf.sprintf "%.6f" rest) ]
+                 "retry.backoff"));
+        m.rest <- rest;
+        let k = 1 + abs m.wait in
+        m.wait <- k;
+        Round_wait { wait_s = rest; resume = (fun () -> !resume_wait m k) }
       end
-    in
-    go 0
+      else attempt_over m
+    end
 
-  let span m labels name =
-    Option.map
-      (fun tr -> (tr, Ra_obs.Trace.span tr ~cat:"retry" ~labels:(labels ()) name))
-      m.tracer
+  and attempt_over m =
+    Option.iter (fun tr -> close ~labels:[ ("outcome", "timeout") ] tr tr.attempt_sp) m.traced;
+    if m.attempt < m.policy.Retry.max_attempts then attempt m (m.attempt + 1) else m.give_up m
 
-  let close ?labels sp =
-    Option.iter (fun (tr, sp) -> Ra_obs.Trace.finish_span tr ?labels sp) sp
+  (* Wait [k] is over: only its own resume continues the round, once. *)
+  let () =
+    resume_wait :=
+      fun m k ->
+        if m.wait <> k then invalid_arg "Session.Machine: resume of a wait that is not open";
+        m.wait <- -k;
+        advance_time m.session ~seconds:m.rest;
+        Option.iter (fun tr -> close tr tr.backoff_sp) m.traced;
+        attempt_over m
 
   let phase m ~phase ~send ~done_ ~give_up ~next =
-    let t = m.session in
-    let rec attempt n =
-      (* A fresh flight per attempt — never a byte-identical
-         retransmission. The freshness counter/timestamp (or record
-         sequence number) advances with every attempt, so a replay of
-         any earlier transmission stays rejectable and the prover's cell
-         is monotone across the whole retry schedule. *)
-      let attempt_sp =
-        span m
-          (fun () -> [ ("attempt", string_of_int n); ("phase", phase) ])
-          "retry.attempt"
-      in
-      send ();
-      let window =
-        Retry.timeout_s m.policy ~attempt:n ~u:(Ra_crypto.Prng.float m.prng 1.0)
-      in
-      let deadline = Simtime.deadline t.time ~after:window in
-      pump m done_;
-      if done_ () then begin
-        close ~labels:[ ("outcome", "done") ] attempt_sp;
-        next n
-      end
-      else begin
-        (* wire is quiet: the device idles away the rest of the reply
-           window (battery drains while it waits) *)
-        let rest = Simtime.remaining t.time deadline in
-        if rest > 0.0 then begin
-          let backoff_sp =
-            span m
-              (fun () ->
-                [ ("attempt", string_of_int n); ("wait_s", Printf.sprintf "%.6f" rest) ])
-              "retry.backoff"
-          in
-          Round_wait
-            {
-              wait_s = rest;
-              resume =
-                (fun () ->
-                  advance_time t ~seconds:rest;
-                  close backoff_sp;
-                  attempt_over n attempt_sp);
-            }
-        end
-        else attempt_over n attempt_sp
-      end
-    and attempt_over n attempt_sp =
-      close ~labels:[ ("outcome", "timeout") ] attempt_sp;
-      if n < m.policy.Retry.max_attempts then attempt (n + 1) else give_up n
-    in
-    attempt 1
+    (match m.traced with Some tr -> tr.phase <- phase | None -> ());
+    m.send <- send;
+    m.done_ <- done_;
+    m.give_up <- give_up;
+    m.next <- next;
+    attempt m 1
 end
 
 (* A round's challenges retire when it finishes: a response that arrives
@@ -559,22 +615,31 @@ let retire_challenges t =
 
 let count_round = Machine.verdict_counter "ra_session_rounds_total"
 
+(* The attest round's phase: top-level callbacks over the machine, whose
+   [mark] holds the verdict count the round started from, so a round
+   builds no closure until it waits. *)
+let attest_send (m : Machine.t) =
+  let t = m.Machine.session in
+  t.round_challenges <- (send_request t).Message.challenge :: t.round_challenges
+
+let attest_done (m : Machine.t) = Verdict.Log.length m.Machine.session.verdicts > m.Machine.mark
+
+let attest_give_up (m : Machine.t) =
+  let n = m.Machine.attempt in
+  retire_challenges m.Machine.session;
+  Machine.finish m ~count:count_round ~attempts:n
+    (Verdict.Timed_out { attempts = n; waited_s = Machine.elapsed m })
+
+let attest_next (m : Machine.t) =
+  let t = m.Machine.session in
+  retire_challenges t;
+  Machine.finish m ~count:count_round ~attempts:m.Machine.attempt (Verdict.Log.last t.verdicts)
+
 let round_begin ?(policy = Retry.default) t =
-  let m =
-    Machine.start ~policy ~prng:t.retry_prng ~root:"attest.round" ~count:count_round t
-  in
-  let before = Verdict.Log.length t.verdicts in
-  Machine.phase m ~phase:"attest"
-    ~send:(fun () ->
-      t.round_challenges <- (send_request t).Message.challenge :: t.round_challenges)
-    ~done_:(fun () -> Verdict.Log.length t.verdicts > before)
-    ~give_up:(fun n ->
-      retire_challenges t;
-      Machine.finish m ~attempts:n
-        (Verdict.Timed_out { attempts = n; waited_s = Machine.elapsed m }))
-    ~next:(fun n ->
-      retire_challenges t;
-      Machine.finish m ~attempts:n (Verdict.Log.last t.verdicts))
+  let m = Machine.start ~policy ~prng:t.retry_prng ~root:"attest.round" t in
+  m.Machine.mark <- Verdict.Log.length t.verdicts;
+  Machine.phase m ~phase:"attest" ~send:attest_send ~done_:attest_done ~give_up:attest_give_up
+    ~next:attest_next
 
 let rec drive_round = function
   | Round_done r -> r

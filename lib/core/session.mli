@@ -92,63 +92,66 @@ type step =
           window idling out). [resume] advances the session's time by
           exactly [wait_s] itself — via {!advance_time}, so the device
           idles and drains battery — and continues the machine; the
-          caller only decides {e when} to call it. *)
+          caller only decides {e when} to call it. Each wait's [resume]
+          runs once: calling it again, or after its round has ended,
+          raises [Invalid_argument] and leaves the session untouched. *)
 
 (** {2 The retry round machine}
 
     Every retried exchange over the session's wire — the one-shot round
     below and each phase of {!Secure_session.round_begin} — runs on this
-    one machine. *)
+    one machine. A round's state is one record: its policy, jitter PRNG,
+    start time, root span, attempt number, open wait and the current
+    phase's callbacks, each of which takes the record. Attempt and
+    backoff spans, and their labels, are built only when a tracer is
+    attached. *)
 module Machine : sig
   type session := t
   type t
   (** One open round. *)
 
-  val start :
-    policy:Retry.policy ->
-    prng:Ra_crypto.Prng.t ->
-    root:string ->
-    count:(Verdict.t -> unit) ->
-    session ->
-    t
+  val start : policy:Retry.policy -> prng:Ra_crypto.Prng.t -> root:string -> session -> t
   (** Open a round: validate [policy], mark the round in flight (idle
       cycles until {!finish} are the profiler's [wait] phase), begin a
       causal-trace round and enter the [root] span. [prng] draws the
-      reply-window jitter; [count] sees the final verdict.
+      reply-window jitter.
       @raise Invalid_argument on an invalid policy. *)
 
   val phase :
     t ->
     phase:string ->
-    send:(unit -> unit) ->
-    done_:(unit -> bool) ->
-    give_up:(int -> step) ->
-    next:(int -> step) ->
+    send:(t -> unit) ->
+    done_:(t -> bool) ->
+    give_up:(t -> step) ->
+    next:(t -> step) ->
     step
-  (** One retried exchange. Attempt [n] calls [send], which must put a
+  (** One retried exchange. Each attempt calls [send], which must put a
       {e fresh} flight on the wire (never a byte-identical
-      retransmission), pumps the wire until [done_ ()] or quiet, then
-      yields [Round_wait] for the rest of the jittered reply window and
-      retransmits with a grown window. Continues with [next n] once
-      [done_ ()] holds, or [give_up n] when the policy's attempts run out.
-      Attempts and waits become [retry.attempt] / [retry.backoff] causal
-      spans labelled with [phase]. *)
+      retransmission), pumps the wire until [done_] holds or the wire is
+      quiet, then yields [Round_wait] for the rest of the jittered reply
+      window and retransmits with a grown window. Continues with [next]
+      once [done_] holds, or [give_up] when the policy's attempts run
+      out. Attempts and waits become [retry.attempt] / [retry.backoff]
+      causal spans labelled with [phase], which is read only when a
+      tracer is attached. *)
 
-  val pump : t -> (unit -> bool) -> unit
+  val pump : t -> (t -> bool) -> unit
   (** Forward both directions until the predicate holds or the wire goes
-      quiet (step-capped): one best-effort flight, no reply window. *)
+      quiet (step-capped): one best-effort flight, no reply window.
+      Allocates nothing itself. *)
 
   val elapsed : t -> float
   (** Simulated seconds since {!start}. *)
 
-  val finish : t -> attempts:int -> Verdict.t -> step
-  (** Close the round: clear the in-flight mark, count the verdict, seal
-      the causal-trace round, exit the root span, yield [Round_done]. *)
+  val finish : t -> count:(Verdict.t -> unit) -> attempts:int -> Verdict.t -> step
+  (** Close the round: clear the in-flight mark, [count] the verdict,
+      seal the causal-trace round, exit the root span, yield
+      [Round_done]. *)
 
   val verdict_counter : string -> Verdict.t -> unit
   (** [verdict_counter name] precreates the [name{verdict}] counter
       family and returns its per-round increment — a [count] for
-      {!start}. *)
+      {!finish}. *)
 end
 
 val round_begin : ?policy:Retry.policy -> t -> step
@@ -161,7 +164,13 @@ val round_begin : ?policy:Retry.policy -> t -> step
     The challenges of every attempt retire when the round finishes,
     whatever its verdict: a response to one of them that arrives later is
     ignored like a response to any unknown challenge, and an attempt whose
-    response was lost leaves nothing behind in the session. *)
+    response was lost leaves nothing behind in the session.
+
+    The round's callbacks are top-level functions, so a round builds no
+    closure until it waits, and a waiting round holds its machine record,
+    its root span and its wait's [resume]: on a wire that loses
+    everything, a session and a first wait's [resume] reach at most 128
+    words beyond the session before the round. *)
 
 val drive_round : step -> round
 (** Resume every wait immediately until the round completes — the

@@ -9,9 +9,10 @@ exception Bus_fault of string
    swaps in a private copy; a write that leaves them as they are keeps
    the page shared. No page buffer ever leaves this module and nothing
    writes a shared page, so any domain may read one concurrently. A
-   region's page table (page array and ownership bits) is shared the
-   same way: a shared table has [unowned] for bits, and the first write
-   that must own a page copies the table first. *)
+   region's record (its page table and ownership bits) is shared the
+   same way: a shared record has [unowned] for bits and is never
+   mutated, and the first write that must own a page puts a private copy
+   of the record into its memory's slot first. *)
 let page_bits = 10
 let page_size = 1 lsl page_bits
 let page_mask = page_size - 1
@@ -20,14 +21,16 @@ let unowned = Bytes.create 0
 
 type mapped = {
   region : Region.t;
-  mutable pages : Bytes.t array;
+  pages : Bytes.t array;
   mutable owned : Bytes.t; (* bit [i] set: page [i] is this memory's own *)
 }
 
 type t = {
-  mapped : mapped list; (* in map order, each region next to its pages *)
+  mapped : mapped array; (* one slot per region, in map order *)
   mutable rom_sealed : bool;
 }
+
+let bits_for pages = Bytes.make ((Array.length pages + 7) lsr 3) '\x00'
 
 let create regions =
   let rec check = function
@@ -43,46 +46,61 @@ let create regions =
   in
   check regions;
   let map r =
-    let n = (r.Region.size + page_mask) lsr page_bits in
-    { region = r; pages = Array.make n zero_page; owned = Bytes.make ((n + 7) lsr 3) '\x00' }
+    let pages = Array.make ((r.Region.size + page_mask) lsr page_bits) zero_page in
+    { region = r; pages; owned = bits_for pages }
   in
-  { mapped = List.map map regions; rom_sealed = false }
+  { mapped = Array.of_list (List.map map regions); rom_sealed = false }
 
-let regions t = List.map (fun m -> m.region) t.mapped
+let regions t = Array.fold_right (fun m acc -> m.region :: acc) t.mapped []
+
+(* The slot of the region holding [addr], searched from slot [k] on, or
+   -1. A top-level loop, so a lookup allocates nothing. *)
+let rec find_slot mapped addr k =
+  if k = Array.length mapped then -1
+  else if Region.contains (Array.unsafe_get mapped k).region addr then k
+  else find_slot mapped addr (k + 1)
+
+let slot mapped addr =
+  let k = find_slot mapped addr 0 in
+  if k < 0 then raise (Bus_fault (Printf.sprintf "no region at address 0x%06x" addr));
+  k
 
 let region_named t name =
-  match List.find_opt (fun m -> m.region.Region.name = name) t.mapped with
+  match Array.find_opt (fun m -> m.region.Region.name = name) t.mapped with
   | Some m -> m.region
   | None -> raise Not_found
 
 let region_of_addr t addr =
-  List.find_map (fun m -> if Region.contains m.region addr then Some m.region else None) t.mapped
+  let k = find_slot t.mapped addr 0 in
+  if k < 0 then None else Some t.mapped.(k).region
 
 let seal_rom t = t.rom_sealed <- true
 
-let rec locate addr = function
-  | [] -> raise (Bus_fault (Printf.sprintf "no region at address 0x%06x" addr))
-  | m :: rest -> if Region.contains m.region addr then m else locate addr rest
-
-let locate_writable t addr =
-  let m = locate addr t.mapped in
-  if t.rom_sealed && m.region.Region.kind = Region.Rom then
-    raise (Bus_fault (Printf.sprintf "ROM write at 0x%06x (%s)" addr m.region.Region.name));
-  m
+let slot_writable t addr =
+  let k = slot t.mapped addr in
+  let r = t.mapped.(k).region in
+  if t.rom_sealed && r.Region.kind = Region.Rom then
+    raise (Bus_fault (Printf.sprintf "ROM write at 0x%06x (%s)" addr r.Region.name));
+  k
 
 let owns m i =
   m.owned != unowned
   && Char.code (Bytes.unsafe_get m.owned (i lsr 3)) land (1 lsl (i land 7)) <> 0
 
-(* Page [i] of [m] as its own, copied from the shared page on first use,
-   after the table itself if that is shared. *)
-let own_page m i =
+(* Page [i] of slot [k] as this memory's own, copied from the shared page
+   on first use, after a shared record has been copied into the slot. *)
+let own_page t k i =
+  let m = t.mapped.(k) in
   if owns m i then m.pages.(i)
   else begin
-    if m.owned == unowned then begin
-      m.pages <- Array.copy m.pages;
-      m.owned <- Bytes.make ((Array.length m.pages + 7) lsr 3) '\x00'
-    end;
+    let m =
+      if m.owned != unowned then m
+      else begin
+        let copy = { region = m.region; pages = Array.copy m.pages; owned = bits_for m.pages } in
+        t.mapped.(k) <- copy;
+        copy
+      end
+    in
     let p = Bytes.sub m.pages.(i) 0 (min page_size (m.region.Region.size - (i lsl page_bits))) in
     m.pages.(i) <- p;
     Bytes.set m.owned (i lsr 3)
@@ -91,15 +109,16 @@ let own_page m i =
   end
 
 let read_byte t addr =
-  let m = locate addr t.mapped in
+  let m = t.mapped.(slot t.mapped addr) in
   let off = addr - m.region.Region.base in
   Char.code (Bytes.get m.pages.(off lsr page_bits) (off land page_mask))
 
 let write_byte t addr v =
-  let m = locate_writable t addr in
+  let k = slot_writable t addr in
+  let m = t.mapped.(k) in
   let off = addr - m.region.Region.base in
   let i = off lsr page_bits and j = off land page_mask and c = Char.chr (v land 0xff) in
-  if Bytes.get m.pages.(i) j <> c then Bytes.set (own_page m i) j c
+  if Bytes.get m.pages.(i) j <> c then Bytes.set (own_page t k i) j c
 
 let rec same p poff s off n =
   n = 0
@@ -114,16 +133,18 @@ let rec blit_out m roff buf off n =
     blit_out m (roff + k) buf (off + k) (n - k)
   end
 
-(* A run a shared page already holds leaves it shared, so copying a
+(* [n] bytes of [s] from [off] into slot [k]'s region at offset [roff].
+   A run a shared page already holds leaves it shared, so copying a
    mostly blank image (a reboot's flash and ROM) materialises only the
    pages that hold data. *)
-let rec blit_in m s off roff n =
+let rec blit_in t k s off roff n =
   if n > 0 then begin
+    let m = t.mapped.(k) in
     let i = roff lsr page_bits and poff = roff land page_mask in
-    let k = min n (page_size - poff) in
-    if owns m i || not (same m.pages.(i) poff s off k) then
-      Bytes.blit_string s off (own_page m i) poff k;
-    blit_in m s (off + k) (roff + k) (n - k)
+    let run = min n (page_size - poff) in
+    if owns m i || not (same m.pages.(i) poff s off run) then
+      Bytes.blit_string s off (own_page t k i) poff run;
+    blit_in t k s (off + run) (roff + run) (n - run)
   end
 
 (* Bulk accessors locate each region once and blit whole page runs instead
@@ -134,7 +155,7 @@ let rec blit_in m s off roff n =
    applied. *)
 let rec read_runs mapped addr buf pos len =
   if len > 0 then begin
-    let m = locate addr mapped in
+    let m = mapped.(slot mapped addr) in
     let roff = addr - m.region.Region.base in
     let n = min len (m.region.Region.size - roff) in
     blit_out m roff buf pos n;
@@ -157,10 +178,11 @@ let write_bytes t addr s =
   let len = String.length s in
   let rec store off =
     if off < len then begin
-      let m = locate_writable t (addr + off) in
-      let roff = addr + off - m.region.Region.base in
-      let n = min (len - off) (m.region.Region.size - roff) in
-      blit_in m s off roff n;
+      let k = slot_writable t (addr + off) in
+      let r = t.mapped.(k).region in
+      let roff = addr + off - r.Region.base in
+      let n = min (len - off) (r.Region.size - roff) in
+      blit_in t k s off roff n;
       store (off + n)
     end
   in
@@ -193,18 +215,19 @@ let write_u64 t addr v =
   write_u32 t addr (Int64.to_int (Int64.logand v 0xFFFFFFFFL));
   write_u32 t (addr + 4) (Int64.to_int (Int64.logand (Int64.shift_right_logical v 32) 0xFFFFFFFFL))
 
-(* The pages and page tables [share] sealed on this domain, by address,
-   at most one of each per address: a sealed page or table equal to the
-   one held here is swapped for it, and any other takes its place. *)
-let pool : ((int, Bytes.t) Hashtbl.t * (int, Bytes.t array) Hashtbl.t) Domain.DLS.key =
+(* The pages and region records [share] sealed on this domain, by
+   address, at most one of each per address: a sealed page or record
+   equal to the one held here is swapped for it, and any other takes its
+   place. *)
+let pool : ((int, Bytes.t) Hashtbl.t * (int, mapped) Hashtbl.t) Domain.DLS.key =
   Domain.DLS.new_key (fun () -> (Hashtbl.create 64, Hashtbl.create 16))
 
 let same_pages a b = Array.length a = Array.length b && Array.for_all2 ( == ) a b
 
 let share t =
-  let pages, tables = Domain.DLS.get pool in
-  List.iter
-    (fun m ->
+  let pages, records = Domain.DLS.get pool in
+  Array.iteri
+    (fun k m ->
       if m.owned != unowned then begin
         Array.iteri
           (fun i p ->
@@ -215,9 +238,10 @@ let share t =
               | Some _ | None -> Hashtbl.replace pages addr p
             end)
           m.pages;
-        (match Hashtbl.find_opt tables m.region.Region.base with
-        | Some q when same_pages m.pages q -> m.pages <- q
-        | Some _ | None -> Hashtbl.replace tables m.region.Region.base m.pages);
-        m.owned <- unowned
+        match Hashtbl.find_opt records m.region.Region.base with
+        | Some q when q.region == m.region && same_pages m.pages q.pages -> t.mapped.(k) <- q
+        | Some _ | None ->
+          m.owned <- unowned;
+          Hashtbl.replace records m.region.Region.base m
       end)
     t.mapped

@@ -11,14 +11,19 @@
     memory's pages so that worlds built alike hold one copy of each. The
     first write that changes a shared page's bytes gives the memory a
     private copy; a write that leaves them as they are keeps the page
-    shared. Page tables are copy-on-write too: {!share} hands a region
-    the pool's table when they hold the same pages, and the first write
-    that has to own a page copies the table before the page. So a memory
-    holds host heap only for the tables and pages in which it differs
-    from the zero page and its domain's pool. Reads copy into
-    fresh strings or into a caller's buffer, and no page buffer is ever
-    handed out, so shared pages never change and memories used by
-    different domains may read them concurrently. *)
+    shared. Region records (a region's page table and ownership bits)
+    are copy-on-write too: a memory keeps one slot per region, {!share}
+    puts the pool's record for a region into the slot when it holds the
+    same region and the same pages, and a shared record is never
+    mutated: the first write that has to own a page puts a private copy
+    of that one region's record into the slot before it copies the page.
+    So a memory holds host heap only for its slot array and for the
+    records and pages in which it differs from the zero page and its
+    domain's pool. A region lookup walks the slots and allocates
+    nothing. Reads copy into fresh strings or into a caller's buffer,
+    and no page buffer is ever handed out, so shared pages never change
+    and memories used by different domains may read them
+    concurrently. *)
 
 type t
 
@@ -63,12 +68,12 @@ val share : t -> unit
     memory writes only a copy of it. A sealed page swaps in the page at
     the same address in this domain's pool if the two hold equal bytes,
     and otherwise takes that page's place in the pool; each region's
-    page table then does the same against the pool's table for that
-    region, swapped in if it holds the very same pages. The pool lives in
-    [Domain.DLS] and holds at most one page and one table per address:
-    it is bounded by one memory map, needs no lock, and keeps at most one
-    world's pages alive per domain. Contents never change; only host
-    storage does.
+    record then does the same against the pool's record for that
+    region, swapped in if it is for the same region object and holds
+    the very same pages. The pool lives in [Domain.DLS] and holds at
+    most one page and one record per address: it is bounded by one
+    memory map, needs no lock, and keeps at most one world's pages alive
+    per domain. Contents never change; only host storage does.
     [Ra_core.Session.create] calls this once, on a fully built world, so
     that the members of a fleet share their genesis. *)
 

@@ -56,6 +56,8 @@ let enter t ?(labels = []) name =
   t.stack <- sp :: t.stack;
   sp
 
+let start sp = sp.o_start
+
 (* Histogram handles by span name, one table per domain, each with the
    registry and histogram it was got for: a registered handle never
    changes, so an exit finds its handle here instead of taking the

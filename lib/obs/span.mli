@@ -52,6 +52,9 @@ val no_registry : clock:(unit -> float) -> unit -> t
 
 val enter : t -> ?labels:Registry.labels -> string -> span
 
+val start : span -> float
+(** The clock reading at which the span was entered. *)
+
 val exit : t -> ?labels:Registry.labels -> span -> unit
 (** Close a span; [labels] are appended to the ones given at {!enter}
     (e.g. an outcome decided late). Closing a span that is not the

@@ -345,6 +345,43 @@ let test_max_total_s_bounds_round () =
   Alcotest.(check bool) "bound is tight-ish (not 10x the wait)" true
     (round.Session.r_elapsed_s > 0.5 *. bound)
 
+(* ---- the chaos timeline the digests do not cover ---------------------- *)
+
+(* A chaos sweep's event order and lag histogram, pinned as recorded
+   before members went on the timeline by index: 6 members, 3 sweeps of
+   2 rounds at 30% loss, one shard. Member clocks diverge after the first
+   sweep, so a sweep that started member i+1 from member i's first
+   event (which serializes their starts) keeps every verdict, transcript
+   and fingerprint but reads 42 in the first lag bucket and a 0.0766 s
+   sum. *)
+let test_chaos_timeline_pinned () =
+  let events kind =
+    Ra_obs.Registry.Counter.value
+      (Ra_obs.Registry.Counter.get ~labels:[ ("kind", kind) ] "ra_sched_events_total")
+  in
+  let lag = Ra_obs.Registry.Histogram.get "ra_sched_lag_seconds" in
+  let counts () = List.map snd (Ra_obs.Registry.Histogram.buckets lag) in
+  let f = Fleet.create ~ram_size:1024 ~names:(List.init 6 (Printf.sprintf "t%d")) () in
+  Fleet.advance f ~seconds:1.0;
+  let fired = events "fired" and scheduled = events "scheduled" in
+  let buckets = counts () in
+  let count = Ra_obs.Registry.Histogram.count lag and sum = Ra_obs.Registry.Histogram.sum lag in
+  List.iter
+    (fun seed ->
+      ignore
+        (Fleet.chaos_sweep ~seed ~engine:(`Shards 1) ~rounds_per_member:2 ~losses:[ 0.3 ]
+           ~policies:[ ("default", Retry.default) ]
+           f))
+    [ 7L; 8L; 9L ];
+  Alcotest.(check int) "events fired" 76 (events "fired" - fired);
+  Alcotest.(check int) "events scheduled" 76 (events "scheduled" - scheduled);
+  Alcotest.(check (list int)) "lag buckets"
+    [ 22; 54; 0; 0; 0; 0; 0; 0; 0; 0 ]
+    (List.map2 (fun a b -> b - a) buckets (counts ()));
+  Alcotest.(check int) "lag count" 76 (Ra_obs.Registry.Histogram.count lag - count);
+  Alcotest.(check (float 1e-9)) "lag sum" 0.12162599999999246
+    (Ra_obs.Registry.Histogram.sum lag -. sum)
+
 let tests =
   [
     Alcotest.test_case "heap order and ties" `Quick test_heap_order_and_ties;
@@ -363,4 +400,5 @@ let tests =
     QCheck_alcotest.to_alcotest prop_sharded_engine_equivalent;
     QCheck_alcotest.to_alcotest prop_engines_verdict_equivalent;
     Alcotest.test_case "max_total_s bounds a round" `Quick test_max_total_s_bounds_round;
+    Alcotest.test_case "chaos timeline pinned (events, lag)" `Quick test_chaos_timeline_pinned;
   ]

@@ -305,6 +305,67 @@ let test_round_minor_words () =
   if per_round >= bound then
     Alcotest.failf "a 1 KiB round allocates %.0f minor words (bound %.0f)" per_round bound
 
+(* A session whose wire loses every frame, so its first round waits. *)
+let dead_wire_session () =
+  let s = Session.create ~ram_size:1024 () in
+  let dead = Ra_net.Impairment.lossy 1.0 in
+  Session.set_impairment s
+    (Some (Ra_net.Impairment.create ~to_prover:dead ~to_verifier:dead ~seed:2016L ()));
+  Session.advance_time s ~seconds:1.0;
+  s
+
+let first_wait s =
+  match Session.round_begin s with
+  | Session.Round_wait { resume; _ } -> resume
+  | Session.Round_done _ -> Alcotest.fail "a round on a dead wire ended without waiting"
+
+(* What a waiting round holds beyond its session: the heap words that
+   the session and the wait's [resume] reach together, less what the
+   session reached before the round. The round's machine is one record
+   and its callbacks are top-level functions, so a wait holds the
+   record, its root span and the resume closure besides the request the
+   session keeps. With the machine, phase and labels as a web of
+   closures, a waiting round reached 231 words. *)
+let test_waiting_round_small () =
+  let bound = 128 in
+  let s = dead_wire_session () in
+  let before = Obj.reachable_words (Obj.repr s) in
+  let resume = first_wait s in
+  let words = Obj.reachable_words (Obj.repr (s, resume)) - before in
+  if words > bound then
+    Alcotest.failf "a waiting round reaches %d words beyond its session (bound %d)" words
+      bound
+
+(* A wait's [resume] runs once. Calling it again, or after its round has
+   ended, raises and sends nothing: before, a second call ran one more
+   attempt, and the transcript grew from 2 frames to 3. *)
+let test_stale_resume_refused () =
+  let s = dead_wire_session () in
+  let frames () = Channel.transcript_length (Session.channel s) in
+  let stale resume =
+    let sent = frames () in
+    (match resume () with
+    | _ -> Alcotest.fail "a stale resume ran"
+    | exception Invalid_argument _ -> ());
+    Alcotest.(check int) "a stale resume sends nothing" sent (frames ())
+  in
+  let resume = first_wait s in
+  let next = resume () in
+  stale resume;
+  let r = Session.drive_round next in
+  (match r.Session.r_verdict with
+  | Verdict.Timed_out _ -> ()
+  | v -> Alcotest.failf "dead wire: %a" Verdict.pp v);
+  stale resume;
+  (match next with
+  | Session.Round_wait { resume = last; _ } -> stale last
+  | Session.Round_done _ -> Alcotest.fail "the second attempt did not wait");
+  (* the session runs its next round as before *)
+  Session.set_impairment s None;
+  match (Session.attest_round_r s).Session.r_verdict with
+  | Verdict.Trusted -> ()
+  | v -> Alcotest.failf "round after the refused resumes: %a" Verdict.pp v
+
 let tests =
   [
     Alcotest.test_case "multiple outstanding requests" `Quick
@@ -329,4 +390,7 @@ let tests =
     Alcotest.test_case "prover steps keep Simtime with the CPU" `Quick
       test_steps_keep_simtime_with_cpu;
     Alcotest.test_case "service acks are checked" `Quick test_service_acks_checked;
+    Alcotest.test_case "a waiting round reaches <= 128 words beyond its session" `Quick
+      test_waiting_round_small;
+    Alcotest.test_case "a stale resume is refused" `Quick test_stale_resume_refused;
   ]
