@@ -148,7 +148,7 @@ endef
 export callerless_awk
 
 # the four sizes ROADMAP tracks, then the exported vals without a
-# caller; fails when that list names anything but the one rule item 3 of
+# caller; fails when that list names anything but the one rule item 2 of
 # ROADMAP.md will program
 loc:
 	@echo "lib/ .ml+.mli lines: $$(find lib -name '*.ml' -o -name '*.mli' | xargs cat | wc -l)"

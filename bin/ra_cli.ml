@@ -3,11 +3,11 @@
 
      ra_cli attest  --spec trustlite-base --rounds 3 --ram-kb 64
      ra_cli attack  --scenario roam-clock --defended
-     ra_cli costs
-     ra_cli table2
+     ra_cli fleet   --size 5 --sweeps 2
 
    The heavy lifting lives in the libraries; this binary is argument
-   parsing and printing. *)
+   parsing and printing. The paper's tables are sections of
+   bench/main.exe. *)
 
 open Cmdliner
 open Ra_core
@@ -133,58 +133,6 @@ let attack_cmd =
   Cmd.v (Cmd.info "attack" ~doc:"Run a roaming-adversary scenario")
     Term.(const run_attack $ scenario $ defended)
 
-(* ---- table2 ---- *)
-
-let run_table2 () =
-  let matrix = Experiment.table2 () in
-  Printf.printf "%-10s %-10s %-10s %-12s\n" "attack" "nonces" "counter" "timestamps";
-  List.iter
-    (fun (attack, cells) ->
-      Printf.printf "%-10s" (Experiment.attack_name attack);
-      List.iter
-        (fun (_, ok) -> Printf.printf " %-10s" (if ok then "mitigated" else "-"))
-        cells;
-      Printf.printf "\n")
-    matrix;
-  Printf.printf "matches paper: %b\n" (matrix = Experiment.expected_table2);
-  0
-
-let table2_cmd =
-  Cmd.v (Cmd.info "table2" ~doc:"Regenerate Table 2 by simulation")
-    Term.(const run_table2 $ const ())
-
-(* ---- costs ---- *)
-
-let run_costs () =
-  let open Ra_hwcost in
-  Format.printf "baseline: %a@." Synthesis.pp_totals Synthesis.baseline;
-  List.iter
-    (fun o -> Format.printf "%a@." Synthesis.pp_overhead o)
-    [ Synthesis.upgrade_64bit_clock; Synthesis.upgrade_32bit_clock; Synthesis.upgrade_sw_clock ];
-  0
-
-let costs_cmd =
-  Cmd.v (Cmd.info "costs" ~doc:"Hardware cost of prover protection (Table 3 / §6.3)")
-    Term.(const run_costs $ const ())
-
-(* ---- auth-cost ---- *)
-
-let run_auth_cost () =
-  Printf.printf "%-24s %14s %16s\n" "scheme" "cold (ms)" "precomputed (ms)";
-  List.iter
-    (fun scheme ->
-      Printf.printf "%-24s %14.3f %16.3f\n"
-        (Format.asprintf "%a" Timing.pp_auth_scheme scheme)
-        (Timing.request_auth_ms scheme)
-        (Timing.request_auth_ms ~precomputed_key_schedule:true scheme))
-    [ Timing.Auth_hmac_sha1; Timing.Auth_aes128_cbc_mac; Timing.Auth_speck64_cbc_mac;
-      Timing.Auth_ecdsa_verify ];
-  0
-
-let auth_cost_cmd =
-  Cmd.v (Cmd.info "auth-cost" ~doc:"Request-authentication cost comparison (§4.1)")
-    Term.(const run_auth_cost $ const ())
-
 (* ---- fleet ---- *)
 
 let run_fleet n sweeps =
@@ -207,25 +155,6 @@ let fleet_cmd =
   let sweeps = Arg.(value & opt int 2 & info [ "sweeps" ] ~docv:"S" ~doc:"Sweeps to run.") in
   Cmd.v (Cmd.info "fleet" ~doc:"Sweep a fleet of provers (future work 1)")
     Term.(const run_fleet $ size_arg 5 $ sweeps)
-
-(* ---- lattice ---- *)
-
-let run_lattice () =
-  let ok = ref 0 in
-  List.iter
-    (fun (config, _predicted, observed, agree) ->
-      if agree then incr ok;
-      Format.printf "%-36s %-42s %s@."
-        (Format.asprintf "%a" Analysis.pp_config config)
-        (Format.asprintf "%a" Analysis.pp_exposure observed)
-        (if agree then "ok" else "MISMATCH"))
-    (Analysis.exhaustive_check ());
-  Printf.printf "%d/16 lattice points agree with the paper's argument\n" !ok;
-  if !ok = 16 then 0 else 1
-
-let lattice_cmd =
-  Cmd.v (Cmd.info "lattice" ~doc:"Exhaustive protection-lattice check (§5/§6.2)")
-    Term.(const run_lattice $ const ())
 
 (* ---- inspect ---- *)
 
@@ -819,6 +748,6 @@ let main =
   Cmd.group
     (Cmd.info "ra_cli" ~version:"1.0.0"
        ~doc:"Prover-side remote attestation: protocol, attacks, and costs")
-    [ attest_cmd; attack_cmd; table2_cmd; costs_cmd; auth_cost_cmd; fleet_cmd; lattice_cmd; inspect_cmd; stats_cmd; chaos_cmd; trace_cmd; sched_cmd; serve_cmd; prof_cmd; replay_cmd; session_cmd ]
+    [ attest_cmd; attack_cmd; fleet_cmd; inspect_cmd; stats_cmd; chaos_cmd; trace_cmd; sched_cmd; serve_cmd; prof_cmd; replay_cmd; session_cmd ]
 
 let () = exit (Cmd.eval' main)

@@ -79,9 +79,11 @@ let check_nonce t max_entries nonce =
    verifier's natural wrap to 0, 1, 2, ... keeps being accepted, while
    any replay of a pre-wrap transmission sits in the backward
    half-window and stays rejected. *)
+let counter_newer ~stored c = Int64.compare (Int64.sub c stored) 0L > 0
+
 let check_counter t c =
   let stored = load_cell t in
-  if Int64.compare (Int64.sub c stored) 0L > 0 then begin
+  if counter_newer ~stored c then begin
     store_cell t c;
     Ok ()
   end

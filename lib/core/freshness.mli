@@ -53,6 +53,11 @@ val init :
 
 val policy : state -> policy
 
+val counter_newer : stored:int64 -> int64 -> bool
+(** [counter_newer ~stored c] is the counter policy's order: [c] lies in
+    the forward half-window of [stored] (RFC 1982). The prover accepts
+    by it, and {!Server} sheds by it before any crypto. *)
+
 val check_and_update : state -> Message.freshness_field -> (unit, reject) result
 (** Evaluate a request's freshness field and, on acceptance, persist the
     new state (counter / last timestamp / nonce history). Must be called

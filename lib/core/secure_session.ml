@@ -109,7 +109,7 @@ type peer = {
    a labeled expand per direction and per use — initiator-to-responder
    and responder-to-initiator never share a key, so a record can never be
    reflected back to its sender. *)
-let derive_peer ~sym_key ~th ~bits role =
+let derive_peer ~sym_key ~th role =
   let prk = C.Hkdf.extract ~salt:th ~ikm:sym_key () in
   let i2r = dir_keys ~prk "i2r" and r2i = dir_keys ~prk "r2i" in
   let fin_key = C.Hkdf.expand ~prk ~info:"ra/ss1 fin key" ~length:16 in
@@ -117,7 +117,7 @@ let derive_peer ~sym_key ~th ~bits role =
     match role with `Initiator -> (i2r, r2i) | `Responder -> (r2i, i2r)
   in
   { p_send; p_recv; p_fin_key = fin_key; p_th = th; p_seq = 0L;
-    p_window = Window.create ~bits () }
+    p_window = Window.create () }
 
 (* ---- record layer ----------------------------------------------------- *)
 
@@ -231,7 +231,6 @@ let count_open_error stats trace = function
 
 type responder = {
   r_session : Session.t;
-  r_bits : int;
   r_stats : stats;
   r_drbg : C.Drbg.t;
   mutable r_handle : string Channel.Endpoint.handle option;
@@ -249,11 +248,10 @@ let teardown_responder r =
   r.r_handle <- None;
   r.r_peer <- None
 
-let listen ?(window_bits = 128) session =
+let listen session =
   let r =
     {
       r_session = session;
-      r_bits = window_bits;
       r_stats = stats_zero ();
       (* seeded from the shared key: deterministic under seed, and fleet
          members diverge through their impairment seeds, not here *)
@@ -298,7 +296,7 @@ let listen ?(window_bits = 128) session =
             let hs_bind = bind_tag ~sym_key ~th:th_core in
             let full = Message.Hs_resp { hs_rnonce; hs_report = report; hs_bind } in
             let th = transcript_hash ~init:frame ~resp:(Message.wire_to_bytes full) in
-            r.r_peer <- Some (derive_peer ~sym_key ~th ~bits:r.r_bits `Responder);
+            r.r_peer <- Some (derive_peer ~sym_key ~th `Responder);
             r.r_confirmed <- false;
             r.r_closed <- false;
             Session.prover_send session full)
@@ -365,7 +363,6 @@ type istate =
 
 type initiator = {
   i_session : Session.t;
-  i_bits : int;
   i_stats : stats;
   i_pending : (string, Message.attreq) Hashtbl.t; (* challenge -> request *)
   mutable i_handle : string Channel.Endpoint.handle option;
@@ -396,11 +393,10 @@ let teardown_initiator i =
   | Established _ | Connecting _ -> i.i_state <- Closed
   | Refused _ | Closed -> ()
 
-let connect ?(window_bits = 128) session =
+let connect session =
   let i =
     {
       i_session = session;
-      i_bits = window_bits;
       i_stats = stats_zero ();
       i_pending = Hashtbl.create 8;
       i_handle = None;
@@ -435,7 +431,7 @@ let connect ?(window_bits = 128) session =
               match Verifier.check_response verifier ~request:hs_req hs_report with
               | Verdict.Trusted ->
                 let th = transcript_hash ~init:init_frame ~resp:frame in
-                let peer = derive_peer ~sym_key ~th ~bits:i.i_bits `Initiator in
+                let peer = derive_peer ~sym_key ~th `Initiator in
                 i.i_state <- Established peer;
                 i.i_stats.s_established <- i.i_stats.s_established + 1;
                 Ra_obs.Registry.Counter.inc M.hs_established;
@@ -522,7 +518,7 @@ let jitter_seed = 0x5EC5E551L
    windows, waits and tracing are the one-shot round's own machinery.
    The callbacks close over this round's endpoints; the machine record
    holds everything else. *)
-let round_begin ?(policy = Retry.default) ?(records = 4) ?(window_bits = 128) t =
+let round_begin ?(policy = Retry.default) ?(records = 4) t =
   if records < 0 then invalid_arg "Secure_session.round_begin: records < 0";
   let m =
     Session.Machine.start ~policy ~prng:(C.Prng.create jitter_seed) ~root:"secure.session" t
@@ -530,8 +526,8 @@ let round_begin ?(policy = Retry.default) ?(records = 4) ?(window_bits = 128) t 
   (* the machine reads a phase label only with a tracer, which it took
      when the round started *)
   let traced = Option.is_some (Session.tracing t) in
-  let responder = listen ~window_bits t in
-  let initiator = connect ~window_bits t in
+  let responder = listen t in
+  let initiator = connect t in
   (* r_attempts counts transmissions across all phases *)
   let sends = ref 0 in
   let flight send _ =
@@ -585,5 +581,4 @@ let round_begin ?(policy = Retry.default) ?(records = 4) ?(window_bits = 128) t 
       | Established _ -> stream 1
       | Connecting _ | Closed -> timed_out m)
 
-let run ?policy ?records ?window_bits t =
-  Session.drive_round (round_begin ?policy ?records ?window_bits t)
+let run ?policy ?records t = Session.drive_round (round_begin ?policy ?records t)

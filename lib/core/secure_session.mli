@@ -15,9 +15,9 @@
     {b Two timebases, one rule.} Handshake freshness rides the anchor's
     monotone cell (counter/timestamp — {e cross}-session replay dies
     there); record freshness rides a per-session RFC 6479 sliding window
-    over sequence numbers ({e in}-session replay dies there, while
-    legitimate frames survive the channel's duplication and reordering).
-    Neither mechanism ever consults the other's clock.
+    over the last 128 sequence numbers ({e in}-session replay dies
+    there, while legitimate frames survive the channel's duplication and
+    reordering). Neither mechanism ever consults the other's clock.
 
     Everything here runs over the session's existing Dolev-Yao channel,
     and every retried phase runs on {!Session.Machine} — the one-shot
@@ -75,7 +75,7 @@ type stats = {
   mutable s_stale : int;
 }
 
-val listen : ?window_bits:int -> Session.t -> responder
+val listen : Session.t -> responder
 (** Attach the prover-side responder. On [Hs_init] it runs the embedded
     request through the full one-shot anchor path (auth + strict
     freshness — a replayed handshake dies in the anchor's freshness
@@ -84,7 +84,7 @@ val listen : ?window_bits:int -> Session.t -> responder
     {!Code_attest.handle_channel_request}; a [Close] record is acked
     and the handle detaches from inside its own receive callback. *)
 
-val connect : ?window_bits:int -> Session.t -> initiator
+val connect : Session.t -> initiator
 (** Attach the verifier-side initiator (sends nothing yet — see
     {!handshake_send}). On [Hs_resp] it verifies the transcript-bind MAC,
     then the attestation report: [Trusted] establishes the session (keys
@@ -134,12 +134,7 @@ val responder_session_up : responder -> bool
     {!Retry} policy, then a best-effort close. Its reply-window jitter
     comes from a fixed per-round PRNG, not the session's. *)
 
-val round_begin :
-  ?policy:Retry.policy ->
-  ?records:int ->
-  ?window_bits:int ->
-  Session.t ->
-  Session.step
+val round_begin : ?policy:Retry.policy -> ?records:int -> Session.t -> Session.step
 (** Start the machine ([records] defaults to 4). The verdict is
     [Trusted] when the handshake established and every streamed round
     verified; a refused handshake or a non-trusted in-session verdict
@@ -147,10 +142,5 @@ val round_begin :
     [Timed_out]. [r_attempts] counts {e transmissions} across all
     phases. *)
 
-val run :
-  ?policy:Retry.policy ->
-  ?records:int ->
-  ?window_bits:int ->
-  Session.t ->
-  Session.round
+val run : ?policy:Retry.policy -> ?records:int -> Session.t -> Session.round
 (** {!round_begin} driven synchronously ({!Session.drive_round}). *)

@@ -163,14 +163,15 @@ let reject t ~device ~tag ~arrived ~done_ reason =
   Verdict.Tally.add t.tally reason;
   note t ~device ~tag ~arrived ~done_ errors.(Verdict.Reason.index reason)
 
-(* counter-freshness triage: cheap, before any admission or crypto. Only a
-   Trusted verdict advances the stored counter, so a flood replaying or
-   inventing counters cannot lock a legitimate device out. *)
+(* counter-freshness triage: cheap, before any admission or crypto, in the
+   prover's serial order. Only a Trusted verdict advances the stored
+   counter, so a flood replaying or inventing counters cannot lock a
+   legitimate device out. *)
 let stale t ~identity resp =
   match (identity, resp.Message.echo_freshness) with
   | Some id, Message.F_counter c -> (
     match Hashtbl.find_opt t.counters id with
-    | Some stored -> Int64.compare c stored <= 0
+    | Some stored -> not (Freshness.counter_newer ~stored c)
     | None -> false)
   | _ -> false
 

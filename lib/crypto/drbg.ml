@@ -23,52 +23,54 @@ type t = {
 
 type scratch = {
   key : Bytes.t; (* K in bytes 0-31, and the block its pads are built in *)
-  work : Sha256.ctx;
+  work : Md.ctx; (* a SHA-256 context *)
 }
 
 let wipe s =
-  Bytes.fill s.key 0 Sha256.block_size '\x00';
-  Sha256.wipe s.work
+  Bytes.fill s.key 0 Md.block_size '\x00';
+  Md.wipe s.work
 
 let scratch =
   Domain.DLS.new_key (fun () ->
-      let s = { key = Bytes.create Sha256.block_size; work = Sha256.init () } in
+      let s = { key = Bytes.create Md.block_size; work = Sha256.init () } in
       wipe s;
       s)
 
-let scratch_residue () = Marshal.to_string (Domain.DLS.get scratch) []
+(* [Closures]: the work context names its compression function, which
+   marshals as a code pointer, the same on every domain *)
+let scratch_residue () = Marshal.to_string (Domain.DLS.get scratch) [ Marshal.Closures ]
 
-let out_len = Sha256.digest_size
+let out_len = 32 (* SHA-256's digest *)
 
 (* An HMAC_K over V and whatever follows: [start] absorbs V after the
    ipad midstate, [finish] writes the MAC into the first 32 bytes of
    [out]. The inner digest passes through [out] too: [work] has copied it
    before [out] is written again. *)
 let start t s =
-  Sha256.resume s.work t.inner;
-  Sha256.feed_bytes s.work t.v ~pos:0 ~len:out_len
+  Md.resume s.work t.inner;
+  Md.feed_bytes s.work t.v ~pos:0 ~len:out_len
 
 let finish t s out =
-  Sha256.finalize_into s.work out;
-  Sha256.resume s.work t.outer;
-  Sha256.feed_bytes s.work out ~pos:0 ~len:out_len;
-  Sha256.finalize_into s.work out
+  Md.finalize_into s.work out;
+  Md.resume s.work t.outer;
+  Md.feed_bytes s.work out ~pos:0 ~len:out_len;
+  Md.finalize_into s.work out
 
 (* xor the block in [s.key] with [x], absorb it into [s.work] from
    scratch and save the chaining words in [h] *)
 let absorb_pad s h x =
-  for i = 0 to Sha256.block_size - 1 do
+  for i = 0 to Md.block_size - 1 do
     Bytes.set s.key i (Char.chr (Char.code (Bytes.get s.key i) lxor x))
   done;
-  Sha256.reset s.work;
-  Sha256.feed_bytes s.work s.key ~pos:0 ~len:Sha256.block_size;
-  Sha256.midstate s.work h
+  Md.reset s.work;
+  Md.feed_bytes s.work s.key ~pos:0 ~len:Md.block_size;
+  Md.midstate s.work h
 
 (* Absorb the pads of the K in [s.key]: K zero-padded to a block, xored
    with ipad, then with ipad xor opad. This overwrites K, which nothing
    reads before the next HMAC writes a new one. *)
 let rekey t s =
-  Bytes.fill s.key out_len (Sha256.block_size - out_len) '\x00';
+  Bytes.fill s.key out_len (Md.block_size - out_len) '\x00';
   absorb_pad s t.inner 0x36;
   absorb_pad s t.outer (0x36 lxor 0x5c)
 
@@ -80,8 +82,8 @@ let step_v t s =
 (* K = HMAC_K(V || sep || provided), then V = HMAC_K(V) *)
 let step_k t s sep provided =
   start t s;
-  Sha256.feed s.work sep;
-  Sha256.feed s.work provided;
+  Md.feed s.work sep;
+  Md.feed s.work provided;
   finish t s s.key;
   rekey t s;
   step_v t s

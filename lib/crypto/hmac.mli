@@ -8,15 +8,9 @@
     opad midstates are precomputed per key instead of being re-hashed on
     every message. *)
 
-type kind = Kind_sha1 | Kind_sha256
-
-type hash = {
-  kind : kind;
-  digest : string -> string;
-  digest_size : int;
-  block_size : int;
-}
-(** First-class hash description so HMAC is generic over SHA-1/SHA-256. *)
+type hash = unit -> Md.ctx
+(** A hash, as the way to start one: {!Sha1.init} or {!Sha256.init}.
+    Both have 64-byte blocks ({!Md.block_size}). *)
 
 val sha1 : hash
 val sha256 : hash

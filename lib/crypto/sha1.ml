@@ -1,5 +1,7 @@
-(* SHA-1 (FIPS 180-4 §6.1.2) with the compression function written out as
-   straight-line code on unboxed 64-bit words.
+(* SHA-1 (FIPS 180-4 §6.1.2): its initial chaining words and its
+   compression function, written out as straight-line code on unboxed
+   64-bit words. The framing around it (partial block, padding, digest)
+   is {!Md}'s.
 
    [compress] is nearly all of the memory MAC's host time, so:
    - all 80 rounds are unrolled, and the five working variables are
@@ -26,37 +28,7 @@ external set64u : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
 external bswap32 : int32 -> int32 = "%bswap_int32"
 
 let digest_size = 20
-let block_size = 64
-
-type ctx = {
-  mutable h0 : int; (* chaining state, each word < 2^32 *)
-  mutable h1 : int;
-  mutable h2 : int;
-  mutable h3 : int;
-  mutable h4 : int;
-  ring : Bytes.t; (* schedule words w(i-16) .. w(i-1), slot i land 15 *)
-  buf : Bytes.t; (* partial block *)
-  mutable buf_len : int;
-  mutable total : int; (* bytes absorbed *)
-}
-
-let init () =
-  {
-    h0 = 0x67452301;
-    h1 = 0xEFCDAB89;
-    h2 = 0x98BADCFE;
-    h3 = 0x10325476;
-    h4 = 0xC3D2E1F0;
-    ring = Bytes.create 128;
-    buf = Bytes.create block_size;
-    buf_len = 0;
-    total = 0;
-  }
-
-(* Every compression writes a ring slot before reading it, so a copy
-   takes none of the ring's contents. It gets a ring of its own all the
-   same: the original and the copy may hash in two domains at once. *)
-let copy t = { t with ring = Bytes.create 128; buf = Bytes.copy t.buf }
+let iv = [| 0x67452301; 0xEFCDAB89; 0x98BADCFE; 0x10325476; 0xC3D2E1F0 |]
 
 let[@inline] rotl x n = Int64.(logor (shift_left x n) (shift_right_logical x (32 - n)))
 
@@ -97,7 +69,7 @@ let[@inline] r4 a b c d e w = sum a Int64.(logxor b (logxor c d)) e 0xCA62C1D6L 
    [a] over [e] and rotates [b]; round [i + 1] then reads the same names
    one place further on, (e, a, b, c, d), so five rounds bring them back.
    Rounds 0-15 load their message word, 16-79 compute it. *)
-let compress t m o =
+let compress (t : Md.ctx) m o =
   let r = t.ring in
   let a = Int64.of_int t.h0 and b = Int64.of_int t.h1 and c = Int64.of_int t.h2 in
   let d = Int64.of_int t.h3 and e = Int64.of_int t.h4 in
@@ -191,66 +163,7 @@ let compress t m o =
   t.h3 <- (t.h3 + Int64.to_int d) land 0xFFFFFFFF;
   t.h4 <- (t.h4 + Int64.to_int e) land 0xFFFFFFFF
 
-let feed_bytes t b ~pos ~len =
-  if pos < 0 || len < 0 || pos + len > Bytes.length b then
-    invalid_arg "Sha1.feed_bytes";
-  t.total <- t.total + len;
-  let pos = ref pos in
-  let remaining = ref len in
-  (* fill a partial buffered block first *)
-  if t.buf_len > 0 then begin
-    let take = min (block_size - t.buf_len) !remaining in
-    Bytes.blit b !pos t.buf t.buf_len take;
-    t.buf_len <- t.buf_len + take;
-    pos := !pos + take;
-    remaining := !remaining - take;
-    if t.buf_len = block_size then begin
-      compress t t.buf 0;
-      t.buf_len <- 0
-    end
-  end;
-  (* full blocks straight from the caller's buffer, no copy *)
-  while !remaining >= block_size do
-    compress t b !pos;
-    pos := !pos + block_size;
-    remaining := !remaining - block_size
-  done;
-  if !remaining > 0 then begin
-    Bytes.blit b !pos t.buf t.buf_len !remaining;
-    t.buf_len <- t.buf_len + !remaining
-  end
-
-let feed t s =
-  (* [feed_bytes] never mutates its input, so viewing the immutable string
-     as bytes is safe and saves a copy of every full block *)
-  feed_bytes t (Bytes.unsafe_of_string s) ~pos:0 ~len:(String.length s)
-
-let finalize t =
-  (* append 0x80, pad with zeros to 56 mod 64, then the 64-bit bit length *)
-  Bytes.set t.buf t.buf_len '\x80';
-  t.buf_len <- t.buf_len + 1;
-  if t.buf_len > block_size - 8 then begin
-    Bytes.fill t.buf t.buf_len (block_size - t.buf_len) '\x00';
-    compress t t.buf 0;
-    t.buf_len <- 0
-  end;
-  Bytes.fill t.buf t.buf_len (block_size - 8 - t.buf_len) '\x00';
-  Bytes.set_int64_be t.buf (block_size - 8) (Int64.mul (Int64.of_int t.total) 8L);
-  compress t t.buf 0;
-  let out = Bytes.create digest_size in
-  Bytes.set_int32_be out 0 (Int32.of_int t.h0);
-  Bytes.set_int32_be out 4 (Int32.of_int t.h1);
-  Bytes.set_int32_be out 8 (Int32.of_int t.h2);
-  Bytes.set_int32_be out 12 (Int32.of_int t.h3);
-  Bytes.set_int32_be out 16 (Int32.of_int t.h4);
-  Bytes.unsafe_to_string out
-
-let digest s =
-  let t = init () in
-  feed t s;
-  finalize t
-
-let digest_bytes b =
-  let t = init () in
-  feed_bytes t b ~pos:0 ~len:(Bytes.length b);
-  finalize t
+let init () = Md.create ~iv compress
+let feed = Md.feed
+let finalize = Md.finalize
+let digest s = Md.digest init s

@@ -1,5 +1,6 @@
-(* SHA-256 (FIPS 180-4 §6.2.2) with the compression function written out
-   as straight-line code on unboxed 64-bit words, as in {!Sha1}.
+(* SHA-256 (FIPS 180-4 §6.2.2): its initial chaining words and its
+   compression function, written out as straight-line code on unboxed
+   64-bit words, as in {!Sha1}.
 
    Every attestation request draws its challenge from the HMAC-DRBG over
    this hash, so:
@@ -19,92 +20,17 @@
      new [e] and each new schedule word are masked, and every value that
      is rotated, or that ch and maj combine, is one of these or a
      chaining word.
-   [reset], [midstate], [resume] and [finalize_into] let {!Drbg} run HMAC
-   in a context it owns, without allocating, from pad midstates kept as
-   eight bare words. DESIGN.md §5 "Unboxed hash kernels" has
-   the measurements and the variants that lost. *)
+   The framing around it is {!Md}'s. DESIGN.md §5 "Unboxed hash kernels"
+   has the measurements and the variants that lost. *)
 
 external get32u : Bytes.t -> int -> int32 = "%caml_bytes_get32u"
 external get64u : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
 external set64u : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
 external bswap32 : int32 -> int32 = "%bswap_int32"
 
-let digest_size = 32
-let block_size = 64
-
-type ctx = {
-  mutable h0 : int; (* chaining state, each word < 2^32 *)
-  mutable h1 : int;
-  mutable h2 : int;
-  mutable h3 : int;
-  mutable h4 : int;
-  mutable h5 : int;
-  mutable h6 : int;
-  mutable h7 : int;
-  ring : Bytes.t; (* schedule words w(i-16) .. w(i-1), slot i land 15 *)
-  buf : Bytes.t; (* partial block *)
-  mutable buf_len : int;
-  mutable total : int; (* bytes absorbed *)
-}
-
 (* the initial chaining words; only ever read *)
 let iv =
   [| 0x6a09e667; 0xbb67ae85; 0x3c6ef372; 0xa54ff53a; 0x510e527f; 0x9b05688c; 0x1f83d9ab; 0x5be0cd19 |]
-
-let init () =
-  {
-    h0 = iv.(0);
-    h1 = iv.(1);
-    h2 = iv.(2);
-    h3 = iv.(3);
-    h4 = iv.(4);
-    h5 = iv.(5);
-    h6 = iv.(6);
-    h7 = iv.(7);
-    ring = Bytes.create 128;
-    buf = Bytes.create block_size;
-    buf_len = 0;
-    total = 0;
-  }
-
-(* Every compression writes a ring slot before reading it, so a copy
-   takes none of the ring's contents. It gets a ring of its own all the
-   same: the original and the copy may hash in two domains at once. *)
-let copy t = { t with ring = Bytes.create 128; buf = Bytes.copy t.buf }
-
-(* After exactly one block the buffer is empty and the byte count is
-   known, so the eight chaining words are the whole state. *)
-let midstate t h =
-  if t.total <> block_size then invalid_arg "Sha256.midstate";
-  h.(0) <- t.h0;
-  h.(1) <- t.h1;
-  h.(2) <- t.h2;
-  h.(3) <- t.h3;
-  h.(4) <- t.h4;
-  h.(5) <- t.h5;
-  h.(6) <- t.h6;
-  h.(7) <- t.h7
-
-let resume t h =
-  t.h0 <- h.(0);
-  t.h1 <- h.(1);
-  t.h2 <- h.(2);
-  t.h3 <- h.(3);
-  t.h4 <- h.(4);
-  t.h5 <- h.(5);
-  t.h6 <- h.(6);
-  t.h7 <- h.(7);
-  t.buf_len <- 0;
-  t.total <- block_size
-
-let reset t =
-  resume t iv;
-  t.total <- 0
-
-let wipe t =
-  Bytes.fill t.ring 0 128 '\x00';
-  Bytes.fill t.buf 0 block_size '\x00';
-  reset t
 
 let[@inline] m32 x = Int64.logand x 0xFFFFFFFFL
 
@@ -176,7 +102,7 @@ let[@inline] sum x y = m32 (Int64.add x y)
    the same names one place further on, (h, a, b, c, d, e, f, g), so
    eight rounds bring them back. Rounds 0-15 load their message word,
    16-63 compute it. *)
-let compress t m o =
+let compress (t : Md.ctx) m o =
   let r = t.ring in
   let a = Int64.of_int t.h0 and b = Int64.of_int t.h1 and c = Int64.of_int t.h2 in
   let d = Int64.of_int t.h3 and e = Int64.of_int t.h4 and f = Int64.of_int t.h5 in
@@ -254,73 +180,5 @@ let compress t m o =
   t.h6 <- (t.h6 + Int64.to_int g) land 0xFFFFFFFF;
   t.h7 <- (t.h7 + Int64.to_int h) land 0xFFFFFFFF
 
-let feed_bytes t b ~pos ~len =
-  if pos < 0 || len < 0 || pos + len > Bytes.length b then
-    invalid_arg "Sha256.feed_bytes";
-  t.total <- t.total + len;
-  let pos = ref pos in
-  let remaining = ref len in
-  (* fill a partial buffered block first *)
-  if t.buf_len > 0 then begin
-    let take = min (block_size - t.buf_len) !remaining in
-    Bytes.blit b !pos t.buf t.buf_len take;
-    t.buf_len <- t.buf_len + take;
-    pos := !pos + take;
-    remaining := !remaining - take;
-    if t.buf_len = block_size then begin
-      compress t t.buf 0;
-      t.buf_len <- 0
-    end
-  end;
-  (* full blocks straight from the caller's buffer, no copy *)
-  while !remaining >= block_size do
-    compress t b !pos;
-    pos := !pos + block_size;
-    remaining := !remaining - block_size
-  done;
-  if !remaining > 0 then begin
-    Bytes.blit b !pos t.buf t.buf_len !remaining;
-    t.buf_len <- t.buf_len + !remaining
-  end
-
-let feed t s =
-  (* [feed_bytes] never mutates its input, so viewing the immutable string
-     as bytes is safe and saves a copy of every full block *)
-  feed_bytes t (Bytes.unsafe_of_string s) ~pos:0 ~len:(String.length s)
-
-let finalize_into t out =
-  if Bytes.length out < digest_size then invalid_arg "Sha256.finalize_into";
-  (* append 0x80, pad with zeros to 56 mod 64, then the 64-bit bit length *)
-  Bytes.set t.buf t.buf_len '\x80';
-  t.buf_len <- t.buf_len + 1;
-  if t.buf_len > block_size - 8 then begin
-    Bytes.fill t.buf t.buf_len (block_size - t.buf_len) '\x00';
-    compress t t.buf 0;
-    t.buf_len <- 0
-  end;
-  Bytes.fill t.buf t.buf_len (block_size - 8 - t.buf_len) '\x00';
-  Bytes.set_int64_be t.buf (block_size - 8) (Int64.mul (Int64.of_int t.total) 8L);
-  compress t t.buf 0;
-  Bytes.set_int32_be out 0 (Int32.of_int t.h0);
-  Bytes.set_int32_be out 4 (Int32.of_int t.h1);
-  Bytes.set_int32_be out 8 (Int32.of_int t.h2);
-  Bytes.set_int32_be out 12 (Int32.of_int t.h3);
-  Bytes.set_int32_be out 16 (Int32.of_int t.h4);
-  Bytes.set_int32_be out 20 (Int32.of_int t.h5);
-  Bytes.set_int32_be out 24 (Int32.of_int t.h6);
-  Bytes.set_int32_be out 28 (Int32.of_int t.h7)
-
-let finalize t =
-  let out = Bytes.create digest_size in
-  finalize_into t out;
-  Bytes.unsafe_to_string out
-
-let digest s =
-  let t = init () in
-  feed t s;
-  finalize t
-
-let digest_bytes b =
-  let t = init () in
-  feed_bytes t b ~pos:0 ~len:(Bytes.length b);
-  finalize t
+let init () = Md.create ~iv compress
+let digest s = Md.digest init s

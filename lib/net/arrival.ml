@@ -9,13 +9,12 @@ type process =
       p_burst_to_quiet : float;
     }
 
-(* bursts hold ~10% of arrivals: p_qb = p_bq / 9 keeps the stationary
-   per-arrival burst share at 1/10 for any mean burst length *)
-let bursty ?(burst_factor = 8.0) ?(mean_burst = 16.0) ~rate () =
+(* Bursts last 16 arrivals on average and hold ~10% of them: p_qb =
+   p_bq / 9 keeps the stationary per-arrival burst share at 1/10. *)
+let bursty ?(burst_factor = 8.0) ~rate () =
   if rate <= 0.0 then invalid_arg "Arrival.bursty: rate must be > 0";
   if burst_factor < 1.0 then invalid_arg "Arrival.bursty: burst_factor must be >= 1";
-  if mean_burst < 1.0 then invalid_arg "Arrival.bursty: mean_burst must be >= 1";
-  let p_burst_to_quiet = 1.0 /. mean_burst in
+  let p_burst_to_quiet = 1.0 /. 16.0 in
   Bursty
     { rate; burst_factor; p_quiet_to_burst = p_burst_to_quiet /. 9.0; p_burst_to_quiet }
 

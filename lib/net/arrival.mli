@@ -28,11 +28,10 @@ type process =
       p_burst_to_quiet : float;  (** per-arrival Bad -> Good probability *)
     }
 
-val bursty : ?burst_factor:float -> ?mean_burst:float -> rate:float -> unit -> process
-(** A [Bursty] process tuned like {!Impairment.bursty}: bursts of mean
-    length [mean_burst] arrivals (default 16) at [burst_factor] (default
-    8) times the quiet rate, entered rarely enough that the long-run
-    average stays [rate].
+val bursty : ?burst_factor:float -> rate:float -> unit -> process
+(** A [Bursty] process tuned like {!Impairment.bursty}: bursts of 16
+    arrivals on average at [burst_factor] (default 8) times the quiet
+    rate, entered rarely enough that the long-run average stays [rate].
     @raise Invalid_argument on a non-positive rate or factor < 1. *)
 
 type t

@@ -22,9 +22,9 @@ let pump s =
   in
   go 1000
 
-let establish ?window_bits s =
-  let r = SS.listen ?window_bits s in
-  let i = SS.connect ?window_bits s in
+let establish s =
+  let r = SS.listen s in
+  let i = SS.connect s in
   SS.handshake_send i;
   pump s;
   (r, i)
@@ -299,7 +299,7 @@ let test_cross_session_splice_rejected () =
 
 let test_replay_inside_and_outside_window () =
   let s = make () in
-  let r, i = establish ~window_bits:32 s in
+  let r, i = establish s in
   let round () =
     let pos = wire_len s in
     ignore (SS.request_round i);
@@ -317,17 +317,18 @@ let test_replay_inside_and_outside_window () =
   (* replay inside the window: the sequence number's bit is set *)
   Session.deliver_frame_to_prover s ~origin:Channel.Replayed second;
   Alcotest.(check int) "in-window replay flagged" 1 (SS.responder_stats r).SS.s_replayed;
-  (* push the window past capacity 32, then replay the very first record *)
-  for _ = 1 to 32 do
+  (* push the window past its capacity of 128, then replay the very
+     first record *)
+  for _ = 1 to 128 do
     ignore (round ())
   done;
   Session.deliver_frame_to_prover s ~origin:Channel.Replayed first;
   Alcotest.(check int) "out-of-window replay stale" 1 (SS.responder_stats r).SS.s_stale;
-  Alcotest.(check int) "no forged accepts" 34 (SS.responder_stats r).SS.s_accepted;
+  Alcotest.(check int) "no forged accepts" 130 (SS.responder_stats r).SS.s_accepted;
   (* rejects never poison the stream: the next round still verifies *)
   ignore (SS.request_round i);
   pump s;
-  Alcotest.(check int) "session still live" 35 (SS.verdict_count i)
+  Alcotest.(check int) "session still live" 131 (SS.verdict_count i)
 
 let test_tampered_records_reject_uniformly () =
   let s = make () in

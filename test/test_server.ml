@@ -183,6 +183,31 @@ let test_reason_paths () =
   Alcotest.(check int) "one ok" 1
     (List.length (List.filter (fun r -> r = Ok ()) results))
 
+(* The server sheds in the prover's counter order (RFC 1982), so the two
+   agree across the 2^63 wrap: the counter after [max_int] is fresh, and
+   a replayed authentic report from before the wrap is stale and does
+   not move the stored counter back. *)
+let test_counter_wrap () =
+  let _sched, server = make ~batch:1 () in
+  Server.register_device server "dev-0";
+  Server.register_device server "dev-1";
+  let tag = ref 0 in
+  let submit device counter =
+    incr tag;
+    Server.submit server
+      { Server.rq_device = Some device; rq_tag = !tag; rq_frame = good_frame counter };
+    Server.flush server;
+    let st = Server.stats server in
+    (st.Server.sv_trusted, rejections st Verdict.Reason.Not_fresh)
+  in
+  let check = Alcotest.(check (pair int int)) in
+  let min1 = Int64.add Int64.min_int 1L in
+  check "max_int" (1, 0) (submit "dev-0" Int64.max_int);
+  check "then min_int" (2, 0) (submit "dev-0" Int64.min_int);
+  check "min_int + 1" (3, 0) (submit "dev-1" min1);
+  check "then a replay of max_int - 1" (3, 1) (submit "dev-1" (Int64.sub Int64.max_int 1L));
+  check "then min_int + 2" (4, 1) (submit "dev-1" (Int64.add min1 1L))
+
 let test_rate_limited () =
   let admission =
     { Admission.default_config with device_rate = 0.5; device_burst = 1.0 }
@@ -547,4 +572,6 @@ let tests =
     Alcotest.test_case "outcomes listed once, in order" `Quick test_outcomes_listed_once;
     Alcotest.test_case "unrecorded server does not grow" `Quick
       test_unrecorded_server_size;
+    Alcotest.test_case "counter order agrees with the prover across the wrap" `Quick
+      test_counter_wrap;
   ]
